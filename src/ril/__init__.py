@@ -47,6 +47,7 @@ from .mdp import (
     possible_mask,
     reachability,
     reachable_state_mask,
+    supported_state_mask,
     terminal_mask,
     terminal_states,
     unreachable_transition_mask,
@@ -91,11 +92,13 @@ from .solvers import (
     mce_policy,
     optimal_action_sets,
     optimal_q,
+    optimal_q_iterative,
     policy_q,
     policy_q_iterative,
     policy_value,
     reward_scale,
     soft_q,
+    soft_q_iterative,
     softmax_rows,
     uniform_policy,
 )

@@ -9,7 +9,9 @@ All randomness flows from the single experiment seed via per-trial derived
 seeds, so verdict output is a pure function of (config, inputs).  Reports
 split into a deterministic verdict document and a run report that adds
 wall-clock timings, the tool version, and input digests; only the latter
-varies between runs.  RIL_THREADS caps the table runner's worker count.
+varies between runs.  The table runs its cells serially unless RIL_THREADS
+or --threads asks for a worker pool: the work holds the GIL, so threads
+add memory and overhead without speed.
 """
 
 from __future__ import annotations
@@ -277,8 +279,8 @@ def cmd_solve(args) -> int:
     t_soft = soft_q(m, params)
     pi_boltzmann = boltzmann_rational_policy(m, params)
     pi_mce = mce_policy(m, params)
-    pi_support = maximally_supportive_optimal_policy(m, params)
-    sets = optimal_action_sets(m, params)
+    sets = optimal_action_sets(m, params, tables=t_star)
+    pi_support = maximally_supportive_optimal_policy(m, params, sets=sets)
     out = {
         "states": list(m.states),
         "actions": list(m.actions),
@@ -512,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", parents=[common], help="solve one MDP's value tables and policies")
     p.add_argument("--mdp", required=True, help="MDP JSON file")
     p.add_argument("--beta", type=float, default=1.0, help="inverse temperature")
-    p.add_argument("--max-iters", type=int, default=100_000, help="iteration budget")
+    p.add_argument("--max-iters", type=int, default=100_000, help="improvement-step budget of the solvers")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("transform", parents=[common], help="apply or sample a reward transformation")
@@ -535,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", parents=[common], help="reproduce the invariance directory")
     p.add_argument("--config", default=None, help="experiment config JSON")
     p.add_argument("--budget", type=int, default=None, help="search budget per cell")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default RIL_THREADS)")
+    p.add_argument("--threads", type=int, default=None, help="worker threads (default RIL_THREADS, else 1)")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("order", parents=[common], help="build the ambiguity-refinement diagram")

@@ -24,7 +24,7 @@ class ConvergenceError(RuntimeError):
 
     Attributes:
         residual: last observed update or Bellman residual.
-        iterations: number of sweeps performed.
+        iterations: number of improvement steps or sweeps performed.
     """
 
     def __init__(self, message: str, residual: float, iterations: int):

@@ -48,6 +48,7 @@ from .mdp import (
 from .micro import fan_order_preserving_rescale, return_fan_mdp
 from .objects import (
     KIND_TAGS,
+    LASSO_KINDS,
     ObjectFingerprint,
     Resolution,
     canonical_lassos,
@@ -111,9 +112,6 @@ _SOFT_POLICY_KINDS = frozenset(["boltzmann_policy", "mce_policy"])
 _ARGMAX_KINDS = frozenset(["supportive_optimal_policy", "optimal_policy_set"])
 _SOFT_DIST_KINDS = frozenset(["traj_dist_boltzmann", "traj_dist_mce"])
 _FRAG_VALUE_KINDS = frozenset(["return_fragments", "boltzmann_cmp_fragments"])
-_LASSO_KINDS = frozenset(
-    ["return_trajectories", "boltzmann_cmp_trajectories", "noiseless_cmp_trajectories", "lottery_order"]
-)
 
 
 @dataclass(frozen=True)
@@ -511,7 +509,7 @@ def attack_plan(kind: str, cls: str, cfg: CheckConfig) -> AttackPlan | None:
 
     if cls == "zpmt":
         pred = None
-        if kind in _LASSO_KINDS:
+        if kind in LASSO_KINDS:
             pred = lasso_pred(count=1, distinct=(3 if kind == "lottery_order" else 1))
         canned = () if kind.startswith("noiseless_") else (_canned_fan_pair,)
         return AttackPlan(
@@ -545,7 +543,7 @@ def attack_plan(kind: str, cls: str, cfg: CheckConfig) -> AttackPlan | None:
             )
         if kind in _VALUE_KINDS | _FRAG_VALUE_KINDS:
             return AttackPlan(sampler=base, constraints=lambda m, i: {})
-        if kind in _LASSO_KINDS:
+        if kind in LASSO_KINDS:
             need = {"count": 2, "distinct": 2}
             if kind == "lottery_order":
                 need = {"count": 3, "distinct": 3}
@@ -595,7 +593,7 @@ def check_sampler(kind: str, cls: str, cfg: CheckConfig) -> SamplerConfig:
 
 def _kind_base_predicate(kind: str, cfg: CheckConfig) -> Callable[[Mdp], bool] | None:
     res = cfg.resolution
-    if kind in _LASSO_KINDS:
+    if kind in LASSO_KINDS:
         def ok(m: Mdp) -> bool:
             prof = _lasso_profile(m, res)
             if prof is None:

@@ -230,6 +230,11 @@ def reachable_state_mask(m: Mdp) -> np.ndarray:
     return _closure(m, possible_mask(m))
 
 
+def supported_state_mask(m: Mdp, policy_probs: np.ndarray) -> np.ndarray:
+    """Closure of support(mu0) under possible moves the policy can take."""
+    return _closure(m, possible_mask(m) & (np.asarray(policy_probs) > 0.0)[:, :, None])
+
+
 def reachability(m: Mdp, policy_probs: np.ndarray | None = None) -> ReachabilitySummary:
     """Reachable states/transitions; optionally the closure under a policy.
 
@@ -245,8 +250,7 @@ def reachability(m: Mdp, policy_probs: np.ndarray | None = None) -> Reachability
             triples.append((int(s), int(a), int(s2)))
     supported = None
     if policy_probs is not None:
-        keep = poss & (np.asarray(policy_probs) > 0.0)[:, :, None]
-        supported = tuple(int(s) for s in np.flatnonzero(_closure(m, keep)))
+        supported = tuple(int(s) for s in np.flatnonzero(supported_state_mask(m, policy_probs)))
     return ReachabilitySummary(
         reachable_states=tuple(int(s) for s in np.flatnonzero(reach)),
         reachable_transitions=tuple(triples),

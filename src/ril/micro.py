@@ -57,6 +57,35 @@ def chain_mdp() -> Mdp:
     )
 
 
+def delayed_reward_chain_mdp() -> Mdp:
+    """A corridor s0 -> s1 -> s2 -> goal whose payoff greed misses; gamma 0.9.
+
+    In s0..s2, "stay" loops for 0.1 and "go" moves one step on for 0.  The
+    goal loops for 1 under either action, so V*(goal) = 10 and going is
+    optimal everywhere: V* = (0.9**3, 0.9**2, 0.9) * 10.  Policy iteration
+    starts from the greedy-on-reward policy (stay everywhere, V = 1) and
+    needs three improvement steps, learning to go one state further back
+    in each.
+    """
+    return make_mdp(
+        states=["s0", "s1", "s2", "goal"], actions=["stay", "go"],
+        tau=[
+            [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]],
+            [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
+            [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+            [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]],
+        ],
+        mu0=[1.0, 0.0, 0.0, 0.0],
+        reward=[
+            [[0.1, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+            [[0.0, 0.1, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+            [[0.0, 0.0, 0.1, 0.0], [0.0, 0.0, 0.0, 0.0]],
+            [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]],
+        ],
+        gamma=0.9,
+    )
+
+
 def orphan_state_mdp() -> Mdp:
     """Three states with s2 unreachable: no possible transition enters it.
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .mdp import Mdp, possible_mask, reachability, reachable_state_mask
+from .mdp import Mdp, possible_mask, reachable_state_mask, supported_state_mask
 from .solvers import (
     Policy,
     SolverParams,
@@ -67,8 +67,9 @@ from .trajectories import (
     lasso_returns,
 )
 
-# Returns closer than this (relative to reward scale) count as tied in
-# noiseless preference models.
+# Returns closer than this count as tied in noiseless preference models:
+# relative to the returns' spread in comparison_model, to the reward scale in
+# noiseless_prefers.
 NOISELESS_TIE_RTOL = 1e-9
 
 KIND_TAGS = (
@@ -197,12 +198,20 @@ class ComparisonModel:
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
+    """1 / (1 + e^-x) as 1 / (1 + e) for x >= 0 and e / (1 + e) below, e = e^-|x|.
+
+    Overwrites and returns the float array x, with one more array for the
+    denominator: Boltzmann comparison matrices are the largest arrays a
+    trial builds.
+    """
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    np.abs(x, out=x)
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    denom = x + 1.0
+    np.copyto(x, 1.0, where=pos)
+    x /= denom
+    return x
 
 
 def _item_return(m: Mdp, item) -> float:
@@ -256,10 +265,13 @@ def comparison_model(m: Mdp, items, mode: str, beta: float = 1.0, tie_tol: float
         if beta <= 0:
             raise ContractError("beta must be positive")
         diffs = returns[None, :] - returns[:, None]
-        matrix = _logistic(beta * diffs)
+        diffs *= beta
+        matrix = _logistic(diffs)
     elif mode == "noiseless":
         if tie_tol is None:
-            tie_tol = NOISELESS_TIE_RTOL * reward_scale(m)
+            # Relative to the spread of the returns themselves, so the ranks
+            # are unchanged by any positive affine map of the returns.
+            tie_tol = NOISELESS_TIE_RTOL * float(np.ptp(returns)) if len(returns) else 0.0
         ranks = tie_group_ranks(returns, tie_tol)
         matrix = (ranks[:, None] <= ranks[None, :]).astype(np.int8)
     else:
@@ -307,14 +319,6 @@ def _distribution_payload(m: Mdp, policy: Policy, relevant: np.ndarray) -> np.nd
     # trajectories occur, so they are zeroed out of the payload.
     masked = np.where(relevant[:, None], policy.probs, 0.0)
     return np.concatenate([np.asarray(m.mu0, dtype=float), masked.ravel()])
-
-
-def _supported_mask(m: Mdp, params: SolverParams) -> np.ndarray:
-    pi = maximally_supportive_optimal_policy(m, params)
-    summary = reachability(m, pi.probs)
-    out = np.zeros(m.n_states, dtype=bool)
-    out[list(summary.supported_states)] = True
-    return out
 
 
 def canonical_fragments(m: Mdp, resolution: Resolution) -> list[Fragment]:
@@ -377,9 +381,8 @@ def fingerprint(
     elif tag == "traj_dist_mce":
         payload = _distribution_payload(m, mce_policy(m, params), reachable_state_mask(m))
     elif tag == "traj_dist_optimal":
-        payload = _distribution_payload(
-            m, maximally_supportive_optimal_policy(m, params), _supported_mask(m, params)
-        )
+        pi = maximally_supportive_optimal_policy(m, params)
+        payload = _distribution_payload(m, pi, supported_state_mask(m, pi.probs))
     elif tag == "return_fragments":
         payload = fragment_returns(m, canonical_fragments(m, resolution))
     elif tag == "return_trajectories":

@@ -1,14 +1,21 @@
 """Exact and soft solvers for tabular MDPs.
 
-Two independent routes exist for policy evaluation: a direct linear solve of
-the Bellman system over |S||A| unknowns, and plain iterative evaluation.  The
-direct route is the production path and asserts its own Bellman residual; the
-iterative route exists so tests can cross-check the two against each other.
+Every production solver ends in a direct linear solve of a policy's Bellman
+system over |S||A| unknowns and asserts its own Bellman residual:
 
-Value iteration (hard and soft) stops when the sup-norm update drops below
-epsilon * (1 - gamma) / (2 * gamma), which bounds the value error by epsilon.
-The soft backup uses a max-subtracted log-sum-exp so large beta stays finite;
-beta up to 1e3 is supported.
+* policy_q evaluates a given policy;
+* optimal_q runs policy iteration, which terminates after finitely many
+  greedy improvements (Puterman 1994);
+* soft_q runs soft policy iteration, a Newton step on the smooth Bellman
+  equation q = r + gamma * tau LSE(beta * q) / beta (Puterman & Brumelle
+  1979; Ziebart 2010 for the soft equation).
+
+Their cost does not grow with 1 / (1 - gamma).  Value iteration survives
+only as independent cross-checks (policy_q_iterative, optimal_q_iterative,
+soft_q_iterative), which stop when the sup-norm update drops below
+epsilon * (1 - gamma) / (2 * gamma), bounding the value error by epsilon.
+Soft backups use a max-subtracted log-sum-exp so large beta stays finite;
+beta up to 1e3 and gamma up to 0.999 are supported.
 """
 
 from __future__ import annotations
@@ -24,13 +31,16 @@ from .mdp import Mdp
 BELLMAN_RESIDUAL_TOL = 1e-10
 # Actions within this of the best advantage count as optimal (relative scale).
 DEFAULT_TIE_RTOL = 1e-7
+# Policy iteration keeps the current action unless another beats it by more
+# than this (relative scale), so tied actions cannot cycle.
+PI_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
 class SolverParams:
     beta: float = 1.0          # rationality / inverse temperature
-    epsilon: float = 1e-11     # value-error target for iterative solvers
-    max_iters: int = 100_000
+    epsilon: float = 1e-11     # value-error target: soft_q (x reward_scale) and the VI cross-checks
+    max_iters: int = 100_000   # improvement steps (policy iteration) or sweeps (VI)
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -96,41 +106,115 @@ def _tables(m: Mdp, q: np.ndarray, v: np.ndarray) -> ValueTables:
     return ValueTables(q=q, v=v, adv=adv, j=j)
 
 
+def _backup(m: Mdp, r: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """r[s, a] + gamma * E_tau[ v(S') ]."""
+    return r + m.gamma * (m.tau @ v)
+
+
+def _bellman_residual(m: Mdp, r: np.ndarray, q: np.ndarray, v: np.ndarray) -> float:
+    return float(np.max(np.abs(q - _backup(m, r, v))))
+
+
+def _solve_policy(m: Mdp, probs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I - gamma * M) q = rhs, M[(s,a),(s',a')] = tau[s,a,s'] * pi[s',a'].
+
+    The one evaluation core shared by policy_q and both policy iterations.
+    """
+    nS, nA = m.n_states, m.n_actions
+    M = (m.tau[:, :, :, None] * probs[None, None, :, :]).reshape(nS * nA, nS * nA)
+    q_flat = np.linalg.solve(np.eye(nS * nA) - m.gamma * M, rhs.reshape(nS * nA))
+    return q_flat.reshape(nS, nA)
+
+
+def _verified(m: Mdp, r: np.ndarray, q: np.ndarray, v: np.ndarray, what: str, steps: int) -> ValueTables:
+    """Tables for (q, v) once q = backup(v) holds to the Bellman tolerance."""
+    residual = _bellman_residual(m, r, q, v)
+    if residual >= BELLMAN_RESIDUAL_TOL * reward_scale(m):
+        raise ConvergenceError(f"{what} residual {residual:.3e} exceeds tolerance", residual, steps)
+    return _tables(m, q, v)
+
+
 def policy_q(m: Mdp, policy: Policy) -> ValueTables:
     """Evaluate a policy by solving (I - gamma * M) q = r directly.
 
-    M[(s,a),(s',a')] = tau[s,a,s'] * pi[s',a'].  The solution's Bellman
-    residual is verified; failure raises ConvergenceError.
+    The solution's Bellman residual is verified; failure raises
+    ConvergenceError.
     """
-    nS, nA = m.n_states, m.n_actions
-    r = expected_reward(m).reshape(nS * nA)
-    M = (m.tau[:, :, :, None] * policy.probs[None, None, :, :]).reshape(nS * nA, nS * nA)
-    q_flat = np.linalg.solve(np.eye(nS * nA) - m.gamma * M, r)
-    residual = float(np.max(np.abs(q_flat - (r + m.gamma * M @ q_flat))))
-    if residual >= BELLMAN_RESIDUAL_TOL * reward_scale(m):
-        raise ConvergenceError(
-            f"policy evaluation residual {residual:.3e} exceeds tolerance", residual, 1
-        )
-    q = q_flat.reshape(nS, nA)
-    v = (policy.probs * q).sum(axis=1)
-    return _tables(m, q, v)
+    r = expected_reward(m)
+    q = _solve_policy(m, policy.probs, r)
+    return _verified(m, r, q, (policy.probs * q).sum(axis=1), "policy evaluation", 1)
 
 
 def policy_q_iterative(m: Mdp, policy: Policy, params: SolverParams = SolverParams()) -> ValueTables:
     """Iterative policy evaluation; independent cross-check for policy_q."""
+    return _value_iteration(m, params, lambda q: (policy.probs * q).sum(axis=1))
+
+
+def optimal_q(m: Mdp, params: SolverParams = SolverParams()) -> ValueTables:
+    """Optimal action values by policy iteration.
+
+    Starts from the greedy policy on the expected reward, evaluates each
+    deterministic policy exactly, and switches a state's action only when
+    another beats it by more than PI_TIE_RTOL * reward_scale, so tied actions
+    cannot cycle.  Stops when no state switches; params.max_iters bounds the
+    number of improvement steps.
+    """
     r = expected_reward(m)
-    q = np.zeros_like(r)
-    threshold = params.epsilon * (1.0 - m.gamma) / (2.0 * m.gamma)
-    for i in range(params.max_iters):
-        v = (policy.probs * q).sum(axis=1)
-        q_next = r + m.gamma * np.einsum("sap,p->sa", m.tau, v)
-        delta = float(np.max(np.abs(q_next - q)))
-        q = q_next
-        if delta < threshold:
-            v = (policy.probs * q).sum(axis=1)
-            return _tables(m, q, v)
+    tie = PI_TIE_RTOL * reward_scale(m)
+    states = np.arange(m.n_states)
+    actions = r.argmax(axis=1)
+    for step in range(params.max_iters + 1):
+        probs = np.zeros_like(r)
+        probs[states, actions] = 1.0
+        q = _solve_policy(m, probs, r)
+        best = q.argmax(axis=1)
+        switch = q[states, best] > q[states, actions] + tie
+        if not switch.any():
+            return _verified(m, r, q, q.max(axis=1), "policy iteration", step)
+        actions = np.where(switch, best, actions)
     raise ConvergenceError(
-        f"policy evaluation did not converge in {params.max_iters} sweeps", delta, params.max_iters
+        f"policy iteration did not converge in {params.max_iters} improvement steps",
+        _bellman_residual(m, r, q, q.max(axis=1)),
+        params.max_iters,
+    )
+
+
+def soft_q(m: Mdp, params: SolverParams = SolverParams()) -> ValueTables:
+    """Maximum-causal-entropy action values by soft policy iteration.
+
+    Each step sets pi = softmax(beta * q) and solves pi's entropy-regularised
+    system (I - gamma * M) q = r + gamma * tau H_pi / beta: a Newton step on
+    q = r + gamma * tau LSE(beta * q) / beta.  The step is solved in increment
+    form, (I - gamma * M) dq = backup(q) - q, whose rounding error scales with
+    dq rather than with |q| ~ reward_scale / (1 - gamma).  It stops once
+    residual / (1 - gamma), a bound on the value error, falls below
+    epsilon * reward_scale, or once the residual stops shrinking below the
+    Bellman tolerance (the float floor at long horizons).  params.max_iters
+    bounds the number of improvement steps.
+    """
+    beta = params.beta
+    r = expected_reward(m)
+    scale = reward_scale(m)
+    q = r
+    last = np.inf
+    for step in range(params.max_iters + 1):
+        z = beta * q
+        lse = log_sum_exp_rows(z)
+        v = lse / beta
+        gap = _backup(m, r, v) - q
+        residual = float(np.max(np.abs(gap)))
+        if residual / (1.0 - m.gamma) < params.epsilon * scale or (
+            last <= residual < BELLMAN_RESIDUAL_TOL * scale
+        ):
+            return _verified(m, r, q, v, "soft policy iteration", step)
+        if step == params.max_iters:
+            break
+        last = residual
+        q = q + _solve_policy(m, np.exp(z - lse[:, None]), gap)
+    raise ConvergenceError(
+        f"soft policy iteration did not converge in {params.max_iters} improvement steps",
+        residual,
+        params.max_iters,
     )
 
 
@@ -140,8 +224,7 @@ def _value_iteration(m: Mdp, params: SolverParams, backup) -> ValueTables:
     threshold = params.epsilon * (1.0 - m.gamma) / (2.0 * m.gamma)
     delta = np.inf
     for _ in range(params.max_iters):
-        v = backup(q)
-        q_next = r + m.gamma * np.einsum("sap,p->sa", m.tau, v)
+        q_next = _backup(m, r, backup(q))
         delta = float(np.max(np.abs(q_next - q)))
         q = q_next
         if delta < threshold:
@@ -151,13 +234,13 @@ def _value_iteration(m: Mdp, params: SolverParams, backup) -> ValueTables:
     )
 
 
-def optimal_q(m: Mdp, params: SolverParams = SolverParams()) -> ValueTables:
-    """Optimal action values by value iteration with the max backup."""
+def optimal_q_iterative(m: Mdp, params: SolverParams = SolverParams()) -> ValueTables:
+    """Value iteration with the max backup; independent cross-check for optimal_q."""
     return _value_iteration(m, params, lambda q: q.max(axis=1))
 
 
-def soft_q(m: Mdp, params: SolverParams = SolverParams()) -> ValueTables:
-    """Maximum-causal-entropy action values: the max is softened to (1/beta) LSE."""
+def soft_q_iterative(m: Mdp, params: SolverParams = SolverParams()) -> ValueTables:
+    """Value iteration with the (1/beta) LSE backup; cross-check for soft_q."""
     beta = params.beta
     return _value_iteration(m, params, lambda q: log_sum_exp_rows(beta * q) / beta)
 
@@ -179,19 +262,33 @@ def tie_tolerance(m: Mdp, tol: float | None = None) -> float:
 
 
 def optimal_action_sets(
-    m: Mdp, params: SolverParams = SolverParams(), tol: float | None = None
+    m: Mdp,
+    params: SolverParams = SolverParams(),
+    tol: float | None = None,
+    tables: ValueTables | None = None,
 ) -> list[tuple[int, ...]]:
-    """Per state, the actions whose advantage is within tie tolerance of zero."""
-    tables = optimal_q(m, params)
+    """Per state, the actions whose advantage is within tie tolerance of zero.
+
+    Pass tables (optimal_q of m) when they are already solved.
+    """
+    if tables is None:
+        tables = optimal_q(m, params)
     tt = tie_tolerance(m, tol)
     return [tuple(int(a) for a in np.flatnonzero(tables.adv[s] >= -tt)) for s in range(m.n_states)]
 
 
 def maximally_supportive_optimal_policy(
-    m: Mdp, params: SolverParams = SolverParams(), tol: float | None = None
+    m: Mdp,
+    params: SolverParams = SolverParams(),
+    tol: float | None = None,
+    sets: list[tuple[int, ...]] | None = None,
 ) -> Policy:
-    """Uniform over every optimal action in each state."""
-    sets = optimal_action_sets(m, params, tol)
+    """Uniform over every optimal action in each state.
+
+    Pass sets (optimal_action_sets of m) when they are already computed.
+    """
+    if sets is None:
+        sets = optimal_action_sets(m, params, tol)
     probs = np.zeros((m.n_states, m.n_actions))
     for s, acts in enumerate(sets):
         probs[s, list(acts)] = 1.0 / len(acts)

@@ -66,6 +66,7 @@ def expected_marks() -> dict:
 
 
 def default_thread_count() -> int:
+    """RIL_THREADS when set, else 1: cells hold the GIL, so a pool only adds cost."""
     raw = os.environ.get("RIL_THREADS", "").strip()
     if raw:
         try:
@@ -75,7 +76,7 @@ def default_thread_count() -> int:
         if n < 1:
             raise ContractError("RIL_THREADS must be at least 1")
         return n
-    return min(8, os.cpu_count() or 1)
+    return 1
 
 
 @dataclass(frozen=True)
@@ -196,8 +197,9 @@ def _run_cell(kind: str, cls: str, expected: str, cfg: CheckConfig) -> CellResul
 def reproduce_directory_table(cfg: CheckConfig, threads: int | None = None) -> TableReport:
     """Run every directory cell and compare against the expected marks.
 
-    Cells execute in a thread pool; the outcome of each depends only on
-    (cfg, kind, class), so reports agree cell-for-cell across thread counts.
+    Cells run serially, or in a pool of `threads` workers when above one; the
+    outcome of each depends only on (cfg, kind, class), so reports agree
+    cell-for-cell across thread counts.
     """
     marks = expected_marks()["marks"]
     jobs = [

@@ -37,10 +37,17 @@ from .mdp import (
     impossible_transition_mask,
     initial_states,
     possible_mask,
+    supported_state_mask,
     terminal_mask,
     unreachable_transition_mask,
 )
-from .solvers import SolverParams, optimal_q, optimal_action_sets, reward_scale
+from .solvers import (
+    SolverParams,
+    maximally_supportive_optimal_policy,
+    optimal_action_sets,
+    optimal_q,
+    reward_scale,
+)
 
 # Expectation of an S'-redistribution row must vanish to this absolute level.
 REDISTRIBUTION_EXPECTATION_TOL = 1e-10
@@ -443,25 +450,15 @@ def _sample_mask(m: Mdp, rng, magnitude: float, which: str, cons: dict) -> Trans
     return Mask(transitions=tuple(triples), replacement=replacement, which=which)
 
 
-def _supported_state_mask(m: Mdp, params: SolverParams) -> np.ndarray:
-    # Closure of support(mu0) under optimal-policy-supported possible moves.
-    from .solvers import maximally_supportive_optimal_policy  # local to avoid cycle noise
-    from .mdp import reachability
-
-    pi = maximally_supportive_optimal_policy(m, params)
-    summary = reachability(m, pi.probs)
-    out = np.zeros(m.n_states, dtype=bool)
-    out[list(summary.supported_states)] = True
-    return out
-
-
 def _sample_opt(
     m: Mdp, rng, magnitude: float, scope: str, cons: dict, params: SolverParams
 ) -> OptimalityPreserving:
     tables = optimal_q(m, params)
-    sets = optimal_action_sets(m, params)
+    sets = optimal_action_sets(m, params, tables=tables)
     if scope == "supported":
-        supported = _supported_state_mask(m, params)
+        # Closure of support(mu0) under optimal-policy-supported possible moves.
+        pi = maximally_supportive_optimal_policy(m, params, sets=sets)
+        supported = supported_state_mask(m, pi.probs)
         new_sets = []
         for s in range(m.n_states):
             if supported[s]:

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from ril import dump_mdp, make_mdp
+from ril import dump_mdp
 from ril.cli import main
-from ril.micro import loop_mdp, transfer_mdp, two_action_loop_mdp
+from ril.micro import delayed_reward_chain_mdp, loop_mdp, transfer_mdp, two_action_loop_mdp
 
 
 def write_mdp(tmp_path, m, name="mdp.json"):
@@ -69,9 +69,9 @@ def test_solve_missing_file_exits_2(tmp_path):
 
 
 def test_solve_numerical_failure_exits_3(tmp_path, capsys):
-    slow = make_mdp(["s"], ["a"], [[[1.0]]], [1.0], [[[1.0]]], 0.9999)
-    path = write_mdp(tmp_path, slow)
-    assert main(["solve", "--mdp", path, "--max-iters", "50"]) == 3
+    # Policy iteration needs three improvement steps on this MDP.
+    path = write_mdp(tmp_path, delayed_reward_chain_mdp())
+    assert main(["solve", "--mdp", path, "--max-iters", "1"]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
 

@@ -10,15 +10,19 @@ from ril import (
     ContractError,
     Fragment,
     ObjectKind,
+    PotentialShaping,
     Resolution,
+    apply_transform,
     boltzmann_comparison_prob,
     comparison_model,
     exact_comparison_oracle,
     fingerprint,
     lottery_library_values,
+    make_mdp,
     noiseless_prefers,
     recover_reward_from_comparisons,
     tie_group_ranks,
+    with_reward,
 )
 from ril.micro import chain_mdp, loop_mdp, return_fan_mdp, two_action_loop_mdp
 from ril.objects import canonical_lassos
@@ -106,6 +110,40 @@ def test_comparison_model_modes():
 
     with pytest.raises(ContractError):
         comparison_model(m, items, "majority")
+
+
+def test_noiseless_ranks_ignore_shaping_of_an_unreachable_state():
+    # Shaping the unreachable s0 changes no lasso return at all, but it moves
+    # max|R| from 1.850 to 2.839.  A tie tolerance tied to that scale once
+    # merged return gaps of 2.54e-9 into ties; one tied to the spread of the
+    # returns keeps the ranks.
+    m = make_mdp(
+        states=["s0", "s1"], actions=["a0", "a1", "a2"],
+        tau=[
+            [[1.0, 0.0], [1.0, 0.0], [0.7638128404047183, 0.23618715959528164]],
+            [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]],
+        ],
+        mu0=[0.0, 1.0],
+        reward=[
+            [
+                [0.819048768509526, -0.3539383197723349],
+                [0.38799520047159364, 0.5062661842318057],
+                [-0.6457212383861923, -0.849756476531957],
+            ],
+            [
+                [-0.5025267208777253, 0.7497998592683681],
+                [-0.07153666851963503, 0.6448196062446794],
+                [-0.8119556044039604, 0.7497998846946059],
+            ],
+        ],
+        gamma=0.9,
+    )
+    shaping = PotentialShaping(phi=np.array([0.9897411359164272, 0.0]), k_initial=0.0)
+    shaped = with_reward(m, apply_transform(m, shaping))
+    res = Resolution(max_fragment_len=2, lasso_prefix_cap=2, lasso_cycle_cap=2)
+    before = fingerprint(m, "noiseless_cmp_trajectories", res)
+    after = fingerprint(shaped, "noiseless_cmp_trajectories", res)
+    assert np.array_equal(before.payload, after.payload)
 
 
 def test_reward_recovery_matches_exact_oracle():

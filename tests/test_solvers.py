@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ril import (
     ConvergenceError,
@@ -14,15 +16,17 @@ from ril import (
     mce_policy,
     optimal_action_sets,
     optimal_q,
+    optimal_q_iterative,
     policy_q,
     policy_q_iterative,
     policy_value,
     reward_scale,
     soft_q,
+    soft_q_iterative,
     softmax_rows,
     uniform_policy,
 )
-from ril.micro import chain_mdp, loop_mdp, two_action_loop_mdp
+from ril.micro import chain_mdp, delayed_reward_chain_mdp, loop_mdp, two_action_loop_mdp
 from ril.sampling import SamplerConfig, sample_mdp
 
 MICRO_TOL = 1e-10
@@ -102,13 +106,55 @@ def test_policy_q_direct_vs_iterative():
 
 
 def test_convergence_error_on_tiny_budget():
-    m = loop_mdp()
-    with pytest.raises(ConvergenceError) as exc:
-        optimal_q(m, SolverParams(max_iters=3))
-    assert exc.value.iterations == 3
-    assert exc.value.residual > 0
+    # Policy iteration needs three improvement steps on the delayed chain.
+    m = delayed_reward_chain_mdp()
+    for solver in (optimal_q, soft_q):
+        with pytest.raises(ConvergenceError) as exc:
+            solver(m, SolverParams(max_iters=1))
+        assert exc.value.iterations == 1
+        assert exc.value.residual > 0
+    t = optimal_q(m, SolverParams(max_iters=3))
+    assert np.allclose(t.v, [7.29, 8.1, 9.0, 10.0], atol=MICRO_TOL)
+    # The value-iteration cross-checks count sweeps.
+    loop = loop_mdp()
+    for solver in (optimal_q_iterative, soft_q_iterative):
+        with pytest.raises(ConvergenceError) as exc:
+            solver(loop, SolverParams(max_iters=3))
+        assert exc.value.iterations == 3
+        assert exc.value.residual > 0
     with pytest.raises(ConvergenceError):
-        policy_q_iterative(m, uniform_policy(m), SolverParams(max_iters=3))
+        policy_q_iterative(loop, uniform_policy(loop), SolverParams(max_iters=3))
+
+
+# Value iteration at gamma 0.999 costs about half a second per call.
+@settings(max_examples=16, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    gamma=st.sampled_from([0.5, 0.9, 0.99, 0.999]),
+    beta=st.sampled_from([1.0, 1e3]),
+    n_states=st.integers(2, 20),
+)
+def test_policy_iteration_matches_value_iteration(seed, gamma, beta, n_states):
+    cfg = SamplerConfig(n_states=(n_states, n_states), gammas=(gamma,))
+    m = sample_mdp(cfg, seed=seed)
+    params = SolverParams(beta=beta)
+    tol = 1e-9 * (1.0 + reward_scale(m))
+    assert np.max(np.abs(optimal_q(m, params).q - optimal_q_iterative(m, params).q)) < tol
+    assert np.max(np.abs(soft_q(m, params).q - soft_q_iterative(m, params).q)) < tol
+
+
+def test_exact_solvers_hold_at_long_horizon_and_high_beta():
+    cfg = SamplerConfig(n_states=(20, 20), gammas=(0.999,))
+    params = SolverParams(beta=1e3)
+    for seed in range(20):
+        m = sample_mdp(cfg, seed=seed)
+        r = expected_reward(m)
+        tol = 1e-10 * reward_scale(m)
+        t = optimal_q(m, params)
+        assert np.max(np.abs(t.q - (r + m.gamma * m.tau @ t.q.max(axis=1)))) < tol
+        t = soft_q(m, params)
+        v = log_sum_exp_rows(params.beta * t.q) / params.beta
+        assert np.max(np.abs(t.q - (r + m.gamma * m.tau @ v))) < tol
 
 
 def test_optimal_action_sets_on_micro():

@@ -75,7 +75,7 @@ def test_default_thread_count_env(monkeypatch):
     with pytest.raises(ContractError):
         default_thread_count()
     monkeypatch.delenv("RIL_THREADS")
-    assert default_thread_count() >= 1
+    assert default_thread_count() == 1
 
 
 def test_small_table_run_reproduces_and_serializes():
