@@ -128,7 +128,7 @@ def _load_json(path: str):
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_out(out_dir: str | None, name: str, text: str) -> None:

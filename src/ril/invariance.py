@@ -51,6 +51,7 @@ from .objects import (
     LASSO_KINDS,
     ObjectFingerprint,
     Resolution,
+    canonical_fragments,
     canonical_lassos,
     fingerprint,
     tie_group_ranks,
@@ -278,50 +279,45 @@ def _lasso_profile(m: Mdp, res: Resolution) -> dict | None:
     if not lassos or len(lassos) > 400:
         return None
     g = lasso_returns(m, lassos)
-    ranks = tie_group_ranks(g, 1e-9 * reward_scale(m))
-    starts = sorted({l.start for l in lassos})
-    stoch_step = None
-    supp = possible_mask(m).sum(axis=2)
-    for l in lassos:
-        for step in l.prefix.transitions() + l.cycle.transitions():
-            if supp[step[0], step[1]] >= 2:
-                stoch_step = step
-                break
-        if stoch_step:
-            break
-    per_start_distinct = 0
-    for s in starts:
-        vals = g[[i for i, l in enumerate(lassos) if l.start == s]]
-        r = tie_group_ranks(vals, 1e-9 * reward_scale(m))
-        per_start_distinct = max(per_start_distinct, int(r.max()) + 1 if len(r) else 0)
+    tol = 1e-9 * reward_scale(m)
+    ranks = tie_group_ranks(g, tol)
+    start = lassos.start
+    starts = np.unique(start).tolist()
+    per_start_distinct = max(int(tie_group_ranks(g[start == s], tol).max()) + 1 for s in starts)
     diffs = np.abs(g[None, :] - g[:, None])
     moderate_pair = bool(np.any((diffs >= 0.05) & (diffs <= 8.0)))
     return {
         "count": len(lassos),
         "distinct": int(ranks.max()) + 1,
         "starts": starts,
-        "stochastic_step": stoch_step,
+        "stochastic_step": _first_stochastic_step(m, lassos),
         "per_start_distinct": per_start_distinct,
         "moderate_pair": moderate_pair,
         "max_abs": float(np.max(np.abs(g))),
     }
 
 
-def _fragment_budget_ok(m: Mdp, res: Resolution, cap: int = 600) -> bool:
-    poss = possible_mask(m)
-    per_state = poss.sum(axis=(1, 2))  # possible steps leaving each state
-    total = float(m.n_states)
-    layer = np.ones(m.n_states)
-    counts = layer.copy()
-    for _ in range(res.max_fragment_len):
-        nxt = np.zeros(m.n_states)
-        for s in range(m.n_states):
-            if counts[s] > 0:
-                for a, s2 in zip(*np.nonzero(poss[s])):
-                    nxt[s2] += counts[s]
-        counts = nxt
-        total += counts.sum()
-    return total <= cap
+def _first_stochastic_step(m: Mdp, lassos) -> tuple[int, int, int] | None:
+    """The first step (s, a, s') whose (s, a) has two or more possible successors.
+
+    Lassos are scanned in order, each prefix before its cycle.
+    """
+    stochastic = np.append((possible_mask(m).sum(axis=2) >= 2).repeat(m.n_states), False)
+    prefix_steps = lassos.prefixes.steps[lassos.prefix_of]
+    cycle_steps = lassos.cycles.steps[lassos.cycle_of]
+    steps = np.concatenate([prefix_steps, cycle_steps], axis=1)
+    hits = np.argwhere(stochastic[steps])
+    if not len(hits):
+        return None
+    s_a, s2 = divmod(int(steps[tuple(hits[0])]), m.n_states)
+    return (*divmod(s_a, m.n_actions), s2)
+
+
+def _fragments_within_budget(m: Mdp, res: Resolution, budget: int = 600) -> bool:
+    try:
+        return len(canonical_fragments(m, res)) <= budget
+    except EnumerationCapError:
+        return False
 
 
 def _canned_fan_pair() -> tuple[Mdp, TransformSpec]:
@@ -604,7 +600,7 @@ def _kind_base_predicate(kind: str, cfg: CheckConfig) -> Callable[[Mdp], bool] |
 
         return ok
     if kind in ("boltzmann_cmp_fragments", "noiseless_cmp_fragments"):
-        return lambda m: _fragment_budget_ok(m, res)
+        return lambda m: _fragments_within_budget(m, res)
     return None
 
 

@@ -35,6 +35,9 @@ Payload layouts by kind tag:
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,14 +59,12 @@ from .solvers import (
 )
 from .trajectories import (
     Fragment,
+    Fragments,
     LassoTrajectory,
+    Lassos,
     enumerate_fragments,
     enumerate_lassos,
-    fragment_return,
     fragment_returns,
-    is_initial_fragment,
-    is_possible_fragment,
-    lasso_return,
     lasso_returns,
 )
 
@@ -193,7 +194,7 @@ class ComparisonModel:
     """
 
     mode: str
-    items: tuple
+    items: Sequence
     matrix: np.ndarray
 
 
@@ -214,18 +215,40 @@ def _logistic(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _comparison_returns(m: Mdp, items) -> tuple[Fragments | Lassos, np.ndarray]:
+    """Items as arrays, with their returns.
+
+    Items are all fragments or all lassos, every step possible, and lassos
+    start in support(mu0).
+    """
+    if not isinstance(items, (Fragments, Lassos)):
+        items = list(items)
+        for item in items:
+            if not isinstance(item, (Fragment, LassoTrajectory)):
+                raise ContractError(f"cannot compare item of type {type(item).__name__}")
+        if all(isinstance(item, Fragment) for item in items):
+            items = Fragments.of(m, items)
+        elif all(isinstance(item, LassoTrajectory) for item in items):
+            items = Lassos.of(m, items)
+        else:
+            raise ContractError("comparison items must be all fragments or all lassos")
+    # The padding index past a fragment's end counts as possible.
+    possible = np.append(possible_mask(m).ravel(), True)
+    if isinstance(items, Fragments):
+        if not possible[items.steps].all():
+            raise ContractError("comparison items must be possible")
+        return items, fragment_returns(m, items)
+    prefix_ok = possible[items.prefixes.steps].all(axis=1)[items.prefix_of]
+    cycle_ok = possible[items.cycles.steps].all(axis=1)[items.cycle_of]
+    if not (prefix_ok.all() and cycle_ok.all()):
+        raise ContractError("comparison items must be possible")
+    if not np.all(m.mu0[items.start] > 0.0):
+        raise ContractError("trajectory comparisons need initial start states")
+    return items, lasso_returns(m, items)
+
+
 def _item_return(m: Mdp, item) -> float:
-    if isinstance(item, LassoTrajectory):
-        if not is_possible_fragment(m, item.prefix) or not is_possible_fragment(m, item.cycle):
-            raise ContractError("comparison items must be possible")
-        if not is_initial_fragment(m, item.prefix):
-            raise ContractError("trajectory comparisons need initial start states")
-        return lasso_return(m, item)
-    if isinstance(item, Fragment):
-        if not is_possible_fragment(m, item):
-            raise ContractError("comparison items must be possible")
-        return fragment_return(m, item)
-    raise ContractError(f"cannot compare item of type {type(item).__name__}")
+    return float(_comparison_returns(m, [item])[1][0])
 
 
 def boltzmann_comparison_prob(m: Mdp, item1, item2, beta: float = 1.0) -> float:
@@ -260,7 +283,7 @@ def tie_group_ranks(values: np.ndarray, tol: float) -> np.ndarray:
 
 
 def comparison_model(m: Mdp, items, mode: str, beta: float = 1.0, tie_tol: float | None = None) -> ComparisonModel:
-    returns = np.array([_item_return(m, it) for it in items], dtype=float)
+    items, returns = _comparison_returns(m, items)
     if mode == "boltzmann":
         if beta <= 0:
             raise ContractError("beta must be positive")
@@ -276,7 +299,7 @@ def comparison_model(m: Mdp, items, mode: str, beta: float = 1.0, tie_tol: float
         matrix = (ranks[:, None] <= ranks[None, :]).astype(np.int8)
     else:
         raise ContractError(f"unknown comparison mode {mode!r}")
-    return ComparisonModel(mode=mode, items=tuple(items), matrix=matrix)
+    return ComparisonModel(mode=mode, items=items, matrix=matrix)
 
 
 def recover_reward_from_comparisons(m: Mdp, oracle, beta: float = 1.0) -> np.ndarray:
@@ -321,24 +344,58 @@ def _distribution_payload(m: Mdp, policy: Policy, relevant: np.ndarray) -> np.nd
     return np.concatenate([np.asarray(m.mu0, dtype=float), masked.ravel()])
 
 
-def canonical_fragments(m: Mdp, resolution: Resolution) -> list[Fragment]:
-    return enumerate_fragments(
+# The last few enumerations, keyed by everything they depend on: the
+# supports of tau and mu0 and the resolution.  A trial fingerprints m and
+# with_reward(m, ...) on the same dynamics, and attack-plan predicates
+# enumerate the MDP they accept just before it is fingerprinted.
+_RECENT_BASES = 8
+_recent_bases: OrderedDict = OrderedDict()
+_recent_lock = threading.Lock()
+
+
+def _recent_basis(kind: str, m: Mdp, resolution: Resolution, enumerate_basis):
+    key = (kind, resolution, m.tau.shape, (m.tau > 0.0).tobytes(), (m.mu0 > 0.0).tobytes())
+    with _recent_lock:
+        basis = _recent_bases.get(key)
+        if basis is not None:
+            _recent_bases.move_to_end(key)
+            return basis
+    basis = enumerate_basis()
+    with _recent_lock:
+        _recent_bases[key] = basis
+        while len(_recent_bases) > _RECENT_BASES:
+            _recent_bases.popitem(last=False)
+    return basis
+
+
+def canonical_fragments(m: Mdp, resolution: Resolution) -> Fragments:
+    return _recent_basis(
+        "fragments",
         m,
-        resolution.max_fragment_len,
-        possible_only=True,
-        initial_only=False,
-        cap=resolution.enumeration_cap,
+        resolution,
+        lambda: enumerate_fragments(
+            m,
+            resolution.max_fragment_len,
+            possible_only=True,
+            initial_only=False,
+            cap=resolution.enumeration_cap,
+        ),
     )
 
 
-def canonical_lassos(m: Mdp, resolution: Resolution) -> list[LassoTrajectory]:
-    return enumerate_lassos(
+def canonical_lassos(m: Mdp, resolution: Resolution) -> Lassos:
+    return _recent_basis(
+        "lassos",
         m,
-        resolution.lasso_prefix_cap,
-        resolution.lasso_cycle_cap,
-        possible_only=True,
-        initial_only=True,
-        cap=resolution.enumeration_cap,
+        resolution,
+        lambda: enumerate_lassos(
+            m,
+            resolution.lasso_prefix_cap,
+            resolution.lasso_cycle_cap,
+            possible_only=True,
+            initial_only=True,
+            cap=resolution.enumeration_cap,
+        ),
     )
 
 

@@ -5,15 +5,32 @@ next_state) steps.  An infinite trajectory is represented exactly as a lasso:
 a finite prefix followed by a cycle repeated forever, whose return is a
 geometric series and therefore computable in closed form.
 
+Enumerations are held as integer arrays, not objects.  ``Fragments`` stores
+each fragment's start and end state, its length, and its steps as flat
+transition indices ``(s * A + a) * S + s'``, padded with the index ``S*A*S``;
+``Lassos`` pairs rows of a prefix table with rows of a cycle table.  Both
+are immutable sequences that build ``Fragment`` / ``LassoTrajectory``
+objects only when indexed or iterated.  The arrays depend on the support of
+tau and mu0 alone, never on the reward or gamma, so one enumeration serves
+every reward on the same dynamics.
+
+``fragment_returns`` and ``lasso_returns`` gather rewards through those
+indices and accumulate them in the float order of the scalar
+``fragment_return`` / ``lasso_return`` (a padded step adds exactly +0.0), so
+their results are bit-identical to the scalar functions.
+
 Enumeration order is deterministic: fragments sort by (length, start state,
 step sequence) with steps compared as (action, next_state) index pairs; lassos
 sort by (prefix, cycle) in that fragment order.  Enumeration raises rather
-than silently truncating when it would exceed the configured cap.
+than silently truncating when it would exceed the configured cap, and it
+raises before allocating the layer that would exceed it.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +149,156 @@ def truncation_bound(m: Mdp, n_steps: int) -> float:
     return (m.gamma ** n_steps) * max_r / (1.0 - m.gamma)
 
 
+def _fan_out(fan: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parent row and rank within that parent of each child; row i has fan[i] children."""
+    parent = np.repeat(np.arange(len(fan)), fan)
+    rank = np.arange(len(parent)) - np.repeat(np.cumsum(fan) - fan, fan)
+    return parent, rank
+
+
+class _Trajectories(Sequence):
+    """Immutable array-backed sequence: slices stay arrays, items become objects."""
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._take(np.arange(len(self))[index])
+        i = operator.index(index)
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError(f"{type(self).__name__} index {index} out of range")
+        return self._objects(np.array([i % n]))[0]
+
+    def __iter__(self):
+        return iter(self._objects(np.arange(len(self))))
+
+    def __eq__(self, other):
+        if type(other) is type(self) and other.shape == self.shape:
+            return all(np.array_equal(a, b) for a, b in zip(self._content(), other._content()))
+        if isinstance(other, (_Trajectories, list, tuple)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__}: {len(self)} items>"
+
+
+class Fragments(_Trajectories):
+    """Fragments of an MDP with n_states states and n_actions actions, as arrays.
+
+    start, end and length hold one entry per fragment; steps holds row i's
+    flat transition indices (s * A + a) * S + s' in its first length[i]
+    columns and the padding index S*A*S after them.
+    """
+
+    def __init__(self, n_states: int, n_actions: int, start, length, steps):
+        self.shape = (n_states, n_actions)
+        self.start = start
+        self.length = length
+        self.steps = steps
+        if steps.shape[1]:
+            last = steps[np.arange(len(steps)), np.maximum(length - 1, 0)]
+            self.end = np.where(length > 0, last % n_states, start)
+        else:
+            self.end = start.copy()
+        for a in (start, length, steps, self.end):
+            a.setflags(write=False)
+
+    @classmethod
+    def of(cls, m: Mdp, frags: list[Fragment]) -> "Fragments":
+        """Array form of Fragment objects, indexed for m's states and actions."""
+        n_s, n_a = m.n_states, m.n_actions
+        width = max((f.length for f in frags), default=0)
+        steps = np.full((len(frags), width), n_s * n_a * n_s, dtype=np.intp)
+        for i, f in enumerate(frags):
+            if not 0 <= f.start < n_s:
+                raise ContractError(f"fragment starts at state {f.start}, outside the MDP")
+            for t, (s, a, s2) in enumerate(f.transitions()):
+                if not (0 <= a < n_a and 0 <= s2 < n_s):
+                    raise ContractError(f"fragment step ({a}, {s2}) is outside the MDP")
+                steps[i, t] = (s * n_a + a) * n_s + s2
+        start = np.array([f.start for f in frags], dtype=np.intp)
+        length = np.array([f.length for f in frags], dtype=np.intp)
+        return cls(n_s, n_a, start, length, steps)
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    def _content(self):
+        return (self.start, self.length, self.steps)
+
+    def _take(self, rows: np.ndarray) -> "Fragments":
+        length = self.length[rows]
+        width = int(length.max()) if len(rows) else 0
+        return Fragments(*self.shape, self.start[rows], length, self.steps[rows, :width])
+
+    def _objects(self, rows: np.ndarray) -> list[Fragment]:
+        n_s, n_a = self.shape
+        steps = self.steps[rows]
+        actions = (steps // n_s % n_a).tolist()
+        nexts = (steps % n_s).tolist()
+        return [
+            Fragment(s, tuple(zip(a[:n], s2[:n])))
+            for s, n, a, s2 in zip(self.start[rows].tolist(), self.length[rows].tolist(), actions, nexts)
+        ]
+
+
+class Lassos(_Trajectories):
+    """Lassos as rows prefix_of[i] of a prefix table and cycle_of[i] of a cycle table."""
+
+    def __init__(self, prefixes: Fragments, cycles: Fragments, prefix_of, cycle_of):
+        self.shape = prefixes.shape
+        self.prefixes = prefixes
+        self.cycles = cycles
+        self.prefix_of = prefix_of
+        self.cycle_of = cycle_of
+        for a in (prefix_of, cycle_of):
+            a.setflags(write=False)
+
+    @classmethod
+    def of(cls, m: Mdp, lassos: list[LassoTrajectory]) -> "Lassos":
+        """Array form of LassoTrajectory objects, indexed for m's states and actions."""
+        rows = np.arange(len(lassos))
+        return cls(
+            Fragments.of(m, [l.prefix for l in lassos]),
+            Fragments.of(m, [l.cycle for l in lassos]),
+            rows,
+            rows,
+        )
+
+    @property
+    def start(self) -> np.ndarray:
+        return self.prefixes.start[self.prefix_of]
+
+    def __len__(self) -> int:
+        return len(self.prefix_of)
+
+    def _content(self):
+        return self.prefixes._take(self.prefix_of)._content() + self.cycles._take(self.cycle_of)._content()
+
+    def _take(self, rows: np.ndarray) -> "Lassos":
+        return Lassos(self.prefixes, self.cycles, self.prefix_of[rows], self.cycle_of[rows])
+
+    def _objects(self, rows: np.ndarray) -> list[LassoTrajectory]:
+        p_rows, p_of = np.unique(self.prefix_of[rows], return_inverse=True)
+        c_rows, c_of = np.unique(self.cycle_of[rows], return_inverse=True)
+        prefixes = self.prefixes._objects(p_rows)
+        cycles = self.cycles._objects(c_rows)
+        return [LassoTrajectory(prefixes[p], cycles[c]) for p, c in zip(p_of.tolist(), c_of.tolist())]
+
+
+def _arrays(m: Mdp, items, cls):
+    if not isinstance(items, cls):
+        return cls.of(m, list(items))
+    if items.shape != (m.n_states, m.n_actions):
+        raise ContractError(
+            f"items enumerated for (states, actions) {items.shape}, "
+            f"not the MDP's {(m.n_states, m.n_actions)}"
+        )
+    return items
+
+
 def enumerate_fragments(
     m: Mdp,
     max_len: int,
@@ -139,7 +306,7 @@ def enumerate_fragments(
     possible_only: bool = True,
     initial_only: bool = False,
     cap: int = DEFAULT_ENUMERATION_CAP,
-) -> list[Fragment]:
+) -> Fragments:
     """All fragments of length 0..max_len in deterministic order.
 
     possible_only keeps fragments whose every step has tau > 0; initial_only
@@ -148,32 +315,45 @@ def enumerate_fragments(
     """
     if max_len < 0:
         raise ContractError("max_len must be >= 0")
-    poss = possible_mask(m)
-    if initial_only:
-        starts = list(initial_states(m))
-    else:
-        starts = list(range(m.n_states))
+    n_s, n_a = m.n_states, m.n_actions
+    allowed = possible_mask(m) if possible_only else np.ones((n_s, n_a, n_s), dtype=bool)
+    # Flat indices of the steps leaving each state, in (action, next_state)
+    # order, as one array: state s owns fan[s] entries from first[s] on.
+    codes = np.flatnonzero(allowed)
+    fan = allowed.reshape(n_s, n_a * n_s).sum(axis=1)
+    first = np.cumsum(fan) - fan
 
-    def successors(s: int):
-        for a in range(m.n_actions):
-            for s2 in range(m.n_states):
-                if not possible_only or poss[s, a, s2]:
-                    yield (a, s2)
+    def over_cap(n: int) -> EnumerationCapError:
+        return EnumerationCapError(f"fragment enumeration exceeds cap of {cap} at length {n}", cap)
 
-    out: list[Fragment] = []
-    layer = [Fragment(s) for s in starts]
-    for n in range(max_len + 1):
-        out.extend(layer)
-        if len(out) > cap:
-            raise EnumerationCapError(
-                f"fragment enumeration exceeds cap of {cap} at length {n}", cap
-            )
-        if n == max_len:
-            break
-        layer = [
-            Fragment(f.start, f.steps + (step,)) for f in layer for step in successors(f.end)
-        ]
-    return out
+    start = np.array(initial_states(m), dtype=np.intp) if initial_only else np.arange(n_s)
+    if len(start) > cap:
+        raise over_cap(0)
+    layers = [(start, np.empty((len(start), 0), dtype=np.intp))]
+    end = start
+    total = len(start)
+    for n in range(1, max_len + 1):
+        grow = fan[end]
+        total += int(grow.sum())
+        if total > cap:
+            raise over_cap(n)
+        parent, rank = _fan_out(grow)
+        step = codes[first[end][parent] + rank]
+        prev_start, prev_steps = layers[-1]
+        layers.append((prev_start[parent], np.column_stack([prev_steps[parent], step])))
+        end = step % n_s
+
+    sizes = [len(s) for s, _ in layers]
+    width = max((n for n, size in enumerate(sizes) if size), default=0)
+    steps = np.full((total, width), n_s * n_a * n_s, dtype=np.intp)
+    row = 0
+    for n, (_, layer_steps) in enumerate(layers):
+        if sizes[n]:
+            steps[row : row + sizes[n], :n] = layer_steps
+        row += sizes[n]
+    return Fragments(
+        n_s, n_a, np.concatenate([s for s, _ in layers]), np.repeat(np.arange(len(layers)), sizes), steps
+    )
 
 
 def enumerate_lassos(
@@ -184,7 +364,7 @@ def enumerate_lassos(
     possible_only: bool = True,
     initial_only: bool = True,
     cap: int = DEFAULT_ENUMERATION_CAP,
-) -> list[LassoTrajectory]:
+) -> Lassos:
     """All lassos with prefix length <= prefix_cap and cycle length <= cycle_cap.
 
     Prefixes start from initial states by default (these stand in for whole
@@ -196,35 +376,45 @@ def enumerate_lassos(
     prefixes = enumerate_fragments(
         m, prefix_cap, possible_only=possible_only, initial_only=initial_only, cap=cap
     )
-
-    loops = [
-        f
-        for f in enumerate_fragments(
-            m, cycle_cap, possible_only=possible_only, initial_only=False, cap=cap
-        )
-        if f.length >= 1 and f.start == f.end
-    ]
-    cycles_from: dict[int, list[Fragment]] = {}
-
-    def cycles_at(s: int) -> list[Fragment]:
-        if s not in cycles_from:
-            cycles_from[s] = [f for f in loops if f.start == s]
-        return cycles_from[s]
-
-    out: list[LassoTrajectory] = []
-    for prefix in prefixes:
-        for cycle in cycles_at(prefix.end):
-            out.append(LassoTrajectory(prefix, cycle))
-            if len(out) > cap:
-                raise EnumerationCapError(
-                    f"lasso enumeration exceeds cap of {cap}", cap
-                )
-    return out
+    walks = enumerate_fragments(m, cycle_cap, possible_only=possible_only, initial_only=False, cap=cap)
+    closed = np.flatnonzero((walks.length >= 1) & (walks.start == walks.end))
+    # Cycles grouped by their state, in fragment order within each state.
+    cycles = walks._take(closed[np.argsort(walks.start[closed], kind="stable")])
+    per_state = np.bincount(cycles.start, minlength=m.n_states)
+    grow = per_state[prefixes.end]
+    if int(grow.sum()) > cap:
+        raise EnumerationCapError(f"lasso enumeration exceeds cap of {cap}", cap)
+    prefix_of, rank = _fan_out(grow)
+    cycle_of = (np.cumsum(per_state) - per_state)[prefixes.end][prefix_of] + rank
+    return Lassos(prefixes, cycles, prefix_of, cycle_of)
 
 
-def fragment_returns(m: Mdp, frags: list[Fragment]) -> np.ndarray:
-    return np.array([fragment_return(m, f) for f in frags], dtype=float)
+def _fragment_totals(m: Mdp, frags: Fragments) -> np.ndarray:
+    # fragment_return's loop, one step column at a time; the padding index
+    # reads a reward of 0.0, and a total is never -0.0, so padding adds
+    # nothing to any bit.
+    reward = np.append(m.reward.ravel(), 0.0)
+    total = np.zeros(len(frags))
+    g = 1.0
+    for t in range(frags.steps.shape[1]):
+        total += g * reward[frags.steps[:, t]]
+        g *= m.gamma
+    return total
 
 
-def lasso_returns(m: Mdp, lassos: list[LassoTrajectory]) -> np.ndarray:
-    return np.array([lasso_return(m, l) for l in lassos], dtype=float)
+def fragment_returns(m: Mdp, frags) -> np.ndarray:
+    """fragment_return of each fragment, bit for bit; frags is Fragments or a list."""
+    return _fragment_totals(m, _arrays(m, frags, Fragments))
+
+
+def lasso_returns(m: Mdp, lassos) -> np.ndarray:
+    """lasso_return of each lasso, bit for bit; lassos is Lassos or a list."""
+    lassos = _arrays(m, lassos, Lassos)
+    n = lassos.prefixes.length[lassos.prefix_of]
+    c = lassos.cycles.length[lassos.cycle_of]
+    longest = max(lassos.prefixes.steps.shape[1], lassos.cycles.steps.shape[1])
+    # Python's float power, as in lasso_return; numpy's may differ in the last bit.
+    powers = np.array([m.gamma**k for k in range(longest + 1)])
+    g_prefix = _fragment_totals(m, lassos.prefixes)[lassos.prefix_of]
+    g_cycle = _fragment_totals(m, lassos.cycles)[lassos.cycle_of]
+    return g_prefix + powers[n] * g_cycle / (1.0 - powers[c])

@@ -1,5 +1,9 @@
 """Reward-derived object fingerprints and preference models."""
 
+import sys
+import threading
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -24,8 +28,11 @@ from ril import (
     tie_group_ranks,
     with_reward,
 )
+from ril import objects
 from ril.micro import chain_mdp, loop_mdp, return_fan_mdp, two_action_loop_mdp
-from ril.objects import canonical_lassos
+from ril.objects import FRAGMENT_KINDS, LASSO_KINDS, canonical_fragments, canonical_lassos
+from ril.sampling import SamplerConfig, sample_mdp
+from ril.trajectories import enumerate_fragments, enumerate_lassos, lasso_returns
 
 
 def test_kind_roster_is_complete():
@@ -205,3 +212,81 @@ def test_payloads_are_read_only():
     fp = fingerprint(loop_mdp(), "q_star")
     with pytest.raises(ValueError):
         fp.payload[0] = 0.0
+
+
+def test_one_enumeration_serves_every_reward_on_the_same_dynamics(monkeypatch):
+    monkeypatch.setattr(objects, "_recent_bases", OrderedDict())
+    calls = {"fragments": 0, "lassos": 0}
+
+    def counting(name, enumerate_fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return enumerate_fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(objects, "enumerate_fragments", counting("fragments", enumerate_fragments))
+    monkeypatch.setattr(objects, "enumerate_lassos", counting("lassos", enumerate_lassos))
+    m = return_fan_mdp()
+    rescaled = with_reward(m, 2.0 * m.reward + 0.25)
+    for mdp in (m, rescaled):
+        for tag in sorted(FRAGMENT_KINDS | LASSO_KINDS):
+            fingerprint(mdp, tag)
+    assert calls == {"fragments": 1, "lassos": 1}
+    res = Resolution()
+    direct = enumerate_lassos(rescaled, res.lasso_prefix_cap, res.lasso_cycle_cap)
+    got = fingerprint(rescaled, "return_trajectories", res).payload
+    assert np.array_equal(got, lasso_returns(rescaled, direct))
+    assert not np.array_equal(got, fingerprint(m, "return_trajectories", res).payload)
+
+
+def test_other_supports_never_share_a_basis(monkeypatch):
+    monkeypatch.setattr(objects, "_recent_bases", OrderedDict())
+    m = return_fan_mdp()
+    tau = np.array(m.tau)
+    tau[0, 1] = [0.0, 1.0, 0.0]  # risky now surely reaches t1
+    other_tau = make_mdp(m.states, m.actions, tau, m.mu0, m.reward, m.gamma)
+    other_mu0 = make_mdp(m.states, m.actions, m.tau, [0.5, 0.5, 0.0], m.reward, m.gamma)
+    res = Resolution()
+    for other in (other_tau, other_mu0):
+        for canonical, enumerate_fn, args in (
+            (canonical_fragments, enumerate_fragments, (res.max_fragment_len,)),
+            (canonical_lassos, enumerate_lassos, (res.lasso_prefix_cap, res.lasso_cycle_cap)),
+        ):
+            mine = canonical(m, res)
+            theirs = canonical(other, res)
+            assert theirs is not mine
+            assert theirs == enumerate_fn(other, *args)
+        assert canonical_lassos(other, res) != canonical_lassos(m, res)
+
+
+def test_recent_bases_hold_under_threads(monkeypatch):
+    monkeypatch.setattr(objects, "_recent_bases", OrderedDict())
+    cfg = SamplerConfig(n_states=(2, 4), n_actions=(2, 2), sparsity=0.4)
+    mdps = [sample_mdp(cfg, seed=seed) for seed in range(12)]
+    res = Resolution(2, 2, 2)
+    want = [enumerate_lassos(m, 2, 2) for m in mdps]
+    wrong = []
+
+    def lookups(offset: int) -> None:
+        try:
+            for i in range(60):
+                k = (i + offset) % len(mdps)
+                if canonical_lassos(mdps[k], res) != want[k]:
+                    wrong.append(k)
+        except Exception as exc:  # a thread's exception would otherwise be lost
+            wrong.append(exc)
+
+    threads = [threading.Thread(target=lookups, args=(t,)) for t in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert len(objects._recent_bases) <= objects._RECENT_BASES

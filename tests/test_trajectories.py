@@ -1,5 +1,7 @@
 """Fragments, lasso trajectories, and return computations."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from ril import (
     truncation_bound,
     unroll_lasso,
 )
+from ril.objects import Resolution
 from ril.micro import chain_mdp, loop_mdp, two_action_loop_mdp
 from ril.sampling import SamplerConfig, sample_mdp
 
@@ -149,3 +152,119 @@ def test_unroll_length(prefix_len, n_extra):
     lasso = LassoTrajectory(prefix, Fragment(0, ((0, 0),)))
     n = prefix_len + n_extra
     assert unroll_lasso(m, lasso, n).length == n
+
+
+# Reference enumeration, written from the documented order alone: fragments
+# by (length, start, steps) with steps as (action, next_state) pairs, lassos
+# by (prefix, cycle).
+def _reference_walks(m, s, n, possible_only):
+    if n == 0:
+        yield ()
+        return
+    for a in range(m.n_actions):
+        for s2 in range(m.n_states):
+            if possible_only and not m.tau[s, a, s2] > 0.0:
+                continue
+            for rest in _reference_walks(m, s2, n - 1, possible_only):
+                yield ((a, s2),) + rest
+
+
+def _reference_fragments(m, max_len, possible_only, initial_only):
+    starts = [s for s in range(m.n_states) if not initial_only or m.mu0[s] > 0.0]
+    for n in range(max_len + 1):
+        for s in starts:
+            for steps in _reference_walks(m, s, n, possible_only):
+                yield Fragment(s, steps)
+
+
+def _reference_lassos(m, prefix_cap, cycle_cap, possible_only, initial_only):
+    cycles = [
+        f
+        for f in _reference_fragments(m, cycle_cap, possible_only, False)
+        if f.length >= 1 and f.end == f.start
+    ]
+    for prefix in _reference_fragments(m, prefix_cap, possible_only, initial_only):
+        for cycle in cycles:
+            if cycle.start == prefix.end:
+                yield LassoTrajectory(prefix, cycle)
+
+
+# Past this many items the reference is too slow to compare in full; the
+# test then checks only that a cap of that many raises.
+REFERENCE_LIMIT = 3000
+
+
+def _bounded(items):
+    """The items, or None when there are more than REFERENCE_LIMIT."""
+    items = list(itertools.islice(items, REFERENCE_LIMIT + 1))
+    return items if len(items) <= REFERENCE_LIMIT else None
+
+
+def _check_against_reference(enumerate_fn, want, needed, scalar, vectorised, m):
+    # needed is the smallest cap that passes: the item count, or for lassos
+    # the largest of the lasso, prefix and closed-walk counts, since the
+    # prefix and walk enumerations share the cap.
+    if want is None or needed is None:
+        with pytest.raises(EnumerationCapError):
+            enumerate_fn(REFERENCE_LIMIT)
+        return
+    got = enumerate_fn(needed)
+    assert len(got) == len(want)
+    assert list(got) == want
+    assert got == want
+    if want:
+        assert got[-1] == want[-1]
+        assert list(got[1::2]) == want[1::2]
+    with pytest.raises(EnumerationCapError):
+        enumerate_fn(needed - 1)
+    expected = np.array([scalar(m, x) for x in want], dtype=float)
+    assert np.array_equal(vectorised(m, got), expected)
+    assert np.array_equal(vectorised(m, want), expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.integers(1, 2),
+    st.sampled_from([0.3, 0.5, 0.7]),
+    st.integers(0, 10_000),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([Resolution(), Resolution(2, 2, 2)]),
+)
+def test_enumeration_and_returns_match_reference(
+    n_states, n_actions, sparsity, seed, possible_only, initial_only, res
+):
+    cfg = SamplerConfig(n_states=(n_states, n_states), n_actions=(n_actions, n_actions), sparsity=sparsity)
+    m = sample_mdp(cfg, seed=seed)
+    frags = _bounded(_reference_fragments(m, res.max_fragment_len, possible_only, initial_only))
+    _check_against_reference(
+        lambda cap: enumerate_fragments(
+            m, res.max_fragment_len, possible_only=possible_only, initial_only=initial_only, cap=cap
+        ),
+        frags,
+        None if frags is None else len(frags),
+        fragment_return,
+        fragment_returns,
+        m,
+    )
+    lassos = _bounded(
+        _reference_lassos(m, res.lasso_prefix_cap, res.lasso_cycle_cap, possible_only, initial_only)
+    )
+    prefixes = _bounded(_reference_fragments(m, res.lasso_prefix_cap, possible_only, initial_only))
+    walks = _bounded(_reference_fragments(m, res.lasso_cycle_cap, possible_only, False))
+    _check_against_reference(
+        lambda cap: enumerate_lassos(
+            m,
+            res.lasso_prefix_cap,
+            res.lasso_cycle_cap,
+            possible_only=possible_only,
+            initial_only=initial_only,
+            cap=cap,
+        ),
+        lassos,
+        None if None in (lassos, prefixes, walks) else max(len(lassos), len(prefixes), len(walks)),
+        lasso_return,
+        lasso_returns,
+        m,
+    )
