@@ -1,21 +1,25 @@
 """Empirical invariance checking, counterexample search, and refinement order.
 
-Three experiment primitives operate on (object kind, transformation class)
-pairs:
+Every experiment here runs the same trial: draw an MDP, draw a member of a
+transformation class, and compare an object kind's fingerprints before and
+after.  One kernel, _run_trials, runs it: canned (MDP, member) pairs first,
+then seeded trials that each take their class and attack plan from the
+caller, stopping at the first fingerprint change, which it returns as a
+replayable witness.  Three entry points build the plans:
 
-* check_invariance draws random MDPs, applies random class members, and
-  reports the first fingerprint change as a replayable counterexample.
-* search_counterexample does the same but steers samples away from the
-  degenerate corners of a class (zero potentials, scale factors near one,
-  near-linear rescalings, masks over empty sets) using per-cell attack
-  plans, so that cells which are genuinely not invariant produce witnesses
-  within a small budget.
+* check_invariance samples plainly, nudged only by check_sampler and the
+  kind's base predicate.
+* search_counterexample steers samples away from the degenerate corners of
+  a class (zero potentials, scale factors near one, near-linear rescalings,
+  masks over empty sets) using per-cell attack plans, so that cells which
+  are genuinely not invariant produce witnesses within a small budget.
 * refinement_compare decides, for two object kinds, whether one's ambiguity
   refines the other's: it hunts for a transformation preserving one
-  fingerprint while changing the other, in both directions.  The generators
-  are each kind's known invariance classes plus hand-built witness pairs
-  (an order-preserving but curvature-bending monotone rescaling) for the
-  ordinal kinds whose invariance classes are only known as bounds.
+  fingerprint while changing the other, in both directions.  Trials cycle
+  through the preserved kind's known invariance classes, attacked as the
+  changed kind's plans direct; hand-built witness pairs (an order-preserving
+  but curvature-bending monotone rescaling) run first for the ordinal kinds
+  whose invariance classes are only known as bounds.
 
 Fingerprint equality is exact for ordinal payloads, max-deviation within a
 relative tolerance for numeric ones, and positive-affine for the lottery
@@ -184,16 +188,15 @@ def fingerprints_equal(
         raise ContractError(f"cannot compare fingerprints of kinds {fp1.kind} and {fp2.kind}")
     if fp1.payload.shape != fp2.payload.shape:
         return False, (-1, float("inf"))
-    if fp1.payload.size == 0:
+    if np.array_equal(fp1.payload, fp2.payload):
+        # Identical payloads are equal under every comparator below.
         return True, None
-    if fp1.exact:
-        if np.array_equal(fp1.payload, fp2.payload):
-            return True, None
-        return False, fp1.diff(fp2)
     x = np.asarray(fp1.payload, dtype=float)
     y = np.asarray(fp2.payload, dtype=float)
-    scale = 1.0 + max(float(np.max(np.abs(x))), float(np.max(np.abs(y))))
-    tol = tol_rel * scale
+    if fp1.exact:
+        tol = 0.0
+    else:
+        tol = tol_rel * (1.0 + max(float(np.max(np.abs(x))), float(np.max(np.abs(y)))))
     if fp1.kind == "lottery_order":
         c, _, resid = _affine_fit_residual(x, y)
         if c > 1e-9 and resid <= tol:
@@ -215,7 +218,8 @@ def fingerprints_equal(
 class AttackPlan:
     sampler: SamplerConfig
     predicate: Callable[[Mdp], bool] | None = None
-    # (mdp, trial index) -> constraints for sample_transform, or None to skip.
+    # (mdp, trial index) -> constraints for sample_transform, or None to skip;
+    # a plan without it samples unconstrained.
     constraints: Callable[[Mdp, int], dict | None] | None = None
     canned: tuple[Callable[[], tuple[Mdp, TransformSpec]], ...] = ()
 
@@ -438,26 +442,20 @@ def attack_plan(kind: str, cls: str, cfg: CheckConfig) -> AttackPlan | None:
         return None
 
     if cls == "sprime_redistribution":
-        def push_constraints(extreme: bool):
+        def push(extreme: bool, on_lasso: bool):
+            # Push reward onto the first stochastic step: of the first
+            # stochastic (s, a) row, or of the lassos when on_lasso.
             def build(m: Mdp, i: int) -> dict | None:
-                row = _first_stochastic_row(m)
-                if row is None:
+                if on_lasso:
+                    prof = _lasso_profile(m, res)
+                    step = None if prof is None else prof["stochastic_step"]
+                else:
+                    row = _first_stochastic_row(m)
+                    step = None if row is None else (*row, int(np.flatnonzero(m.tau[row] > 0)[0]))
+                if step is None:
                     return None
-                s, a = row
-                s_hi = int(np.flatnonzero(m.tau[s, a] > 0)[0])
                 value = extreme_reward_value(m) if extreme else 0.8 * reward_scale(m)
-                return {"push": (s, a, s_hi, _sign(i) * value)}
-
-            return build
-
-        def lasso_push(extreme: bool):
-            def build(m: Mdp, i: int) -> dict | None:
-                prof = _lasso_profile(m, res)
-                if prof is None or prof["stochastic_step"] is None:
-                    return None
-                s, a, s_hi = prof["stochastic_step"]
-                value = extreme_reward_value(m) if extreme else 0.8 * reward_scale(m)
-                return {"push": (s, a, s_hi, _sign(i) * value)}
+                return {"push": (*step, _sign(i) * value)}
 
             return build
 
@@ -465,31 +463,31 @@ def attack_plan(kind: str, cls: str, cfg: CheckConfig) -> AttackPlan | None:
             return AttackPlan(
                 sampler=base,
                 predicate=lambda m: _first_stochastic_row(m) is not None,
-                constraints=push_constraints(extreme=False),
+                constraints=push(extreme=False, on_lasso=False),
             )
         if kind == "noiseless_cmp_fragments":
             return AttackPlan(
                 sampler=base,
                 predicate=lambda m: _first_stochastic_row(m) is not None,
-                constraints=push_constraints(extreme=True),
+                constraints=push(extreme=True, on_lasso=False),
             )
         if kind in ("return_trajectories", "boltzmann_cmp_trajectories"):
             return AttackPlan(
                 sampler=base,
                 predicate=lasso_pred(count=2, stochastic_step=True, moderate_pair=(kind == "boltzmann_cmp_trajectories")),
-                constraints=lasso_push(extreme=False),
+                constraints=push(extreme=False, on_lasso=True),
             )
         if kind == "noiseless_cmp_trajectories":
             return AttackPlan(
                 sampler=base,
                 predicate=lasso_pred(count=2, distinct=2, stochastic_step=True),
-                constraints=lasso_push(extreme=True),
+                constraints=push(extreme=True, on_lasso=True),
             )
         if kind == "lottery_order":
             return AttackPlan(
                 sampler=base,
                 predicate=lasso_pred(count=3, distinct=3, stochastic_step=True),
-                constraints=lasso_push(extreme=False),
+                constraints=push(extreme=False, on_lasso=True),
             )
         return None
 
@@ -527,23 +525,17 @@ def attack_plan(kind: str, cls: str, cfg: CheckConfig) -> AttackPlan | None:
             )
         if kind in _SOFT_POLICY_KINDS | _SOFT_DIST_KINDS:
             return AttackPlan(
-                sampler=base,
-                predicate=lambda m: _has_suboptimal_reachable_action(m, params),
-                constraints=lambda m, i: {},
+                sampler=base, predicate=lambda m: _has_suboptimal_reachable_action(m, params)
             )
         if kind == "noiseless_cmp_fragments":
-            return AttackPlan(
-                sampler=base,
-                predicate=lambda m: _stochastic_row_with_distinct_rewards(m),
-                constraints=lambda m, i: {},
-            )
+            return AttackPlan(sampler=base, predicate=_stochastic_row_with_distinct_rewards)
         if kind in _VALUE_KINDS | _FRAG_VALUE_KINDS:
-            return AttackPlan(sampler=base, constraints=lambda m, i: {})
+            return AttackPlan(sampler=base)
         if kind in LASSO_KINDS:
             need = {"count": 2, "distinct": 2}
             if kind == "lottery_order":
                 need = {"count": 3, "distinct": 3}
-            return AttackPlan(sampler=base, predicate=lasso_pred(**need), constraints=lambda m, i: {})
+            return AttackPlan(sampler=base, predicate=lasso_pred(**need))
         return None
 
     if cls == "mask_unreachable":
@@ -569,11 +561,7 @@ def attack_plan(kind: str, cls: str, cfg: CheckConfig) -> AttackPlan | None:
                 constraints=lambda m, i: {"extreme_possible_sign": _sign(i)},
             )
         if kind in _VALUE_KINDS | _SOFT_POLICY_KINDS | _FRAG_VALUE_KINDS:
-            return AttackPlan(
-                sampler=orphan_sampler,
-                predicate=_has_possible_unreachable,
-                constraints=lambda m, i: {},
-            )
+            return AttackPlan(sampler=orphan_sampler, predicate=_has_possible_unreachable)
         return None
 
     return None
@@ -660,69 +648,134 @@ def replay_witness(obj: dict) -> dict:
     }
 
 
-def _fingerprint_pair(
-    m: Mdp, m2: Mdp, kind: str, cfg: CheckConfig
-) -> tuple[bool, tuple[int, float] | None]:
-    fp1 = fingerprint(m, kind, cfg.resolution, cfg.params)
-    fp2 = fingerprint(m2, kind, cfg.resolution, cfg.params)
-    return fingerprints_equal(fp1, fp2, cfg.tol_rel)
+# ---------------------------------------------------------------------------
+# The trial kernel
+
+
+def _all_of(*preds: Callable[[Mdp], bool] | None) -> Callable[[Mdp], bool]:
+    """The conjunction of the given predicates, None ones left out, in order."""
+    active = [p for p in preds if p is not None]
+    return lambda m: all(p(m) for p in active)
+
+
+def _run_trials(
+    kind: str,
+    cfg: CheckConfig,
+    stream: str,
+    key: tuple[str, str],
+    plans: list[tuple[str, AttackPlan]],
+    n: int,
+    mdp: Mdp | None = None,
+    canned: tuple[Callable[[], tuple[Mdp, TransformSpec]], ...] = (),
+    preserve: str | None = None,
+) -> tuple[dict | None, int, int]:
+    """The one trial loop: apply class members and compare kind's fingerprints.
+
+    Canned (MDP, member) pairs run first, then n trials.  Trial i takes its
+    class and plan from plans[i % len(plans)] and its MDP and member from
+    seeds derived from (cfg.seed, stream, *key, i).  The MDP is mdp when
+    given, else drawn by sample_mdp, or by sample_mdp_where when the plan has
+    a predicate.  A trial is skipped when no MDP meets the predicate, the
+    constraints return None, or the member degenerates to a noted Identity;
+    with preserve given, also when the preserved kind's fingerprint moves.
+
+    Returns (first witness or None, trials run, trials skipped).
+    """
+    def draw(i: int) -> tuple[Mdp, TransformSpec, str, int, str] | None:
+        cls, plan = plans[i % len(plans)]
+        if mdp is not None:
+            if plan.predicate is not None and not plan.predicate(mdp):
+                return None
+            m = mdp
+        else:
+            mdp_seed = derive_seed(cfg.seed, stream, *key, i, "mdp")
+            if plan.predicate is None:
+                m = sample_mdp(plan.sampler, mdp_seed)
+            else:
+                m = sample_mdp_where(plan.sampler, mdp_seed, plan.predicate, max_tries=40)
+            if m is None:
+                return None
+        cons = plan.constraints(m, i) if plan.constraints is not None else {}
+        if cons is None:
+            return None
+        t = sample_transform(
+            cls, m, derive_seed(cfg.seed, stream, *key, i, "t"),
+            magnitude=cfg.magnitude, constraints=cons, params=cfg.params,
+        )
+        if isinstance(t, Identity) and t.note:
+            return None
+        return m, t, cls, i, stream
+
+    def draws():
+        # Every canned pair is a zero-preserving monotone rescaling.
+        for j, build in enumerate(canned):
+            yield (*build(), "zpmt", j, "canned")
+        for i in range(n):
+            yield draw(i)
+
+    def compare(m: Mdp, m2: Mdp, k: str) -> tuple[bool, tuple[int, float] | None]:
+        return fingerprints_equal(
+            fingerprint(m, k, cfg.resolution, cfg.params),
+            fingerprint(m2, k, cfg.resolution, cfg.params),
+            cfg.tol_rel,
+        )
+
+    run = skipped = 0
+    for drawn in draws():
+        if drawn is None:
+            skipped += 1
+            continue
+        m, t, cls, trial, origin = drawn
+        m2 = with_reward(m, apply_transform(m, t))
+        if preserve is not None and not compare(m, m2, preserve)[0]:
+            # Numerically possible only at tolerance boundaries; not a valid witness.
+            skipped += 1
+            continue
+        run += 1
+        equal, diff = compare(m, m2, kind)
+        if not equal:
+            witness = _witness_obj(kind, cls, m, t, diff, cfg, trial, origin)
+            if preserve is not None:
+                witness["preserved_kind"] = preserve
+            return witness, run, skipped
+    return None, run, skipped
 
 
 # ---------------------------------------------------------------------------
 # Invariance checking and counterexample search
 
 
+def _verdict(
+    kind: str, cls: str, found: tuple[dict | None, int, int], invariant_detail: str = ""
+) -> InvarianceVerdict:
+    witness, run, skipped = found
+    if witness is not None:
+        status, detail = STATUS_COUNTEREXAMPLE, ""
+    elif run == 0:
+        status, detail = STATUS_SKIPPED, "no applicable trials (class degenerate on sampled MDPs)"
+    else:
+        status, detail = STATUS_INVARIANT, invariant_detail
+    return InvarianceVerdict(
+        kind=kind, transform_class=cls, status=status,
+        trials_run=run, trials_skipped=skipped, witness=witness, detail=detail,
+    )
+
+
 def check_invariance(kind: str, cls: str, cfg: CheckConfig, mdp: Mdp | None = None) -> InvarianceVerdict:
     """Sample class members on random MDPs; report the first fingerprint change.
 
-    With mdp given, all trials run on that MDP.  Trials whose transformation
-    degenerates to the identity (or whose MDP requirements cannot be met) are
-    counted as skipped.
+    With mdp given, all trials run on that MDP, whatever the kind's base
+    predicate says of it.  Trials whose transformation degenerates to the
+    identity (or whose MDP requirements cannot be met) are counted as skipped.
     """
     if kind not in KIND_TAGS:
         raise ContractError(f"unknown object kind {kind!r}")
-    sampler = check_sampler(kind, cls, cfg)
-    base_pred = _kind_base_predicate(kind, cfg)
-    run = 0
-    skipped = 0
-    for i in range(cfg.trials):
-        if mdp is not None:
-            m = mdp
-        else:
-            mdp_seed = derive_seed(cfg.seed, "check", kind, cls, i, "mdp")
-            if base_pred is None:
-                m = sample_mdp(sampler, mdp_seed)
-            else:
-                m = sample_mdp_where(sampler, mdp_seed, base_pred, max_tries=40)
-            if m is None:
-                skipped += 1
-                continue
-        t = sample_transform(
-            cls, m, derive_seed(cfg.seed, "check", kind, cls, i, "t"),
-            magnitude=cfg.magnitude, params=cfg.params,
-        )
-        if isinstance(t, Identity) and t.note:
-            skipped += 1
-            continue
-        m2 = with_reward(m, apply_transform(m, t))
-        run += 1
-        equal, diff = _fingerprint_pair(m, m2, kind, cfg)
-        if not equal:
-            witness = _witness_obj(kind, cls, m, t, diff, cfg, i, origin="check")
-            return InvarianceVerdict(
-                kind=kind, transform_class=cls, status=STATUS_COUNTEREXAMPLE,
-                trials_run=run, trials_skipped=skipped, witness=witness,
-            )
-    if run == 0:
-        return InvarianceVerdict(
-            kind=kind, transform_class=cls, status=STATUS_SKIPPED,
-            trials_run=0, trials_skipped=skipped,
-            detail="no applicable trials (class degenerate on sampled MDPs)",
-        )
-    return InvarianceVerdict(
-        kind=kind, transform_class=cls, status=STATUS_INVARIANT,
-        trials_run=run, trials_skipped=skipped,
+    plan = AttackPlan(
+        sampler=check_sampler(kind, cls, cfg),
+        predicate=_kind_base_predicate(kind, cfg) if mdp is None else None,
     )
+    found = _run_trials(kind, cfg, "check", (kind, cls), [(cls, plan)], cfg.trials, mdp)
+    return _verdict(kind, cls, found)
 
 
 def search_counterexample(
@@ -732,81 +785,18 @@ def search_counterexample(
 
     Uses the cell's attack plan where one exists: MDP requirements plus
     transformation constraints that keep samples away from the subfamilies
-    known to preserve the kind.  Canned witness pairs run first.
+    known to preserve the kind.  Canned witness pairs run first.  A fixed mdp
+    that fails the requirements skips every trial.
     """
     if kind not in KIND_TAGS:
         raise ContractError(f"unknown object kind {kind!r}")
-    plan = attack_plan(kind, cls, cfg)
-    sampler = plan.sampler if plan is not None else cfg.sampler
-    base_pred = _kind_base_predicate(kind, cfg)
-    pred = plan.predicate if plan is not None else None
-
-    def combined(m: Mdp) -> bool:
-        if pred is not None and not pred(m):
-            return False
-        if base_pred is not None and not base_pred(m):
-            return False
-        return True
-
-    run = 0
-    skipped = 0
-    canned = plan.canned if (plan is not None and mdp is None) else ()
-    for j, build in enumerate(canned):
-        m, t = build()
-        m2 = with_reward(m, apply_transform(m, t))
-        run += 1
-        equal, diff = _fingerprint_pair(m, m2, kind, cfg)
-        if not equal:
-            witness = _witness_obj(kind, cls, m, t, diff, cfg, j, origin="canned")
-            return InvarianceVerdict(
-                kind=kind, transform_class=cls, status=STATUS_COUNTEREXAMPLE,
-                trials_run=run, trials_skipped=skipped, witness=witness,
-            )
-
-    for i in range(cfg.budget):
-        if mdp is not None:
-            m = mdp
-            if not combined(m):
-                skipped += 1
-                continue
-        else:
-            m = sample_mdp_where(
-                sampler, derive_seed(cfg.seed, "search", kind, cls, i, "mdp"), combined, max_tries=40
-            )
-            if m is None:
-                skipped += 1
-                continue
-        cons = plan.constraints(m, i) if (plan is not None and plan.constraints is not None) else {}
-        if cons is None:
-            skipped += 1
-            continue
-        t = sample_transform(
-            cls, m, derive_seed(cfg.seed, "search", kind, cls, i, "t"),
-            magnitude=cfg.magnitude, constraints=cons, params=cfg.params,
-        )
-        if isinstance(t, Identity) and t.note:
-            skipped += 1
-            continue
-        m2 = with_reward(m, apply_transform(m, t))
-        run += 1
-        equal, diff = _fingerprint_pair(m, m2, kind, cfg)
-        if not equal:
-            witness = _witness_obj(kind, cls, m, t, diff, cfg, i, origin="search")
-            return InvarianceVerdict(
-                kind=kind, transform_class=cls, status=STATUS_COUNTEREXAMPLE,
-                trials_run=run, trials_skipped=skipped, witness=witness,
-            )
-    if run == 0:
-        return InvarianceVerdict(
-            kind=kind, transform_class=cls, status=STATUS_SKIPPED,
-            trials_run=0, trials_skipped=skipped,
-            detail="no applicable trials (class degenerate on sampled MDPs)",
-        )
-    return InvarianceVerdict(
-        kind=kind, transform_class=cls, status=STATUS_INVARIANT,
-        trials_run=run, trials_skipped=skipped,
-        detail=f"no counterexample found in {run} directed trials",
+    plan = attack_plan(kind, cls, cfg) or AttackPlan(sampler=cfg.sampler)
+    plan = replace(plan, predicate=_all_of(plan.predicate, _kind_base_predicate(kind, cfg)))
+    found = _run_trials(
+        kind, cfg, "search", (kind, cls), [(cls, plan)], cfg.budget, mdp,
+        canned=plan.canned if mdp is None else (),
     )
+    return _verdict(kind, cls, found, f"no counterexample found in {found[1]} directed trials")
 
 
 # ---------------------------------------------------------------------------
@@ -842,63 +832,26 @@ CANNED_PRESERVING: dict[str, tuple[Callable[[], tuple[Mdp, TransformSpec]], ...]
 
 
 def _directional_witness(preserve: str, change: str, cfg: CheckConfig) -> dict | None:
-    """Find a transformation keeping `preserve`'s fingerprint while changing `change`'s."""
-    roster = KIND_ROSTERS[preserve]
-    base_pred_p = _kind_base_predicate(preserve, cfg)
-    base_pred_c = _kind_base_predicate(change, cfg)
+    """Find a transformation keeping `preserve`'s fingerprint while changing `change`'s.
 
-    for j, build in enumerate(CANNED_PRESERVING.get(preserve, ())):
-        m, t = build()
-        m2 = with_reward(m, apply_transform(m, t))
-        eq_p, _ = _fingerprint_pair(m, m2, preserve, cfg)
-        if not eq_p:
-            continue
-        eq_c, diff = _fingerprint_pair(m, m2, change, cfg)
-        if not eq_c:
-            w = _witness_obj(change, "zpmt", m, t, diff, cfg, j, origin="canned")
-            w["preserved_kind"] = preserve
-            return w
-
-    for i in range(cfg.refine_trials):
-        cls = roster[i % len(roster)]
+    Trial i tries the i-th class of preserve's roster, cyclically, under the
+    attack plan that class has against change.
+    """
+    base_preds = (_kind_base_predicate(preserve, cfg), _kind_base_predicate(change, cfg))
+    plans = []
+    for cls in KIND_ROSTERS[preserve]:
         plan = attack_plan(change, cls, cfg)
-        sampler = plan.sampler if plan is not None else cfg.sampler
-        if plan is None and cls.startswith("mask_"):
-            sampler = replace(sampler, orphan_prob=max(sampler.orphan_prob, 0.6))
-
-        def combined(m: Mdp) -> bool:
-            if plan is not None and plan.predicate is not None and not plan.predicate(m):
-                return False
-            for p in (base_pred_p, base_pred_c):
-                if p is not None and not p(m):
-                    return False
-            return True
-
-        m = sample_mdp_where(
-            sampler, derive_seed(cfg.seed, "refine", preserve, change, i, "mdp"), combined, max_tries=40
-        )
-        if m is None:
-            continue
-        cons = plan.constraints(m, i) if (plan is not None and plan.constraints is not None) else {}
-        if cons is None:
-            continue
-        t = sample_transform(
-            cls, m, derive_seed(cfg.seed, "refine", preserve, change, i, "t"),
-            magnitude=cfg.magnitude, constraints=cons, params=cfg.params,
-        )
-        if isinstance(t, Identity) and t.note:
-            continue
-        m2 = with_reward(m, apply_transform(m, t))
-        eq_p, _ = _fingerprint_pair(m, m2, preserve, cfg)
-        if not eq_p:
-            # Numerically possible only at tolerance boundaries; not a valid witness.
-            continue
-        eq_c, diff = _fingerprint_pair(m, m2, change, cfg)
-        if not eq_c:
-            w = _witness_obj(change, cls, m, t, diff, cfg, i, origin="refine")
-            w["preserved_kind"] = preserve
-            return w
-    return None
+        if plan is None:
+            sampler = cfg.sampler
+            if cls.startswith("mask_"):
+                sampler = replace(sampler, orphan_prob=max(sampler.orphan_prob, 0.6))
+            plan = AttackPlan(sampler=sampler)
+        plans.append((cls, replace(plan, predicate=_all_of(plan.predicate, *base_preds))))
+    witness, _, _ = _run_trials(
+        change, cfg, "refine", (preserve, change), plans, cfg.refine_trials,
+        canned=CANNED_PRESERVING.get(preserve, ()), preserve=preserve,
+    )
+    return witness
 
 
 def refinement_compare(kind_a: str, kind_b: str, cfg: CheckConfig) -> RefinementVerdict:

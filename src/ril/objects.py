@@ -169,16 +169,6 @@ class ObjectFingerprint:
         # Ordinal/set payloads compare exactly; numeric ones within tolerance.
         return self.payload.dtype.kind in "iub"
 
-    def diff(self, other: "ObjectFingerprint") -> tuple[int, float] | None:
-        """Index and magnitude of the largest payload deviation; None if aligned."""
-        if self.kind != other.kind or self.payload.shape != other.payload.shape:
-            return (-1, math.inf)
-        if self.payload.size == 0:
-            return None
-        d = np.abs(np.asarray(self.payload, dtype=float) - np.asarray(other.payload, dtype=float))
-        idx = int(np.argmax(d))
-        return (idx, float(d.flat[idx]))
-
 
 # ---------------------------------------------------------------------------
 # Comparison models

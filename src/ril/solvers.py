@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ConvergenceError
-from .mdp import Mdp
+from .mdp import Mdp, reachable_state_mask
 
 # Direct linear solves must satisfy their Bellman equation to this relative scale.
 BELLMAN_RESIDUAL_TOL = 1e-10
@@ -258,7 +258,14 @@ def mce_policy(m: Mdp, params: SolverParams = SolverParams()) -> Policy:
 
 
 def tie_tolerance(m: Mdp, tol: float | None = None) -> float:
-    return DEFAULT_TIE_RTOL * reward_scale(m) if tol is None else tol
+    """tol when given, else DEFAULT_TIE_RTOL * (1 + max |E_tau R(s, a)| over reachable s).
+
+    Masks and S'-redistribution leave that scale, and so the tie band, as it was.
+    """
+    if tol is not None:
+        return tol
+    r = expected_reward(m)[reachable_state_mask(m)]
+    return DEFAULT_TIE_RTOL * (1.0 + float(np.max(np.abs(r))))
 
 
 def optimal_action_sets(

@@ -152,44 +152,33 @@ def _observed_mark(status: str) -> str:
 def _run_cell(kind: str, cls: str, expected: str, cfg: CheckConfig) -> CellResult:
     t0 = time.perf_counter()
     if expected == "blank":
-        return CellResult(
-            kind=kind, transform_class=cls, expected=expected, observed="blank",
-            reproduced=True, trials_run=0, trials_skipped=0, witness=None,
-            detail="no claim for this cell", elapsed=time.perf_counter() - t0,
-        )
-    if expected == "mixed":
+        observed, reproduced, verdicts, detail = "blank", True, (), "no claim for this cell"
+    elif expected == "mixed":
         # Both halves must hold: a fixed MDP where the search finds a
         # counterexample, and one where checking finds none.
         found = search_counterexample(kind, cls, cfg, mdp=two_action_loop_mdp())
         held = check_invariance(kind, cls, cfg, mdp=chain_mdp())
-        ok = found.status == STATUS_COUNTEREXAMPLE and held.status == STATUS_INVARIANT
-        observed = "mixed" if ok else f"{_observed_mark(found.status)}/{_observed_mark(held.status)}"
-        return CellResult(
-            kind=kind, transform_class=cls, expected=expected, observed=observed,
-            reproduced=ok,
-            trials_run=found.trials_run + held.trials_run,
-            trials_skipped=found.trials_skipped + held.trials_skipped,
-            witness=found.witness,
-            detail="sensitive and insensitive proof MDPs" if ok else "mixed halves disagree",
-            elapsed=time.perf_counter() - t0,
+        reproduced = found.status == STATUS_COUNTEREXAMPLE and held.status == STATUS_INVARIANT
+        observed = (
+            "mixed" if reproduced
+            else f"{_observed_mark(found.status)}/{_observed_mark(held.status)}"
         )
-    if expected in ("inv", "inv_special"):
-        verdict = check_invariance(kind, cls, cfg)
-        observed = _observed_mark(verdict.status)
-        return CellResult(
-            kind=kind, transform_class=cls, expected=expected, observed=observed,
-            reproduced=verdict.status == STATUS_INVARIANT,
-            trials_run=verdict.trials_run, trials_skipped=verdict.trials_skipped,
-            witness=verdict.witness, detail=verdict.detail,
-            elapsed=time.perf_counter() - t0,
-        )
-    verdict = search_counterexample(kind, cls, cfg)
-    observed = _observed_mark(verdict.status)
+        verdicts = (found, held)
+        detail = "sensitive and insensitive proof MDPs" if reproduced else "mixed halves disagree"
+    else:
+        if expected in ("inv", "inv_special"):
+            verdict, want = check_invariance(kind, cls, cfg), STATUS_INVARIANT
+        else:
+            verdict, want = search_counterexample(kind, cls, cfg), STATUS_COUNTEREXAMPLE
+        observed, reproduced = _observed_mark(verdict.status), verdict.status == want
+        verdicts, detail = (verdict,), verdict.detail
     return CellResult(
         kind=kind, transform_class=cls, expected=expected, observed=observed,
-        reproduced=verdict.status == STATUS_COUNTEREXAMPLE,
-        trials_run=verdict.trials_run, trials_skipped=verdict.trials_skipped,
-        witness=verdict.witness, detail=verdict.detail,
+        reproduced=reproduced,
+        trials_run=sum(v.trials_run for v in verdicts),
+        trials_skipped=sum(v.trials_skipped for v in verdicts),
+        witness=verdicts[0].witness if verdicts else None,
+        detail=detail,
         elapsed=time.perf_counter() - t0,
     )
 

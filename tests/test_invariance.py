@@ -1,5 +1,7 @@
 """Invariance checking, counterexample search, and pairwise refinement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,16 @@ def test_fingerprints_equal_rejects_kind_mismatch():
     with pytest.raises(ContractError):
         fingerprints_equal(fingerprint(m, "q_star"), fingerprint(m, "q_policy"))
 
+
+def test_fingerprints_equal_reports_largest_deviation():
+    import ril
+
+    m = loop_mdp()
+    a = fingerprint(m, "return_fragments")
+    c = fingerprint(ril.with_reward(m, np.array([[[2.0]]])), "return_fragments")
+    # the length-2 fragment moves the most: 3.8 vs 1.9
+    assert fingerprints_equal(a, c) == (False, (2, pytest.approx(1.9, abs=1e-12)))
+    assert fingerprints_equal(a, a) == (True, None)
 
 def test_lottery_comparator_accepts_positive_affine():
     m = return_fan_mdp()
@@ -220,3 +232,58 @@ def test_complementary_ambiguity_rejects_ordered_pair():
     out = complementary_ambiguity_check("q_policy", "q_star", FAST)
     assert not out["confirmed"]
     assert "detail" in out
+
+
+# ---------------------------------------------------------------------------
+# Trial bookkeeping shared by checks, searches and refinement
+
+
+@pytest.mark.parametrize(
+    "experiment, kind, other, origin",
+    [
+        ("check", "q_star", "shaping", "check"),
+        ("search", "q_star", "shaping", "search"),
+        ("search", "return_fragments", "zpmt", "canned"),
+        ("search", "boltzmann_cmp_fragments", "zpmt", "canned"),
+        ("search", "return_trajectories", "zpmt", "canned"),
+        ("search", "boltzmann_cmp_trajectories", "zpmt", "canned"),
+        ("search", "lottery_order", "zpmt", "canned"),
+        ("refine", "q_star", "boltzmann_policy", "refine"),
+        ("refine", "return_fragments", "noiseless_cmp_fragments", "canned"),
+    ],
+)
+def test_witness_records_its_trial(experiment, kind, other, origin):
+    # other is the class for check and search, the preserved kind for refine.
+    if experiment == "refine":
+        w = refinement_compare(other, kind, FAST).witness_preserves_a
+        assert w["preserved_kind"] == other
+    else:
+        run = check_invariance if experiment == "check" else search_counterexample
+        v = run(kind, other, FAST)
+        w = v.witness
+        assert "preserved_kind" not in w
+        # canned pairs come first, and the witness ends the run
+        assert v.trials_run + v.trials_skipped == w["trial"] + 1
+    assert (w["kind"], w["origin"]) == (kind, origin)
+    if origin == "canned":
+        assert (w["transform_class"], w["trial"]) == ("zpmt", 0)
+    elif origin == "refine":
+        roster = KIND_ROSTERS[other]
+        assert w["transform_class"] == roster[w["trial"] % len(roster)]
+    else:
+        assert w["transform_class"] == other
+
+
+@pytest.mark.parametrize(
+    "experiment, status, counts",
+    [
+        (check_invariance, STATUS_INVARIANT, (FAST.trials, 0)),
+        (search_counterexample, STATUS_SKIPPED, (0, FAST.budget)),
+    ],
+)
+def test_fixed_mdp_meets_the_base_predicate_only_in_search(experiment, status, counts):
+    # Without prefixes the loop has a single lasso, and lottery_order asks for two.
+    cfg = replace(FAST, resolution=Resolution(0, 0, 1))
+    v = experiment("lottery_order", "identity", cfg, mdp=loop_mdp())
+    assert v.status == status
+    assert (v.trials_run, v.trials_skipped) == counts
