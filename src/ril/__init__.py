@@ -80,7 +80,7 @@ from .objects import (
     recover_reward_from_comparisons,
     tie_group_ranks,
 )
-from .sampling import SamplerConfig, derive_seed, sample_mdp, sample_mdp_where, with_overrides
+from .sampling import SamplerConfig, derive_seed, sample_mdp, sample_mdp_where
 from .solvers import (
     Policy,
     SolverParams,

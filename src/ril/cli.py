@@ -76,18 +76,17 @@ class ExperimentConfig:
     """Fully-resolved settings for the experiment subcommands."""
 
     check: CheckConfig
+    # The kind roster of `ril order`; the other subcommands ignore it.
     kinds: tuple[str, ...] = KIND_TAGS
-    classes: tuple[str, ...] = CLASS_TAGS
     out_dir: str | None = None
     threads: int | None = None
 
     def __post_init__(self):
         bad = [k for k in self.kinds if k not in KIND_TAGS]
-        bad += [c for c in self.classes if c not in CLASS_TAGS]
         if bad:
             raise ContractError(f"unknown roster entries: {bad}")
-        if not self.kinds or not self.classes:
-            raise ContractError("rosters must be non-empty")
+        if not self.kinds:
+            raise ContractError("the kind roster must be non-empty")
 
     def echo(self) -> dict:
         c = self.check
@@ -105,6 +104,7 @@ class ExperimentConfig:
                 "max_fragment_len": r.max_fragment_len,
                 "lasso_prefix_cap": r.lasso_prefix_cap,
                 "lasso_cycle_cap": r.lasso_cycle_cap,
+                "enumeration_cap": r.enumeration_cap,
             },
             "sampler": {
                 "n_states": list(s.n_states),
@@ -118,7 +118,6 @@ class ExperimentConfig:
                 "max_initial_states": s.max_initial_states,
             },
             "kinds": list(self.kinds),
-            "classes": list(self.classes),
         }
 
 
@@ -164,7 +163,6 @@ def experiment_config(args, base: CheckConfig | None = None) -> ExperimentConfig
     """Merge config-file settings and command-line overrides over defaults."""
     cfg = base if base is not None else CheckConfig(seed=DEFAULT_SEED)
     kinds = KIND_TAGS
-    classes = CLASS_TAGS
     out_dir = None
     threads = None
 
@@ -175,7 +173,7 @@ def experiment_config(args, base: CheckConfig | None = None) -> ExperimentConfig
             raise ContractError("config file must hold a JSON object")
     unknown = set(file_cfg) - {
         "seed", "trials", "budget", "refine_trials", "tol_rel", "magnitude", "beta",
-        "resolution", "sampler", "kinds", "classes", "out_dir", "threads",
+        "resolution", "sampler", "kinds", "out_dir", "threads",
     }
     if unknown:
         raise ContractError(f"unknown config keys: {sorted(unknown)}")
@@ -183,6 +181,9 @@ def experiment_config(args, base: CheckConfig | None = None) -> ExperimentConfig
     res = cfg.resolution
     if "resolution" in file_cfg:
         r = file_cfg["resolution"]
+        unknown = set(r) - {"max_fragment_len", "lasso_prefix_cap", "lasso_cycle_cap", "enumeration_cap"}
+        if unknown:
+            raise ContractError(f"unknown resolution keys: {sorted(unknown)}")
         res = Resolution(
             max_fragment_len=int(r.get("max_fragment_len", res.max_fragment_len)),
             lasso_prefix_cap=int(r.get("lasso_prefix_cap", res.lasso_prefix_cap)),
@@ -229,8 +230,6 @@ def experiment_config(args, base: CheckConfig | None = None) -> ExperimentConfig
     )
     if "kinds" in file_cfg:
         kinds = tuple(file_cfg["kinds"])
-    if "classes" in file_cfg:
-        classes = tuple(file_cfg["classes"])
     out_dir = file_cfg.get("out_dir")
     threads = file_cfg.get("threads")
 
@@ -253,9 +252,7 @@ def experiment_config(args, base: CheckConfig | None = None) -> ExperimentConfig
         threads = int(threads)
         if threads < 1:
             raise ContractError("threads must be at least 1")
-    return ExperimentConfig(
-        check=cfg, kinds=kinds, classes=classes, out_dir=out_dir, threads=threads
-    )
+    return ExperimentConfig(check=cfg, kinds=kinds, out_dir=out_dir, threads=threads)
 
 
 # ---------------------------------------------------------------------------

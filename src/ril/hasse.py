@@ -62,9 +62,13 @@ class RefinementOrder:
         raise ContractError(f"no verdict recorded for ({kind_a!r}, {kind_b!r})")
 
     def to_obj(self, include_witnesses: bool = False) -> dict:
+        """The diagram as JSON.  Each pair holds its verdict with witnesses, or
+        else its relation and trial counts, as the run report wants."""
         pairs = {}
         for v in self.verdicts:
-            obj = v.to_obj() if include_witnesses else {"relation": v.relation}
+            obj = v.to_obj() if include_witnesses else {
+                "relation": v.relation, "trials_run": v.trials_run, "trials_skipped": v.trials_skipped,
+            }
             pairs[f"{v.kind_a}|{v.kind_b}"] = obj
         return {
             "kinds": [k for g in self.groups for k in g],

@@ -7,12 +7,15 @@ then seeded trials that each take their class and attack plan from the
 caller, stopping at the first fingerprint change, which it returns as a
 replayable witness.  Three entry points build the plans:
 
-* check_invariance samples plainly, nudged only by check_sampler and the
-  kind's base predicate.
+* check_invariance samples plainly, held only to the kind's base predicate
+  and, for classes acting on unreachable or unsupported states, to more
+  orphan states.
 * search_counterexample steers samples away from the degenerate corners of
   a class (zero potentials, scale factors near one, near-linear rescalings,
-  masks over empty sets) using per-cell attack plans, so that cells which
-  are genuinely not invariant produce witnesses within a small budget.
+  masks over empty sets) using the cell's row of ATTACK_PLANS, so that
+  cells which are genuinely not invariant produce witnesses within a small
+  budget.  The table is keyed by (class, kind); each row names a sampler
+  override, an MDP predicate, a constraint builder and canned pairs.
 * refinement_compare decides, for two object kinds, whether one's ambiguity
   refines the other's: it hunts for a transformation preserving one
   fingerprint while changing the other, in both directions.  Trials cycle
@@ -32,8 +35,8 @@ transformation draws, and trial order use seeds derived per trial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -211,16 +214,16 @@ def fingerprints_equal(
 
 
 # ---------------------------------------------------------------------------
-# Attack plans: per (kind, class) sampling strategy for counterexample search
+# Attack plans: per (class, kind) sampling strategy for counterexample search
 
 
 @dataclass(frozen=True)
 class AttackPlan:
     sampler: SamplerConfig
     predicate: Callable[[Mdp], bool] | None = None
-    # (mdp, trial index) -> constraints for sample_transform, or None to skip;
-    # a plan without it samples unconstrained.
-    constraints: Callable[[Mdp, int], dict | None] | None = None
+    # (mdp, trial index) -> constraints for sample_transform, called only on
+    # MDPs that meet the predicate; a plan without it samples unconstrained.
+    constraints: Callable[[Mdp, int], dict] | None = None
     canned: tuple[Callable[[], tuple[Mdp, TransformSpec]], ...] = ()
 
 
@@ -229,53 +232,42 @@ def _sign(trial: int) -> float:
 
 
 def _free_states(m: Mdp) -> list[int]:
-    term = terminal_mask(m)
-    init = m.mu0 > 0.0
-    return [int(s) for s in np.flatnonzero(~term & ~init)]
+    """Nonterminal states outside the initial support."""
+    return [int(s) for s in np.flatnonzero(~terminal_mask(m) & ~(m.mu0 > 0.0))]
 
 
 def _nonterminal_states(m: Mdp) -> list[int]:
     return [int(s) for s in np.flatnonzero(~terminal_mask(m))]
 
 
-def _single_nonterminal_initial(m: Mdp) -> bool:
-    init = initial_states(m)
-    return len(init) == 1 and not terminal_mask(m)[init[0]]
-
-
-def _first_stochastic_row(m: Mdp) -> tuple[int, int] | None:
-    supp = possible_mask(m).sum(axis=2)
-    hits = np.argwhere(supp >= 2)
-    if len(hits) == 0:
-        return None
-    s, a = hits[0]
-    return int(s), int(a)
-
-
-def _stochastic_row_with_distinct_rewards(m: Mdp, min_gap: float = 0.05) -> bool:
+def _stochastic_mask(m: Mdp) -> np.ndarray:
+    """(S, A, S): the possible steps whose (s, a) has two or more successors."""
     poss = possible_mask(m)
-    for s in range(m.n_states):
-        for a in range(m.n_actions):
-            idx = np.flatnonzero(poss[s, a])
-            if len(idx) >= 2:
-                vals = m.reward[s, a, idx]
-                if vals.max() - vals.min() >= min_gap:
-                    return True
-    return False
+    return poss & (poss.sum(axis=2, keepdims=True) >= 2)
 
 
-def _has_possible_unreachable(m: Mdp) -> bool:
-    return bool(np.any(possible_mask(m) & unreachable_transition_mask(m)))
+@dataclass(frozen=True)
+class LassoNeed:
+    """Least values, field by field, of what an MDP's lassos offer (see
+    _lasso_offer); an MDP offering nothing meets no need."""
+
+    count: int = 1
+    distinct: int = 1
+    starts: int = 1
+    per_start_distinct: int = 0
+    stochastic_step: bool = False
+    moderate_pair: bool = False
+    max_abs: float = 0.0
+
+    def __call__(self, m: Mdp, cfg: CheckConfig) -> bool:
+        offer = _lasso_offer(m, cfg.resolution)
+        return offer is not None and all(vars(offer)[k] >= v for k, v in vars(self).items())
 
 
-def _has_suboptimal_reachable_action(m: Mdp, params: SolverParams) -> bool:
-    adv = optimal_q(m, params).adv
-    reach = reachable_state_mask(m)
-    gap = 10.0 * 1e-7 * reward_scale(m)
-    return bool(np.any(adv[reach] < -gap))
-
-
-def _lasso_profile(m: Mdp, res: Resolution) -> dict | None:
+def _lasso_offer(m: Mdp, res: Resolution) -> LassoNeed | None:
+    """What m's canonical lassos offer: their count, distinct return levels,
+    start states, most levels from one start, a stochastic step, two returns
+    0.05 to 8 apart, and the largest |return|.  None past the caps or 400."""
     try:
         lassos = canonical_lassos(m, res)
     except EnumerationCapError:
@@ -284,29 +276,23 @@ def _lasso_profile(m: Mdp, res: Resolution) -> dict | None:
         return None
     g = lasso_returns(m, lassos)
     tol = 1e-9 * reward_scale(m)
-    ranks = tie_group_ranks(g, tol)
     start = lassos.start
-    starts = np.unique(start).tolist()
-    per_start_distinct = max(int(tie_group_ranks(g[start == s], tol).max()) + 1 for s in starts)
+    starts = np.unique(start)
     diffs = np.abs(g[None, :] - g[:, None])
-    moderate_pair = bool(np.any((diffs >= 0.05) & (diffs <= 8.0)))
-    return {
-        "count": len(lassos),
-        "distinct": int(ranks.max()) + 1,
-        "starts": starts,
-        "stochastic_step": _first_stochastic_step(m, lassos),
-        "per_start_distinct": per_start_distinct,
-        "moderate_pair": moderate_pair,
-        "max_abs": float(np.max(np.abs(g))),
-    }
+    return LassoNeed(
+        count=len(lassos),
+        distinct=int(tie_group_ranks(g, tol).max()) + 1,
+        starts=len(starts),
+        per_start_distinct=max(int(tie_group_ranks(g[start == s], tol).max()) + 1 for s in starts),
+        stochastic_step=_first_stochastic_step(m, lassos) is not None,
+        moderate_pair=bool(np.any((diffs >= 0.05) & (diffs <= 8.0))),
+        max_abs=float(np.max(np.abs(g))),
+    )
 
 
 def _first_stochastic_step(m: Mdp, lassos) -> tuple[int, int, int] | None:
-    """The first step (s, a, s') whose (s, a) has two or more possible successors.
-
-    Lassos are scanned in order, each prefix before its cycle.
-    """
-    stochastic = np.append((possible_mask(m).sum(axis=2) >= 2).repeat(m.n_states), False)
+    """The first stochastic step of the lassos, each scanned prefix before cycle."""
+    stochastic = np.append(_stochastic_mask(m).ravel(), False)
     prefix_steps = lassos.prefixes.steps[lassos.prefix_of]
     cycle_steps = lassos.cycles.steps[lassos.cycle_of]
     steps = np.concatenate([prefix_steps, cycle_steps], axis=1)
@@ -317,279 +303,212 @@ def _first_stochastic_step(m: Mdp, lassos) -> tuple[int, int, int] | None:
     return (*divmod(s_a, m.n_actions), s2)
 
 
-def _fragments_within_budget(m: Mdp, res: Resolution, budget: int = 600) -> bool:
+def _single_nonterminal_initial(m: Mdp, cfg: CheckConfig) -> bool:
+    init = initial_states(m)
+    return len(init) == 1 and not terminal_mask(m)[init[0]]
+
+
+def _stochastic_row_with_distinct_rewards(m: Mdp, cfg: CheckConfig) -> bool:
+    poss = possible_mask(m)
+    spread = np.where(poss, m.reward, -np.inf).max(axis=2) - np.where(poss, m.reward, np.inf).min(axis=2)
+    return bool(np.any((poss.sum(axis=2) >= 2) & (spread >= 0.05)))
+
+
+def _has_stochastic_step(m: Mdp, cfg: CheckConfig) -> bool:
+    return bool(_stochastic_mask(m).any())
+
+
+def _has_possible_unreachable(m: Mdp, cfg: CheckConfig) -> bool:
+    return bool(np.any(possible_mask(m) & unreachable_transition_mask(m)))
+
+
+def _has_suboptimal_reachable_action(m: Mdp, cfg: CheckConfig) -> bool:
+    adv = optimal_q(m, cfg.params).adv
+    gap = 10.0 * 1e-7 * reward_scale(m)
+    return bool(np.any(adv[reachable_state_mask(m)] < -gap))
+
+
+def _fragments_within_budget(m: Mdp, cfg: CheckConfig, budget: int = 600) -> bool:
     try:
-        return len(canonical_fragments(m, res)) <= budget
+        return len(canonical_fragments(m, cfg.resolution)) <= budget
     except EnumerationCapError:
         return False
+
+
+# What every MDP drawn for a kind must meet, whatever the class.
+_BASE_PREDICATES: dict[str, Callable[[Mdp, CheckConfig], bool]] = {
+    **{kind: LassoNeed() for kind in LASSO_KINDS},
+    "lottery_order": LassoNeed(count=2),
+    "boltzmann_cmp_fragments": _fragments_within_budget,
+    "noiseless_cmp_fragments": _fragments_within_budget,
+}
+
+
+def _fixed(**cons):
+    return lambda m, i, cfg: dict(cons)
+
+
+def _on_states(key: str, states: Callable[[Mdp], list[int]]):
+    return lambda m, i, cfg: {key: states(m)}
+
+
+def _phi_spike(state_fn: Callable[[Mdp, CheckConfig], int]):
+    """Spike the potential at one state to the extreme reward, sign alternating by trial."""
+    return lambda m, i, cfg: {"phi_spike": (state_fn(m, cfg), _sign(i) * extreme_reward_value(m))}
+
+
+def _row_step(m: Mdp, cfg: CheckConfig) -> tuple[int, int, int]:
+    return tuple(int(x) for x in np.argwhere(_stochastic_mask(m))[0])
+
+
+def _lasso_step(m: Mdp, cfg: CheckConfig) -> tuple[int, int, int]:
+    return _first_stochastic_step(m, canonical_lassos(m, cfg.resolution))
+
+
+def _push(step_fn: Callable[[Mdp, CheckConfig], tuple[int, int, int]], extreme: bool = False):
+    """Push reward onto the first stochastic step, of the rows or of the lassos."""
+    def build(m: Mdp, i: int, cfg: CheckConfig) -> dict:
+        value = extreme_reward_value(m) if extreme else 0.8 * reward_scale(m)
+        return {"push": (*step_fn(m, cfg), _sign(i) * value)}
+
+    return build
+
+
+def _boost(m: Mdp, i: int, cfg: CheckConfig) -> dict:
+    """Make a non-optimal action of the first unreachable state dominate."""
+    u = int(np.flatnonzero(~reachable_state_mask(m))[0])
+    sets = optimal_action_sets(m, cfg.params)
+    spare = [a for a in range(m.n_actions) if a not in sets[u]]
+    bonus = 10.0 * reward_scale(m) / (1.0 - m.gamma)
+    return {"boost_action": (u, spare[0] if spare else 0, bonus)}
 
 
 def _canned_fan_pair() -> tuple[Mdp, TransformSpec]:
     return return_fan_mdp(), fan_order_preserving_rescale()
 
 
+@dataclass(frozen=True)
+class PlanRow:
+    """One cell's attack plan before attack_plan binds it to a CheckConfig:
+    overrides of cfg.sampler, predicate(m, cfg), constraints(m, trial, cfg)
+    and canned (MDP, member) pairs."""
+
+    sampler: dict = field(default_factory=dict)
+    predicate: Callable[[Mdp, CheckConfig], bool] | None = None
+    constraints: Callable[[Mdp, int, CheckConfig], dict] | None = None
+    canned: tuple[Callable[[], tuple[Mdp, TransformSpec]], ...] = ()
+
+
+_ONE_INITIAL = {"max_initial_states": 1}
+_TWO_INITIAL = {"min_initial_states": 2}
+_ORPHANS = {"orphan_prob": 1.0}
+_FAN = (_canned_fan_pair,)
+_NCF = {"noiseless_cmp_fragments"}
+_SPREAD_INITIAL = _on_states("phi_spread_on", initial_states)
+_NONLINEAR = _fixed(nonlinear=True)
+_AWAY = _fixed(away_from_one=True)
+
+_OPT_ROWS = [
+    (_SOFT_POLICY_KINDS | _SOFT_DIST_KINDS, PlanRow(predicate=_has_suboptimal_reachable_action)),
+    (_NCF, PlanRow(predicate=_stochastic_row_with_distinct_rewards)),
+    (LASSO_KINDS - {"lottery_order"}, PlanRow(predicate=LassoNeed(count=2, distinct=2))),
+    ({"lottery_order"}, PlanRow(predicate=LassoNeed(count=3, distinct=3))),
+]
+
+# Rows by class and kind group.  A cell with no row is expected invariant, or
+# plain random sampling finds its counterexamples.
+_ROWS_BY_CLASS: dict[str, list[tuple[Iterable[str], PlanRow]]] = {
+    "shaping_zero_initial": [
+        (_VALUE_KINDS | _FRAG_VALUE_KINDS, PlanRow(
+            _ONE_INITIAL, lambda m, cfg: bool(_free_states(m)), _on_states("phi_nonzero_on", _free_states))),
+        (_NCF, PlanRow(
+            _ONE_INITIAL, lambda m, cfg: bool(_free_states(m)),
+            _phi_spike(lambda m, cfg: _free_states(m)[0]))),
+    ],
+    "shaping_k_initial": [
+        (_VALUE_KINDS | _FRAG_VALUE_KINDS, PlanRow(constraints=_fixed(k_nonzero=True))),
+        ({"return_trajectories"}, PlanRow(predicate=LassoNeed(), constraints=_fixed(k_nonzero=True))),
+        (_NCF, PlanRow(
+            _ONE_INITIAL, _single_nonterminal_initial, _phi_spike(lambda m, cfg: initial_states(m)[0]))),
+    ],
+    "shaping": [
+        (_VALUE_KINDS | _FRAG_VALUE_KINDS, PlanRow(
+            constraints=_on_states("phi_nonzero_on", _nonterminal_states))),
+        ({"return_trajectories"}, PlanRow(
+            predicate=LassoNeed(), constraints=_on_states("phi_nonzero_on", initial_states))),
+        ({"boltzmann_cmp_trajectories"}, PlanRow(
+            _TWO_INITIAL, LassoNeed(count=2, starts=2, moderate_pair=True), _SPREAD_INITIAL)),
+        ({"lottery_order"}, PlanRow(
+            _TWO_INITIAL, LassoNeed(count=3, starts=2, distinct=3, per_start_distinct=2), _SPREAD_INITIAL)),
+        (_NCF, PlanRow(
+            predicate=lambda m, cfg: bool(_nonterminal_states(m)),
+            constraints=_phi_spike(lambda m, cfg: _nonterminal_states(m)[0]))),
+        ({"noiseless_cmp_trajectories"}, PlanRow(
+            _TWO_INITIAL, LassoNeed(count=2, starts=2),
+            _phi_spike(lambda m, cfg: int(np.min(canonical_lassos(m, cfg.resolution).start))))),
+    ],
+    "sprime_redistribution": [
+        (_FRAG_VALUE_KINDS, PlanRow(predicate=_has_stochastic_step, constraints=_push(_row_step))),
+        (_NCF, PlanRow(predicate=_has_stochastic_step, constraints=_push(_row_step, extreme=True))),
+        ({"return_trajectories"}, PlanRow(
+            predicate=LassoNeed(count=2, stochastic_step=True), constraints=_push(_lasso_step))),
+        ({"boltzmann_cmp_trajectories"}, PlanRow(
+            predicate=LassoNeed(count=2, stochastic_step=True, moderate_pair=True),
+            constraints=_push(_lasso_step))),
+        ({"noiseless_cmp_trajectories"}, PlanRow(
+            predicate=LassoNeed(count=2, distinct=2, stochastic_step=True),
+            constraints=_push(_lasso_step, extreme=True))),
+        ({"lottery_order"}, PlanRow(
+            predicate=LassoNeed(count=3, distinct=3, stochastic_step=True), constraints=_push(_lasso_step))),
+    ],
+    "positive_scaling": [
+        (_VALUE_KINDS | _SOFT_POLICY_KINDS | _SOFT_DIST_KINDS, PlanRow(constraints=_AWAY)),
+        ({"return_trajectories"}, PlanRow(predicate=LassoNeed(max_abs=0.05), constraints=_AWAY)),
+        ({"boltzmann_cmp_trajectories"}, PlanRow(
+            predicate=LassoNeed(count=2, moderate_pair=True), constraints=_AWAY)),
+    ],
+    # The canned fan pair cannot move the noiseless comparisons.
+    "zpmt": [
+        (set(KIND_TAGS) - LASSO_KINDS - _NCF, PlanRow(constraints=_NONLINEAR, canned=_FAN)),
+        (_NCF, PlanRow(constraints=_NONLINEAR)),
+        ({"return_trajectories", "boltzmann_cmp_trajectories"}, PlanRow(
+            predicate=LassoNeed(), constraints=_NONLINEAR, canned=_FAN)),
+        ({"noiseless_cmp_trajectories"}, PlanRow(predicate=LassoNeed(), constraints=_NONLINEAR)),
+        ({"lottery_order"}, PlanRow(predicate=LassoNeed(distinct=3), constraints=_NONLINEAR, canned=_FAN)),
+    ],
+    "opt_all_states": _OPT_ROWS,
+    "opt_supported_states": [*_OPT_ROWS, (_ARGMAX_KINDS, PlanRow(
+        _ORPHANS, _has_possible_unreachable, _fixed(diff_outside_supported=True)))],
+    "mask_unreachable": [
+        (_ARGMAX_KINDS, PlanRow(_ORPHANS, _has_possible_unreachable, _boost)),
+        (_NCF, PlanRow(
+            _ORPHANS, _has_possible_unreachable, lambda m, i, cfg: {"extreme_possible_sign": _sign(i)})),
+        (_VALUE_KINDS | _SOFT_POLICY_KINDS | _FRAG_VALUE_KINDS, PlanRow(_ORPHANS, _has_possible_unreachable)),
+    ],
+}
+
+ATTACK_PLANS: dict[tuple[str, str], PlanRow] = {
+    (cls, kind): row for cls, groups in _ROWS_BY_CLASS.items() for kinds, row in groups for kind in kinds
+}
+
+
+def _bind(fn: Callable | None, cfg: CheckConfig) -> Callable | None:
+    """fn with cfg as its last argument, or None."""
+    return None if fn is None else lambda *args: fn(*args, cfg)
+
+
 def attack_plan(kind: str, cls: str, cfg: CheckConfig) -> AttackPlan | None:
-    """Sampling strategy that avoids the degenerate members of cls for kind.
-
-    Returns None when no directed strategy exists (the cell is expected
-    invariant, or plain random sampling suffices).
-    """
-    base = cfg.sampler
-    res = cfg.resolution
-    params = cfg.params
-
-    def lasso_pred(**need):
-        def ok(m: Mdp) -> bool:
-            prof = _lasso_profile(m, res)
-            if prof is None:
-                return False
-            if prof["count"] < need.get("count", 1):
-                return False
-            if prof["distinct"] < need.get("distinct", 1):
-                return False
-            if len(prof["starts"]) < need.get("starts", 1):
-                return False
-            if need.get("stochastic_step") and prof["stochastic_step"] is None:
-                return False
-            if need.get("moderate_pair") and not prof["moderate_pair"]:
-                return False
-            if need.get("per_start_distinct", 0) > prof["per_start_distinct"]:
-                return False
-            if prof["max_abs"] < need.get("max_abs", 0.0):
-                return False
-            return True
-
-        return ok
-
-    if cls == "shaping_zero_initial":
-        if kind in _VALUE_KINDS | _FRAG_VALUE_KINDS:
-            return AttackPlan(
-                sampler=replace(base, max_initial_states=1),
-                predicate=lambda m: bool(_free_states(m)),
-                constraints=lambda m, i: {"phi_nonzero_on": _free_states(m)},
-            )
-        if kind == "noiseless_cmp_fragments":
-            return AttackPlan(
-                sampler=replace(base, max_initial_states=1),
-                predicate=lambda m: bool(_free_states(m)),
-                constraints=lambda m, i: {
-                    "phi_spike": (_free_states(m)[0], _sign(i) * extreme_reward_value(m))
-                },
-            )
+    """The cell's row of ATTACK_PLANS bound to cfg, or None if it has none."""
+    row = ATTACK_PLANS.get((cls, kind))
+    if row is None:
         return None
-
-    if cls == "shaping_k_initial":
-        if kind in _VALUE_KINDS | _FRAG_VALUE_KINDS:
-            return AttackPlan(sampler=base, constraints=lambda m, i: {"k_nonzero": True})
-        if kind == "return_trajectories":
-            return AttackPlan(
-                sampler=base, predicate=lasso_pred(count=1),
-                constraints=lambda m, i: {"k_nonzero": True},
-            )
-        if kind == "noiseless_cmp_fragments":
-            return AttackPlan(
-                sampler=replace(base, max_initial_states=1),
-                predicate=_single_nonterminal_initial,
-                constraints=lambda m, i: {
-                    "phi_spike": (initial_states(m)[0], _sign(i) * extreme_reward_value(m))
-                },
-            )
-        return None
-
-    if cls == "shaping":
-        if kind in _VALUE_KINDS | _FRAG_VALUE_KINDS:
-            return AttackPlan(
-                sampler=base,
-                constraints=lambda m, i: {"phi_nonzero_on": _nonterminal_states(m)},
-            )
-        if kind == "return_trajectories":
-            return AttackPlan(
-                sampler=base, predicate=lasso_pred(count=1),
-                constraints=lambda m, i: {"phi_nonzero_on": list(initial_states(m))},
-            )
-        if kind == "boltzmann_cmp_trajectories":
-            return AttackPlan(
-                sampler=replace(base, min_initial_states=2),
-                predicate=lasso_pred(count=2, starts=2, moderate_pair=True),
-                constraints=lambda m, i: {"phi_spread_on": list(initial_states(m))},
-            )
-        if kind == "lottery_order":
-            return AttackPlan(
-                sampler=replace(base, min_initial_states=2),
-                predicate=lasso_pred(count=3, starts=2, distinct=3, per_start_distinct=2),
-                constraints=lambda m, i: {"phi_spread_on": list(initial_states(m))},
-            )
-        if kind == "noiseless_cmp_fragments":
-            return AttackPlan(
-                sampler=base,
-                predicate=lambda m: bool(_nonterminal_states(m)),
-                constraints=lambda m, i: {
-                    "phi_spike": (_nonterminal_states(m)[0], _sign(i) * extreme_reward_value(m))
-                },
-            )
-        if kind == "noiseless_cmp_trajectories":
-            def nct_spike(m: Mdp, i: int) -> dict | None:
-                prof = _lasso_profile(m, res)
-                if prof is None or len(prof["starts"]) < 2:
-                    return None
-                return {"phi_spike": (prof["starts"][0], _sign(i) * extreme_reward_value(m))}
-
-            return AttackPlan(
-                sampler=replace(base, min_initial_states=2),
-                predicate=lasso_pred(count=2, starts=2),
-                constraints=nct_spike,
-            )
-        return None
-
-    if cls == "sprime_redistribution":
-        def push(extreme: bool, on_lasso: bool):
-            # Push reward onto the first stochastic step: of the first
-            # stochastic (s, a) row, or of the lassos when on_lasso.
-            def build(m: Mdp, i: int) -> dict | None:
-                if on_lasso:
-                    prof = _lasso_profile(m, res)
-                    step = None if prof is None else prof["stochastic_step"]
-                else:
-                    row = _first_stochastic_row(m)
-                    step = None if row is None else (*row, int(np.flatnonzero(m.tau[row] > 0)[0]))
-                if step is None:
-                    return None
-                value = extreme_reward_value(m) if extreme else 0.8 * reward_scale(m)
-                return {"push": (*step, _sign(i) * value)}
-
-            return build
-
-        if kind in _FRAG_VALUE_KINDS:
-            return AttackPlan(
-                sampler=base,
-                predicate=lambda m: _first_stochastic_row(m) is not None,
-                constraints=push(extreme=False, on_lasso=False),
-            )
-        if kind == "noiseless_cmp_fragments":
-            return AttackPlan(
-                sampler=base,
-                predicate=lambda m: _first_stochastic_row(m) is not None,
-                constraints=push(extreme=True, on_lasso=False),
-            )
-        if kind in ("return_trajectories", "boltzmann_cmp_trajectories"):
-            return AttackPlan(
-                sampler=base,
-                predicate=lasso_pred(count=2, stochastic_step=True, moderate_pair=(kind == "boltzmann_cmp_trajectories")),
-                constraints=push(extreme=False, on_lasso=True),
-            )
-        if kind == "noiseless_cmp_trajectories":
-            return AttackPlan(
-                sampler=base,
-                predicate=lasso_pred(count=2, distinct=2, stochastic_step=True),
-                constraints=push(extreme=True, on_lasso=True),
-            )
-        if kind == "lottery_order":
-            return AttackPlan(
-                sampler=base,
-                predicate=lasso_pred(count=3, distinct=3, stochastic_step=True),
-                constraints=push(extreme=False, on_lasso=True),
-            )
-        return None
-
-    if cls == "positive_scaling":
-        away = lambda m, i: {"away_from_one": True}
-        if kind in _VALUE_KINDS | _SOFT_POLICY_KINDS | _SOFT_DIST_KINDS:
-            return AttackPlan(sampler=base, constraints=away)
-        if kind == "return_trajectories":
-            return AttackPlan(sampler=base, predicate=lasso_pred(count=1, max_abs=0.05), constraints=away)
-        if kind == "boltzmann_cmp_trajectories":
-            return AttackPlan(sampler=base, predicate=lasso_pred(count=2, moderate_pair=True), constraints=away)
-        return None
-
-    if cls == "zpmt":
-        pred = None
-        if kind in LASSO_KINDS:
-            pred = lasso_pred(count=1, distinct=(3 if kind == "lottery_order" else 1))
-        canned = () if kind.startswith("noiseless_") else (_canned_fan_pair,)
-        return AttackPlan(
-            sampler=base,
-            predicate=pred,
-            constraints=lambda m, i: {"nonlinear": True},
-            canned=canned,
-        )
-
-    if cls in ("opt_all_states", "opt_supported_states"):
-        supported_scope = cls == "opt_supported_states"
-        if kind in _ARGMAX_KINDS:
-            if not supported_scope:
-                return None
-            return AttackPlan(
-                sampler=replace(base, orphan_prob=1.0),
-                predicate=_has_possible_unreachable,
-                constraints=lambda m, i: {"diff_outside_supported": True},
-            )
-        if kind in _SOFT_POLICY_KINDS | _SOFT_DIST_KINDS:
-            return AttackPlan(
-                sampler=base, predicate=lambda m: _has_suboptimal_reachable_action(m, params)
-            )
-        if kind == "noiseless_cmp_fragments":
-            return AttackPlan(sampler=base, predicate=_stochastic_row_with_distinct_rewards)
-        if kind in _VALUE_KINDS | _FRAG_VALUE_KINDS:
-            return AttackPlan(sampler=base)
-        if kind in LASSO_KINDS:
-            need = {"count": 2, "distinct": 2}
-            if kind == "lottery_order":
-                need = {"count": 3, "distinct": 3}
-            return AttackPlan(sampler=base, predicate=lasso_pred(**need))
-        return None
-
-    if cls == "mask_unreachable":
-        orphan_sampler = replace(base, orphan_prob=1.0)
-        if kind in _ARGMAX_KINDS:
-            def boost(m: Mdp, i: int) -> dict | None:
-                reach = reachable_state_mask(m)
-                unreachable = np.flatnonzero(~reach)
-                if len(unreachable) == 0:
-                    return None
-                u = int(unreachable[0])
-                sets = optimal_action_sets(m, params)
-                spare = [a for a in range(m.n_actions) if a not in sets[u]]
-                a0 = spare[0] if spare else 0
-                bonus = 10.0 * reward_scale(m) / (1.0 - m.gamma)
-                return {"boost_action": (u, a0, bonus)}
-
-            return AttackPlan(sampler=orphan_sampler, predicate=_has_possible_unreachable, constraints=boost)
-        if kind == "noiseless_cmp_fragments":
-            return AttackPlan(
-                sampler=orphan_sampler,
-                predicate=_has_possible_unreachable,
-                constraints=lambda m, i: {"extreme_possible_sign": _sign(i)},
-            )
-        if kind in _VALUE_KINDS | _SOFT_POLICY_KINDS | _FRAG_VALUE_KINDS:
-            return AttackPlan(sampler=orphan_sampler, predicate=_has_possible_unreachable)
-        return None
-
-    return None
+    sampler = replace(cfg.sampler, **row.sampler)
+    return AttackPlan(sampler, _bind(row.predicate, cfg), _bind(row.constraints, cfg), row.canned)
 
 
-# Sampler nudges for plain invariance checks, so that classes with optional
-# structure (masks over unreachable sets) get exercised on nonempty content.
-def check_sampler(kind: str, cls: str, cfg: CheckConfig) -> SamplerConfig:
-    if cls in ("mask_unreachable", "opt_supported_states"):
-        return replace(cfg.sampler, orphan_prob=max(cfg.sampler.orphan_prob, 0.6))
-    return cfg.sampler
-
-
-def _kind_base_predicate(kind: str, cfg: CheckConfig) -> Callable[[Mdp], bool] | None:
-    res = cfg.resolution
-    if kind in LASSO_KINDS:
-        def ok(m: Mdp) -> bool:
-            prof = _lasso_profile(m, res)
-            if prof is None:
-                return False
-            if kind == "lottery_order":
-                return prof["count"] >= 2
-            return prof["count"] >= 1
-
-        return ok
-    if kind in ("boltzmann_cmp_fragments", "noiseless_cmp_fragments"):
-        return lambda m: _fragments_within_budget(m, res)
-    return None
+def _nudged(cfg: CheckConfig) -> SamplerConfig:
+    """cfg's sampler, carving out unreachable states at least 60% of the time."""
+    return replace(cfg.sampler, orphan_prob=max(cfg.sampler.orphan_prob, 0.6))
 
 
 # ---------------------------------------------------------------------------
@@ -675,9 +594,9 @@ def _run_trials(
     class and plan from plans[i % len(plans)] and its MDP and member from
     seeds derived from (cfg.seed, stream, *key, i).  The MDP is mdp when
     given, else drawn by sample_mdp, or by sample_mdp_where when the plan has
-    a predicate.  A trial is skipped when no MDP meets the predicate, the
-    constraints return None, or the member degenerates to a noted Identity;
-    with preserve given, also when the preserved kind's fingerprint moves.
+    a predicate.  A trial is skipped when no MDP meets the predicate or the
+    member degenerates to a noted Identity; with preserve given, also when
+    the preserved kind's fingerprint moves.
 
     Returns (first witness or None, trials run, trials skipped).
     """
@@ -696,8 +615,6 @@ def _run_trials(
             if m is None:
                 return None
         cons = plan.constraints(m, i) if plan.constraints is not None else {}
-        if cons is None:
-            return None
         t = sample_transform(
             cls, m, derive_seed(cfg.seed, stream, *key, i, "t"),
             magnitude=cfg.magnitude, constraints=cons, params=cfg.params,
@@ -770,9 +687,10 @@ def check_invariance(kind: str, cls: str, cfg: CheckConfig, mdp: Mdp | None = No
     """
     if kind not in KIND_TAGS:
         raise ContractError(f"unknown object kind {kind!r}")
+    # Classes acting on unreachable or unsupported states need orphans to act on.
     plan = AttackPlan(
-        sampler=check_sampler(kind, cls, cfg),
-        predicate=_kind_base_predicate(kind, cfg) if mdp is None else None,
+        sampler=_nudged(cfg) if cls in ("mask_unreachable", "opt_supported_states") else cfg.sampler,
+        predicate=_bind(_BASE_PREDICATES.get(kind), cfg) if mdp is None else None,
     )
     found = _run_trials(kind, cfg, "check", (kind, cls), [(cls, plan)], cfg.trials, mdp)
     return _verdict(kind, cls, found)
@@ -791,7 +709,7 @@ def search_counterexample(
     if kind not in KIND_TAGS:
         raise ContractError(f"unknown object kind {kind!r}")
     plan = attack_plan(kind, cls, cfg) or AttackPlan(sampler=cfg.sampler)
-    plan = replace(plan, predicate=_all_of(plan.predicate, _kind_base_predicate(kind, cfg)))
+    plan = replace(plan, predicate=_all_of(plan.predicate, _bind(_BASE_PREDICATES.get(kind), cfg)))
     found = _run_trials(
         kind, cfg, "search", (kind, cls), [(cls, plan)], cfg.budget, mdp,
         canned=plan.canned if mdp is None else (),
@@ -812,6 +730,9 @@ class RefinementVerdict:
     # "A-equality implies B-equality"), and the mirror witness.
     witness_preserves_a: dict | None
     witness_preserves_b: dict | None
+    # Summed over both directions; reported, never part of the verdict.
+    trials_run: int
+    trials_skipped: int
 
     def to_obj(self) -> dict:
         out = {"kind_a": self.kind_a, "kind_b": self.kind_b, "relation": self.relation}
@@ -831,27 +752,23 @@ CANNED_PRESERVING: dict[str, tuple[Callable[[], tuple[Mdp, TransformSpec]], ...]
 }
 
 
-def _directional_witness(preserve: str, change: str, cfg: CheckConfig) -> dict | None:
+def _directional_witness(preserve: str, change: str, cfg: CheckConfig) -> tuple[dict | None, int, int]:
     """Find a transformation keeping `preserve`'s fingerprint while changing `change`'s.
 
     Trial i tries the i-th class of preserve's roster, cyclically, under the
-    attack plan that class has against change.
+    attack plan that class has against change.  Returns (witness or None,
+    trials run, trials skipped).
     """
-    base_preds = (_kind_base_predicate(preserve, cfg), _kind_base_predicate(change, cfg))
+    base_preds = [_bind(_BASE_PREDICATES.get(k), cfg) for k in (preserve, change)]
     plans = []
     for cls in KIND_ROSTERS[preserve]:
-        plan = attack_plan(change, cls, cfg)
-        if plan is None:
-            sampler = cfg.sampler
-            if cls.startswith("mask_"):
-                sampler = replace(sampler, orphan_prob=max(sampler.orphan_prob, 0.6))
-            plan = AttackPlan(sampler=sampler)
+        plan = attack_plan(change, cls, cfg) or AttackPlan(
+            _nudged(cfg) if cls.startswith("mask_") else cfg.sampler)
         plans.append((cls, replace(plan, predicate=_all_of(plan.predicate, *base_preds))))
-    witness, _, _ = _run_trials(
+    return _run_trials(
         change, cfg, "refine", (preserve, change), plans, cfg.refine_trials,
         canned=CANNED_PRESERVING.get(preserve, ()), preserve=preserve,
     )
-    return witness
 
 
 def refinement_compare(kind_a: str, kind_b: str, cfg: CheckConfig) -> RefinementVerdict:
@@ -864,8 +781,8 @@ def refinement_compare(kind_a: str, kind_b: str, cfg: CheckConfig) -> Refinement
     for k in (kind_a, kind_b):
         if k not in KIND_TAGS:
             raise ContractError(f"unknown object kind {k!r}")
-    w_a = _directional_witness(kind_a, kind_b, cfg)  # preserves A, changes B
-    w_b = _directional_witness(kind_b, kind_a, cfg)  # preserves B, changes A
+    w_a, run_a, skipped_a = _directional_witness(kind_a, kind_b, cfg)  # preserves A, changes B
+    w_b, run_b, skipped_b = _directional_witness(kind_b, kind_a, cfg)  # preserves B, changes A
     if w_a is None and w_b is None:
         relation = RELATION_EQUIVALENT
     elif w_a is None:
@@ -877,6 +794,7 @@ def refinement_compare(kind_a: str, kind_b: str, cfg: CheckConfig) -> Refinement
     return RefinementVerdict(
         kind_a=kind_a, kind_b=kind_b, relation=relation,
         witness_preserves_a=w_a, witness_preserves_b=w_b,
+        trials_run=run_a + run_b, trials_skipped=skipped_a + skipped_b,
     )
 
 

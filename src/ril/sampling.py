@@ -8,7 +8,7 @@ of execution order or thread count, so experiment verdicts are replayable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,7 +119,3 @@ def sample_mdp_where(cfg: SamplerConfig, seed: int, predicate, max_tries: int = 
         if predicate(m):
             return m
     return None
-
-
-def with_overrides(cfg: SamplerConfig, **kwargs) -> SamplerConfig:
-    return replace(cfg, **kwargs)

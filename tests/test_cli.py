@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ril import dump_mdp
+from ril import Resolution, dump_mdp
 from ril.cli import main
 from ril.micro import delayed_reward_chain_mdp, loop_mdp, transfer_mdp, two_action_loop_mdp
 
@@ -141,6 +141,8 @@ def test_check_invariant_cell(tmp_path, capsys):
     assert verdict["trials_run"] == 5
     report = read_json(out / "report.json")
     assert "timings" in report and "config" in report
+    assert report["config"]["resolution"]["enumeration_cap"] == Resolution().enumeration_cap
+    assert "classes" not in report["config"]
     assert "invariant" in capsys.readouterr().out
 
 
@@ -169,6 +171,23 @@ def test_check_rejects_unknown_config_key(tmp_path):
         "check", "--kind", "q_star", "--class", "shaping", "--config", str(cfg),
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"resolution": {"max_fragment_length": 3}},
+        {"classes": ["shaping"]},
+    ],
+)
+def test_check_rejects_config_keys_it_would_ignore(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = main([
+        "check", "--kind", "q_star", "--class", "shaping", "--config", str(cfg),
+    ])
+    assert code == 2
+    assert "unknown" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +229,12 @@ def test_order_pair_incomparable(tmp_path, capsys):
     assert doc["edges"] == []
     assert doc["consistent"] is True
     assert (out / "hasse.dot").read_text().startswith("digraph")
+    # trial counts go to the run report only
+    (pair,) = doc["pairs"].values()
+    assert "trials_run" not in pair
+    (counts,) = read_json(out / "report.json")["verdicts"]["pairs"].values()
+    assert counts["relation"] == pair["relation"]
+    assert counts["trials_run"] > 0 and counts["trials_skipped"] >= 0
 
 
 def test_order_rejects_unknown_kind():

@@ -27,6 +27,7 @@ from ril import (
     replay_witness,
     search_counterexample,
 )
+from ril.invariance import ATTACK_PLANS, PlanRow, attack_plan
 from ril.micro import loop_mdp, return_fan_mdp, two_action_loop_mdp
 
 FAST = CheckConfig(
@@ -36,6 +37,16 @@ FAST = CheckConfig(
     sampler=SamplerConfig(n_states=(2, 4), n_actions=(2, 3), sparsity=0.4, orphan_prob=0.3),
     resolution=Resolution(2, 2, 2),
 )
+
+
+def test_attack_plan_table_keys_and_rows():
+    for (cls, kind), row in ATTACK_PLANS.items():
+        assert cls in CLASS_TAGS and kind in KIND_TAGS
+        # a row that changes nothing would only repeat the plain plan
+        assert row != PlanRow(), (cls, kind)
+    plan = attack_plan("lottery_order", "shaping", FAST)
+    assert plan.sampler == replace(FAST.sampler, min_initial_states=2)
+    assert attack_plan("q_star", "opt_all_states", FAST) is None
 
 
 def test_rosters_cover_every_kind():
@@ -206,6 +217,14 @@ def test_q_kinds_are_equivalent():
     v = refinement_compare("q_policy", "q_star", FAST)
     assert v.relation == RELATION_EQUIVALENT
     assert v.witness_preserves_a is None and v.witness_preserves_b is None
+
+
+def test_refinement_counts_the_trials_of_both_directions():
+    # An equivalent pair finds no witness, so each direction runs to the end.
+    v = refinement_compare("q_policy", "q_star", FAST)
+    assert v.trials_run + v.trials_skipped == 2 * FAST.refine_trials
+    assert v.trials_run > 0
+    assert "trials_run" not in v.to_obj()
 
 
 def test_q_refines_boltzmann_policy():

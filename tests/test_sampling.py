@@ -10,7 +10,6 @@ from ril import (
     sample_mdp,
     sample_mdp_where,
     validate_mdp,
-    with_overrides,
 )
 
 
@@ -63,14 +62,6 @@ def test_orphans_appear_when_requested():
     cfg = SamplerConfig(n_states=(3, 5), orphan_prob=1.0)
     for seed in range(20):
         assert not reachable_state_mask(sample_mdp(cfg, seed=seed)).all()
-
-
-def test_with_overrides():
-    cfg = SamplerConfig()
-    cfg2 = with_overrides(cfg, sparsity=0.1, n_states=(2, 3))
-    assert cfg2.sparsity == 0.1
-    assert cfg2.n_states == (2, 3)
-    assert cfg2.n_actions == cfg.n_actions
 
 
 def test_sampler_config_validation():
