@@ -19,7 +19,6 @@ from .invariance import (
     RELATION_INCOMPARABLE,
     STATUS_COUNTEREXAMPLE,
     STATUS_INVARIANT,
-    STATUS_MIXED,
     STATUS_SKIPPED,
     CheckConfig,
     InvarianceVerdict,

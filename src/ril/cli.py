@@ -1,17 +1,23 @@
 """Command-line experiment runner.
 
-Subcommands: solve, transform, check, table, order, transfer-demo.  Every
-subcommand honors --seed, --trials, --tol, and --out; unknown flags fail
-fast with exit 2 (argparse's convention).  Exit codes: 0 success, 1
+Subcommands: solve, transform, check, table, order, transfer-demo.  Each
+subcommand takes --out and the flags it reads, and no others; an unknown flag
+fails fast with exit 2 (argparse's convention).  Exit codes: 0 success, 1
 directory-table diff, 2 input or configuration error, 3 numerical failure.
+
+check, table and order resolve their settings one way: defaults, then the
+experiment config file (--config), then flags.  Each flag sets the config key
+of its argparse dest.  report.json echoes the resolved settings in the config
+file's shape, less the keys the subcommand does not read, so the echo fed
+back as --config reproduces the run.
 
 All randomness flows from the single experiment seed via per-trial derived
 seeds, so verdict output is a pure function of (config, inputs).  Reports
 split into a deterministic verdict document and a run report that adds
 wall-clock timings, the tool version, and input digests; only the latter
 varies between runs.  The table runs its cells serially unless RIL_THREADS
-or --threads asks for a worker pool: the work holds the GIL, so threads
-add memory and overhead without speed.
+asks for a worker pool: the work holds the GIL, so threads add memory and
+overhead without speed.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -38,8 +45,7 @@ from .invariance import (
 )
 from .mdp import Mdp, load_mdp, make_mdp, mdp_to_obj, with_reward
 from .micro import transfer_mdp, transfer_target
-from .objects import KIND_TAGS, Resolution
-from .sampling import SamplerConfig
+from .objects import KIND_TAGS
 from .solvers import (
     SolverParams,
     boltzmann_rational_policy,
@@ -52,12 +58,7 @@ from .solvers import (
     soft_q,
     uniform_policy,
 )
-from .table import (
-    default_thread_count,
-    render_table,
-    reproduce_directory_table,
-    table_check_config,
-)
+from .table import render_table, reproduce_directory_table, table_check_config
 from .transforms import (
     CLASS_TAGS,
     TransferTarget,
@@ -68,7 +69,16 @@ from .transforms import (
     transform_to_obj,
 )
 
-DEFAULT_SEED = 20250817
+DEFAULT_SEED = CheckConfig().seed
+
+# Top-level config keys: the fields of CheckConfig, with `beta` standing for
+# `params.beta`, and the two settings that live outside it.
+CONFIG_KEYS = frozenset(f.name for f in fields(CheckConfig) if f.name != "params") | {
+    "beta", "kinds", "out_dir",
+}
+# The config keys each experiment subcommand does not read.
+CHECK_UNREAD = ("kinds", "refine_trials")
+ORDER_UNREAD = ("trials", "budget")
 
 
 @dataclass(frozen=True)
@@ -79,7 +89,6 @@ class ExperimentConfig:
     # The kind roster of `ril order`; the other subcommands ignore it.
     kinds: tuple[str, ...] = KIND_TAGS
     out_dir: str | None = None
-    threads: int | None = None
 
     def __post_init__(self):
         bad = [k for k in self.kinds if k not in KIND_TAGS]
@@ -88,37 +97,14 @@ class ExperimentConfig:
         if not self.kinds:
             raise ContractError("the kind roster must be non-empty")
 
-    def echo(self) -> dict:
-        c = self.check
-        s = c.sampler
-        r = c.resolution
-        return {
-            "seed": c.seed,
-            "trials": c.trials,
-            "budget": c.budget,
-            "refine_trials": c.refine_trials,
-            "tol_rel": c.tol_rel,
-            "magnitude": c.magnitude,
-            "beta": c.params.beta,
-            "resolution": {
-                "max_fragment_len": r.max_fragment_len,
-                "lasso_prefix_cap": r.lasso_prefix_cap,
-                "lasso_cycle_cap": r.lasso_cycle_cap,
-                "enumeration_cap": r.enumeration_cap,
-            },
-            "sampler": {
-                "n_states": list(s.n_states),
-                "n_actions": list(s.n_actions),
-                "gammas": list(s.gammas),
-                "sparsity": s.sparsity,
-                "orphan_prob": s.orphan_prob,
-                "reward_low": s.reward_low,
-                "reward_high": s.reward_high,
-                "min_initial_states": s.min_initial_states,
-                "max_initial_states": s.max_initial_states,
-            },
-            "kinds": list(self.kinds),
-        }
+    def echo(self, unread: tuple[str, ...]) -> dict:
+        """The settings as a config document, less the keys in `unread`."""
+        doc = asdict(self.check)
+        doc["beta"] = doc.pop("params")["beta"]
+        doc["kinds"] = list(self.kinds)
+        for key in unread:
+            del doc[key]
+        return doc
 
 
 def _load_json(path: str):
@@ -136,6 +122,16 @@ def _write_out(out_dir: str | None, name: str, text: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, name), "w") as fh:
         fh.write(text)
+
+
+def _emit(out_dir: str | None, name: str, obj) -> None:
+    """Write `obj` as JSON to stdout, or to `out_dir`/`name` and say so."""
+    text = _dump_json(obj)
+    if out_dir is None:
+        sys.stdout.write(text)
+    else:
+        _write_out(out_dir, name, text)
+        print(f"wrote {os.path.join(out_dir, name)}")
 
 
 def _digest(path: str) -> str:
@@ -159,100 +155,56 @@ def _run_report(config_echo: dict, verdicts: dict, timings: dict, digests: dict)
     }
 
 
+def _coerce(tp, value):
+    """`value` as a leaf field of type `tp`: a tuple, an optional number or a number."""
+    if get_origin(tp) is tuple:
+        return tuple(value)
+    if get_args(tp):  # `int | None`
+        return None if value is None else get_args(tp)[0](value)
+    return tp(value)
+
+
+def _merge(obj, doc, what: str):
+    """`obj` with the fields that `doc` sets, each coerced to its field's type."""
+    if not isinstance(doc, dict):
+        raise ContractError(f"{what} must hold a JSON object")
+    types = get_type_hints(type(obj))
+    unknown = set(doc) - set(types)
+    if unknown:
+        raise ContractError(f"unknown {what} keys: {sorted(unknown)}")
+    changes = {}
+    for key, value in doc.items():
+        current = getattr(obj, key)
+        if is_dataclass(current):
+            changes[key] = _merge(current, value, key)
+            continue
+        try:
+            changes[key] = _coerce(types[key], value)
+        except (TypeError, ValueError) as exc:
+            raise ContractError(f"bad {what} value for {key!r}: {exc}") from exc
+    return replace(obj, **changes)
+
+
 def experiment_config(args, base: CheckConfig | None = None) -> ExperimentConfig:
     """Merge config-file settings and command-line overrides over defaults."""
-    cfg = base if base is not None else CheckConfig(seed=DEFAULT_SEED)
-    kinds = KIND_TAGS
-    out_dir = None
-    threads = None
-
-    file_cfg = {}
+    doc = {}
     if getattr(args, "config", None):
-        file_cfg = _load_json(args.config)
-        if not isinstance(file_cfg, dict):
+        doc = _load_json(args.config)
+        if not isinstance(doc, dict):
             raise ContractError("config file must hold a JSON object")
-    unknown = set(file_cfg) - {
-        "seed", "trials", "budget", "refine_trials", "tol_rel", "magnitude", "beta",
-        "resolution", "sampler", "kinds", "out_dir", "threads",
-    }
-    if unknown:
-        raise ContractError(f"unknown config keys: {sorted(unknown)}")
-
-    res = cfg.resolution
-    if "resolution" in file_cfg:
-        r = file_cfg["resolution"]
-        unknown = set(r) - {"max_fragment_len", "lasso_prefix_cap", "lasso_cycle_cap", "enumeration_cap"}
+        unknown = set(doc) - CONFIG_KEYS
         if unknown:
-            raise ContractError(f"unknown resolution keys: {sorted(unknown)}")
-        res = Resolution(
-            max_fragment_len=int(r.get("max_fragment_len", res.max_fragment_len)),
-            lasso_prefix_cap=int(r.get("lasso_prefix_cap", res.lasso_prefix_cap)),
-            lasso_cycle_cap=int(r.get("lasso_cycle_cap", res.lasso_cycle_cap)),
-            enumeration_cap=int(r.get("enumeration_cap", res.enumeration_cap)),
-        )
-    smp = cfg.sampler
-    if "sampler" in file_cfg:
-        s = file_cfg["sampler"]
-        unknown = set(s) - {
-            "n_states", "n_actions", "gammas", "sparsity", "orphan_prob",
-            "reward_low", "reward_high", "min_initial_states", "max_initial_states",
-        }
-        if unknown:
-            raise ContractError(f"unknown sampler keys: {sorted(unknown)}")
-        smp = SamplerConfig(
-            n_states=tuple(s.get("n_states", smp.n_states)),
-            n_actions=tuple(s.get("n_actions", smp.n_actions)),
-            gammas=tuple(s.get("gammas", smp.gammas)),
-            sparsity=float(s.get("sparsity", smp.sparsity)),
-            orphan_prob=float(s.get("orphan_prob", smp.orphan_prob)),
-            reward_low=float(s.get("reward_low", smp.reward_low)),
-            reward_high=float(s.get("reward_high", smp.reward_high)),
-            min_initial_states=int(s.get("min_initial_states", smp.min_initial_states)),
-            max_initial_states=(
-                None if s.get("max_initial_states") is None else int(s["max_initial_states"])
-            ),
-        )
-    params = cfg.params
-    if "beta" in file_cfg:
-        params = SolverParams(
-            beta=float(file_cfg["beta"]), epsilon=params.epsilon, max_iters=params.max_iters
-        )
-    cfg = CheckConfig(
-        seed=int(file_cfg.get("seed", cfg.seed)),
-        trials=int(file_cfg.get("trials", cfg.trials)),
-        budget=int(file_cfg.get("budget", cfg.budget)),
-        refine_trials=int(file_cfg.get("refine_trials", cfg.refine_trials)),
-        tol_rel=float(file_cfg.get("tol_rel", cfg.tol_rel)),
-        magnitude=float(file_cfg.get("magnitude", cfg.magnitude)),
-        resolution=res,
-        params=params,
-        sampler=smp,
+            raise ContractError(f"unknown config keys: {sorted(unknown)}")
+    # Command-line flags override the file.
+    doc.update((k, v) for k, v in vars(args).items() if k in CONFIG_KEYS and v is not None)
+    tree = {k: v for k, v in doc.items() if k not in ("beta", "kinds", "out_dir")}
+    if "beta" in doc:
+        tree["params"] = {"beta": doc["beta"]}
+    return ExperimentConfig(
+        check=_merge(base or CheckConfig(), tree, "config"),
+        kinds=tuple(doc.get("kinds", KIND_TAGS)),
+        out_dir=doc.get("out_dir"),
     )
-    if "kinds" in file_cfg:
-        kinds = tuple(file_cfg["kinds"])
-    out_dir = file_cfg.get("out_dir")
-    threads = file_cfg.get("threads")
-
-    # Command-line flags override the config file.
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "trials", None) is not None:
-        cfg = replace(cfg, trials=args.trials)
-    if getattr(args, "budget", None) is not None:
-        cfg = replace(cfg, budget=args.budget)
-    if getattr(args, "tol", None) is not None:
-        cfg = replace(cfg, tol_rel=args.tol)
-    if getattr(args, "kinds", None):
-        kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-    if getattr(args, "out", None) is not None:
-        out_dir = args.out
-    if getattr(args, "threads", None) is not None:
-        threads = args.threads
-    if threads is not None:
-        threads = int(threads)
-        if threads < 1:
-            raise ContractError("threads must be at least 1")
-    return ExperimentConfig(check=cfg, kinds=kinds, out_dir=out_dir, threads=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +217,7 @@ def _policy_obj(policy) -> list:
 
 def cmd_solve(args) -> int:
     m = load_mdp(args.mdp)
-    params = SolverParams(
-        beta=args.beta,
-        epsilon=args.tol if args.tol is not None else 1e-11,
-        max_iters=args.max_iters,
-    )
+    params = SolverParams(beta=args.beta, epsilon=args.tol, max_iters=args.max_iters)
     uniform = uniform_policy(m)
     t_uniform = policy_q(m, uniform)
     t_star = optimal_q(m, params)
@@ -305,12 +253,7 @@ def cmd_solve(args) -> int:
             "maximally_supportive_optimal": policy_value(m, pi_support),
         },
     }
-    text = _dump_json(out)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _write_out(args.out, "solve.json", text)
-        print(f"wrote {os.path.join(args.out, 'solve.json')}")
+    _emit(args.out_dir, "solve.json", out)
     return 0
 
 
@@ -321,9 +264,8 @@ def cmd_transform(args) -> int:
     else:
         if args.transform_class is None:
             raise ContractError("transform requires --class or --transform")
-        seed = args.seed if args.seed is not None else DEFAULT_SEED
         t = sample_transform(
-            args.transform_class, m, seed, magnitude=args.magnitude,
+            args.transform_class, m, args.seed, magnitude=args.magnitude,
             params=SolverParams(beta=args.beta),
         )
     r2 = apply_transform(m, t)
@@ -333,12 +275,7 @@ def cmd_transform(args) -> int:
         "mdp": mdp_to_obj(m),
         "transformed_mdp": mdp_to_obj(m2),
     }
-    text = _dump_json(out)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _write_out(args.out, "transform.json", text)
-        print(f"wrote {os.path.join(args.out, 'transform.json')}")
+    _emit(args.out_dir, "transform.json", out)
     return 0
 
 
@@ -357,8 +294,8 @@ def cmd_check(args) -> int:
     elapsed = time.perf_counter() - t0
     verdict_obj = verdict.to_obj()
     report = _run_report(
-        exp.echo(), verdict_obj, {"check": round(elapsed, 6)},
-        _input_digests({"mdp": args.mdp, "config": getattr(args, "config", None)}),
+        exp.echo(CHECK_UNREAD), verdict_obj, {"check": round(elapsed, 6)},
+        _input_digests({"mdp": args.mdp, "config": args.config}),
     )
     _write_out(exp.out_dir, "check_verdict.json", _dump_json(verdict_obj))
     _write_out(exp.out_dir, "report.json", _dump_json(report))
@@ -374,14 +311,11 @@ def cmd_check(args) -> int:
 
 def cmd_table(args) -> int:
     exp = experiment_config(args, base=table_check_config())
-    threads = exp.threads if exp.threads is not None else default_thread_count()
-    report = reproduce_directory_table(exp.check, threads=threads)
+    report = reproduce_directory_table(exp.check)
     verdicts = report.verdicts_obj()
     run = _run_report(
-        exp.echo(),
-        verdicts,
-        report.report_obj()["timings"],
-        _input_digests({"config": getattr(args, "config", None)}),
+        exp.echo(CHECK_UNREAD), verdicts, report.report_obj()["timings"],
+        _input_digests({"config": args.config}),
     )
     _write_out(exp.out_dir, "verdicts.json", _dump_json(verdicts))
     _write_out(exp.out_dir, "report.json", _dump_json(run))
@@ -403,9 +337,9 @@ def cmd_order(args) -> int:
     order_obj = order.to_obj(include_witnesses=True)
     dot = order_to_dot(order)
     run = _run_report(
-        exp.echo(), order.to_obj(include_witnesses=False),
+        exp.echo(ORDER_UNREAD), order.to_obj(include_witnesses=False),
         {"order": round(elapsed, 6)},
-        _input_digests({"config": getattr(args, "config", None)}),
+        _input_digests({"config": args.config}),
     )
     _write_out(exp.out_dir, "order.json", _dump_json(order_obj))
     _write_out(exp.out_dir, "hasse.dot", dot + "\n")
@@ -430,7 +364,6 @@ def _load_transfer_inputs(args) -> tuple[Mdp, TransferTarget]:
 
 def cmd_transfer_demo(args) -> int:
     m, target = _load_transfer_inputs(args)
-    tol = args.tol if args.tol is not None else 1e-10
     r2 = transfer_redistribution(m, target)
     m_new_r1 = make_mdp(
         states=m.states, actions=m.actions, tau=target.tau_prime,
@@ -464,9 +397,9 @@ def cmd_transfer_demo(args) -> int:
         "requirements": [
             [None if math.isnan(v) else v for v in row] for row in np.asarray(target.L).tolist()
         ],
-        "expectation_preserved_under_old_dynamics": max_keep_err <= tol,
+        "expectation_preserved_under_old_dynamics": max_keep_err <= args.tol,
         "max_old_expectation_error": max_keep_err,
-        "requirements_met_under_new_dynamics": max_l_err <= tol,
+        "requirements_met_under_new_dynamics": max_l_err <= args.tol,
         "max_requirement_error": max_l_err,
         "optimal_sets_under_new_dynamics_before": [
             [m.actions[a] for a in acts] for acts in sets_before
@@ -476,16 +409,9 @@ def cmd_transfer_demo(args) -> int:
         ],
         "optimal_set_flips": flips,
     }
-    text = _dump_json(out)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _write_out(args.out, "transfer_demo.json", text)
-        print(f"wrote {os.path.join(args.out, 'transfer_demo.json')}")
-    if not (max_keep_err <= tol and max_l_err <= tol):
-        print(
-            f"expectation identities exceeded tolerance {tol}", file=sys.stderr
-        )
+    _emit(args.out_dir, "transfer_demo.json", out)
+    if not (max_keep_err <= args.tol and max_l_err <= args.tol):
+        print(f"expectation identities exceeded tolerance {args.tol}", file=sys.stderr)
         return 3
     return 0
 
@@ -494,12 +420,13 @@ def cmd_transfer_demo(args) -> int:
 # Parser
 
 
+def _roster(text: str) -> list[str]:
+    return [k.strip() for k in text.split(",") if k.strip()]
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="experiment seed")
-    common.add_argument("--trials", type=int, default=None, help="trials per check")
-    common.add_argument("--tol", type=float, default=None, help="relative tolerance")
-    common.add_argument("--out", type=str, default=None, help="output directory")
+    common.add_argument("--out", dest="out_dir", default=None, help="output directory")
 
     parser = argparse.ArgumentParser(
         prog="ril",
@@ -510,42 +437,54 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", parents=[common], help="solve one MDP's value tables and policies")
     p.add_argument("--mdp", required=True, help="MDP JSON file")
-    p.add_argument("--beta", type=float, default=1.0, help="inverse temperature")
-    p.add_argument("--max-iters", type=int, default=100_000, help="improvement-step budget of the solvers")
+    p.add_argument("--beta", type=float, default=SolverParams.beta, help="inverse temperature")
+    p.add_argument("--tol", type=float, default=SolverParams.epsilon, help="value-error target of the solvers")
+    p.add_argument("--max-iters", type=int, default=SolverParams.max_iters, help="improvement-step budget of the solvers")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("transform", parents=[common], help="apply or sample a reward transformation")
     p.add_argument("--mdp", required=True, help="MDP JSON file")
     p.add_argument("--class", dest="transform_class", default=None, help="transformation class tag")
     p.add_argument("--transform", default=None, help="transformation JSON file to apply")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed")
     p.add_argument("--magnitude", type=float, default=1.0, help="sampling magnitude")
-    p.add_argument("--beta", type=float, default=1.0, help="inverse temperature")
+    p.add_argument("--beta", type=float, default=SolverParams.beta, help="inverse temperature")
     p.set_defaults(func=cmd_transform)
 
+    # The experiment subcommands' flags default to None, so that only the
+    # flags given override the config file; each dest is a config key.
     p = sub.add_parser("check", parents=[common], help="invariance check or counterexample search for one cell")
     p.add_argument("--kind", required=True, help="object kind tag")
     p.add_argument("--class", dest="transform_class", required=True, help="transformation class tag")
     p.add_argument("--search", action="store_true", help="directed counterexample search")
     p.add_argument("--mdp", default=None, help="fixed MDP JSON file (otherwise sampled)")
-    p.add_argument("--budget", type=int, default=None, help="search budget")
     p.add_argument("--config", default=None, help="experiment config JSON")
+    p.add_argument("--seed", type=int, default=None, help="experiment seed")
+    p.add_argument("--trials", type=int, default=None, help="trials per check")
+    p.add_argument("--budget", type=int, default=None, help="search budget")
+    p.add_argument("--tol", dest="tol_rel", type=float, default=None, help="relative tolerance")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("table", parents=[common], help="reproduce the invariance directory")
     p.add_argument("--config", default=None, help="experiment config JSON")
+    p.add_argument("--seed", type=int, default=None, help="experiment seed")
+    p.add_argument("--trials", type=int, default=None, help="trials per checked cell")
     p.add_argument("--budget", type=int, default=None, help="search budget per cell")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default RIL_THREADS, else 1)")
+    p.add_argument("--tol", dest="tol_rel", type=float, default=None, help="relative tolerance")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("order", parents=[common], help="build the ambiguity-refinement diagram")
     p.add_argument("--config", default=None, help="experiment config JSON")
-    p.add_argument("--kinds", default=None, help="comma-separated kind roster")
+    p.add_argument("--seed", type=int, default=None, help="experiment seed")
+    p.add_argument("--tol", dest="tol_rel", type=float, default=None, help="relative tolerance")
+    p.add_argument("--kinds", type=_roster, default=None, help="comma-separated kind roster")
     p.set_defaults(func=cmd_order)
 
     p = sub.add_parser("transfer-demo", parents=[common], help="reward transfer to changed dynamics")
     p.add_argument("--mdp", default=None, help="MDP JSON file")
     p.add_argument("--tau-prime", dest="tau_prime", default=None, help="new dynamics JSON file")
     p.add_argument("--l", dest="l_file", default=None, help="expected-reward requirements JSON file")
+    p.add_argument("--tol", type=float, default=1e-10, help="tolerance of the expectation identities")
     p.set_defaults(func=cmd_transfer_demo)
     return parser
 

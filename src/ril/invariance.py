@@ -79,7 +79,6 @@ from .transforms import (
 STATUS_INVARIANT = "invariant"
 STATUS_COUNTEREXAMPLE = "counterexample_found"
 STATUS_SKIPPED = "skipped"
-STATUS_MIXED = "mixed"
 
 RELATION_EQUIVALENT = "equivalent"
 RELATION_A_REFINES_B = "a_refines_b"

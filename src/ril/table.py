@@ -245,7 +245,7 @@ def render_table(report: TableReport, show_expected: bool = False) -> str:
     return "\n".join(lines)
 
 
-def table_check_config(seed: int = 20250817, trials: int = 100, budget: int = 100) -> CheckConfig:
+def table_check_config(seed: int = CheckConfig().seed, trials: int = 100, budget: int = 100) -> CheckConfig:
     """Configuration sized for the full directory run (small, fast MDPs)."""
     from .objects import Resolution
     from .sampling import SamplerConfig

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ril import Resolution, dump_mdp
-from ril.cli import main
+from ril.cli import build_parser, experiment_config, main
+from ril.table import table_check_config
 from ril.micro import delayed_reward_chain_mdp, loop_mdp, transfer_mdp, two_action_loop_mdp
 
 
@@ -82,6 +83,26 @@ def test_unknown_flag_exits_2(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--mdp", "mdp.json", "--seed", "1"],
+        ["solve", "--mdp", "mdp.json", "--trials", "1"],
+        ["transform", "--mdp", "mdp.json", "--trials", "1"],
+        ["transform", "--mdp", "mdp.json", "--tol", "1e-6"],
+        ["order", "--trials", "1"],
+        ["transfer-demo", "--seed", "1"],
+        ["transfer-demo", "--trials", "1"],
+        ["table", "--threads", "2"],
+    ],
+)
+def test_flags_a_subcommand_does_not_read_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_missing_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -142,7 +163,11 @@ def test_check_invariant_cell(tmp_path, capsys):
     report = read_json(out / "report.json")
     assert "timings" in report and "config" in report
     assert report["config"]["resolution"]["enumeration_cap"] == Resolution().enumeration_cap
+    assert report["config"]["trials"] == 5
+    # the echo holds only the settings a check reads
     assert "classes" not in report["config"]
+    assert "kinds" not in report["config"]
+    assert "refine_trials" not in report["config"]
     assert "invariant" in capsys.readouterr().out
 
 
@@ -178,6 +203,8 @@ def test_check_rejects_unknown_config_key(tmp_path):
     [
         {"resolution": {"max_fragment_length": 3}},
         {"classes": ["shaping"]},
+        {"threads": 2},
+        {"params": {"beta": 2.0}},
     ],
 )
 def test_check_rejects_config_keys_it_would_ignore(tmp_path, capsys, config):
@@ -188,6 +215,55 @@ def test_check_rejects_config_keys_it_would_ignore(tmp_path, capsys, config):
     ])
     assert code == 2
     assert "unknown" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"trials": "many"},
+        {"sampler": {"n_states": 3}},
+        {"sampler": [2, 4]},
+    ],
+)
+def test_check_rejects_config_values_of_the_wrong_type(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = main([
+        "check", "--kind", "q_star", "--class", "shaping", "--config", str(cfg),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("mode", [[], ["--search", "--budget", "6"]])
+def test_check_echo_fed_back_reproduces_the_verdict(tmp_path, capsys, mode):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"beta": 2.0, "sampler": {"n_states": [2, 3]}}))
+    cell = ["check", "--kind", "boltzmann_policy", "--class", "positive_scaling"] + mode
+    first = tmp_path / "first"
+    assert main(cell + [
+        "--config", str(cfg), "--seed", "9", "--trials", "4", "--tol", "1e-7", "--out", str(first),
+    ]) == 0
+    echo = tmp_path / "echo.json"
+    echo.write_text(json.dumps(read_json(first / "report.json")["config"]))
+    again = tmp_path / "again"
+    assert main(cell + ["--config", str(echo), "--out", str(again)]) == 0
+    assert (again / "check_verdict.json").read_bytes() == (first / "check_verdict.json").read_bytes()
+
+
+def test_config_echo_is_the_inverse_of_the_merge(tmp_path):
+    def resolve(doc, base=None):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        return experiment_config(build_parser().parse_args(["order", "--config", str(path)]), base)
+
+    first = resolve({
+        "seed": 5, "trials": 7.0, "beta": 2.0, "kinds": ["q_star", "q_soft"],
+        "resolution": {"lasso_cycle_cap": 1}, "sampler": {"n_states": [2, 3], "max_initial_states": 2},
+    })
+    assert first.check.trials == 7 and first.check.sampler.n_states == (2, 3)
+    # every key is echoed, so the base under the echo no longer matters
+    assert resolve(first.echo(()), base=table_check_config()) == first
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +296,7 @@ def test_table_small_run_and_determinism(tmp_path, capsys):
 def test_order_pair_incomparable(tmp_path, capsys):
     out = tmp_path / "order"
     code = main([
-        "order", "--kinds", "q_star,return_trajectories",
-        "--trials", "6", "--out", str(out),
+        "order", "--kinds", "q_star,return_trajectories", "--out", str(out),
     ])
     assert code == 0
     doc = read_json(out / "order.json")
@@ -232,9 +307,14 @@ def test_order_pair_incomparable(tmp_path, capsys):
     # trial counts go to the run report only
     (pair,) = doc["pairs"].values()
     assert "trials_run" not in pair
-    (counts,) = read_json(out / "report.json")["verdicts"]["pairs"].values()
+    report = read_json(out / "report.json")
+    (counts,) = report["verdicts"]["pairs"].values()
     assert counts["relation"] == pair["relation"]
     assert counts["trials_run"] > 0 and counts["trials_skipped"] >= 0
+    # the echo holds only the settings refinement reads
+    assert report["config"]["kinds"] == ["q_star", "return_trajectories"]
+    assert "refine_trials" in report["config"]
+    assert "trials" not in report["config"] and "budget" not in report["config"]
 
 
 def test_order_rejects_unknown_kind():
