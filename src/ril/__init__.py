@@ -104,7 +104,6 @@ from .solvers import (
 from .table import (
     MARK_SYMBOLS,
     TableReport,
-    default_thread_count,
     expected_marks,
     render_table,
     reproduce_directory_table,

@@ -15,9 +15,7 @@ All randomness flows from the single experiment seed via per-trial derived
 seeds, so verdict output is a pure function of (config, inputs).  Reports
 split into a deterministic verdict document and a run report that adds
 wall-clock timings, the tool version, and input digests; only the latter
-varies between runs.  The table runs its cells serially unless RIL_THREADS
-asks for a worker pool: the work holds the GIL, so threads add memory and
-overhead without speed.
+varies between runs.  The table runs its cells serially, in one thread.
 """
 
 from __future__ import annotations
@@ -200,10 +198,13 @@ def experiment_config(args, base: CheckConfig | None = None) -> ExperimentConfig
     tree = {k: v for k, v in doc.items() if k not in ("beta", "kinds", "out_dir")}
     if "beta" in doc:
         tree["params"] = {"beta": doc["beta"]}
+    kinds, out_dir = doc.get("kinds", KIND_TAGS), doc.get("out_dir")
+    if not isinstance(kinds, (list, tuple)):
+        raise ContractError(f"bad config value for 'kinds': expected a list, got {kinds!r}")
+    if not isinstance(out_dir, (str, type(None))):
+        raise ContractError(f"bad config value for 'out_dir': expected a string, got {out_dir!r}")
     return ExperimentConfig(
-        check=_merge(base or CheckConfig(), tree, "config"),
-        kinds=tuple(doc.get("kinds", KIND_TAGS)),
-        out_dir=doc.get("out_dir"),
+        check=_merge(base or CheckConfig(), tree, "config"), kinds=tuple(kinds), out_dir=out_dir
     )
 
 

@@ -553,8 +553,8 @@ def replay_witness(obj: dict) -> dict:
         lasso_prefix_cap=int(obj["resolution"]["lasso_prefix_cap"]),
         lasso_cycle_cap=int(obj["resolution"]["lasso_cycle_cap"]),
     )
-    params = SolverParams(beta=float(obj.get("beta", 1.0)))
-    tol_rel = float(obj.get("tol_rel", 1e-8))
+    params = SolverParams(beta=float(obj.get("beta", SolverParams.beta)))
+    tol_rel = float(obj.get("tol_rel", CheckConfig.tol_rel))
     m2 = with_reward(m, apply_transform(m, t))
     fp1 = fingerprint(m, obj["kind"], res, params)
     fp2 = fingerprint(m2, obj["kind"], res, params)

@@ -35,7 +35,6 @@ Payload layouts by kind tag:
 from __future__ import annotations
 
 import math
-import threading
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -58,6 +57,7 @@ from .solvers import (
     uniform_policy,
 )
 from .trajectories import (
+    DEFAULT_ENUMERATION_CAP,
     Fragment,
     Fragments,
     LassoTrajectory,
@@ -129,7 +129,7 @@ class Resolution:
     max_fragment_len: int = 2
     lasso_prefix_cap: int = 3
     lasso_cycle_cap: int = 3
-    enumeration_cap: int = 50_000
+    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 
 
 @dataclass(frozen=True)
@@ -340,21 +340,17 @@ def _distribution_payload(m: Mdp, policy: Policy, relevant: np.ndarray) -> np.nd
 # enumerate the MDP they accept just before it is fingerprinted.
 _RECENT_BASES = 8
 _recent_bases: OrderedDict = OrderedDict()
-_recent_lock = threading.Lock()
 
 
 def _recent_basis(kind: str, m: Mdp, resolution: Resolution, enumerate_basis):
     key = (kind, resolution, m.tau.shape, (m.tau > 0.0).tobytes(), (m.mu0 > 0.0).tobytes())
-    with _recent_lock:
-        basis = _recent_bases.get(key)
-        if basis is not None:
-            _recent_bases.move_to_end(key)
-            return basis
-    basis = enumerate_basis()
-    with _recent_lock:
-        _recent_bases[key] = basis
-        while len(_recent_bases) > _RECENT_BASES:
-            _recent_bases.popitem(last=False)
+    basis = _recent_bases.get(key)
+    if basis is not None:
+        _recent_bases.move_to_end(key)
+        return basis
+    basis = _recent_bases[key] = enumerate_basis()
+    while len(_recent_bases) > _RECENT_BASES:
+        _recent_bases.popitem(last=False)
     return basis
 
 

@@ -3,7 +3,7 @@
 Every random draw in the package flows through numpy Generators seeded by
 `derive_seed`, which hashes a root seed together with string/int components
 via numpy's SeedSequence.  Identical inputs give identical streams regardless
-of execution order or thread count, so experiment verdicts are replayable.
+of execution order, so experiment verdicts are replayable.
 """
 
 from __future__ import annotations

@@ -15,17 +15,16 @@ package (data/expected_marks.json):
 
 reproduce_directory_table runs the matching experiment per cell (invariance
 checking for inv marks, directed counterexample search for not marks) and
-compares outcomes to the expected marks.  Cell experiments derive their
-random streams from (seed, kind, class) alone, so verdicts are identical
-for any thread count; wall-clock timings live in a separate report section.
+compares outcomes to the expected marks.  Cells run serially, in roster
+order, in one thread.  Cell experiments derive their random streams from
+(seed, kind, class) alone, so each cell's verdict is the same in any run
+order; wall-clock timings live in a separate report section.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -66,16 +65,7 @@ def expected_marks() -> dict:
 
 
 def default_thread_count() -> int:
-    """RIL_THREADS when set, else 1: cells hold the GIL, so a pool only adds cost."""
-    raw = os.environ.get("RIL_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ContractError(f"RIL_THREADS must be an integer, got {raw!r}") from exc
-        if n < 1:
-            raise ContractError("RIL_THREADS must be at least 1")
-        return n
+    """The table's worker count: always 1, since its cells run in one thread."""
     return 1
 
 
@@ -122,7 +112,7 @@ class TableReport:
         return [c for c in self.cells if not c.reproduced]
 
     def verdicts_obj(self) -> dict:
-        """Deterministic outcome record: independent of threads and timing."""
+        """Deterministic outcome record: independent of cell order and timing."""
         cells: dict[str, dict[str, dict]] = {}
         for c in self.cells:
             cells.setdefault(c.kind, {})[c.transform_class] = c.verdict_obj()
@@ -183,34 +173,18 @@ def _run_cell(kind: str, cls: str, expected: str, cfg: CheckConfig) -> CellResul
     )
 
 
-def reproduce_directory_table(cfg: CheckConfig, threads: int | None = None) -> TableReport:
-    """Run every directory cell and compare against the expected marks.
-
-    Cells run serially, or in a pool of `threads` workers when above one; the
-    outcome of each depends only on (cfg, kind, class), so reports agree
-    cell-for-cell across thread counts.
-    """
+def reproduce_directory_table(cfg: CheckConfig) -> TableReport:
+    """Run every directory cell, in roster order, against the expected marks."""
     marks = expected_marks()["marks"]
-    jobs = [
-        (kind, cls, marks[kind][j])
+    cells = tuple(
+        _run_cell(kind, cls, marks[kind][j], cfg)
         for kind in KIND_TAGS
         for j, cls in enumerate(CLASS_TAGS)
-    ]
-    n = default_thread_count() if threads is None else threads
-    if n < 1:
-        raise ContractError("thread count must be at least 1")
-    if n == 1:
-        results = [_run_cell(k, c, e, cfg) for k, c, e in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            futures = [pool.submit(_run_cell, k, c, e, cfg) for k, c, e in jobs]
-            results = [f.result() for f in futures]
-    return TableReport(
-        cells=tuple(results), seed=cfg.seed, trials=cfg.trials, budget=cfg.budget
     )
+    return TableReport(cells=cells, seed=cfg.seed, trials=cfg.trials, budget=cfg.budget)
 
 
-def render_table(report: TableReport, show_expected: bool = False) -> str:
+def render_table(report: TableReport) -> str:
     """ASCII rendering of the directory; '!' flags a non-reproduced cell."""
     col_heads = [f"T{j + 1}" for j in range(len(CLASS_TAGS))]
     by_cell = {(c.kind, c.transform_class): c for c in report.cells}
@@ -225,9 +199,7 @@ def render_table(report: TableReport, show_expected: bool = False) -> str:
         row = [kind.ljust(name_w)]
         for cls in CLASS_TAGS:
             c = by_cell[(kind, cls)]
-            mark = MARK_SYMBOLS[c.expected] if show_expected else MARK_SYMBOLS.get(
-                c.observed, c.observed
-            )
+            mark = MARK_SYMBOLS.get(c.observed, c.observed)
             if not c.reproduced:
                 mark += "!"
             row.append(mark.ljust(cell_w))

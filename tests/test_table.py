@@ -1,16 +1,11 @@
 """Expected-marks data sanity and directory-table reproduction mechanics."""
 
 import json
-import os
-
-import pytest
 
 from ril import (
     CLASS_TAGS,
-    ContractError,
     KIND_TAGS,
     MARK_SYMBOLS,
-    default_thread_count,
     expected_marks,
     render_table,
     reproduce_directory_table,
@@ -65,22 +60,9 @@ def test_expected_marks_value_rows_agree():
     assert marks["return_fragments"] == marks["boltzmann_cmp_fragments"]
 
 
-def test_default_thread_count_env(monkeypatch):
-    monkeypatch.setenv("RIL_THREADS", "3")
-    assert default_thread_count() == 3
-    monkeypatch.setenv("RIL_THREADS", "0")
-    with pytest.raises(ContractError):
-        default_thread_count()
-    monkeypatch.setenv("RIL_THREADS", "lots")
-    with pytest.raises(ContractError):
-        default_thread_count()
-    monkeypatch.delenv("RIL_THREADS")
-    assert default_thread_count() == 1
-
-
 def test_small_table_run_reproduces_and_serializes():
     cfg = table_check_config(trials=4, budget=80)
-    report = reproduce_directory_table(cfg, threads=4)
+    report = reproduce_directory_table(cfg)
     assert len(report.cells) == len(KIND_TAGS) * len(CLASS_TAGS)
     assert report.all_reproduced, [
         (c.kind, c.transform_class, c.expected, c.observed) for c in report.mismatches()
@@ -99,9 +81,3 @@ def test_small_table_run_reproduces_and_serializes():
     assert rendered.count("\n") >= len(KIND_TAGS)
     assert "all cells reproduced" in rendered
 
-
-def test_table_verdicts_independent_of_threads():
-    cfg = table_check_config(trials=3, budget=80)
-    a = reproduce_directory_table(cfg, threads=1).verdicts_obj()
-    b = reproduce_directory_table(cfg, threads=5).verdicts_obj()
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)

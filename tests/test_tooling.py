@@ -1,6 +1,7 @@
-"""The benchmark's set-up probe still runs against the command line."""
+"""The benchmark still runs against the package: its probe and the names it reads."""
 
 import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -38,3 +39,55 @@ def test_setup_probe_reads_a_benchmark_config(tmp_path, command, extra, flags):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "ready"
+
+
+def perfbench_references() -> set[tuple[str, ...]]:
+    """Every `ril.<module>[.<name>]` the benchmark reads, found with `ast`.
+
+    Covers attribute chains on `ril` and on modules bound by `from ril import`,
+    the `hook.wrap(ril.<module>, "<name>")` targets and the traced functions.
+    """
+    refs = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {"ril": ()}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "ril":
+                aliases.update((a.asname or a.name, (a.name,)) for a in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                chain, base = [node.attr], node.value
+                while isinstance(base, ast.Attribute):
+                    chain.insert(0, base.attr)
+                    base = base.value
+                if isinstance(base, ast.Name) and base.id in aliases:
+                    refs.add((aliases[base.id] + tuple(chain))[:2])
+            elif (
+                isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "wrap"
+                and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)
+            ):
+                refs.add((node.args[0].attr, node.args[1].value))
+            elif isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TRACED":
+                traced = ast.literal_eval(node.value)
+                refs.update((module, fn) for module, fns in traced.items() for fn in fns)
+    return refs
+
+
+def test_every_ril_name_the_benchmark_reads_exists():
+    refs = perfbench_references()
+    assert {
+        ("table", "default_thread_count"),
+        ("cli", "main"),
+        ("invariance", "replay_witness"),
+        ("table", "check_invariance"),
+        ("objects", "canonical_lassos"),
+        ("cli", "build_parser"),
+    } <= refs
+    missing = []
+    for ref in sorted(refs):
+        if ref[0].startswith("__"):  # a package attribute such as ril.__file__
+            continue
+        module = importlib.import_module(f"ril.{ref[0]}")
+        if len(ref) > 1 and not hasattr(module, ref[1]):
+            missing.append(".".join(("ril",) + ref))
+    assert missing == []
