@@ -154,11 +154,26 @@ def _run_report(config_echo: dict, verdicts: dict, timings: dict, digests: dict)
 
 
 def _coerce(tp, value):
-    """`value` as a leaf field of type `tp`: a tuple, an optional number or a number."""
+    """`value` checked as a leaf field of type `tp`: a tuple, an optional
+    number or a number.  Only an integral number widens or narrows."""
     if get_origin(tp) is tuple:
-        return tuple(value)
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {value!r}")
+        args = get_args(tp)
+        types = [args[0]] * len(value) if args[-1] is Ellipsis else args
+        if len(value) != len(types):
+            raise ValueError(f"expected {len(types)} numbers, got {value!r}")
+        return tuple(map(_number, types, value))
     if get_args(tp):  # `int | None`
-        return None if value is None else get_args(tp)[0](value)
+        return None if value is None else _number(get_args(tp)[0], value)
+    return _number(tp, value)
+
+
+def _number(tp, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    if tp is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
     return tp(value)
 
 

@@ -247,8 +247,12 @@ def _stochastic_mask(m: Mdp) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LassoNeed:
-    """Least values, field by field, of what an MDP's lassos offer (see
-    _lasso_offer); an MDP offering nothing meets no need."""
+    """Least values of what an MDP's canonical lassos must offer: their
+    count, distinct return levels, start states, most levels from one start,
+    a stochastic step, two returns 0.05 to 8 apart, and the largest |return|.
+    An MDP past the enumeration caps or with none or over 400 lassos meets no
+    need.  Calling a need computes only the fields it asks more of than they
+    always offer, and stops at the first that falls short."""
 
     count: int = 1
     distinct: int = 1
@@ -259,34 +263,32 @@ class LassoNeed:
     max_abs: float = 0.0
 
     def __call__(self, m: Mdp, cfg: CheckConfig) -> bool:
-        offer = _lasso_offer(m, cfg.resolution)
-        return offer is not None and all(vars(offer)[k] >= v for k, v in vars(self).items())
-
-
-def _lasso_offer(m: Mdp, res: Resolution) -> LassoNeed | None:
-    """What m's canonical lassos offer: their count, distinct return levels,
-    start states, most levels from one start, a stochastic step, two returns
-    0.05 to 8 apart, and the largest |return|.  None past the caps or 400."""
-    try:
-        lassos = canonical_lassos(m, res)
-    except EnumerationCapError:
-        return None
-    if not lassos or len(lassos) > 400:
-        return None
-    g = lasso_returns(m, lassos)
-    tol = 1e-9 * reward_scale(m)
-    start = lassos.start
-    starts = np.unique(start)
-    diffs = np.abs(g[None, :] - g[:, None])
-    return LassoNeed(
-        count=len(lassos),
-        distinct=int(tie_group_ranks(g, tol).max()) + 1,
-        starts=len(starts),
-        per_start_distinct=max(int(tie_group_ranks(g[start == s], tol).max()) + 1 for s in starts),
-        stochastic_step=_first_stochastic_step(m, lassos) is not None,
-        moderate_pair=bool(np.any((diffs >= 0.05) & (diffs <= 8.0))),
-        max_abs=float(np.max(np.abs(g))),
-    )
+        try:
+            lassos = canonical_lassos(m, cfg.resolution)
+        except EnumerationCapError:
+            return False
+        if not lassos or len(lassos) > 400 or len(lassos) < self.count:
+            return False
+        if self.starts > 1 and len(np.unique(lassos.start)) < self.starts:
+            return False
+        if self.stochastic_step and _first_stochastic_step(m, lassos) is None:
+            return False
+        if self.distinct <= 1 and self.per_start_distinct <= 1 and not self.moderate_pair and self.max_abs <= 0.0:
+            return True
+        g = lasso_returns(m, lassos)
+        tol = 1e-9 * reward_scale(m)
+        if self.distinct > 1 and tie_group_ranks(g, tol).max() + 1 < self.distinct:
+            return False
+        if self.per_start_distinct > 1:
+            start = lassos.start
+            levels = max(tie_group_ranks(g[start == s], tol).max() + 1 for s in np.unique(start))
+            if levels < self.per_start_distinct:
+                return False
+        if self.moderate_pair:
+            diffs = np.abs(g[None, :] - g[:, None])
+            if not np.any((diffs >= 0.05) & (diffs <= 8.0)):
+                return False
+        return self.max_abs <= 0.0 or float(np.max(np.abs(g))) >= self.max_abs
 
 
 def _first_stochastic_step(m: Mdp, lassos) -> tuple[int, int, int] | None:

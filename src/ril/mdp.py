@@ -66,14 +66,8 @@ class Mdp:
         return self.actions.index(name)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
 def make_mdp(states, actions, tau, mu0, reward, gamma, renormalize: bool = False) -> Mdp:
-    """Construct an Mdp, copying arrays and validating the result.
+    """Construct an Mdp, copying each array once, freezing it and validating the result.
 
     With renormalize=True, probability rows within PARSE_ROW_SUM_TOL of one
     are rescaled to sum to one exactly (up to float rounding); used by the
@@ -87,13 +81,15 @@ def make_mdp(states, actions, tau, mu0, reward, gamma, renormalize: bool = False
 
     if renormalize:
         sums = tau_arr.sum(axis=2)
-        if np.all(np.abs(sums - 1.0) <= PARSE_ROW_SUM_TOL) and np.all(sums > 0):
+        if (np.abs(sums - 1.0) <= PARSE_ROW_SUM_TOL).all() and (sums > 0).all():
             tau_arr = tau_arr / sums[:, :, None]
         mu_sum = mu0_arr.sum()
         if abs(mu_sum - 1.0) <= PARSE_ROW_SUM_TOL and mu_sum > 0:
             mu0_arr = mu0_arr / mu_sum
 
-    m = Mdp(states, actions, _frozen(tau_arr), _frozen(mu0_arr), _frozen(reward_arr), float(gamma))
+    for arr in (tau_arr, mu0_arr, reward_arr):
+        arr.setflags(write=False)
+    m = Mdp(states, actions, tau_arr, mu0_arr, reward_arr, float(gamma))
     violations = validate_mdp(m)
     if violations:
         raise ContractError("invalid MDP: " + "; ".join(violations), violations)
@@ -102,12 +98,13 @@ def make_mdp(states, actions, tau, mu0, reward, gamma, renormalize: bool = False
 
 def with_reward(m: Mdp, reward: np.ndarray) -> Mdp:
     """Same dynamics and discount, different reward table."""
-    reward = np.asarray(reward, dtype=float)
+    reward = np.array(reward, dtype=float)
     if reward.shape != m.reward.shape:
         raise ContractError(f"reward shape {reward.shape} != {m.reward.shape}")
-    if not np.all(np.isfinite(reward)):
+    if not np.isfinite(reward).all():
         raise ContractError("reward contains non-finite entries")
-    return Mdp(m.states, m.actions, m.tau, m.mu0, _frozen(reward), m.gamma)
+    reward.setflags(write=False)
+    return Mdp(m.states, m.actions, m.tau, m.mu0, reward, m.gamma)
 
 
 def validate_mdp(m: Mdp) -> list[str]:
@@ -131,24 +128,25 @@ def validate_mdp(m: Mdp) -> list[str]:
     if m.mu0.shape != (nS,):
         out.append(f"mu0 shape {m.mu0.shape}, expected {(nS,)}")
         return out
-    if not np.all(np.isfinite(m.tau)):
+    if not np.isfinite(m.tau).all():
         out.append("tau contains non-finite entries")
-    if not np.all(np.isfinite(m.reward)):
+    if not np.isfinite(m.reward).all():
         out.append("reward contains non-finite entries")
-    if not np.all(np.isfinite(m.mu0)):
+    if not np.isfinite(m.mu0).all():
         out.append("mu0 contains non-finite entries")
     if out:
         return out
-    if np.any(m.tau < 0):
+    if (m.tau < 0).any():
         out.append("tau has negative entries")
-    if np.any(m.mu0 < 0):
+    if (m.mu0 < 0).any():
         out.append("mu0 has negative entries")
     bad = np.abs(m.tau.sum(axis=2) - 1.0) > PARSE_ROW_SUM_TOL
-    if np.any(bad):
+    if bad.any():
         s, a = np.argwhere(bad)[0]
         out.append(f"tau row (s={m.states[s]}, a={m.actions[a]}) sums to {m.tau[s, a].sum():.12g}")
-    if abs(m.mu0.sum() - 1.0) > PARSE_ROW_SUM_TOL:
-        out.append(f"mu0 sums to {m.mu0.sum():.12g}")
+    mu_sum = m.mu0.sum()
+    if abs(mu_sum - 1.0) > PARSE_ROW_SUM_TOL:
+        out.append(f"mu0 sums to {mu_sum:.12g}")
     if not (0.0 < m.gamma < 1.0):
         out.append(f"gamma {m.gamma} outside (0, 1)")
     return out

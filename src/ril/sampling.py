@@ -4,6 +4,13 @@ Every random draw in the package flows through numpy Generators seeded by
 `derive_seed`, which hashes a root seed together with string/int components
 via numpy's SeedSequence.  Identical inputs give identical streams regardless
 of execution order, so experiment verdicts are replayable.
+
+The entropy handed to SeedSequence is a uint32 array: each int, masked to 63
+bits, becomes its low word and, when nonzero, its high word; each character
+becomes its code point; 0x1F follows each string and 0x2F each int.  These
+are exactly the words SeedSequence makes of the same values given as a list
+of Python ints, which it converts one at a time, so the array only saves that
+conversion.
 """
 
 from __future__ import annotations
@@ -20,16 +27,23 @@ _MAX_SEED = 2**63 - 1
 
 def derive_seed(root: int, *components) -> int:
     """Deterministic sub-seed from a root seed and hashable path components."""
-    entropy = [int(root) & _MAX_SEED]
+    entropy = _int_words(int(root))
     for c in components:
         if isinstance(c, str):
-            entropy.extend(ord(ch) for ch in c)
+            entropy.extend(map(ord, c))
             entropy.append(0x1F)  # separator so ("ab","c") != ("a","bc")
         else:
-            entropy.append(int(c) & _MAX_SEED)
+            entropy.extend(_int_words(int(c)))
             entropy.append(0x2F)
-    words = np.random.SeedSequence(entropy).generate_state(2, dtype=np.uint64)
+    seq = np.random.SeedSequence(np.array(entropy, dtype=np.uint32))
+    words = seq.generate_state(2, dtype=np.uint64)
     return int(words[0] ^ (words[1] << 1)) & _MAX_SEED
+
+
+def _int_words(n: int) -> list[int]:
+    """SeedSequence's words for the masked int: low word, then high word if nonzero."""
+    n &= _MAX_SEED
+    return [n & 0xFFFFFFFF, n >> 32] if n >> 32 else [n]
 
 
 @dataclass(frozen=True)
@@ -87,16 +101,12 @@ def sample_mdp(cfg: SamplerConfig, seed: int) -> Mdp:
     tau[orphans] = orphan_rows[orphans]
     # Every row needs some support; re-seed empty rows deterministically.
     fallback = rng.uniform(0.5, 1.0, (nS, nA))
-    for s in range(nS):
-        allowed = np.ones(nS, dtype=bool) if orphans[s] else ~orphans
-        allowed_idx = np.flatnonzero(allowed)
-        for a in range(nA):
-            if tau[s, a].sum() <= 0.0:
-                pick = allowed_idx[int(rng.integers(0, len(allowed_idx)))]
-                tau[s, a, pick] = fallback[s, a]
+    candidates = np.flatnonzero(~orphans)
+    for s, a in np.argwhere(tau.sum(axis=2) <= 0.0):
+        allowed_idx = np.arange(nS) if orphans[s] else candidates
+        tau[s, a, allowed_idx[int(rng.integers(0, len(allowed_idx)))]] = fallback[s, a]
     tau = tau / tau.sum(axis=2, keepdims=True)
 
-    candidates = np.flatnonzero(~orphans)
     lo = min(cfg.min_initial_states, len(candidates))
     hi = len(candidates) if cfg.max_initial_states is None else min(cfg.max_initial_states, len(candidates))
     hi = max(lo, hi)

@@ -226,6 +226,11 @@ def test_check_rejects_config_keys_it_would_ignore(tmp_path, capsys, config):
         {"kinds": 5},
         {"kinds": "q_star"},
         {"out_dir": 5},
+        {"trials": 2.9},
+        {"seed": True},
+        {"tol_rel": "1e-6"},
+        {"sampler": {"n_states": [2, "6"]}},
+        {"sampler": {"gammas": [0.5, False]}},
     ],
 )
 def test_check_rejects_config_values_of_the_wrong_type(tmp_path, capsys, config):
@@ -237,6 +242,9 @@ def test_check_rejects_config_values_of_the_wrong_type(tmp_path, capsys, config)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and next(iter(config)) in err
+    leaf = config[next(iter(config))]
+    if isinstance(leaf, dict):
+        assert f"bad sampler value for {next(iter(leaf))!r}" in err
 
 
 @pytest.mark.parametrize("mode", [[], ["--search", "--budget", "6"]])

@@ -1,5 +1,6 @@
 """Invariance checking, counterexample search, and pairwise refinement."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -27,8 +28,20 @@ from ril import (
     replay_witness,
     search_counterexample,
 )
-from ril.invariance import ATTACK_PLANS, PlanRow, attack_plan
+from ril.errors import EnumerationCapError
+from ril.invariance import (
+    _BASE_PREDICATES,
+    ATTACK_PLANS,
+    LassoNeed,
+    PlanRow,
+    _first_stochastic_step,
+    attack_plan,
+)
 from ril.micro import loop_mdp, return_fan_mdp, two_action_loop_mdp
+from ril.objects import canonical_lassos, tie_group_ranks
+from ril.sampling import derive_seed, sample_mdp
+from ril.solvers import reward_scale
+from ril.trajectories import lasso_returns
 
 FAST = CheckConfig(
     trials=8,
@@ -306,3 +319,64 @@ def test_fixed_mdp_meets_the_base_predicate_only_in_search(experiment, status, c
     v = experiment("lottery_order", "identity", cfg, mdp=loop_mdp())
     assert v.status == status
     assert (v.trials_run, v.trials_skipped) == counts
+
+
+def _eager_lasso_offer(m, res):
+    """Every field of what m's canonical lassos offer, as a LassoNeed; None
+    past the caps, with no lassos or with over 400."""
+    try:
+        lassos = canonical_lassos(m, res)
+    except EnumerationCapError:
+        return None
+    if not lassos or len(lassos) > 400:
+        return None
+    g = lasso_returns(m, lassos)
+    tol = 1e-9 * reward_scale(m)
+    starts = np.unique(lassos.start)
+    diffs = np.abs(g[None, :] - g[:, None])
+    return LassoNeed(
+        count=len(lassos),
+        distinct=int(tie_group_ranks(g, tol).max()) + 1,
+        starts=len(starts),
+        per_start_distinct=max(
+            int(tie_group_ranks(g[lassos.start == s], tol).max()) + 1 for s in starts
+        ),
+        stochastic_step=_first_stochastic_step(m, lassos) is not None,
+        moderate_pair=bool(np.any((diffs >= 0.05) & (diffs <= 8.0))),
+        max_abs=float(np.max(np.abs(g))),
+    )
+
+
+def _lasso_outcome(m, res) -> str:
+    try:
+        n = len(canonical_lassos(m, res))
+    except EnumerationCapError:
+        return "capped"
+    return "empty" if n == 0 else "over_400" if n > 400 else "enumerated"
+
+
+def test_lasso_needs_decide_as_the_eager_offer_does():
+    needs = {row.predicate for row in ATTACK_PLANS.values() if isinstance(row.predicate, LassoNeed)}
+    needs |= {p for p in _BASE_PREDICATES.values() if isinstance(p, LassoNeed)}
+    # Resolution(1, 1, 1) leaves an MDP without a reachable self-loop with no
+    # lassos; the small enumeration cap and the long caps overflow.  Small
+    # rewards put the largest |return| on both sides of max_abs=0.05.
+    resolutions = [Resolution(), Resolution(1, 1, 1), Resolution(2, 3, 3, enumeration_cap=60), Resolution(2, 4, 4)]
+    samplers = [
+        SamplerConfig(n_states=(2, 5), n_actions=(1, 3), sparsity=0.5),
+        SamplerConfig(n_states=(2, 5), n_actions=(1, 3), sparsity=0.5, reward_low=-0.01, reward_high=0.01),
+    ]
+    outcomes = Counter()
+    accepted = Counter()
+    for i in range(240):
+        res = resolutions[i % len(resolutions)]
+        cfg = replace(FAST, resolution=res)
+        m = sample_mdp(samplers[i // len(resolutions) % 2], derive_seed(31, "needs", i))
+        offer = _eager_lasso_offer(m, res)
+        outcomes[_lasso_outcome(m, res)] += 1
+        for need in needs:
+            eager = offer is not None and all(vars(offer)[k] >= v for k, v in vars(need).items())
+            assert need(m, cfg) == eager, (i, need)
+            accepted[need] += eager
+    assert set(outcomes) == {"capped", "empty", "over_400", "enumerated"}, outcomes
+    assert all(0 < accepted[need] < 240 for need in needs), accepted

@@ -91,3 +91,14 @@ def test_every_ril_name_the_benchmark_reads_exists():
         if len(ref) > 1 and not hasattr(module, ref[1]):
             missing.append(".".join(("ril",) + ref))
     assert missing == []
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_bench_records_state_machine_parent_and_seeds(path):
+    bench = json.loads(path.read_text())
+    assert isinstance(bench["machine"]["nproc"], int) and bench["machine"]["nproc"] >= 1
+    assert isinstance(bench["parent_commit"], str) and len(bench["parent_commit"]) == 40
+    assert bench["workloads"]
+    for name, workload in bench["workloads"].items():
+        seeds = workload["seeds"]
+        assert isinstance(seeds, list) and seeds and all(isinstance(s, int) for s in seeds), name
