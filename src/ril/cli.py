@@ -195,7 +195,11 @@ def _merge(obj, doc, what: str):
             changes[key] = _coerce(types[key], value)
         except (TypeError, ValueError) as exc:
             raise ContractError(f"bad {what} value for {key!r}: {exc}") from exc
-    return replace(obj, **changes)
+    try:
+        return replace(obj, **changes)
+    except ContractError as exc:
+        # The dataclass's own check names the field at fault first.
+        raise ContractError(f"bad {what} value for {str(exc).split()[0]!r}: {exc}") from exc
 
 
 def experiment_config(args, base: CheckConfig | None = None) -> ExperimentConfig:

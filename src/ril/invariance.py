@@ -3,24 +3,29 @@
 Every experiment here runs the same trial: draw an MDP, draw a member of a
 transformation class, and compare an object kind's fingerprints before and
 after.  One kernel, _run_trials, runs it: canned (MDP, member) pairs first,
-then seeded trials that each take their class and attack plan from the
-caller, stopping at the first fingerprint change, which it returns as a
-replayable witness.  Three entry points build the plans:
+then seeded trials that each take a class and its PlanRow from the caller,
+stopping at the first fingerprint change, which it returns as a replayable
+witness.  Every trial draws its MDP by the same two rules:
 
-* check_invariance samples plainly, held only to the kind's base predicate
-  and, for classes acting on unreachable or unsupported states, to more
-  orphan states.
-* search_counterexample steers samples away from the degenerate corners of
-  a class (zero potentials, scale factors near one, near-linear rescalings,
-  masks over empty sets) using the cell's row of ATTACK_PLANS, so that
-  cells which are genuinely not invariant produce witnesses within a small
-  budget.  The table is keyed by (class, kind); each row names a sampler
-  override, an MDP predicate, a constraint builder and canned pairs.
+* orphans: a class in _ORPHAN_CLASSES, which acts on unreachable or
+  unsupported states, draws with orphan_prob at least 0.6 unless its row
+  sets orphan_prob;
+* draws: a trial with no predicate to meet draws with sample_mdp, any other
+  with sample_mdp_where, held to its row's predicate and to the base
+  predicates of the kinds it compares.
+
+Three entry points pick the rows:
+
+* check_invariance uses the plain row, PlanRow().
+* search_counterexample uses the cell's row of ATTACK_PLANS, which steers
+  samples away from the degenerate corners of a class (zero potentials,
+  scale factors near one, near-linear rescalings, masks over empty sets) so
+  that cells which are not invariant produce witnesses within a small budget.
 * refinement_compare decides, for two object kinds, whether one's ambiguity
   refines the other's: it hunts for a transformation preserving one
   fingerprint while changing the other, in both directions.  Trials cycle
-  through the preserved kind's known invariance classes, attacked as the
-  changed kind's plans direct; hand-built witness pairs (an order-preserving
+  through the preserved kind's known invariance classes, each under its row
+  against the changed kind; hand-built witness pairs (an order-preserving
   but curvature-bending monotone rescaling) run first for the ordinal kinds
   whose invariance classes are only known as bounds.
 
@@ -35,7 +40,7 @@ transformation draws, and trial order use seeds derived per trial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -135,6 +140,12 @@ class CheckConfig:
     params: SolverParams = SolverParams()
     sampler: SamplerConfig = SamplerConfig()
 
+    def __post_init__(self):
+        # Zero refinement trials would find no witness and claim equivalence.
+        for name, low in {"trials": 0, "budget": 0, "refine_trials": 1, "tol_rel": 0.0}.items():
+            if not getattr(self, name) >= low:
+                raise ContractError(f"{name} must be >= {low}, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class InvarianceVerdict:
@@ -147,17 +158,7 @@ class InvarianceVerdict:
     detail: str = ""
 
     def to_obj(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "transform_class": self.transform_class,
-            "status": self.status,
-            "trials_run": self.trials_run,
-            "trials_skipped": self.trials_skipped,
-            "detail": self.detail,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +214,7 @@ def fingerprints_equal(
 
 
 # ---------------------------------------------------------------------------
-# Attack plans: per (class, kind) sampling strategy for counterexample search
-
-
-@dataclass(frozen=True)
-class AttackPlan:
-    sampler: SamplerConfig
-    predicate: Callable[[Mdp], bool] | None = None
-    # (mdp, trial index) -> constraints for sample_transform, called only on
-    # MDPs that meet the predicate; a plan without it samples unconstrained.
-    constraints: Callable[[Mdp, int], dict] | None = None
-    canned: tuple[Callable[[], tuple[Mdp, TransformSpec]], ...] = ()
+# Attack plans: per (class, kind) sampling strategy for the trial kernel
 
 
 def _sign(trial: int) -> float:
@@ -390,9 +381,9 @@ def _canned_fan_pair() -> tuple[Mdp, TransformSpec]:
 
 @dataclass(frozen=True)
 class PlanRow:
-    """One cell's attack plan before attack_plan binds it to a CheckConfig:
-    overrides of cfg.sampler, predicate(m, cfg), constraints(m, trial, cfg)
-    and canned (MDP, member) pairs."""
+    """One cell's attack plan: overrides of cfg.sampler, predicate(m, cfg),
+    constraints(m, trial, cfg), built only on MDPs that meet the predicate,
+    and canned (MDP, member) pairs.  PlanRow() is the plain plan."""
 
     sampler: dict = field(default_factory=dict)
     predicate: Callable[[Mdp, CheckConfig], bool] | None = None
@@ -492,24 +483,8 @@ ATTACK_PLANS: dict[tuple[str, str], PlanRow] = {
     (cls, kind): row for cls, groups in _ROWS_BY_CLASS.items() for kinds, row in groups for kind in kinds
 }
 
-
-def _bind(fn: Callable | None, cfg: CheckConfig) -> Callable | None:
-    """fn with cfg as its last argument, or None."""
-    return None if fn is None else lambda *args: fn(*args, cfg)
-
-
-def attack_plan(kind: str, cls: str, cfg: CheckConfig) -> AttackPlan | None:
-    """The cell's row of ATTACK_PLANS bound to cfg, or None if it has none."""
-    row = ATTACK_PLANS.get((cls, kind))
-    if row is None:
-        return None
-    sampler = replace(cfg.sampler, **row.sampler)
-    return AttackPlan(sampler, _bind(row.predicate, cfg), _bind(row.constraints, cfg), row.canned)
-
-
-def _nudged(cfg: CheckConfig) -> SamplerConfig:
-    """cfg's sampler, carving out unreachable states at least 60% of the time."""
-    return replace(cfg.sampler, orphan_prob=max(cfg.sampler.orphan_prob, 0.6))
+# Classes acting on unreachable or unsupported states, which need orphans.
+_ORPHAN_CLASSES = frozenset(["mask_unreachable", "opt_supported_states"])
 
 
 # ---------------------------------------------------------------------------
@@ -572,18 +547,13 @@ def replay_witness(obj: dict) -> dict:
 # The trial kernel
 
 
-def _all_of(*preds: Callable[[Mdp], bool] | None) -> Callable[[Mdp], bool]:
-    """The conjunction of the given predicates, None ones left out, in order."""
-    active = [p for p in preds if p is not None]
-    return lambda m: all(p(m) for p in active)
-
-
 def _run_trials(
     kind: str,
     cfg: CheckConfig,
     stream: str,
     key: tuple[str, str],
-    plans: list[tuple[str, AttackPlan]],
+    plans: list[tuple[str, PlanRow]],
+    needs: tuple[str, ...],
     n: int,
     mdp: Mdp | None = None,
     canned: tuple[Callable[[], tuple[Mdp, TransformSpec]], ...] = (),
@@ -592,30 +562,44 @@ def _run_trials(
     """The one trial loop: apply class members and compare kind's fingerprints.
 
     Canned (MDP, member) pairs run first, then n trials.  Trial i takes its
-    class and plan from plans[i % len(plans)] and its MDP and member from
-    seeds derived from (cfg.seed, stream, *key, i).  The MDP is mdp when
-    given, else drawn by sample_mdp, or by sample_mdp_where when the plan has
-    a predicate.  A trial is skipped when no MDP meets the predicate or the
-    member degenerates to a noted Identity; with preserve given, also when
-    the preserved kind's fingerprint moves.
+    class and row from plans[i % len(plans)] and its MDP and member from
+    seeds derived from (cfg.seed, stream, *key, i).  The MDP, mdp when given,
+    else drawn by the orphan and draw rules, must meet the row's predicate
+    and the base predicate of each kind in needs.  A trial is skipped when no
+    MDP meets them or the member degenerates to a noted Identity; with
+    preserve given, also when the preserved kind's fingerprint moves.
 
     Returns (first witness or None, trials run, trials skipped).
     """
+    for k in (kind, *needs):
+        if k not in KIND_TAGS:
+            raise ContractError(f"unknown object kind {k!r}")
+
+    def bind(cls: str, row: PlanRow):
+        overrides = dict(row.sampler)
+        if cls in _ORPHAN_CLASSES:
+            overrides.setdefault("orphan_prob", max(cfg.sampler.orphan_prob, 0.6))
+        preds = [p for p in (row.predicate, *map(_BASE_PREDICATES.get, needs)) if p is not None]
+        meets = (lambda m: all(p(m, cfg) for p in preds)) if preds else None
+        return cls, replace(cfg.sampler, **overrides), meets, row.constraints
+
+    bound = [bind(cls, row) for cls, row in plans]
+
     def draw(i: int) -> tuple[Mdp, TransformSpec, str, int, str] | None:
-        cls, plan = plans[i % len(plans)]
+        cls, sampler, meets, constraints = bound[i % len(bound)]
         if mdp is not None:
-            if plan.predicate is not None and not plan.predicate(mdp):
+            if meets is not None and not meets(mdp):
                 return None
             m = mdp
         else:
             mdp_seed = derive_seed(cfg.seed, stream, *key, i, "mdp")
-            if plan.predicate is None:
-                m = sample_mdp(plan.sampler, mdp_seed)
+            if meets is None:
+                m = sample_mdp(sampler, mdp_seed)
             else:
-                m = sample_mdp_where(plan.sampler, mdp_seed, plan.predicate, max_tries=40)
+                m = sample_mdp_where(sampler, mdp_seed, meets, max_tries=40)
             if m is None:
                 return None
-        cons = plan.constraints(m, i) if plan.constraints is not None else {}
+        cons = constraints(m, i, cfg) if constraints is not None else {}
         t = sample_transform(
             cls, m, derive_seed(cfg.seed, stream, *key, i, "t"),
             magnitude=cfg.magnitude, constraints=cons, params=cfg.params,
@@ -682,18 +666,13 @@ def _verdict(
 def check_invariance(kind: str, cls: str, cfg: CheckConfig, mdp: Mdp | None = None) -> InvarianceVerdict:
     """Sample class members on random MDPs; report the first fingerprint change.
 
-    With mdp given, all trials run on that MDP, whatever the kind's base
-    predicate says of it.  Trials whose transformation degenerates to the
-    identity (or whose MDP requirements cannot be met) are counted as skipped.
+    Draws under the plain plan, held only to the kind's base predicate.  With
+    mdp given, all trials run on that MDP, whatever that predicate says of
+    it.  Trials whose transformation degenerates to the identity (or whose
+    MDP requirements cannot be met) are counted as skipped.
     """
-    if kind not in KIND_TAGS:
-        raise ContractError(f"unknown object kind {kind!r}")
-    # Classes acting on unreachable or unsupported states need orphans to act on.
-    plan = AttackPlan(
-        sampler=_nudged(cfg) if cls in ("mask_unreachable", "opt_supported_states") else cfg.sampler,
-        predicate=_bind(_BASE_PREDICATES.get(kind), cfg) if mdp is None else None,
-    )
-    found = _run_trials(kind, cfg, "check", (kind, cls), [(cls, plan)], cfg.trials, mdp)
+    needs = (kind,) if mdp is None else ()
+    found = _run_trials(kind, cfg, "check", (kind, cls), [(cls, PlanRow())], needs, cfg.trials, mdp)
     return _verdict(kind, cls, found)
 
 
@@ -702,18 +681,16 @@ def search_counterexample(
 ) -> InvarianceVerdict:
     """Directed hunt for a class member changing the kind's fingerprint.
 
-    Uses the cell's attack plan where one exists: MDP requirements plus
-    transformation constraints that keep samples away from the subfamilies
-    known to preserve the kind.  Canned witness pairs run first.  A fixed mdp
-    that fails the requirements skips every trial.
+    Uses the cell's row of ATTACK_PLANS where one exists: MDP requirements
+    plus transformation constraints that keep samples away from the
+    subfamilies known to preserve the kind.  Canned witness pairs run first.
+    A fixed mdp that fails the requirements or the kind's base predicate
+    skips every trial.
     """
-    if kind not in KIND_TAGS:
-        raise ContractError(f"unknown object kind {kind!r}")
-    plan = attack_plan(kind, cls, cfg) or AttackPlan(sampler=cfg.sampler)
-    plan = replace(plan, predicate=_all_of(plan.predicate, _bind(_BASE_PREDICATES.get(kind), cfg)))
+    row = ATTACK_PLANS.get((cls, kind), PlanRow())
     found = _run_trials(
-        kind, cfg, "search", (kind, cls), [(cls, plan)], cfg.budget, mdp,
-        canned=plan.canned if mdp is None else (),
+        kind, cfg, "search", (kind, cls), [(cls, row)], (kind,), cfg.budget, mdp,
+        canned=row.canned if mdp is None else (),
     )
     return _verdict(kind, cls, found, f"no counterexample found in {found[1]} directed trials")
 
@@ -756,18 +733,12 @@ CANNED_PRESERVING: dict[str, tuple[Callable[[], tuple[Mdp, TransformSpec]], ...]
 def _directional_witness(preserve: str, change: str, cfg: CheckConfig) -> tuple[dict | None, int, int]:
     """Find a transformation keeping `preserve`'s fingerprint while changing `change`'s.
 
-    Trial i tries the i-th class of preserve's roster, cyclically, under the
-    attack plan that class has against change.  Returns (witness or None,
-    trials run, trials skipped).
+    Trial i tries the i-th class of preserve's roster, cyclically, under its
+    row against change.  Returns (witness or None, trials run, skipped).
     """
-    base_preds = [_bind(_BASE_PREDICATES.get(k), cfg) for k in (preserve, change)]
-    plans = []
-    for cls in KIND_ROSTERS[preserve]:
-        plan = attack_plan(change, cls, cfg) or AttackPlan(
-            _nudged(cfg) if cls.startswith("mask_") else cfg.sampler)
-        plans.append((cls, replace(plan, predicate=_all_of(plan.predicate, *base_preds))))
+    plans = [(cls, ATTACK_PLANS.get((cls, change), PlanRow())) for cls in KIND_ROSTERS[preserve]]
     return _run_trials(
-        change, cfg, "refine", (preserve, change), plans, cfg.refine_trials,
+        change, cfg, "refine", (preserve, change), plans, (preserve, change), cfg.refine_trials,
         canned=CANNED_PRESERVING.get(preserve, ()), preserve=preserve,
     )
 

@@ -68,11 +68,17 @@ class SamplerConfig:
 
     def __post_init__(self):
         if self.n_states[0] < 1 or self.n_states[0] > self.n_states[1]:
-            raise ContractError(f"bad n_states range {self.n_states}")
+            raise ContractError(f"n_states range {self.n_states} is empty or starts below 1")
         if self.n_actions[0] < 1 or self.n_actions[0] > self.n_actions[1]:
-            raise ContractError(f"bad n_actions range {self.n_actions}")
+            raise ContractError(f"n_actions range {self.n_actions} is empty or starts below 1")
+        if not self.gammas or not all(0.0 < g < 1.0 for g in self.gammas):
+            raise ContractError(f"gammas {self.gammas} must be non-empty, each inside (0, 1)")
         if not 0.0 <= self.sparsity < 1.0:
             raise ContractError(f"sparsity {self.sparsity} outside [0, 1)")
+        if not 0.0 <= self.orphan_prob <= 1.0:
+            raise ContractError(f"orphan_prob {self.orphan_prob} outside [0, 1]")
+        if not self.reward_low <= self.reward_high:
+            raise ContractError(f"reward_low {self.reward_low} exceeds reward_high {self.reward_high}")
         if self.min_initial_states < 1:
             raise ContractError("min_initial_states must be >= 1")
 

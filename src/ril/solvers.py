@@ -47,6 +47,8 @@ class SolverParams:
             raise ContractError(f"beta must be positive, got {self.beta}")
         if self.epsilon <= 0:
             raise ContractError(f"epsilon must be positive, got {self.epsilon}")
+        if self.max_iters < 0:
+            raise ContractError(f"max_iters must be >= 0, got {self.max_iters}")
 
 
 @dataclass(frozen=True)

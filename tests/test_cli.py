@@ -76,6 +76,12 @@ def test_solve_numerical_failure_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_solve_rejects_negative_max_iters(tmp_path, capsys):
+    path = write_mdp(tmp_path, loop_mdp())
+    assert main(["solve", "--mdp", path, "--max-iters", "-1"]) == 2
+    assert "max_iters must be >= 0" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_2(tmp_path):
     path = write_mdp(tmp_path, loop_mdp())
     with pytest.raises(SystemExit) as exc:
@@ -231,6 +237,15 @@ def test_check_rejects_config_keys_it_would_ignore(tmp_path, capsys, config):
         {"tol_rel": "1e-6"},
         {"sampler": {"n_states": [2, "6"]}},
         {"sampler": {"gammas": [0.5, False]}},
+        {"sampler": {"gammas": []}},
+        {"sampler": {"gammas": [0.5, 1.0]}},
+        {"sampler": {"gammas": [0.0, 0.9]}},
+        {"sampler": {"reward_low": 2, "reward_high": -2}},
+        {"sampler": {"orphan_prob": 1.5}},
+        {"sampler": {"orphan_prob": -0.1}},
+        {"trials": -1},
+        {"budget": -1},
+        {"tol_rel": -1e-6},
     ],
 )
 def test_check_rejects_config_values_of_the_wrong_type(tmp_path, capsys, config):
@@ -327,6 +342,16 @@ def test_order_pair_incomparable(tmp_path, capsys):
     assert report["config"]["kinds"] == ["q_star", "return_trajectories"]
     assert "refine_trials" in report["config"]
     assert "trials" not in report["config"] and "budget" not in report["config"]
+
+
+def test_order_rejects_zero_refine_trials(tmp_path, capsys):
+    # Zero trials find no witness, so every pair would read as equivalent.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"refine_trials": 0}))
+    assert main(["order", "--kinds", "q_star,return_fragments", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "bad config value for 'refine_trials'" in captured.err
+    assert "groups" not in captured.out
 
 
 def test_order_rejects_unknown_kind():

@@ -35,7 +35,6 @@ from ril.invariance import (
     LassoNeed,
     PlanRow,
     _first_stochastic_step,
-    attack_plan,
 )
 from ril.micro import loop_mdp, return_fan_mdp, two_action_loop_mdp
 from ril.objects import canonical_lassos, tie_group_ranks
@@ -57,9 +56,9 @@ def test_attack_plan_table_keys_and_rows():
         assert cls in CLASS_TAGS and kind in KIND_TAGS
         # a row that changes nothing would only repeat the plain plan
         assert row != PlanRow(), (cls, kind)
-    plan = attack_plan("lottery_order", "shaping", FAST)
-    assert plan.sampler == replace(FAST.sampler, min_initial_states=2)
-    assert attack_plan("q_star", "opt_all_states", FAST) is None
+    row = ATTACK_PLANS[("shaping", "lottery_order")]
+    assert replace(FAST.sampler, **row.sampler) == replace(FAST.sampler, min_initial_states=2)
+    assert ("opt_all_states", "q_star") not in ATTACK_PLANS
 
 
 def test_rosters_cover_every_kind():
@@ -319,6 +318,69 @@ def test_fixed_mdp_meets_the_base_predicate_only_in_search(experiment, status, c
     v = experiment("lottery_order", "identity", cfg, mdp=loop_mdp())
     assert v.status == status
     assert (v.trials_run, v.trials_skipped) == counts
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Each MDP draw of the trial kernel as [path, sampler, class]: path is
+    "plain" or "where", and the member draw that follows fills in the class
+    (a draw that found no MDP keeps None)."""
+    import ril.invariance as inv
+
+    seen = []
+
+    def recorder(path, real):
+        def draw(sampler, *args, **kwargs):
+            seen.append([path, sampler, None])
+            return real(sampler, *args, **kwargs)
+        return draw
+
+    def member(cls, *args, **kwargs):
+        if seen and seen[-1][2] is None:
+            seen[-1][2] = cls
+        return sample_member(cls, *args, **kwargs)
+
+    sample_member = inv.sample_transform
+    monkeypatch.setattr(inv, "sample_mdp", recorder("plain", inv.sample_mdp))
+    monkeypatch.setattr(inv, "sample_mdp_where", recorder("where", inv.sample_mdp_where))
+    monkeypatch.setattr(inv, "sample_transform", member)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "experiment, args, path, orphans",
+    [
+        ("check", ("q_star", "opt_supported_states"), "plain", {"opt_supported_states": 0.6}),
+        ("check", ("q_star", "mask_unreachable"), "plain", {"mask_unreachable": 0.6}),
+        ("check", ("q_star", "mask_impossible"), "plain", {"mask_impossible": 0.3}),
+        ("check", ("lottery_order", "mask_unreachable"), "where", {"mask_unreachable": 0.6}),
+        ("search", ("q_star", "opt_supported_states"), "plain", {"opt_supported_states": 0.6}),
+        ("search", ("mce_policy", "opt_supported_states"), "where", {"opt_supported_states": 0.6}),
+        # the row sets orphan_prob itself
+        ("search", ("optimal_policy_set", "opt_supported_states"), "where", {"opt_supported_states": 1.0}),
+        ("search", ("return_trajectories", "mask_unreachable"), "where", {"mask_unreachable": 0.6}),
+        ("search", ("q_star", "mask_impossible"), "plain", {"mask_impossible": 0.3}),
+        # return_trajectories refines traj_dist_optimal: that direction runs every trial
+        ("refine", ("return_trajectories", "traj_dist_optimal"), "where",
+         {"opt_supported_states": 0.6, "mask_unreachable": 0.6}),
+        ("refine", ("q_star", "q_soft"), "plain", {"mask_impossible": 0.3}),
+    ],
+)
+def test_check_search_and_refine_draw_by_one_orphan_and_one_draw_rule(draws, experiment, args, path, orphans):
+    # Orphan classes draw with orphan_prob >= 0.6 unless their row sets it;
+    # every other class keeps the sampler's.  A trial draws with sample_mdp
+    # exactly when it has no predicate to meet.
+    run = {"check": check_invariance, "search": search_counterexample, "refine": refinement_compare}
+    cfg = replace(FAST, trials=4, budget=4, refine_trials=6)
+    assert cfg.sampler.orphan_prob == 0.3
+    run[experiment](*args, cfg)
+    drawn = [(p, sampler, cls) for p, sampler, cls in draws if cls is not None]
+    assert {cls for _, _, cls in drawn} >= set(orphans)
+    for p, sampler, cls in drawn:
+        assert p == path, cls
+        assert sampler.orphan_prob == orphans.get(cls, cfg.sampler.orphan_prob), cls
+        # none of these cells' rows overrides another sampler field
+        assert replace(sampler, orphan_prob=cfg.sampler.orphan_prob) == cfg.sampler
 
 
 def _eager_lasso_offer(m, res):

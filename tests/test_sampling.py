@@ -148,3 +148,10 @@ def test_sampler_config_validation():
         SamplerConfig(sparsity=1.0)
     with pytest.raises(ContractError):
         SamplerConfig(min_initial_states=0)
+    for bad in [
+        {"gammas": ()}, {"gammas": (0.5, 1.0)}, {"gammas": (0.0,)}, {"reward_low": 2.0, "reward_high": -2.0},
+        {"orphan_prob": 1.01}, {"orphan_prob": -0.01},
+    ]:
+        with pytest.raises(ContractError):
+            SamplerConfig(**bad)
+    SamplerConfig(gammas=(0.999,), reward_low=0.5, reward_high=0.5, orphan_prob=1.0)

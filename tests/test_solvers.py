@@ -215,3 +215,6 @@ def test_solver_params_validation():
         SolverParams(beta=0.0)
     with pytest.raises(ContractError):
         SolverParams(epsilon=-1.0)
+    with pytest.raises(ContractError):
+        SolverParams(max_iters=-1)
+    assert SolverParams(max_iters=0).max_iters == 0

@@ -13,13 +13,19 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
 
+def literals(path: Path, *names: str) -> dict:
+    """The named top-level literals of a Python file, read without importing it."""
+    found = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in names:
+            found[node.targets[0].id] = ast.literal_eval(node.value)
+    assert set(found) == set(names), f"{path.name} lacks {set(names) - set(found)}"
+    return found
+
+
 def base_config() -> dict:
-    """The benchmark's BASE_CONFIG, read from its source without importing it."""
-    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "BASE_CONFIG":
-            return ast.literal_eval(node.value)
-    raise AssertionError("BASE_CONFIG not found in perfbench/workloads.py")
+    """The benchmark's BASE_CONFIG."""
+    return literals(PERFBENCH / "workloads.py", "BASE_CONFIG")["BASE_CONFIG"]
 
 
 @pytest.mark.parametrize(
@@ -102,3 +108,16 @@ def test_bench_records_state_machine_parent_and_seeds(path):
     for name, workload in bench["workloads"].items():
         seeds = workload["seeds"]
         assert isinstance(seeds, list) and seeds and all(isinstance(s, int) for s in seeds), name
+
+
+def test_benchmark_contract_matches_the_bundled_marks_and_the_acceptance_diagram():
+    # A contract edit that misses one copy would pass tier-1 and fail the benchmark.
+    bench = literals(PERFBENCH / "expected.py", "CLASSES", "MARKS", "GROUPS", "EDGES")
+    bundled = json.loads((ROOT / "src" / "ril" / "data" / "expected_marks.json").read_text())
+    names = {"S": "inv_special", "I": "inv", "N": "not", "M": "mixed", ".": "blank"}
+    assert list(bench["CLASSES"]) == bundled["classes"]
+    assert list(bench["MARKS"]) == bundled["kinds"]
+    assert {kind: [names[c] for c in row] for kind, row in bench["MARKS"].items()} == bundled["marks"]
+    acceptance = literals(ROOT / "tests" / "test_acceptance.py", "EXPECTED_GROUPS", "EXPECTED_EDGES")
+    assert set(bench["GROUPS"]) == acceptance["EXPECTED_GROUPS"]
+    assert set(bench["EDGES"]) == acceptance["EXPECTED_EDGES"]
