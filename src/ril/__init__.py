@@ -32,9 +32,6 @@ from .invariance import (
 )
 from .mdp import (
     Mdp,
-    Possibility,
-    ReachabilitySummary,
-    classify_transitions,
     dump_mdp,
     impossible_transition_mask,
     initial_states,
@@ -44,11 +41,9 @@ from .mdp import (
     mdp_to_obj,
     parse_mdp,
     possible_mask,
-    reachability,
     reachable_state_mask,
     supported_state_mask,
     terminal_mask,
-    terminal_states,
     unreachable_transition_mask,
     validate_mdp,
     with_reward,
@@ -68,14 +63,12 @@ from .objects import (
     KIND_TAGS,
     ComparisonModel,
     ObjectFingerprint,
-    ObjectKind,
     Resolution,
     boltzmann_comparison_prob,
     comparison_model,
     exact_comparison_oracle,
     fingerprint,
     lottery_library_values,
-    noiseless_prefers,
     recover_reward_from_comparisons,
     tie_group_ranks,
 )
@@ -116,8 +109,6 @@ from .trajectories import (
     enumerate_lassos,
     fragment_return,
     fragment_returns,
-    is_initial_fragment,
-    is_possible_fragment,
     lasso_return,
     lasso_returns,
     truncation_bound,

@@ -70,7 +70,7 @@ from .objects import (
 )
 from .sampling import SamplerConfig, derive_seed, sample_mdp, sample_mdp_where
 from .solvers import SolverParams, optimal_action_sets, optimal_q, reward_scale
-from .trajectories import lasso_returns
+from .trajectories import count_lassos, lasso_returns
 from .transforms import (
     Identity,
     TransformSpec,
@@ -145,6 +145,9 @@ class CheckConfig:
         for name, low in {"trials": 0, "budget": 0, "refine_trials": 1, "tol_rel": 0.0}.items():
             if not getattr(self, name) >= low:
                 raise ContractError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        # Every member drawn at magnitude 0 is the identity: a false invariance claim.
+        if not self.magnitude > 0.0:
+            raise ContractError(f"magnitude must be > 0, got {self.magnitude}")
 
 
 @dataclass(frozen=True)
@@ -242,8 +245,10 @@ class LassoNeed:
     count, distinct return levels, start states, most levels from one start,
     a stochastic step, two returns 0.05 to 8 apart, and the largest |return|.
     An MDP past the enumeration caps or with none or over 400 lassos meets no
-    need.  Calling a need computes only the fields it asks more of than they
-    always offer, and stops at the first that falls short."""
+    need.  Calling a need counts the lassos in closed form and enumerates
+    them only when the count lies in [max(count, 1), 400]; it then computes
+    only the fields it asks more of than they always offer, and stops at the
+    first that falls short."""
 
     count: int = 1
     distinct: int = 1
@@ -254,11 +259,12 @@ class LassoNeed:
     max_abs: float = 0.0
 
     def __call__(self, m: Mdp, cfg: CheckConfig) -> bool:
-        try:
-            lassos = canonical_lassos(m, cfg.resolution)
-        except EnumerationCapError:
+        res = cfg.resolution
+        if not max(self.count, 1) <= count_lassos(m, res.lasso_prefix_cap, res.lasso_cycle_cap) <= 400:
             return False
-        if not lassos or len(lassos) > 400 or len(lassos) < self.count:
+        try:
+            lassos = canonical_lassos(m, res)
+        except EnumerationCapError:
             return False
         if self.starts > 1 and len(np.unique(lassos.start)) < self.starts:
             return False
@@ -579,6 +585,12 @@ def _run_trials(
         overrides = dict(row.sampler)
         if cls in _ORPHAN_CLASSES:
             overrides.setdefault("orphan_prob", max(cfg.sampler.orphan_prob, 0.6))
+        # A row's initial-state bound gives way where it crosses the config's
+        # other bound: the minimum wins, so a valid config never fails here.
+        low = overrides.get("min_initial_states", cfg.sampler.min_initial_states)
+        high = overrides.get("max_initial_states", cfg.sampler.max_initial_states)
+        if high is not None and high < low:
+            overrides["max_initial_states"] = low
         preds = [p for p in (row.predicate, *map(_BASE_PREDICATES.get, needs)) if p is not None]
         meets = (lambda m: all(p(m, cfg) for p in preds)) if preds else None
         return cls, replace(cfg.sampler, **overrides), meets, row.constraints

@@ -6,12 +6,14 @@ An MDP here is a tuple (states, actions, tau, mu0, reward, gamma) where
 ``reward[s, a, s']`` is received on that transition.  Everything downstream
 (solvers, transformations, fingerprints) consumes this one structure.
 
-Derived notions live here as plain functions rather than cached attributes:
+Derived notions live here as plain functions returning boolean masks rather
+than cached attributes:
 
 * terminal states: every action self-loops with probability one and pays zero;
 * possible transitions: ``tau > 0`` exactly;
 * reachable states: breadth-first closure of ``support(mu0)`` over possible
   transitions;
+* supported states: the same closure over the moves a policy can take;
 * unreachable transitions: triples that no trajectory started from ``mu0``
   can traverse, i.e. impossible triples plus all triples leaving an
   unreachable state.
@@ -24,7 +26,6 @@ renormalizes the small float noise away.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass
@@ -156,19 +157,6 @@ def validate_mdp(m: Mdp) -> list[str]:
 # Derived structure
 
 
-class Possibility(enum.Enum):
-    POSSIBLE = "possible"
-    IMPOSSIBLE = "impossible"
-
-
-@dataclass(frozen=True)
-class Transition:
-    state: int
-    action: int
-    next_state: int
-    possibility: Possibility
-
-
 def terminal_mask(m: Mdp) -> np.ndarray:
     """Boolean (S,): states where every action self-loops w.p. 1 and pays 0."""
     idx = np.arange(m.n_states)
@@ -177,37 +165,13 @@ def terminal_mask(m: Mdp) -> np.ndarray:
     return self_loop & zero_pay
 
 
-def terminal_states(m: Mdp) -> tuple[int, ...]:
-    return tuple(int(s) for s in np.flatnonzero(terminal_mask(m)))
-
-
 def possible_mask(m: Mdp) -> np.ndarray:
     """Boolean (S,A,S): transitions with strictly positive probability."""
     return m.tau > 0.0
 
 
-def classify_transitions(m: Mdp) -> list[Transition]:
-    """All (s, a, s') triples tagged possible/impossible, in index order."""
-    poss = possible_mask(m)
-    out = []
-    for s in range(m.n_states):
-        for a in range(m.n_actions):
-            for s2 in range(m.n_states):
-                tag = Possibility.POSSIBLE if poss[s, a, s2] else Possibility.IMPOSSIBLE
-                out.append(Transition(s, a, s2, tag))
-    return out
-
-
 def initial_states(m: Mdp) -> tuple[int, ...]:
     return tuple(int(s) for s in np.flatnonzero(m.mu0 > 0.0))
-
-
-@dataclass(frozen=True)
-class ReachabilitySummary:
-    reachable_states: tuple[int, ...]
-    reachable_transitions: tuple[tuple[int, int, int], ...]
-    # Closure restricted to a policy's support; None when no policy was given.
-    supported_states: tuple[int, ...] | None = None
 
 
 def _closure(m: Mdp, keep: np.ndarray) -> np.ndarray:
@@ -231,29 +195,6 @@ def reachable_state_mask(m: Mdp) -> np.ndarray:
 def supported_state_mask(m: Mdp, policy_probs: np.ndarray) -> np.ndarray:
     """Closure of support(mu0) under possible moves the policy can take."""
     return _closure(m, possible_mask(m) & (np.asarray(policy_probs) > 0.0)[:, :, None])
-
-
-def reachability(m: Mdp, policy_probs: np.ndarray | None = None) -> ReachabilitySummary:
-    """Reachable states/transitions; optionally the closure under a policy.
-
-    A transition is reachable when its source state is reachable and it is
-    possible.  With policy_probs (S,A), supported_states is the closure using
-    only actions the policy assigns positive probability.
-    """
-    poss = possible_mask(m)
-    reach = _closure(m, poss)
-    triples = []
-    for s in np.flatnonzero(reach):
-        for a, s2 in zip(*np.nonzero(poss[s])):
-            triples.append((int(s), int(a), int(s2)))
-    supported = None
-    if policy_probs is not None:
-        supported = tuple(int(s) for s in np.flatnonzero(supported_state_mask(m, policy_probs)))
-    return ReachabilitySummary(
-        reachable_states=tuple(int(s) for s in np.flatnonzero(reach)),
-        reachable_transitions=tuple(triples),
-        supported_states=supported,
-    )
 
 
 def unreachable_transition_mask(m: Mdp) -> np.ndarray:

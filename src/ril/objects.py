@@ -52,7 +52,6 @@ from .solvers import (
     optimal_action_sets,
     optimal_q,
     policy_q,
-    reward_scale,
     soft_q,
     uniform_policy,
 )
@@ -68,9 +67,8 @@ from .trajectories import (
     lasso_returns,
 )
 
-# Returns closer than this count as tied in noiseless preference models:
-# relative to the returns' spread in comparison_model, to the reward scale in
-# noiseless_prefers.
+# Returns closer than this, relative to their spread, count as tied in
+# noiseless preference models.
 NOISELESS_TIE_RTOL = 1e-9
 
 KIND_TAGS = (
@@ -131,25 +129,11 @@ class Resolution:
     lasso_cycle_cap: int = 3
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 
-
-@dataclass(frozen=True)
-class ObjectKind:
-    tag: str
-
     def __post_init__(self):
-        if self.tag not in KIND_TAGS:
-            raise ContractError(f"unknown object kind {self.tag!r}")
-
-    @property
-    def label(self) -> str:
-        return KIND_LABELS[self.tag]
-
-
-def _kind_tag(kind) -> str:
-    tag = kind.tag if isinstance(kind, ObjectKind) else str(kind)
-    if tag not in KIND_TAGS:
-        raise ContractError(f"unknown object kind {tag!r}")
-    return tag
+        lows = {"max_fragment_len": 0, "lasso_prefix_cap": 0, "lasso_cycle_cap": 1, "enumeration_cap": 1}
+        for name, low in lows.items():
+            if not getattr(self, name) >= low:
+                raise ContractError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -248,13 +232,6 @@ def boltzmann_comparison_prob(m: Mdp, item1, item2, beta: float = 1.0) -> float:
     g1 = _item_return(m, item1)
     g2 = _item_return(m, item2)
     return float(_logistic(np.array([beta * (g2 - g1)]))[0])
-
-
-def noiseless_prefers(m: Mdp, item1, item2, tie_tol: float | None = None) -> bool:
-    """True when item1's return is at most item2's, up to the tie tolerance."""
-    if tie_tol is None:
-        tie_tol = NOISELESS_TIE_RTOL * reward_scale(m)
-    return _item_return(m, item1) <= _item_return(m, item2) + tie_tol
 
 
 def tie_group_ranks(values: np.ndarray, tol: float) -> np.ndarray:
@@ -401,7 +378,7 @@ def fingerprint(
     params: SolverParams = SolverParams(),
 ) -> ObjectFingerprint:
     """Compute the payload identifying this reward-derived object for m."""
-    tag = _kind_tag(kind)
+    tag = str(kind)
     beta = params.beta
 
     if tag == "q_policy":

@@ -81,6 +81,10 @@ class SamplerConfig:
             raise ContractError(f"reward_low {self.reward_low} exceeds reward_high {self.reward_high}")
         if self.min_initial_states < 1:
             raise ContractError("min_initial_states must be >= 1")
+        if self.max_initial_states is not None and self.max_initial_states < self.min_initial_states:
+            raise ContractError(
+                f"max_initial_states {self.max_initial_states} is below min_initial_states {self.min_initial_states}"
+            )
 
 
 def sample_mdp(cfg: SamplerConfig, seed: int) -> Mdp:
@@ -115,7 +119,6 @@ def sample_mdp(cfg: SamplerConfig, seed: int) -> Mdp:
 
     lo = min(cfg.min_initial_states, len(candidates))
     hi = len(candidates) if cfg.max_initial_states is None else min(cfg.max_initial_states, len(candidates))
-    hi = max(lo, hi)
     n_init = int(rng.integers(lo, hi + 1))
     chosen = rng.choice(candidates, size=n_init, replace=False)
     mu0 = np.zeros(nS)

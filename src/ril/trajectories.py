@@ -102,15 +102,6 @@ class LassoTrajectory:
         return (self.prefix.sort_key(), self.cycle.sort_key())
 
 
-def is_possible_fragment(m: Mdp, frag: Fragment) -> bool:
-    poss = possible_mask(m)
-    return all(poss[s, a, s2] for s, a, s2 in frag.transitions())
-
-
-def is_initial_fragment(m: Mdp, frag: Fragment) -> bool:
-    return m.mu0[frag.start] > 0.0
-
-
 def fragment_return(m: Mdp, frag: Fragment) -> float:
     """Discounted return sum_t gamma^t * reward along the fragment."""
     total = 0.0
@@ -387,6 +378,29 @@ def enumerate_lassos(
     prefix_of, rank = _fan_out(grow)
     cycle_of = (np.cumsum(per_state) - per_state)[prefixes.end][prefix_of] + rank
     return Lassos(prefixes, cycles, prefix_of, cycle_of)
+
+
+def count_lassos(m: Mdp, prefix_cap: int, cycle_cap: int) -> int:
+    """len(enumerate_lassos(m, prefix_cap, cycle_cap)) with its default flags, without enumerating.
+
+    With N[s, s'] the number of actions that can move s to s', the prefixes
+    ending at each state number P = sum_{k <= prefix_cap} 1_init N^k, the
+    cycles at each state C[s] = sum_{1 <= l <= cycle_cap} (N^l)[s, s], and
+    the lassos P . C.  The arithmetic is in Python ints, exact at any cap.
+    """
+    if cycle_cap < 1:
+        raise ContractError("cycle_cap must be >= 1")
+    steps = possible_mask(m).sum(axis=1).astype(object)
+    ends = prefixes = (m.mu0 > 0.0).astype(object)
+    for _ in range(prefix_cap):
+        ends = ends @ steps
+        prefixes = prefixes + ends
+    walks = steps
+    cycles = np.diagonal(walks)
+    for _ in range(cycle_cap - 1):
+        walks = walks @ steps
+        cycles = cycles + np.diagonal(walks)
+    return int(prefixes @ cycles)
 
 
 def _fragment_totals(m: Mdp, frags: Fragments) -> np.ndarray:

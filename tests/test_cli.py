@@ -246,6 +246,13 @@ def test_check_rejects_config_keys_it_would_ignore(tmp_path, capsys, config):
         {"trials": -1},
         {"budget": -1},
         {"tol_rel": -1e-6},
+        {"magnitude": 0},
+        {"magnitude": -1},
+        {"resolution": {"max_fragment_len": -1}},
+        {"resolution": {"lasso_prefix_cap": -1}},
+        {"resolution": {"lasso_cycle_cap": 0}},
+        {"resolution": {"enumeration_cap": 0}},
+        {"sampler": {"max_initial_states": 0}},
     ],
 )
 def test_check_rejects_config_values_of_the_wrong_type(tmp_path, capsys, config):
@@ -257,9 +264,9 @@ def test_check_rejects_config_values_of_the_wrong_type(tmp_path, capsys, config)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and next(iter(config)) in err
-    leaf = config[next(iter(config))]
-    if isinstance(leaf, dict):
-        assert f"bad sampler value for {next(iter(leaf))!r}" in err
+    key = next(iter(config))
+    if isinstance(config[key], dict):
+        assert f"bad {key} value for {next(iter(config[key]))!r}" in err
 
 
 @pytest.mark.parametrize("mode", [[], ["--search", "--budget", "6"]])

@@ -36,11 +36,11 @@ from ril.invariance import (
     PlanRow,
     _first_stochastic_step,
 )
-from ril.micro import loop_mdp, return_fan_mdp, two_action_loop_mdp
+from ril.micro import chain_mdp, loop_mdp, return_fan_mdp, two_action_loop_mdp
 from ril.objects import canonical_lassos, tie_group_ranks
 from ril.sampling import derive_seed, sample_mdp
 from ril.solvers import reward_scale
-from ril.trajectories import lasso_returns
+from ril.trajectories import count_lassos, lasso_returns
 
 FAST = CheckConfig(
     trials=8,
@@ -442,3 +442,43 @@ def test_lasso_needs_decide_as_the_eager_offer_does():
             accepted[need] += eager
     assert set(outcomes) == {"capped", "empty", "over_400", "enumerated"}, outcomes
     assert all(0 < accepted[need] < 240 for need in needs), accepted
+
+
+def test_lasso_needs_reject_on_the_count_without_enumerating(monkeypatch):
+    import ril.invariance as inv
+
+    calls = []
+
+    def counting(m, res):
+        calls.append(res)
+        return canonical_lassos(m, res)
+
+    monkeypatch.setattr(inv, "canonical_lassos", counting)
+    # chain_mdp's one initial state has no self-loop: no lasso with an empty
+    # prefix.  A dense 4-state, 3-action MDP has thousands at the defaults.
+    dense = sample_mdp(SamplerConfig(n_states=(4, 4), n_actions=(3, 3), sparsity=0.0), seed=7)
+    assert count_lassos(chain_mdp(), 0, 1) == 0
+    assert count_lassos(dense, 3, 3) > 400
+    for m, res in [(chain_mdp(), Resolution(0, 0, 1)), (dense, Resolution())]:
+        assert not LassoNeed()(m, replace(FAST, resolution=res))
+    assert calls == []
+    # loop_mdp has 3 prefixes and 2 cycles at Resolution(2, 2, 2): 6 lassos.
+    assert LassoNeed(count=6)(loop_mdp(), FAST)
+    assert not LassoNeed(count=7)(loop_mdp(), FAST)
+    assert calls == [FAST.resolution]
+
+
+@pytest.mark.parametrize(
+    "args, sampler",
+    [
+        (("q_star", "shaping_zero_initial"), {"min_initial_states": 2}),
+        (("lottery_order", "shaping"), {"max_initial_states": 1}),
+    ],
+)
+def test_a_rows_initial_state_bound_gives_way_to_the_configs_minimum(draws, args, sampler):
+    # The first row caps initial states at one, the second asks for two.
+    cfg = replace(FAST, budget=4, sampler=replace(FAST.sampler, **sampler))
+    search_counterexample(*args, cfg)
+    assert draws
+    for _, drawn, _ in draws:
+        assert drawn.max_initial_states == drawn.min_initial_states == 2

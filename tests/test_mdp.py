@@ -6,8 +6,6 @@ import pytest
 from ril import (
     MdpFormatError,
     ContractError,
-    Possibility,
-    classify_transitions,
     dump_mdp,
     impossible_transition_mask,
     initial_states,
@@ -16,10 +14,8 @@ from ril import (
     mdp_to_obj,
     parse_mdp,
     possible_mask,
-    reachability,
     reachable_state_mask,
     terminal_mask,
-    terminal_states,
     unreachable_transition_mask,
     validate_mdp,
     with_reward,
@@ -99,11 +95,10 @@ def test_terminal_detection():
     # chain: s1 self-loops with reward 0 on every action, so it is terminal.
     m = chain_mdp()
     assert list(terminal_mask(m)) == [False, True]
-    assert terminal_states(m) == (1,)
     # the loop state pays 1 on its self-loop, so it is not terminal.
-    assert terminal_states(loop_mdp()) == ()
+    assert not terminal_mask(loop_mdp()).any()
     # orphan s2 self-loops but pays 0.7, not terminal either.
-    assert terminal_states(orphan_state_mdp()) == ()
+    assert not terminal_mask(orphan_state_mdp()).any()
 
 
 def test_possible_mask_matches_support():
@@ -113,21 +108,10 @@ def test_possible_mask_matches_support():
     assert np.array_equal(poss, m.tau > 0)
 
 
-def test_classify_transitions_partition():
-    m = orphan_state_mdp()
-    kinds = {t.possibility for t in classify_transitions(m)}
-    assert kinds <= {Possibility.POSSIBLE, Possibility.IMPOSSIBLE}
-    n = m.n_states * m.n_actions * m.n_states
-    assert len(classify_transitions(m)) == n
-
-
 def test_reachability_on_orphan():
     m = orphan_state_mdp()
     assert initial_states(m) == (0,)
     assert list(reachable_state_mask(m)) == [True, True, False]
-    summary = reachability(m)
-    assert summary.reachable_states == (0, 1)
-    assert all(s != 2 for s, _, _ in summary.reachable_transitions)
 
 
 def test_unreachable_is_impossible_plus_orphan_rows():

@@ -12,7 +12,6 @@ from ril import (
     ContractError,
     Fragment,
     Mask,
-    ObjectKind,
     PotentialShaping,
     Resolution,
     apply_transform,
@@ -22,7 +21,6 @@ from ril import (
     fingerprint,
     lottery_library_values,
     make_mdp,
-    noiseless_prefers,
     recover_reward_from_comparisons,
     tie_group_ranks,
     with_reward,
@@ -37,9 +35,8 @@ def test_kind_roster_is_complete():
     assert len(KIND_TAGS) == 17
     assert len(set(KIND_TAGS)) == 17
     assert set(KIND_LABELS) == set(KIND_TAGS)
-    with pytest.raises(ContractError):
-        ObjectKind("not_a_kind")
-    assert ObjectKind("q_star").label
+    with pytest.raises(ContractError, match="unknown object kind"):
+        fingerprint(loop_mdp(), "not_a_kind")
 
 
 def test_loop_value_payloads_frozen():
@@ -81,16 +78,6 @@ def test_comparison_prob_rejects_impossible_items():
     m = chain_mdp()
     with pytest.raises(ContractError):
         boltzmann_comparison_prob(m, Fragment(0, ((0, 0),)), Fragment(0))
-
-
-def test_noiseless_prefers_and_ties():
-    m = two_action_loop_mdp()
-    lo = Fragment(0, ((0, 0),))   # return 1
-    hi = Fragment(0, ((1, 0),))   # return 1.5
-    lo2 = Fragment(0, ((0, 0), (0, 0)))  # return 1.5: ties hi
-    assert noiseless_prefers(m, lo, hi)
-    assert not noiseless_prefers(m, hi, lo)
-    assert noiseless_prefers(m, hi, lo2) and noiseless_prefers(m, lo2, hi)
 
 
 def test_tie_group_ranks_frozen():

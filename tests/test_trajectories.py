@@ -16,14 +16,13 @@ from ril import (
     enumerate_lassos,
     fragment_return,
     fragment_returns,
-    is_initial_fragment,
-    is_possible_fragment,
     lasso_return,
     lasso_returns,
     truncation_bound,
     unroll_lasso,
 )
 from ril.objects import Resolution
+from ril.trajectories import count_lassos
 from ril.micro import chain_mdp, loop_mdp, two_action_loop_mdp
 from ril.sampling import SamplerConfig, sample_mdp
 
@@ -87,15 +86,9 @@ def test_enumeration_is_deterministic_and_sorted():
 def test_enumerate_fragments_only_possible():
     m = chain_mdp()
     frags = enumerate_fragments(m, max_len=2)
-    assert all(is_possible_fragment(m, f) for f in frags)
+    assert all(m.tau[s, a, s2] > 0.0 for f in frags for s, a, s2 in f.transitions())
     # s0 has a single possible move, into s1; no fragment uses the zero row.
     assert Fragment(0, ((0, 0),)) not in frags
-
-
-def test_initial_fragment_uses_mu0():
-    m = chain_mdp()
-    assert is_initial_fragment(m, Fragment(0))
-    assert not is_initial_fragment(m, Fragment(1))
 
 
 def test_enumeration_cap_raises():
@@ -268,3 +261,22 @@ def test_enumeration_and_returns_match_reference(
         lasso_returns,
         m,
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 2),
+    st.sampled_from([0.0, 0.4, 0.7]),
+    st.sampled_from([0.0, 0.5]),
+    st.integers(0, 10_000),
+    st.integers(0, 3),
+    st.integers(1, 3),
+)
+def test_lasso_count_matches_enumeration(n_states, n_actions, sparsity, orphan_prob, seed, prefix_cap, cycle_cap):
+    cfg = SamplerConfig(
+        n_states=(n_states, n_states), n_actions=(n_actions, n_actions), sparsity=sparsity, orphan_prob=orphan_prob
+    )
+    m = sample_mdp(cfg, seed=seed)
+    want = len(enumerate_lassos(m, prefix_cap, cycle_cap, cap=10**6))
+    assert count_lassos(m, prefix_cap, cycle_cap) == want
