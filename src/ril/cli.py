@@ -3,7 +3,8 @@
 Subcommands: solve, transform, check, table, order, transfer-demo.  Each
 subcommand takes --out and the flags it reads, and no others; an unknown flag
 fails fast with exit 2 (argparse's convention).  Exit codes: 0 success, 1
-directory-table diff, 2 input or configuration error, 3 numerical failure.
+directory-table diff, 2 input or configuration error (an MDP with more
+fragments or lassos than the enumeration cap included), 3 numerical failure.
 
 check, table and order resolve their settings one way: defaults, then the
 experiment config file (--config), then flags.  Each flag sets the config key
@@ -33,7 +34,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
-from .errors import ContractError, ConvergenceError, MdpFormatError
+from .errors import ContractError, ConvergenceError, EnumerationCapError, MdpFormatError
 from .hasse import build_refinement_order, order_to_dot, render_order
 from .invariance import (
     STATUS_COUNTEREXAMPLE,
@@ -94,6 +95,9 @@ class ExperimentConfig:
             raise ContractError(f"unknown roster entries: {bad}")
         if not self.kinds:
             raise ContractError("the kind roster must be non-empty")
+        repeated = sorted({k for k in self.kinds if self.kinds.count(k) > 1})
+        if repeated:
+            raise ContractError(f"kinds repeats roster entries: {repeated}")
 
     def echo(self, unread: tuple[str, ...]) -> dict:
         """The settings as a config document, less the keys in `unread`."""
@@ -514,7 +518,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ContractError, MdpFormatError) as exc:
+    except (ContractError, MdpFormatError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         violations = getattr(exc, "violations", None)
         if violations:

@@ -11,11 +11,12 @@ into the induced order:
 * the reduced cover relation (the diagram's edges) drops every ordered pair
   implied by transitivity.
 
-Member pairs of two groups must all agree on the groups' relation and the
-group order must be transitively consistent; violations are reported on the
-result rather than silently patched, since each would falsify the order
-itself.  All iteration follows the fixed kind roster, so results are
-deterministic given the configuration.
+Member pairs of one group must all compare as equivalent, member pairs of
+two groups must all agree on the groups' relation, and the group order must
+be transitively consistent; violations are reported on the result rather
+than silently patched, since each would falsify the order itself.  All
+iteration follows the fixed kind roster, so results are deterministic given
+the configuration.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .invariance import (
     RELATION_A_REFINES_B,
     RELATION_B_REFINES_A,
     RELATION_EQUIVALENT,
-    RELATION_INCOMPARABLE,
     CheckConfig,
     RefinementVerdict,
     refinement_compare,
@@ -153,6 +153,14 @@ def build_refinement_order(cfg: CheckConfig, kinds: tuple[str, ...] = KIND_TAGS)
         return _flip(by_pair[(b, a)])
 
     issues = []
+    # Equivalence is merged transitively, so a group may hold a pair that did
+    # not compare as equivalent.
+    for r in reps:
+        for i, a in enumerate(members[r]):
+            for b in members[r][i + 1:]:
+                rel = pair_relation(a, b)
+                if rel != RELATION_EQUIVALENT:
+                    issues.append(f"group {r} holds {a} and {b}, which compare as {rel}")
     finer: dict[tuple[str, str], bool] = {}
     for ra in reps:
         for rb in reps:
@@ -163,12 +171,7 @@ def build_refinement_order(cfg: CheckConfig, kinds: tuple[str, ...] = KIND_TAGS)
                 issues.append(
                     f"groups {ra} and {rb} have conflicting member verdicts: {sorted(rels)}"
                 )
-            rel = rels.pop() if len(rels) == 1 else RELATION_INCOMPARABLE
-            if rel == RELATION_EQUIVALENT:
-                issues.append(
-                    f"member pairs of distinct groups {ra} and {rb} compare as equivalent"
-                )
-            finer[(ra, rb)] = rel == RELATION_A_REFINES_B
+            finer[(ra, rb)] = rels == {RELATION_A_REFINES_B}
 
     # The pairwise strict relation should already be transitively closed;
     # gaps would mean some witness search failed where one must exist.
@@ -180,12 +183,8 @@ def build_refinement_order(cfg: CheckConfig, kinds: tuple[str, ...] = KIND_TAGS)
                         issues.append(
                             f"order is not transitive across {ra} -> {rb} -> {rc}"
                         )
-    for ra in reps:
-        for rb in reps:
-            if ra != rb and finer.get((ra, rb)) and finer.get((rb, ra)):
-                issues.append(f"order has a two-cycle between {ra} and {rb}")
 
-    edges = _transitive_reduction(reps, {k: bool(v) for k, v in finer.items()})
+    edges = _transitive_reduction(reps, finer)
     return RefinementOrder(
         verdicts=tuple(verdicts), groups=groups, edges=tuple(edges), issues=tuple(issues)
     )

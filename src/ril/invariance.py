@@ -17,10 +17,11 @@ witness.  Every trial draws its MDP by the same two rules:
 Three entry points pick the rows:
 
 * check_invariance uses the plain row, PlanRow().
-* search_counterexample uses the cell's row of ATTACK_PLANS, which steers
-  samples away from the degenerate corners of a class (zero potentials,
-  scale factors near one, near-linear rescalings, masks over empty sets) so
-  that cells which are not invariant produce witnesses within a small budget.
+* search_counterexample uses the cell's row of ATTACK_PLANS where one
+  exists, which steers samples away from the degenerate corners of a class
+  (zero potentials, near-linear rescalings, masks over empty sets).  A cell
+  has a row only where the plain plan would cost refinement or search extra
+  trials; the plain plan finds every other witness within a small budget.
 * refinement_compare decides, for two object kinds, whether one's ambiguity
   refines the other's: it hunts for a transformation preserving one
   fingerprint while changing the other, in both directions.  Trials cycle
@@ -69,7 +70,7 @@ from .objects import (
     tie_group_ranks,
 )
 from .sampling import SamplerConfig, derive_seed, sample_mdp, sample_mdp_where
-from .solvers import SolverParams, optimal_action_sets, optimal_q, reward_scale
+from .solvers import SolverParams, optimal_action_sets, reward_scale
 from .trajectories import count_lassos, lasso_returns
 from .transforms import (
     Identity,
@@ -122,7 +123,6 @@ KIND_ROSTERS: dict[str, tuple[str, ...]] = {
 _VALUE_KINDS = frozenset(["q_policy", "q_star", "q_soft"])
 _SOFT_POLICY_KINDS = frozenset(["boltzmann_policy", "mce_policy"])
 _ARGMAX_KINDS = frozenset(["supportive_optimal_policy", "optimal_policy_set"])
-_SOFT_DIST_KINDS = frozenset(["traj_dist_boltzmann", "traj_dist_mce"])
 _FRAG_VALUE_KINDS = frozenset(["return_fragments", "boltzmann_cmp_fragments"])
 
 
@@ -229,10 +229,6 @@ def _free_states(m: Mdp) -> list[int]:
     return [int(s) for s in np.flatnonzero(~terminal_mask(m) & ~(m.mu0 > 0.0))]
 
 
-def _nonterminal_states(m: Mdp) -> list[int]:
-    return [int(s) for s in np.flatnonzero(~terminal_mask(m))]
-
-
 def _stochastic_mask(m: Mdp) -> np.ndarray:
     """(S, A, S): the possible steps whose (s, a) has two or more successors."""
     poss = possible_mask(m)
@@ -243,7 +239,7 @@ def _stochastic_mask(m: Mdp) -> np.ndarray:
 class LassoNeed:
     """Least values of what an MDP's canonical lassos must offer: their
     count, distinct return levels, start states, most levels from one start,
-    a stochastic step, two returns 0.05 to 8 apart, and the largest |return|.
+    a stochastic step, and two returns 0.05 to 8 apart.
     An MDP past the enumeration caps or with none or over 400 lassos meets no
     need.  Calling a need counts the lassos in closed form and enumerates
     them only when the count lies in [max(count, 1), 400]; it then computes
@@ -256,7 +252,6 @@ class LassoNeed:
     per_start_distinct: int = 0
     stochastic_step: bool = False
     moderate_pair: bool = False
-    max_abs: float = 0.0
 
     def __call__(self, m: Mdp, cfg: CheckConfig) -> bool:
         res = cfg.resolution
@@ -270,7 +265,7 @@ class LassoNeed:
             return False
         if self.stochastic_step and _first_stochastic_step(m, lassos) is None:
             return False
-        if self.distinct <= 1 and self.per_start_distinct <= 1 and not self.moderate_pair and self.max_abs <= 0.0:
+        if self.distinct <= 1 and self.per_start_distinct <= 1 and not self.moderate_pair:
             return True
         g = lasso_returns(m, lassos)
         tol = 1e-9 * reward_scale(m)
@@ -285,7 +280,7 @@ class LassoNeed:
             diffs = np.abs(g[None, :] - g[:, None])
             if not np.any((diffs >= 0.05) & (diffs <= 8.0)):
                 return False
-        return self.max_abs <= 0.0 or float(np.max(np.abs(g))) >= self.max_abs
+        return True
 
 
 def _first_stochastic_step(m: Mdp, lassos) -> tuple[int, int, int] | None:
@@ -301,29 +296,12 @@ def _first_stochastic_step(m: Mdp, lassos) -> tuple[int, int, int] | None:
     return (*divmod(s_a, m.n_actions), s2)
 
 
-def _single_nonterminal_initial(m: Mdp, cfg: CheckConfig) -> bool:
-    init = initial_states(m)
-    return len(init) == 1 and not terminal_mask(m)[init[0]]
-
-
-def _stochastic_row_with_distinct_rewards(m: Mdp, cfg: CheckConfig) -> bool:
-    poss = possible_mask(m)
-    spread = np.where(poss, m.reward, -np.inf).max(axis=2) - np.where(poss, m.reward, np.inf).min(axis=2)
-    return bool(np.any((poss.sum(axis=2) >= 2) & (spread >= 0.05)))
-
-
 def _has_stochastic_step(m: Mdp, cfg: CheckConfig) -> bool:
     return bool(_stochastic_mask(m).any())
 
 
 def _has_possible_unreachable(m: Mdp, cfg: CheckConfig) -> bool:
     return bool(np.any(possible_mask(m) & unreachable_transition_mask(m)))
-
-
-def _has_suboptimal_reachable_action(m: Mdp, cfg: CheckConfig) -> bool:
-    adv = optimal_q(m, cfg.params).adv
-    gap = 10.0 * 1e-7 * reward_scale(m)
-    return bool(np.any(adv[reachable_state_mask(m)] < -gap))
 
 
 def _fragments_within_budget(m: Mdp, cfg: CheckConfig, budget: int = 600) -> bool:
@@ -404,17 +382,10 @@ _FAN = (_canned_fan_pair,)
 _NCF = {"noiseless_cmp_fragments"}
 _SPREAD_INITIAL = _on_states("phi_spread_on", initial_states)
 _NONLINEAR = _fixed(nonlinear=True)
-_AWAY = _fixed(away_from_one=True)
-
-_OPT_ROWS = [
-    (_SOFT_POLICY_KINDS | _SOFT_DIST_KINDS, PlanRow(predicate=_has_suboptimal_reachable_action)),
-    (_NCF, PlanRow(predicate=_stochastic_row_with_distinct_rewards)),
-    (LASSO_KINDS - {"lottery_order"}, PlanRow(predicate=LassoNeed(count=2, distinct=2))),
-    ({"lottery_order"}, PlanRow(predicate=LassoNeed(count=3, distinct=3))),
-]
 
 # Rows by class and kind group.  A cell with no row is expected invariant, or
-# plain random sampling finds its counterexamples.
+# the plain plan finds its counterexamples within a small budget, in search
+# and in every refinement direction that draws the cell's class.
 _ROWS_BY_CLASS: dict[str, list[tuple[Iterable[str], PlanRow]]] = {
     "shaping_zero_initial": [
         (_VALUE_KINDS | _FRAG_VALUE_KINDS, PlanRow(
@@ -423,24 +394,11 @@ _ROWS_BY_CLASS: dict[str, list[tuple[Iterable[str], PlanRow]]] = {
             _ONE_INITIAL, lambda m, cfg: bool(_free_states(m)),
             _phi_spike(lambda m, cfg: _free_states(m)[0]))),
     ],
-    "shaping_k_initial": [
-        (_VALUE_KINDS | _FRAG_VALUE_KINDS, PlanRow(constraints=_fixed(k_nonzero=True))),
-        ({"return_trajectories"}, PlanRow(predicate=LassoNeed(), constraints=_fixed(k_nonzero=True))),
-        (_NCF, PlanRow(
-            _ONE_INITIAL, _single_nonterminal_initial, _phi_spike(lambda m, cfg: initial_states(m)[0]))),
-    ],
     "shaping": [
-        (_VALUE_KINDS | _FRAG_VALUE_KINDS, PlanRow(
-            constraints=_on_states("phi_nonzero_on", _nonterminal_states))),
-        ({"return_trajectories"}, PlanRow(
-            predicate=LassoNeed(), constraints=_on_states("phi_nonzero_on", initial_states))),
         ({"boltzmann_cmp_trajectories"}, PlanRow(
             _TWO_INITIAL, LassoNeed(count=2, starts=2, moderate_pair=True), _SPREAD_INITIAL)),
         ({"lottery_order"}, PlanRow(
             _TWO_INITIAL, LassoNeed(count=3, starts=2, distinct=3, per_start_distinct=2), _SPREAD_INITIAL)),
-        (_NCF, PlanRow(
-            predicate=lambda m, cfg: bool(_nonterminal_states(m)),
-            constraints=_phi_spike(lambda m, cfg: _nonterminal_states(m)[0]))),
         ({"noiseless_cmp_trajectories"}, PlanRow(
             _TWO_INITIAL, LassoNeed(count=2, starts=2),
             _phi_spike(lambda m, cfg: int(np.min(canonical_lassos(m, cfg.resolution).start))))),
@@ -459,24 +417,12 @@ _ROWS_BY_CLASS: dict[str, list[tuple[Iterable[str], PlanRow]]] = {
         ({"lottery_order"}, PlanRow(
             predicate=LassoNeed(count=3, distinct=3, stochastic_step=True), constraints=_push(_lasso_step))),
     ],
-    "positive_scaling": [
-        (_VALUE_KINDS | _SOFT_POLICY_KINDS | _SOFT_DIST_KINDS, PlanRow(constraints=_AWAY)),
-        ({"return_trajectories"}, PlanRow(predicate=LassoNeed(max_abs=0.05), constraints=_AWAY)),
-        ({"boltzmann_cmp_trajectories"}, PlanRow(
-            predicate=LassoNeed(count=2, moderate_pair=True), constraints=_AWAY)),
-    ],
-    # The canned fan pair cannot move the noiseless comparisons.
     "zpmt": [
-        (set(KIND_TAGS) - LASSO_KINDS - _NCF, PlanRow(constraints=_NONLINEAR, canned=_FAN)),
-        (_NCF, PlanRow(constraints=_NONLINEAR)),
-        ({"return_trajectories", "boltzmann_cmp_trajectories"}, PlanRow(
-            predicate=LassoNeed(), constraints=_NONLINEAR, canned=_FAN)),
-        ({"noiseless_cmp_trajectories"}, PlanRow(predicate=LassoNeed(), constraints=_NONLINEAR)),
-        ({"lottery_order"}, PlanRow(predicate=LassoNeed(distinct=3), constraints=_NONLINEAR, canned=_FAN)),
+        (_ARGMAX_KINDS | {"traj_dist_optimal"}, PlanRow(constraints=_NONLINEAR, canned=_FAN)),
     ],
-    "opt_all_states": _OPT_ROWS,
-    "opt_supported_states": [*_OPT_ROWS, (_ARGMAX_KINDS, PlanRow(
-        _ORPHANS, _has_possible_unreachable, _fixed(diff_outside_supported=True)))],
+    "opt_supported_states": [
+        (_ARGMAX_KINDS, PlanRow(_ORPHANS, _has_possible_unreachable, _fixed(diff_outside_supported=True))),
+    ],
     "mask_unreachable": [
         (_ARGMAX_KINDS, PlanRow(_ORPHANS, _has_possible_unreachable, _boost)),
         (_NCF, PlanRow(

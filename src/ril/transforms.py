@@ -69,12 +69,13 @@ CLASS_TAGS = (
     "mask_unreachable",
 )
 
-# Constraint keys accepted by sample_transform (all optional):
+# Constraint keys accepted by sample_transform (all optional).  The attack
+# plans of invariance.py pass all but k_nonzero, which the k-shift identity
+# suite passes; the rescaling proof also passes nonlinear.
 #   phi_nonzero_on: list[int]   force a clearly nonzero potential on one of these states
 #   phi_spread_on: list[int]    force two of these states to get distinct potentials
 #   phi_spike: (state, value)   potential is exactly value * e_state
 #   k_nonzero: bool             force |k| away from zero (k-initial family)
-#   away_from_one: bool         scaling factor c kept outside [0.75, 1.33]
 #   nonlinear: bool             ZPMT slopes alternate by a factor >= 1.6 between
 #                               breakpoints placed at every distinct reward value
 #   push: (s, a, s_hi, value)   redistribution moves value onto tau-possible
@@ -90,7 +91,6 @@ _CONSTRAINT_KEYS = frozenset(
         "phi_spread_on",
         "phi_spike",
         "k_nonzero",
-        "away_from_one",
         "nonlinear",
         "push",
         "extreme_possible_sign",
@@ -494,8 +494,11 @@ def sample_transform(
 
     Degenerate cases (e.g. masking an empty transition set) return Identity
     carrying an explanatory note.  Unknown constraint keys are rejected so
-    callers cannot silently misspell them.
+    callers cannot silently misspell them, and so is a magnitude that is not
+    positive: at 0 every member is the identity.
     """
+    if not magnitude > 0.0:
+        raise ContractError(f"magnitude must be > 0, got {magnitude}")
     cons = dict(constraints or {})
     unknown = set(cons) - _CONSTRAINT_KEYS
     if unknown:
@@ -512,12 +515,7 @@ def sample_transform(
     if class_tag == "sprime_redistribution":
         return _sample_redistribution(m, rng, magnitude, cons)
     if class_tag == "positive_scaling":
-        if cons.get("away_from_one"):
-            c = float(rng.uniform(1.4, 3.0))
-            if rng.random() < 0.5:
-                c = 1.0 / c
-        else:
-            c = float(np.exp(rng.uniform(np.log(1.0 / 3.0), np.log(3.0))))
+        c = float(np.exp(rng.uniform(np.log(1.0 / 3.0), np.log(3.0))))
         return PositiveLinearScaling(c=c)
     if class_tag == "zpmt":
         return _sample_zpmt(m, rng, magnitude, cons)

@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from ril import Resolution, dump_mdp
+from ril import Resolution, SamplerConfig, dump_mdp, sample_mdp
 from ril.cli import build_parser, experiment_config, main
 from ril.table import table_check_config
-from ril.micro import delayed_reward_chain_mdp, loop_mdp, transfer_mdp, two_action_loop_mdp
+from ril.micro import chain_mdp, delayed_reward_chain_mdp, loop_mdp, transfer_mdp, two_action_loop_mdp
 
 
 def write_mdp(tmp_path, m, name="mdp.json"):
@@ -152,6 +152,16 @@ def test_transform_rejects_unknown_class(tmp_path):
     assert main(["transform", "--mdp", path, "--class", "banana"]) == 2
 
 
+@pytest.mark.parametrize("magnitude", ["0", "-1"])
+def test_transform_rejects_a_magnitude_that_is_not_positive(tmp_path, capsys, magnitude):
+    # At 0 the shaping member is the identity; below 0 numpy cannot draw it.
+    path = write_mdp(tmp_path, chain_mdp())
+    assert main(["transform", "--mdp", path, "--class", "shaping", "--magnitude", magnitude]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: magnitude must be > 0")
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -193,6 +203,15 @@ def test_check_search_finds_counterexample(tmp_path, capsys):
 def test_check_rejects_unknown_cell(tmp_path):
     assert main(["check", "--kind", "q_star", "--class", "banana"]) == 2
     assert main(["check", "--kind", "banana", "--class", "shaping"]) == 2
+
+
+def test_check_past_the_enumeration_cap_exits_2(tmp_path, capsys):
+    # A dense 4-state, 3-action MDP has millions of lassos at the default caps.
+    dense = sample_mdp(SamplerConfig(n_states=(4, 4), n_actions=(3, 3), sparsity=0.0), seed=7)
+    path = write_mdp(tmp_path, dense)
+    code = main(["check", "--kind", "return_trajectories", "--class", "shaping", "--mdp", path, "--trials", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: lasso enumeration exceeds cap of 50000")
 
 
 def test_check_rejects_unknown_config_key(tmp_path):
@@ -253,6 +272,7 @@ def test_check_rejects_config_keys_it_would_ignore(tmp_path, capsys, config):
         {"resolution": {"lasso_cycle_cap": 0}},
         {"resolution": {"enumeration_cap": 0}},
         {"sampler": {"max_initial_states": 0}},
+        {"kinds": ["q_star", "q_star", "return_fragments"]},
     ],
 )
 def test_check_rejects_config_values_of_the_wrong_type(tmp_path, capsys, config):
@@ -363,6 +383,7 @@ def test_order_rejects_zero_refine_trials(tmp_path, capsys):
 
 def test_order_rejects_unknown_kind():
     assert main(["order", "--kinds", "q_star,banana"]) == 2
+    assert main(["order", "--kinds", "q_star,q_star,return_fragments"]) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Refinement-order construction: grouping, cover edges, dot output."""
 
+import ril.hasse
 from ril import (
     CheckConfig,
+    RELATION_A_REFINES_B,
     RELATION_EQUIVALENT,
+    RefinementVerdict,
     Resolution,
     SamplerConfig,
     build_refinement_order,
@@ -62,3 +65,22 @@ def test_render_and_dot_output():
     assert dot.startswith("digraph")
     assert "->" in dot
     assert dot.rstrip().endswith("}")
+
+
+def test_a_group_pair_that_is_not_equivalent_is_an_issue(monkeypatch):
+    # Equivalence merges transitively: q_policy ~ q_star ~ q_soft form one
+    # group although q_policy strictly refines q_soft.
+    fabricated = {
+        ("q_policy", "q_star"): RELATION_EQUIVALENT,
+        ("q_policy", "q_soft"): RELATION_A_REFINES_B,
+        ("q_star", "q_soft"): RELATION_EQUIVALENT,
+    }
+
+    def compare(a, b, cfg):
+        return RefinementVerdict(a, b, fabricated[(a, b)], None, None, 0, 0)
+
+    monkeypatch.setattr(ril.hasse, "refinement_compare", compare)
+    order = build_refinement_order(FAST, kinds=("q_policy", "q_star", "q_soft"))
+    assert order.groups == (("q_policy", "q_star", "q_soft"),)
+    assert order.issues == ("group q_policy holds q_policy and q_soft, which compare as a_refines_b",)
+    assert not order.consistent

@@ -58,7 +58,14 @@ def test_attack_plan_table_keys_and_rows():
         assert row != PlanRow(), (cls, kind)
     row = ATTACK_PLANS[("shaping", "lottery_order")]
     assert replace(FAST.sampler, **row.sampler) == replace(FAST.sampler, min_initial_states=2)
-    assert ("opt_all_states", "q_star") not in ATTACK_PLANS
+    # the plain plan finds these cells' witnesses within a small budget
+    classes = {cls for cls, _ in ATTACK_PLANS}
+    assert classes.isdisjoint({"positive_scaling", "opt_all_states", "shaping_k_initial"})
+    for kind in ("q_star", "return_fragments", "return_trajectories", "noiseless_cmp_fragments"):
+        assert ("shaping", kind) not in ATTACK_PLANS
+    for kind in ("q_star", "mce_policy", "return_fragments", "noiseless_cmp_fragments", "lottery_order"):
+        assert ("zpmt", kind) not in ATTACK_PLANS
+        assert ("opt_supported_states", kind) not in ATTACK_PLANS
 
 
 def test_rosters_cover_every_kind():
@@ -274,13 +281,13 @@ def test_complementary_ambiguity_rejects_ordered_pair():
     [
         ("check", "q_star", "shaping", "check"),
         ("search", "q_star", "shaping", "search"),
-        ("search", "return_fragments", "zpmt", "canned"),
-        ("search", "boltzmann_cmp_fragments", "zpmt", "canned"),
-        ("search", "return_trajectories", "zpmt", "canned"),
-        ("search", "boltzmann_cmp_trajectories", "zpmt", "canned"),
-        ("search", "lottery_order", "zpmt", "canned"),
+        ("search", "supportive_optimal_policy", "zpmt", "canned"),
+        ("search", "optimal_policy_set", "zpmt", "canned"),
+        ("search", "traj_dist_optimal", "zpmt", "canned"),
         ("refine", "q_star", "boltzmann_policy", "refine"),
         ("refine", "return_fragments", "noiseless_cmp_fragments", "canned"),
+        ("refine", "boltzmann_cmp_trajectories", "noiseless_cmp_trajectories", "canned"),
+        ("refine", "lottery_order", "noiseless_cmp_trajectories", "canned"),
     ],
 )
 def test_witness_records_its_trial(experiment, kind, other, origin):
@@ -355,8 +362,8 @@ def draws(monkeypatch):
         ("check", ("q_star", "mask_impossible"), "plain", {"mask_impossible": 0.3}),
         ("check", ("lottery_order", "mask_unreachable"), "where", {"mask_unreachable": 0.6}),
         ("search", ("q_star", "opt_supported_states"), "plain", {"opt_supported_states": 0.6}),
-        ("search", ("mce_policy", "opt_supported_states"), "where", {"opt_supported_states": 0.6}),
-        # the row sets orphan_prob itself
+        # the rows set orphan_prob themselves
+        ("search", ("mce_policy", "mask_unreachable"), "where", {"mask_unreachable": 1.0}),
         ("search", ("optimal_policy_set", "opt_supported_states"), "where", {"opt_supported_states": 1.0}),
         ("search", ("return_trajectories", "mask_unreachable"), "where", {"mask_unreachable": 0.6}),
         ("search", ("q_star", "mask_impossible"), "plain", {"mask_impossible": 0.3}),
@@ -405,7 +412,6 @@ def _eager_lasso_offer(m, res):
         ),
         stochastic_step=_first_stochastic_step(m, lassos) is not None,
         moderate_pair=bool(np.any((diffs >= 0.05) & (diffs <= 8.0))),
-        max_abs=float(np.max(np.abs(g))),
     )
 
 
@@ -422,7 +428,7 @@ def test_lasso_needs_decide_as_the_eager_offer_does():
     needs |= {p for p in _BASE_PREDICATES.values() if isinstance(p, LassoNeed)}
     # Resolution(1, 1, 1) leaves an MDP without a reachable self-loop with no
     # lassos; the small enumeration cap and the long caps overflow.  Small
-    # rewards put the largest |return| on both sides of max_abs=0.05.
+    # rewards leave few return pairs 0.05 apart for moderate_pair.
     resolutions = [Resolution(), Resolution(1, 1, 1), Resolution(2, 3, 3, enumeration_cap=60), Resolution(2, 4, 4)]
     samplers = [
         SamplerConfig(n_states=(2, 5), n_actions=(1, 3), sparsity=0.5),
