@@ -362,7 +362,7 @@ def cmd_order(args) -> int:
     dot = order_to_dot(order)
     run = _run_report(
         exp.echo(ORDER_UNREAD), order.to_obj(include_witnesses=False),
-        {"order": round(elapsed, 6)},
+        {"order": round(elapsed, 6), "pairs": order.pair_seconds()},
         _input_digests({"config": args.config}),
     )
     _write_out(exp.out_dir, "order.json", _dump_json(order_obj))

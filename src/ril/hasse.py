@@ -16,12 +16,14 @@ two groups must all agree on the groups' relation, and the group order must
 be transitively consistent; violations are reported on the result rather
 than silently patched, since each would falsify the order itself.  All
 iteration follows the fixed kind roster, so results are deterministic given
-the configuration.
+the configuration.  Each pair's comparison is timed; the times go to the run
+report, never into the diagram's JSON.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 from .errors import ContractError
 from .invariance import (
@@ -42,6 +44,9 @@ class RefinementOrder:
     # Reduced cover edges between group representatives, finer -> coarser.
     edges: tuple[tuple[str, str], ...]
     issues: tuple[str, ...]
+    # Wall seconds of each verdict's comparison, in verdict order.  They go
+    # into the run report only, never into to_obj.
+    seconds: tuple[float, ...] = field(default=(), compare=False)
 
     @property
     def consistent(self) -> bool:
@@ -69,7 +74,7 @@ class RefinementOrder:
             obj = v.to_obj() if include_witnesses else {
                 "relation": v.relation, "trials_run": v.trials_run, "trials_skipped": v.trials_skipped,
             }
-            pairs[f"{v.kind_a}|{v.kind_b}"] = obj
+            pairs[_pair_key(v)] = obj
         return {
             "kinds": [k for g in self.groups for k in g],
             "groups": [list(g) for g in self.groups],
@@ -78,6 +83,14 @@ class RefinementOrder:
             "issues": list(self.issues),
             "consistent": self.consistent,
         }
+
+    def pair_seconds(self) -> dict[str, float]:
+        """Each pair's comparison time, keyed as in to_obj's pairs."""
+        return {_pair_key(v): round(s, 6) for v, s in zip(self.verdicts, self.seconds)}
+
+
+def _pair_key(v: RefinementVerdict) -> str:
+    return f"{v.kind_a}|{v.kind_b}"
 
 
 def _flip(relation: str) -> str:
@@ -126,10 +139,12 @@ def build_refinement_order(cfg: CheckConfig, kinds: tuple[str, ...] = KIND_TAGS)
     for k in kinds:
         if k not in KIND_TAGS:
             raise ContractError(f"unknown object kind {k!r}")
-    verdicts = []
+    verdicts, seconds = [], []
     for i, a in enumerate(kinds):
         for b in kinds[i + 1:]:
+            t0 = time.perf_counter()
             verdicts.append(refinement_compare(a, b, cfg))
+            seconds.append(time.perf_counter() - t0)
 
     uf = _UnionFind(kinds)
     for v in verdicts:
@@ -186,7 +201,8 @@ def build_refinement_order(cfg: CheckConfig, kinds: tuple[str, ...] = KIND_TAGS)
 
     edges = _transitive_reduction(reps, finer)
     return RefinementOrder(
-        verdicts=tuple(verdicts), groups=groups, edges=tuple(edges), issues=tuple(issues)
+        verdicts=tuple(verdicts), groups=groups, edges=tuple(edges), issues=tuple(issues),
+        seconds=tuple(seconds),
     )
 
 

@@ -24,7 +24,9 @@ Three entry points pick the rows:
   trials; the plain plan finds every other witness within a small budget.
 * refinement_compare decides, for two object kinds, whether one's ambiguity
   refines the other's: it hunts for a transformation preserving one
-  fingerprint while changing the other, in both directions.  Trials cycle
+  fingerprint while changing the other, in both directions.  A trial compares
+  the changed kind first, and the preserved kind only when the changed kind
+  moved; a trial that moves both is skipped, never a witness.  Trials cycle
   through the preserved kind's known invariance classes, each under its row
   against the changed kind; hand-built witness pairs (an order-preserving
   but curvature-bending monotone rescaling) run first for the ordinal kinds
@@ -519,7 +521,9 @@ def _run_trials(
     else drawn by the orphan and draw rules, must meet the row's predicate
     and the base predicate of each kind in needs.  A trial is skipped when no
     MDP meets them or the member degenerates to a noted Identity; with
-    preserve given, also when the preserved kind's fingerprint moves.
+    preserve given, also when kind's fingerprint moves and so does the
+    preserved kind's.  The preserved kind is compared only when kind moved,
+    since only such a trial can become a witness.
 
     Returns (first witness or None, trials run, trials skipped).
     """
@@ -587,12 +591,12 @@ def _run_trials(
             continue
         m, t, cls, trial, origin = drawn
         m2 = with_reward(m, apply_transform(m, t))
-        if preserve is not None and not compare(m, m2, preserve)[0]:
+        equal, diff = compare(m, m2, kind)
+        if not equal and preserve is not None and not compare(m, m2, preserve)[0]:
             # Numerically possible only at tolerance boundaries; not a valid witness.
             skipped += 1
             continue
         run += 1
-        equal, diff = compare(m, m2, kind)
         if not equal:
             witness = _witness_obj(kind, cls, m, t, diff, cfg, trial, origin)
             if preserve is not None:

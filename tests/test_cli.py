@@ -371,6 +371,21 @@ def test_order_pair_incomparable(tmp_path, capsys):
     assert "trials" not in report["config"] and "budget" not in report["config"]
 
 
+def test_order_reports_each_pairs_time(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"refine_trials": 4}))
+    out = tmp_path / "order"
+    kinds = "q_star,boltzmann_policy,return_trajectories"
+    assert main(["order", "--kinds", kinds, "--config", str(cfg), "--out", str(out)]) == 0
+    doc = read_json(out / "order.json")
+    timings = read_json(out / "report.json")["timings"]
+    assert set(timings) == {"order", "pairs"}
+    assert list(timings["pairs"]) == list(doc["pairs"])
+    # Each time is rounded to the microsecond, as is the total.
+    assert sum(timings["pairs"].values()) <= timings["order"] + 1e-6 * len(timings["pairs"])
+    assert "timings" not in doc
+
+
 def test_order_rejects_zero_refine_trials(tmp_path, capsys):
     # Zero trials find no witness, so every pair would read as equivalent.
     cfg = tmp_path / "cfg.json"

@@ -84,3 +84,19 @@ def test_a_group_pair_that_is_not_equivalent_is_an_issue(monkeypatch):
     assert order.groups == (("q_policy", "q_star", "q_soft"),)
     assert order.issues == ("group q_policy holds q_policy and q_soft, which compare as a_refines_b",)
     assert not order.consistent
+
+
+def test_each_directions_witness_does_not_depend_on_roster_order():
+    # A direction's trials are seeded by (preserved kind, changed kind), so
+    # reversing the roster swaps each pair's sides and keeps its witnesses.
+    kinds = ("q_star", "boltzmann_policy", "return_trajectories", "noiseless_cmp_trajectories")
+    forward = build_refinement_order(FAST, kinds=kinds).to_obj(include_witnesses=True)["pairs"]
+    backward = build_refinement_order(FAST, kinds=kinds[::-1]).to_obj(include_witnesses=True)["pairs"]
+    assert len(forward) == len(backward) == 6
+    for key, pair in forward.items():
+        a, b = key.split("|")
+        flipped = backward[f"{b}|{a}"]
+        assert pair.get("witness_preserves_a") == flipped.get("witness_preserves_b")
+        assert pair.get("witness_preserves_b") == flipped.get("witness_preserves_a")
+    assert any("witness_preserves_a" in pair for pair in forward.values())
+    assert any("witness_preserves_b" in pair for pair in forward.values())

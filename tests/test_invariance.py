@@ -34,7 +34,9 @@ from ril.invariance import (
     ATTACK_PLANS,
     LassoNeed,
     PlanRow,
+    _directional_witness,
     _first_stochastic_step,
+    _run_trials,
 )
 from ril.micro import chain_mdp, loop_mdp, return_fan_mdp, two_action_loop_mdp
 from ril.objects import canonical_lassos, tie_group_ranks
@@ -257,6 +259,42 @@ def test_q_and_trajectory_returns_incomparable():
     v = refinement_compare("q_star", "return_trajectories", FAST)
     assert v.relation == RELATION_INCOMPARABLE
     assert v.witness_preserves_a is not None and v.witness_preserves_b is not None
+
+
+@pytest.fixture
+def fingerprinted(monkeypatch):
+    """The kinds the trial kernel fingerprints, one entry per call."""
+    import ril.invariance as inv
+
+    kinds = Counter()
+
+    def counting(m, kind, *args):
+        kinds[kind] += 1
+        return fingerprint(m, kind, *args)
+
+    monkeypatch.setattr(inv, "fingerprint", counting)
+    return kinds
+
+
+def test_refinement_compares_the_preserved_kind_only_when_the_changed_kind_moved(fingerprinted):
+    # q_soft never moves under q_star's classes, so q_star is never compared.
+    assert _directional_witness("q_star", "q_soft", FAST) == (None, FAST.refine_trials, 0)
+    assert fingerprinted["q_star"] == 0
+    assert fingerprinted["q_soft"] == 2 * FAST.refine_trials
+    fingerprinted.clear()
+    # Trial 0 moves return_trajectories and keeps q_star: one compare of each.
+    w, run, skipped = _directional_witness("q_star", "return_trajectories", FAST)
+    assert (w["trial"], run, skipped) == (0, 1, 0)
+    assert fingerprinted == {"q_star": 2, "return_trajectories": 2}
+
+
+def test_a_trial_that_moves_the_preserved_kind_is_skipped():
+    # Shaping moves both kinds on every trial, so no trial is a witness.
+    key = ("q_star", "return_fragments")
+    found = _run_trials(
+        "return_fragments", FAST, "refine", key, [("shaping", PlanRow())], key, 6, preserve="q_star",
+    )
+    assert found == (None, 0, 6)
 
 
 def test_complementary_ambiguity_check():

@@ -147,6 +147,11 @@ def test_a_benchmark_pass_at_another_seed_reproduces_the_directory_and_the_diagr
     assert diagram["consistent"], diagram["issues"]
     assert {tuple(g) for g in diagram["groups"]} == acceptance["EXPECTED_GROUPS"]
     assert {tuple(e) for e in diagram["edges"]} == acceptance["EXPECTED_EDGES"]
-    for pair in diagram["pairs"].values():
-        witnesses += [pair[side] for side in ("witness_preserves_a", "witness_preserves_b") if side in pair]
-    assert all(replay_witness(w)["reproduced"] for w in witnesses)
+    refining = [
+        pair[side] for pair in diagram["pairs"].values()
+        for side in ("witness_preserves_a", "witness_preserves_b") if side in pair
+    ]
+    assert refining
+    assert all(replay_witness(w)["reproduced"] for w in witnesses + refining)
+    # A refinement witness keeps the kind it preserves.
+    assert not any(replay_witness({**w, "kind": w["preserved_kind"]})["reproduced"] for w in refining)
