@@ -32,6 +32,7 @@ from .invariance import (
 )
 from .mdp import (
     Mdp,
+    MdpStack,
     dump_mdp,
     impossible_transition_mask,
     initial_states,
@@ -42,6 +43,7 @@ from .mdp import (
     parse_mdp,
     possible_mask,
     reachable_state_mask,
+    stack_mdps,
     supported_state_mask,
     terminal_mask,
     unreachable_transition_mask,

@@ -249,7 +249,7 @@ def cmd_solve(args) -> int:
     pi_boltzmann = boltzmann_rational_policy(m, params)
     pi_mce = mce_policy(m, params)
     sets = optimal_action_sets(m, params, tables=t_star)
-    pi_support = maximally_supportive_optimal_policy(m, params, sets=sets)
+    pi_support = maximally_supportive_optimal_policy(m, params, tables=t_star)
     out = {
         "states": list(m.states),
         "actions": list(m.actions),

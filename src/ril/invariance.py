@@ -51,11 +51,13 @@ import numpy as np
 from .errors import ContractError, EnumerationCapError
 from .mdp import (
     Mdp,
+    MdpStack,
     initial_states,
     mdp_from_obj,
     mdp_to_obj,
     possible_mask,
     reachable_state_mask,
+    stack_mdps,
     terminal_mask,
     unreachable_transition_mask,
     with_reward,
@@ -486,10 +488,8 @@ def replay_witness(obj: dict) -> dict:
     )
     params = SolverParams(beta=float(obj.get("beta", SolverParams.beta)))
     tol_rel = float(obj.get("tol_rel", CheckConfig.tol_rel))
-    m2 = with_reward(m, apply_transform(m, t))
-    fp1 = fingerprint(m, obj["kind"], res, params)
-    fp2 = fingerprint(m2, obj["kind"], res, params)
-    equal, diff = fingerprints_equal(fp1, fp2, tol_rel)
+    pair = stack_mdps(m, with_reward(m, apply_transform(m, t)))
+    equal, diff = fingerprints_equal(*fingerprint(pair, obj["kind"], res, params), tol_rel)
     return {
         "reproduced": not equal,
         "diff_index": None if diff is None else int(diff[0]),
@@ -577,12 +577,8 @@ def _run_trials(
         for i in range(n):
             yield draw(i)
 
-    def compare(m: Mdp, m2: Mdp, k: str) -> tuple[bool, tuple[int, float] | None]:
-        return fingerprints_equal(
-            fingerprint(m, k, cfg.resolution, cfg.params),
-            fingerprint(m2, k, cfg.resolution, cfg.params),
-            cfg.tol_rel,
-        )
+    def compare(pair: MdpStack, k: str) -> tuple[bool, tuple[int, float] | None]:
+        return fingerprints_equal(*fingerprint(pair, k, cfg.resolution, cfg.params), cfg.tol_rel)
 
     run = skipped = 0
     for drawn in draws():
@@ -590,9 +586,10 @@ def _run_trials(
             skipped += 1
             continue
         m, t, cls, trial, origin = drawn
-        m2 = with_reward(m, apply_transform(m, t))
-        equal, diff = compare(m, m2, kind)
-        if not equal and preserve is not None and not compare(m, m2, preserve)[0]:
+        # R and t(R) share their dynamics: each kind is one stacked fingerprint.
+        pair = stack_mdps(m, with_reward(m, apply_transform(m, t)))
+        equal, diff = compare(pair, kind)
+        if not equal and preserve is not None and not compare(pair, preserve)[0]:
             # Numerically possible only at tolerance boundaries; not a valid witness.
             skipped += 1
             continue

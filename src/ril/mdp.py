@@ -4,16 +4,19 @@ An MDP here is a tuple (states, actions, tau, mu0, reward, gamma) where
 ``tau[s, a, s']`` is the probability of moving to ``s'`` after taking action
 ``a`` in state ``s``, ``mu0`` is the initial-state distribution, and
 ``reward[s, a, s']`` is received on that transition.  Everything downstream
-(solvers, transformations, fingerprints) consumes this one structure.
+(solvers, transformations, fingerprints) consumes this one structure.  An
+MdpStack holds k rewards over one set of dynamics, so that solvers and
+fingerprints evaluate a trial's R and t(R) in one pass.
 
 Derived notions live here as plain functions returning boolean masks rather
 than cached attributes:
 
 * terminal states: every action self-loops with probability one and pays zero;
 * possible transitions: ``tau > 0`` exactly;
-* reachable states: breadth-first closure of ``support(mu0)`` over possible
-  transitions;
-* supported states: the same closure over the moves a policy can take;
+* reachable states: the closure of ``support(mu0)`` over possible
+  transitions, a boolean fixpoint;
+* supported states: the same closure over the moves a policy can take, per
+  member when the policy is a stack of policies;
 * unreachable transitions: triples that no trajectory started from ``mu0``
   can traverse, i.e. impossible triples plus all triples leaving an
   unreachable state.
@@ -65,6 +68,55 @@ class Mdp:
 
     def action_index(self, name: str) -> int:
         return self.actions.index(name)
+
+
+@dataclass(frozen=True, eq=False)
+class MdpStack:
+    """k rewards over one set of dynamics: MDPs sharing states, actions, tau, mu0 and gamma.
+
+    reward stacks the members' rewards along a leading axis, (k, S, A, S).
+    Solvers and fingerprints evaluate a stack in one pass and answer with
+    that leading axis; they take a single Mdp as the stack of one.  Build
+    via stack_mdps.
+    """
+
+    states: tuple[str, ...]
+    actions: tuple[str, ...]
+    tau: np.ndarray      # (S, A, S), shared
+    mu0: np.ndarray      # (S,), shared
+    reward: np.ndarray   # (k, S, A, S)
+    gamma: float
+    members: tuple[Mdp, ...]
+
+    n_states = Mdp.n_states
+    n_actions = Mdp.n_actions
+
+
+def stack_mdps(*mdps: Mdp) -> MdpStack:
+    """The MDPs as one stack; raises ContractError unless they share their dynamics."""
+    if not mdps:
+        raise ContractError("an MDP stack needs at least one member")
+    m0 = mdps[0]
+    for m in mdps[1:]:
+        same = (
+            m.states == m0.states
+            and m.actions == m0.actions
+            and m.gamma == m0.gamma
+            and (m.tau is m0.tau or np.array_equal(m.tau, m0.tau))
+            and (m.mu0 is m0.mu0 or np.array_equal(m.mu0, m0.mu0))
+        )
+        if not same:
+            raise ContractError("stacked MDPs must share states, actions, tau, mu0 and gamma")
+    reward = np.array([m.reward for m in mdps])
+    reward.setflags(write=False)
+    return MdpStack(m0.states, m0.actions, m0.tau, m0.mu0, reward, m0.gamma, mdps)
+
+
+def as_stack(m: Mdp | MdpStack) -> MdpStack:
+    """m itself when it is a stack, else the stack of one."""
+    if isinstance(m, MdpStack):
+        return m
+    return MdpStack(m.states, m.actions, m.tau, m.mu0, m.reward[None], m.gamma, (m,))
 
 
 def make_mdp(states, actions, tau, mu0, reward, gamma, renormalize: bool = False) -> Mdp:
@@ -165,7 +217,7 @@ def terminal_mask(m: Mdp) -> np.ndarray:
     return self_loop & zero_pay
 
 
-def possible_mask(m: Mdp) -> np.ndarray:
+def possible_mask(m: Mdp | MdpStack) -> np.ndarray:
     """Boolean (S,A,S): transitions with strictly positive probability."""
     return m.tau > 0.0
 
@@ -174,27 +226,30 @@ def initial_states(m: Mdp) -> tuple[int, ...]:
     return tuple(int(s) for s in np.flatnonzero(m.mu0 > 0.0))
 
 
-def _closure(m: Mdp, keep: np.ndarray) -> np.ndarray:
-    """BFS from support(mu0) over transitions with keep[s,a,s'] True."""
-    seen = m.mu0 > 0.0
-    frontier = list(np.flatnonzero(seen))
-    while frontier:
-        s = frontier.pop()
-        nxt = np.flatnonzero(keep[s].any(axis=0))
-        for s2 in nxt:
-            if not seen[s2]:
-                seen[s2] = True
-                frontier.append(int(s2))
-    return seen
+def _closure(m: Mdp | MdpStack, keep: np.ndarray) -> np.ndarray:
+    """States reached from support(mu0) over transitions with keep[..., s, a, s'] True.
+
+    A boolean fixpoint, run on every leading (stack) axis of keep at once.
+    """
+    moves = keep.any(axis=-2)  # (..., S, S'): some kept action leads s to s'
+    seen = m.mu0 > 0.0  # takes the stack axes on the first step
+    while True:
+        grown = seen | (seen[..., :, None] & moves).any(axis=-2)
+        if np.array_equal(grown, seen):
+            return grown
+        seen = grown
 
 
-def reachable_state_mask(m: Mdp) -> np.ndarray:
+def reachable_state_mask(m: Mdp | MdpStack) -> np.ndarray:
     return _closure(m, possible_mask(m))
 
 
-def supported_state_mask(m: Mdp, policy_probs: np.ndarray) -> np.ndarray:
-    """Closure of support(mu0) under possible moves the policy can take."""
-    return _closure(m, possible_mask(m) & (np.asarray(policy_probs) > 0.0)[:, :, None])
+def supported_state_mask(m: Mdp | MdpStack, policy_probs: np.ndarray) -> np.ndarray:
+    """Closure of support(mu0) under possible moves the policy can take.
+
+    policy_probs[..., s, a] may carry a stack axis; so does the mask.
+    """
+    return _closure(m, possible_mask(m) & (np.asarray(policy_probs) > 0.0)[..., None])
 
 
 def unreachable_transition_mask(m: Mdp) -> np.ndarray:

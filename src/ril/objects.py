@@ -30,6 +30,15 @@ Payload layouts by kind tag:
 * lottery_order: expected returns of a fixed lottery library (every point
   mass on an enumerated trajectory, 50/50 mixtures of neighbours, and the
   uniform mixture).
+
+Stacks.  fingerprint takes an MdpStack, k rewards over one set of dynamics
+(a trial's R and t(R)), and returns one fingerprint per member.  The
+solver-backed kinds (value tables, policies, optimal sets, trajectory
+distributions) run one stacked solve, and every reduction in it stays per
+member (see the solvers module), so each payload has the bytes of its
+member fingerprinted alone.  The fragment and lasso kinds share one
+canonical enumeration and compute returns and comparison matrices member by
+member, so no n x n matrix is ever stacked.
 """
 
 from __future__ import annotations
@@ -42,14 +51,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .mdp import Mdp, possible_mask, reachable_state_mask, supported_state_mask
+from .mdp import Mdp, MdpStack, as_stack, possible_mask, reachable_state_mask, supported_state_mask
 from .solvers import (
     Policy,
     SolverParams,
     boltzmann_rational_policy,
     maximally_supportive_optimal_policy,
     mce_policy,
-    optimal_action_sets,
+    optimal_action_mask,
     optimal_q,
     policy_q,
     soft_q,
@@ -237,15 +246,10 @@ def boltzmann_comparison_prob(m: Mdp, item1, item2, beta: float = 1.0) -> float:
 def tie_group_ranks(values: np.ndarray, tol: float) -> np.ndarray:
     """Group sorted values whose successive gaps are within tol into shared ranks."""
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.int64)
-    rank = 0
-    prev = None
-    for idx in order:
-        v = values[idx]
-        if prev is not None and v - prev > tol:
-            rank += 1
-        ranks[idx] = rank
-        prev = v
+    steps = np.zeros(len(values), dtype=np.int64)
+    steps[1:] = np.diff(values[order]) > tol
+    ranks = np.empty_like(steps)
+    ranks[order] = np.cumsum(steps)
     return ranks
 
 
@@ -304,11 +308,12 @@ def exact_comparison_oracle(m: Mdp, beta: float = 1.0):
 # Fingerprints
 
 
-def _distribution_payload(m: Mdp, policy: Policy, relevant: np.ndarray) -> np.ndarray:
+def _distribution_payloads(m: MdpStack, policy: Policy, relevant: np.ndarray) -> np.ndarray:
     # Policy rows outside the relevant states cannot influence which
     # trajectories occur, so they are zeroed out of the payload.
-    masked = np.where(relevant[:, None], policy.probs, 0.0)
-    return np.concatenate([np.asarray(m.mu0, dtype=float), masked.ravel()])
+    masked = np.where(relevant[..., None], policy.probs, 0.0)
+    mu0 = np.broadcast_to(np.asarray(m.mu0, dtype=float), masked.shape[:-1])
+    return np.concatenate([mu0, masked.reshape(len(masked), -1)], axis=1)
 
 
 # The last few enumerations, keyed by everything they depend on: the
@@ -372,55 +377,65 @@ def lottery_library_values(m: Mdp, lassos) -> np.ndarray:
 
 
 def fingerprint(
-    m: Mdp,
+    m: Mdp | MdpStack,
     kind,
     resolution: Resolution = Resolution(),
     params: SolverParams = SolverParams(),
-) -> ObjectFingerprint:
-    """Compute the payload identifying this reward-derived object for m."""
+) -> ObjectFingerprint | tuple[ObjectFingerprint, ...]:
+    """Compute the payload identifying this reward-derived object for m.
+
+    For an MdpStack, one fingerprint per member, in order, from one pass
+    over the shared dynamics; each has the bytes of its member alone.
+    """
     tag = str(kind)
     beta = params.beta
-
+    stack = as_stack(m)
+    # One payload per member, along a leading axis or in a list.
     if tag == "q_policy":
-        payload = policy_q(m, uniform_policy(m)).q.ravel()
+        payloads = policy_q(stack, uniform_policy(stack)).q
     elif tag == "q_star":
-        payload = optimal_q(m, params).q.ravel()
+        payloads = optimal_q(stack, params).q
     elif tag == "q_soft":
-        payload = soft_q(m, params).q.ravel()
+        payloads = soft_q(stack, params).q
     elif tag == "boltzmann_policy":
-        payload = boltzmann_rational_policy(m, params).probs.ravel()
+        payloads = boltzmann_rational_policy(stack, params).probs
     elif tag == "mce_policy":
-        payload = mce_policy(m, params).probs.ravel()
+        payloads = mce_policy(stack, params).probs
     elif tag == "supportive_optimal_policy":
-        payload = maximally_supportive_optimal_policy(m, params).probs.ravel()
+        payloads = maximally_supportive_optimal_policy(stack, params).probs
     elif tag == "optimal_policy_set":
-        sets = optimal_action_sets(m, params)
-        payload = np.array([sum(1 << a for a in acts) for acts in sets], dtype=np.int64)
+        mask = optimal_action_mask(stack, params)
+        payloads = (mask.astype(np.int64) << np.arange(stack.n_actions)).sum(axis=-1)
     elif tag == "traj_dist_boltzmann":
-        payload = _distribution_payload(m, boltzmann_rational_policy(m, params), reachable_state_mask(m))
+        pi = boltzmann_rational_policy(stack, params)
+        payloads = _distribution_payloads(stack, pi, reachable_state_mask(stack))
     elif tag == "traj_dist_mce":
-        payload = _distribution_payload(m, mce_policy(m, params), reachable_state_mask(m))
+        payloads = _distribution_payloads(stack, mce_policy(stack, params), reachable_state_mask(stack))
     elif tag == "traj_dist_optimal":
-        pi = maximally_supportive_optimal_policy(m, params)
-        payload = _distribution_payload(m, pi, supported_state_mask(m, pi.probs))
-    elif tag == "return_fragments":
-        payload = fragment_returns(m, canonical_fragments(m, resolution))
-    elif tag == "return_trajectories":
-        payload = lasso_returns(m, canonical_lassos(m, resolution))
-    elif tag == "boltzmann_cmp_fragments":
-        model = comparison_model(m, canonical_fragments(m, resolution), "boltzmann", beta=beta)
-        payload = model.matrix.ravel()
-    elif tag == "boltzmann_cmp_trajectories":
-        model = comparison_model(m, canonical_lassos(m, resolution), "boltzmann", beta=beta)
-        payload = model.matrix.ravel()
-    elif tag == "noiseless_cmp_fragments":
-        model = comparison_model(m, canonical_fragments(m, resolution), "noiseless")
-        payload = model.matrix.ravel()
-    elif tag == "noiseless_cmp_trajectories":
-        model = comparison_model(m, canonical_lassos(m, resolution), "noiseless")
-        payload = model.matrix.ravel()
-    elif tag == "lottery_order":
-        payload = lottery_library_values(m, canonical_lassos(m, resolution))
+        pi = maximally_supportive_optimal_policy(stack, params)
+        payloads = _distribution_payloads(stack, pi, supported_state_mask(stack, pi.probs))
+    elif tag in FRAGMENT_KINDS or tag in LASSO_KINDS:
+        first = stack.members[0]
+        if tag in FRAGMENT_KINDS:
+            items = canonical_fragments(first, resolution)
+        else:
+            items = canonical_lassos(first, resolution)
+        payloads = [_item_payload(member, tag, items, beta) for member in stack.members]
     else:
         raise ContractError(f"unknown object kind {tag!r}")
-    return ObjectFingerprint(kind=tag, payload=payload, resolution=resolution, beta=beta)
+    fps = tuple(
+        ObjectFingerprint(kind=tag, payload=p.ravel(), resolution=resolution, beta=beta) for p in payloads
+    )
+    return fps if isinstance(m, MdpStack) else fps[0]
+
+
+def _item_payload(m: Mdp, tag: str, items: Fragments | Lassos, beta: float) -> np.ndarray:
+    """One member's payload of a fragment or lasso kind over the canonical items."""
+    if tag == "return_fragments":
+        return fragment_returns(m, items)
+    if tag == "return_trajectories":
+        return lasso_returns(m, items)
+    if tag == "lottery_order":
+        return lottery_library_values(m, items)
+    mode = "boltzmann" if tag.startswith("boltzmann") else "noiseless"
+    return comparison_model(m, items, mode, beta=beta).matrix

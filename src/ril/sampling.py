@@ -15,6 +15,7 @@ conversion.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,19 +104,25 @@ def sample_mdp(cfg: SamplerConfig, seed: int) -> Mdp:
     tau = rng.uniform(0.05, 1.0, (nS, nA, nS))
     drop = rng.random((nS, nA, nS)) < cfg.sparsity
     tau[drop] = 0.0
-    tau[:, :, orphans] = 0.0
-    # Rows from orphan states may go anywhere, including other orphans.
+    # Rows from orphan states may go anywhere, including other orphans.  The
+    # rows are drawn even with no orphan, so the stream stays the same.
     orphan_rows = rng.uniform(0.05, 1.0, (nS, nA, nS))
     orphan_drop = rng.random((nS, nA, nS)) < cfg.sparsity
-    orphan_rows[orphan_drop] = 0.0
-    tau[orphans] = orphan_rows[orphans]
+    if orphans.any():
+        tau[:, :, orphans] = 0.0
+        orphan_rows[orphan_drop] = 0.0
+        tau[orphans] = orphan_rows[orphans]
     # Every row needs some support; re-seed empty rows deterministically.
     fallback = rng.uniform(0.5, 1.0, (nS, nA))
     candidates = np.flatnonzero(~orphans)
-    for s, a in np.argwhere(tau.sum(axis=2) <= 0.0):
+    sums = tau.sum(axis=2)
+    empty = np.argwhere(sums <= 0.0)
+    for s, a in empty:
         allowed_idx = np.arange(nS) if orphans[s] else candidates
         tau[s, a, allowed_idx[int(rng.integers(0, len(allowed_idx)))]] = fallback[s, a]
-    tau = tau / tau.sum(axis=2, keepdims=True)
+    if len(empty):
+        sums = tau.sum(axis=2)
+    tau = tau / sums[:, :, None]
 
     lo = min(cfg.min_initial_states, len(candidates))
     hi = len(candidates) if cfg.max_initial_states is None else min(cfg.max_initial_states, len(candidates))
@@ -126,9 +133,12 @@ def sample_mdp(cfg: SamplerConfig, seed: int) -> Mdp:
     mu0 = mu0 / mu0.sum()
 
     reward = rng.uniform(cfg.reward_low, cfg.reward_high, (nS, nA, nS))
-    states = tuple(f"s{i}" for i in range(nS))
-    actions = tuple(f"a{i}" for i in range(nA))
-    return make_mdp(states, actions, tau, mu0, reward, gamma, renormalize=True)
+    return make_mdp(_names("s", nS), _names("a", nA), tau, mu0, reward, gamma, renormalize=True)
+
+
+@functools.cache
+def _names(prefix: str, n: int) -> tuple[str, ...]:
+    return tuple(f"{prefix}{i}" for i in range(n))
 
 
 def sample_mdp_where(cfg: SamplerConfig, seed: int, predicate, max_tries: int = 200) -> Mdp | None:

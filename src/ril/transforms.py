@@ -420,11 +420,12 @@ def _sample_mask(m: Mdp, rng, magnitude: float, which: str, cons: dict) -> Trans
         mask = impossible_transition_mask(m)
     else:
         mask = unreachable_transition_mask(m)
-    triples = [tuple(int(v) for v in t) for t in np.argwhere(mask)]
+    # argwhere and boolean indexing both walk the mask in C order.
+    triples = [tuple(t) for t in np.argwhere(mask).tolist()]
     if not triples:
         return Identity(note=f"no {which} transitions to mask")
     scale = magnitude * reward_scale(m)
-    original = np.array([m.reward[t] for t in triples])
+    original = m.reward[mask]
     replacement = rng.uniform(-2 * scale, 2 * scale, len(triples))
 
     sign = cons.get("extreme_possible_sign")
@@ -457,7 +458,7 @@ def _sample_opt(
     sets = optimal_action_sets(m, params, tables=tables)
     if scope == "supported":
         # Closure of support(mu0) under optimal-policy-supported possible moves.
-        pi = maximally_supportive_optimal_policy(m, params, sets=sets)
+        pi = maximally_supportive_optimal_policy(m, params, tables=tables)
         supported = supported_state_mask(m, pi.probs)
         new_sets = []
         for s in range(m.n_states):

@@ -1,9 +1,12 @@
 """Reward-derived object fingerprints and preference models."""
 
+import hashlib
 from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lemma_suites
 from ril import (
@@ -22,12 +25,15 @@ from ril import (
     lottery_library_values,
     make_mdp,
     recover_reward_from_comparisons,
+    sample_transform,
+    stack_mdps,
     tie_group_ranks,
     with_reward,
 )
 from ril import objects
 from ril.micro import chain_mdp, loop_mdp, return_fan_mdp, two_action_loop_mdp
 from ril.objects import FRAGMENT_KINDS, LASSO_KINDS, canonical_fragments, canonical_lassos
+from ril.sampling import SamplerConfig, derive_seed, sample_mdp
 from ril.trajectories import enumerate_fragments, enumerate_lassos, lasso_returns
 
 
@@ -86,6 +92,36 @@ def test_tie_group_ranks_frozen():
     # order of appearance does not matter, values do
     shuffled = np.array([1.0, 0.0, 0.5])
     assert tie_group_ranks(shuffled, tol=1e-9).tolist() == [2, 0, 1]
+
+
+def loop_tie_group_ranks(values: np.ndarray, tol: float) -> np.ndarray:
+    """The reference: walk the sorted values, opening a rank at each gap above tol."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=np.int64)
+    rank = 0
+    prev = None
+    for idx in order:
+        v = values[idx]
+        if prev is not None and v - prev > tol:
+            rank += 1
+        ranks[idx] = rank
+        prev = v
+    return ranks
+
+
+# Quarters make gaps of exactly tol = 0.25, which tie; duplicates tie at tol 0.
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(st.integers(-4, 4).map(lambda k: k * 0.25), st.floats(-10.0, 10.0)), max_size=40
+    ),
+    tol=st.sampled_from([0.0, 0.25, 1e-9, 3.0]),
+)
+def test_tie_group_ranks_match_the_loop(values, tol):
+    values = np.array(values, dtype=float)
+    got = tie_group_ranks(values, tol)
+    assert got.dtype == np.int64
+    assert got.tolist() == loop_tie_group_ranks(values, tol).tolist()
 
 
 def test_comparison_model_modes():
@@ -305,3 +341,73 @@ def test_other_supports_never_share_a_basis(monkeypatch):
             assert theirs == enumerate_fn(other, *args)
         assert canonical_lassos(other, res) != canonical_lassos(m, res)
 
+
+
+# sha256 of the kind, dtype, shape and payload bytes of all 17 kinds on 40
+# sampled MDPs and on one transformed reward of each.  Pinned before the
+# solvers evaluated stacks of rewards, so the stacked path keeps every bit.
+GOLDEN_SAMPLER = SamplerConfig(
+    n_states=(2, 4), n_actions=(2, 3), gammas=(0.5, 0.9, 0.99), sparsity=0.4, orphan_prob=0.5
+)
+GOLDEN_RESOLUTION = Resolution(max_fragment_len=2, lasso_prefix_cap=1, lasso_cycle_cap=2)
+GOLDEN_CLASSES = ("shaping", "positive_scaling", "zpmt", "opt_supported_states", "mask_unreachable")
+
+
+def golden_pairs():
+    for i in range(40):
+        m = sample_mdp(GOLDEN_SAMPLER, derive_seed(14, "golden", i))
+        t = sample_transform(GOLDEN_CLASSES[i % len(GOLDEN_CLASSES)], m, derive_seed(14, "golden-t", i))
+        yield m, with_reward(m, apply_transform(m, t))
+
+
+def payload_digest(fps) -> str:
+    h = hashlib.sha256()
+    for fp in fps:
+        p = fp.payload
+        h.update(f"{fp.kind}|{p.dtype.str}|{p.shape}|".encode())
+        h.update(p.tobytes())
+    return h.hexdigest()
+
+
+def test_fingerprint_golden_digest():
+    fps = [
+        fingerprint(mdp, tag, GOLDEN_RESOLUTION)
+        for pair in golden_pairs() for mdp in pair for tag in KIND_TAGS
+    ]
+    assert payload_digest(fps) == "6d6238b3d13fe64bc42dfe74e884ea17e72ae9c9f466c066c54a72a71dd4936d"
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_stack_fingerprints_each_member_as_it_would_alone(k):
+    for i, (m, m2) in enumerate(golden_pairs()):
+        if i % 2:
+            continue
+        # A hundredfold reward takes soft policy iteration more steps.
+        members = (m, m2, with_reward(m, 100.0 * m2.reward))[:k]
+        stack = stack_mdps(*members)
+        for tag in KIND_TAGS:
+            stacked = fingerprint(stack, tag, GOLDEN_RESOLUTION)
+            alone = [fingerprint(member, tag, GOLDEN_RESOLUTION) for member in members]
+            assert len(stacked) == k
+            for got, want in zip(stacked, alone):
+                assert got.payload.dtype == want.payload.dtype, (i, tag)
+                assert got.payload.tobytes() == want.payload.tobytes(), (i, tag)
+
+
+def test_a_stack_needs_shared_dynamics():
+    m = return_fan_mdp()
+    tau = np.array(m.tau)
+    tau[0, 1] = [0.0, 1.0, 0.0]
+    others = (
+        make_mdp(m.states, m.actions, tau, m.mu0, m.reward, m.gamma),
+        make_mdp(m.states, m.actions, m.tau, [0.5, 0.5, 0.0], m.reward, m.gamma),
+        make_mdp(m.states, m.actions, m.tau, m.mu0, m.reward, 0.5),
+        loop_mdp(),
+    )
+    for other in others:
+        with pytest.raises(ContractError, match="share"):
+            stack_mdps(m, other)
+    with pytest.raises(ContractError):
+        stack_mdps()
+    same = make_mdp(m.states, m.actions, np.array(m.tau), np.array(m.mu0), 2.0 * m.reward, m.gamma)
+    assert len(stack_mdps(m, same).members) == 2

@@ -24,7 +24,9 @@ from ril import (
     soft_q,
     soft_q_iterative,
     softmax_rows,
+    stack_mdps,
     uniform_policy,
+    with_reward,
 )
 from ril.micro import chain_mdp, delayed_reward_chain_mdp, loop_mdp, two_action_loop_mdp
 from ril.sampling import SamplerConfig, sample_mdp
@@ -124,6 +126,26 @@ def test_convergence_error_on_tiny_budget():
         assert exc.value.residual > 0
     with pytest.raises(ConvergenceError):
         policy_q_iterative(loop, uniform_policy(loop), SolverParams(max_iters=3))
+
+
+def test_a_stack_raises_for_the_member_that_fails():
+    # The zero reward settles at once; the delayed chain needs three steps.
+    m = delayed_reward_chain_mdp()
+    flat = with_reward(m, np.zeros_like(m.reward))
+    tight = SolverParams(max_iters=1)
+    for solver in (optimal_q, soft_q):
+        assert solver(flat, tight).q.shape == (m.n_states, m.n_actions)
+        with pytest.raises(ConvergenceError) as alone:
+            solver(m, tight)
+        for members in ((m, flat), (flat, m)):
+            with pytest.raises(ConvergenceError) as stacked:
+                solver(stack_mdps(*members), tight)
+            assert stacked.value.residual == alone.value.residual
+            assert stacked.value.iterations == 1
+        both = solver(stack_mdps(flat, m))
+        assert both.q.shape == (2, m.n_states, m.n_actions)
+        assert np.array_equal(both.q[1], solver(m).q)
+        assert both.j[1] == solver(m).j
 
 
 # Value iteration at gamma 0.999 costs about half a second per call.

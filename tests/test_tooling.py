@@ -2,6 +2,7 @@
 reads, and one pass of its config at a seed the acceptance tests do not use."""
 
 import ast
+import hashlib
 import importlib
 import json
 import subprocess
@@ -139,6 +140,14 @@ def test_a_benchmark_pass_at_another_seed_reproduces_the_directory_and_the_diagr
     assert main(["order", "--config", str(order_cfg), "--out", str(order)]) == 0
     capsys.readouterr()
 
+    # The verdict bytes of both workloads, pinned before the solvers
+    # evaluated a trial's two rewards as one stack.
+    assert hashlib.sha256((table / "verdicts.json").read_bytes()).hexdigest() == (
+        "cbeb115e3143bd42beaa25a43bbe88f3cfa94d98f7b831219c3853305bbe8725"
+    )
+    assert hashlib.sha256((order / "order.json").read_bytes()).hexdigest() == (
+        "ad1f9372912807152a7e7f47730028ba7fabfd8ca4c7b4d99386ba2065b0151d"
+    )
     # ril table exits 0 only when every cell reproduces its mark.
     cells = json.loads((table / "verdicts.json").read_text())["cells"]
     witnesses = [c["witness"] for row in cells.values() for c in row.values() if c.get("witness")]
