@@ -308,9 +308,9 @@ def _has_possible_unreachable(m: Mdp, cfg: CheckConfig) -> bool:
     return bool(np.any(possible_mask(m) & unreachable_transition_mask(m)))
 
 
-def _fragments_within_budget(m: Mdp, cfg: CheckConfig, budget: int = 600) -> bool:
+def _fragments_within_budget(m: Mdp, cfg: CheckConfig) -> bool:
     try:
-        return len(canonical_fragments(m, cfg.resolution)) <= budget
+        return len(canonical_fragments(m, cfg.resolution)) <= 600
     except EnumerationCapError:
         return False
 
@@ -558,7 +558,7 @@ def _run_trials(
             if meets is None:
                 m = sample_mdp(sampler, mdp_seed)
             else:
-                m = sample_mdp_where(sampler, mdp_seed, meets, max_tries=40)
+                m = sample_mdp_where(sampler, mdp_seed, meets)
             if m is None:
                 return None
         cons = constraints(m, i, cfg) if constraints is not None else {}

@@ -253,7 +253,7 @@ def tie_group_ranks(values: np.ndarray, tol: float) -> np.ndarray:
     return ranks
 
 
-def comparison_model(m: Mdp, items, mode: str, beta: float = 1.0, tie_tol: float | None = None) -> ComparisonModel:
+def comparison_model(m: Mdp, items, mode: str, beta: float = 1.0) -> ComparisonModel:
     items, returns = _comparison_returns(m, items)
     if mode == "boltzmann":
         if beta <= 0:
@@ -262,10 +262,9 @@ def comparison_model(m: Mdp, items, mode: str, beta: float = 1.0, tie_tol: float
         diffs *= beta
         matrix = _logistic(diffs)
     elif mode == "noiseless":
-        if tie_tol is None:
-            # Relative to the spread of the returns themselves, so the ranks
-            # are unchanged by any positive affine map of the returns.
-            tie_tol = NOISELESS_TIE_RTOL * float(np.ptp(returns)) if len(returns) else 0.0
+        # Relative to the spread of the returns themselves, so the ranks
+        # are unchanged by any positive affine map of the returns.
+        tie_tol = NOISELESS_TIE_RTOL * float(np.ptp(returns)) if len(returns) else 0.0
         ranks = tie_group_ranks(returns, tie_tol)
         matrix = (ranks[:, None] <= ranks[None, :]).astype(np.int8)
     else:
@@ -341,13 +340,7 @@ def canonical_fragments(m: Mdp, resolution: Resolution) -> Fragments:
         "fragments",
         m,
         resolution,
-        lambda: enumerate_fragments(
-            m,
-            resolution.max_fragment_len,
-            possible_only=True,
-            initial_only=False,
-            cap=resolution.enumeration_cap,
-        ),
+        lambda: enumerate_fragments(m, resolution.max_fragment_len, cap=resolution.enumeration_cap),
     )
 
 
@@ -357,12 +350,7 @@ def canonical_lassos(m: Mdp, resolution: Resolution) -> Lassos:
         m,
         resolution,
         lambda: enumerate_lassos(
-            m,
-            resolution.lasso_prefix_cap,
-            resolution.lasso_cycle_cap,
-            possible_only=True,
-            initial_only=True,
-            cap=resolution.enumeration_cap,
+            m, resolution.lasso_prefix_cap, resolution.lasso_cycle_cap, cap=resolution.enumeration_cap
         ),
     )
 

@@ -24,6 +24,8 @@ from .errors import ContractError
 from .mdp import Mdp, make_mdp
 
 _MAX_SEED = 2**63 - 1
+# Draws sample_mdp_where makes before it gives up.
+MAX_TRIES = 40
 
 
 def derive_seed(root: int, *components) -> int:
@@ -141,9 +143,12 @@ def _names(prefix: str, n: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(n))
 
 
-def sample_mdp_where(cfg: SamplerConfig, seed: int, predicate, max_tries: int = 200) -> Mdp | None:
-    """First sampled MDP satisfying predicate, scanning deterministic sub-seeds."""
-    for i in range(max_tries):
+def sample_mdp_where(cfg: SamplerConfig, seed: int, predicate) -> Mdp | None:
+    """First sampled MDP satisfying predicate, scanning MAX_TRIES deterministic sub-seeds.
+
+    None when no draw satisfies it.
+    """
+    for i in range(MAX_TRIES):
         m = sample_mdp(cfg, derive_seed(seed, "reject", i))
         if predicate(m):
             return m

@@ -313,55 +313,45 @@ def mce_policy(m: Mdp | MdpStack, params: SolverParams = SolverParams()) -> Poli
     return Policy(softmax_rows(params.beta * tables.q))
 
 
-def tie_tolerance(m: Mdp | MdpStack, tol: float | None = None):
-    """tol when given, else DEFAULT_TIE_RTOL * (1 + max |E_tau R(s, a)| over reachable s), per member.
-
-    Masks and S'-redistribution leave that scale, and so the tie band, as it was.
-    """
-    if tol is not None:
-        return tol
-    r = expected_reward(m)[..., reachable_state_mask(m), :]
-    scale = DEFAULT_TIE_RTOL * (1.0 + np.max(np.abs(r), axis=(-2, -1)))
-    return scale if isinstance(m, MdpStack) else float(scale)
-
-
 def optimal_action_mask(
     m: Mdp | MdpStack,
     params: SolverParams = SolverParams(),
-    tol: float | None = None,
     tables: ValueTables | None = None,
 ) -> np.ndarray:
-    """mask[..., s, a]: is a's advantage within tie tolerance of zero?
+    """mask[..., s, a]: is a's advantage within the tie band of zero?
 
-    Pass tables (optimal_q of m) when they are already solved.
+    The band is DEFAULT_TIE_RTOL * (1 + max |E_tau R(s, a)| over reachable s),
+    per member.  Masks and S'-redistribution leave that scale, and so the
+    band, as it was.  Pass tables (optimal_q of m) when they are already
+    solved.
     """
     if tables is None:
         tables = optimal_q(m, params)
-    return tables.adv >= -np.asarray(tie_tolerance(m, tol))[..., None, None]
+    r = expected_reward(m)[..., reachable_state_mask(m), :]
+    band = DEFAULT_TIE_RTOL * (1.0 + np.max(np.abs(r), axis=(-2, -1)))
+    return tables.adv >= -band[..., None, None]
 
 
 def optimal_action_sets(
     m: Mdp,
     params: SolverParams = SolverParams(),
-    tol: float | None = None,
     tables: ValueTables | None = None,
 ) -> list[tuple[int, ...]]:
     """Per state, the optimal actions: optimal_action_mask as index tuples."""
-    mask = optimal_action_mask(m, params, tol, tables)
+    mask = optimal_action_mask(m, params, tables)
     return [tuple(int(a) for a in np.flatnonzero(row)) for row in mask]
 
 
 def maximally_supportive_optimal_policy(
     m: Mdp | MdpStack,
     params: SolverParams = SolverParams(),
-    tol: float | None = None,
     tables: ValueTables | None = None,
 ) -> Policy:
     """Uniform over every optimal action in each state.
 
     Pass tables (optimal_q of m) when they are already solved.
     """
-    mask = optimal_action_mask(m, params, tol, tables)
+    mask = optimal_action_mask(m, params, tables)
     return Policy(mask / mask.sum(axis=-1, keepdims=True))
 
 

@@ -294,20 +294,19 @@ def enumerate_fragments(
     m: Mdp,
     max_len: int,
     *,
-    possible_only: bool = True,
     initial_only: bool = False,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Fragments:
-    """All fragments of length 0..max_len in deterministic order.
+    """All possible fragments of length 0..max_len in deterministic order.
 
-    possible_only keeps fragments whose every step has tau > 0; initial_only
-    restricts start states to support(mu0).  Raises EnumerationCapError when
-    the output would exceed cap.
+    Every step of a fragment has tau > 0; initial_only restricts start states
+    to support(mu0).  Raises EnumerationCapError when the output would exceed
+    cap.
     """
     if max_len < 0:
         raise ContractError("max_len must be >= 0")
     n_s, n_a = m.n_states, m.n_actions
-    allowed = possible_mask(m) if possible_only else np.ones((n_s, n_a, n_s), dtype=bool)
+    allowed = possible_mask(m)
     # Flat indices of the steps leaving each state, in (action, next_state)
     # order, as one array: state s owns fan[s] entries from first[s] on.
     codes = np.flatnonzero(allowed)
@@ -352,22 +351,18 @@ def enumerate_lassos(
     prefix_cap: int,
     cycle_cap: int,
     *,
-    possible_only: bool = True,
-    initial_only: bool = True,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Lassos:
-    """All lassos with prefix length <= prefix_cap and cycle length <= cycle_cap.
+    """All possible lassos with prefix length <= prefix_cap and cycle length <= cycle_cap.
 
-    Prefixes start from initial states by default (these stand in for whole
-    trajectories, which begin at mu0).  Order: (prefix, cycle) lexicographic
-    in fragment order.  Raises EnumerationCapError beyond cap.
+    Every step has tau > 0, and prefixes start in support(mu0): lassos stand
+    in for whole trajectories, which begin at mu0.  Order: (prefix, cycle)
+    lexicographic in fragment order.  Raises EnumerationCapError beyond cap.
     """
     if cycle_cap < 1:
         raise ContractError("cycle_cap must be >= 1")
-    prefixes = enumerate_fragments(
-        m, prefix_cap, possible_only=possible_only, initial_only=initial_only, cap=cap
-    )
-    walks = enumerate_fragments(m, cycle_cap, possible_only=possible_only, initial_only=False, cap=cap)
+    prefixes = enumerate_fragments(m, prefix_cap, initial_only=True, cap=cap)
+    walks = enumerate_fragments(m, cycle_cap, cap=cap)
     closed = np.flatnonzero((walks.length >= 1) & (walks.start == walks.end))
     # Cycles grouped by their state, in fragment order within each state.
     cycles = walks._take(closed[np.argsort(walks.start[closed], kind="stable")])
@@ -381,7 +376,7 @@ def enumerate_lassos(
 
 
 def count_lassos(m: Mdp, prefix_cap: int, cycle_cap: int) -> int:
-    """len(enumerate_lassos(m, prefix_cap, cycle_cap)) with its default flags, without enumerating.
+    """len(enumerate_lassos(m, prefix_cap, cycle_cap)), without enumerating.
 
     With N[s, s'] the number of actions that can move s to s', the prefixes
     ending at each state number P = sum_{k <= prefix_cap} 1_init N^k, the

@@ -313,9 +313,9 @@ def apply_transform(m: Mdp, t: TransformSpec) -> np.ndarray:
 # Sampling class members
 
 
-def extreme_reward_value(m: Mdp, depth: int = 3) -> float:
-    """A reward magnitude that dominates any return difference at shallow depth."""
-    return 4.0 * reward_scale(m) / ((1.0 - m.gamma) * m.gamma ** depth)
+def extreme_reward_value(m: Mdp) -> float:
+    """A reward magnitude that dominates any return difference at depth 3."""
+    return 4.0 * reward_scale(m) / ((1.0 - m.gamma) * m.gamma ** 3)
 
 
 def _sample_potential(m: Mdp, rng, magnitude: float, k_mode: str, cons: dict) -> PotentialShaping:
@@ -504,9 +504,9 @@ def sample_transform(
     unknown = set(cons) - _CONSTRAINT_KEYS
     if unknown:
         raise ContractError(f"unknown constraint keys {sorted(unknown)}")
-    rng = np.random.default_rng(seed)
     if class_tag == "identity":
         return Identity()
+    rng = np.random.default_rng(seed)
     if class_tag == "shaping_zero_initial":
         return _sample_potential(m, rng, magnitude, "zero", cons)
     if class_tag == "shaping_k_initial":
@@ -535,10 +535,9 @@ def sample_transform(
 # Membership tests and reward-function recovery helpers
 
 
-def is_sprime_redistribution(m: Mdp, r1: np.ndarray, r2: np.ndarray, tol: float | None = None) -> bool:
+def is_sprime_redistribution(m: Mdp, r1: np.ndarray, r2: np.ndarray) -> bool:
     """Do r1 and r2 differ only by a tau-expectation-preserving delta?"""
-    if tol is None:
-        tol = 1e-8 * (1.0 + float(np.max(np.abs(r1))))
+    tol = 1e-8 * (1.0 + float(np.max(np.abs(r1))))
     exp = np.einsum("sap,sap->sa", m.tau, np.asarray(r2) - np.asarray(r1))
     return bool(np.all(np.abs(exp) <= tol))
 
@@ -558,18 +557,16 @@ def decompose_shaping(
     r1: np.ndarray,
     r2: np.ndarray,
     scope: str = "all",
-    tol: float | None = None,
 ) -> ShapingDecomposition | None:
     """Fit a potential with gamma*phi(s') - phi(s) = r2 - r1 on scoped triples.
 
     scope "all" uses every (s,a,s'); "possible" and "reachable" restrict the
     constraint set accordingly (differences elsewhere are reported as
     off-scope mismatches rather than failures).  Returns None if no potential
-    fits the scoped constraints within tolerance.
+    fits the scoped constraints within 1e-8 * (1 + max |r1|).
     """
     d = np.asarray(r2, dtype=float) - np.asarray(r1, dtype=float)
-    if tol is None:
-        tol = 1e-8 * (1.0 + float(np.max(np.abs(r1))))
+    tol = 1e-8 * (1.0 + float(np.max(np.abs(r1))))
     if scope == "all":
         in_scope = np.ones(m.tau.shape, dtype=bool)
     elif scope == "possible":
@@ -620,12 +617,11 @@ def is_optimality_preserving(
     r2: np.ndarray,
     opt_sets: tuple[tuple[int, ...], ...],
     params: SolverParams = SolverParams(),
-    tol: float | None = None,
 ) -> bool:
     """Does r2 make exactly the prescribed action sets optimal in every state?"""
     from .mdp import with_reward
 
-    sets2 = optimal_action_sets(with_reward(m, r2), params, tol)
+    sets2 = optimal_action_sets(with_reward(m, r2), params)
     return all(tuple(sorted(a)) == tuple(sorted(b)) for a, b in zip(sets2, opt_sets))
 
 

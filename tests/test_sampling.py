@@ -15,6 +15,7 @@ from ril import (
     sample_mdp_where,
     validate_mdp,
 )
+from ril import sampling
 
 
 def test_derive_seed_deterministic_and_distinct():
@@ -125,9 +126,16 @@ def test_sample_mdp_where_respects_predicate():
     assert m is not None and m.n_states == 3
 
 
-def test_sample_mdp_where_gives_up():
-    cfg = SamplerConfig()
-    assert sample_mdp_where(cfg, seed=0, predicate=lambda m: False, max_tries=5) is None
+def test_sample_mdp_where_gives_up(monkeypatch):
+    tries = []
+
+    def counting(cfg, seed):
+        tries.append(seed)
+        return sample_mdp(cfg, seed)
+
+    monkeypatch.setattr(sampling, "sample_mdp", counting)
+    assert sample_mdp_where(SamplerConfig(), seed=0, predicate=lambda m: False) is None
+    assert len(tries) == sampling.MAX_TRIES == 40
 
 
 def test_orphans_appear_when_requested():

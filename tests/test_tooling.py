@@ -4,6 +4,7 @@ reads, and one pass of its config at a seed the acceptance tests do not use."""
 import ast
 import hashlib
 import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -102,6 +103,30 @@ def test_every_ril_name_the_benchmark_reads_exists():
         if len(ref) > 1 and not hasattr(module, ref[1]):
             missing.append(".".join(("ril",) + ref))
     assert missing == []
+
+
+def test_the_call_shapes_the_tracer_reads_hold():
+    # perfbench/tracing.py reads these arguments by position or by name.
+    from ril import objects, solvers
+
+    def positional(fn) -> list[inspect.Parameter]:
+        kinds = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+        return [p for p in inspect.signature(fn).parameters.values() if p.kind in kinds]
+
+    for solver in (solvers.optimal_q, solvers.soft_q):
+        params = positional(solver)
+        assert [p.name for p in params[:2]] == ["m", "params"], solver.__name__
+        assert params[1].default is not inspect.Parameter.empty, solver.__name__
+    lassos = positional(objects.canonical_lassos)
+    assert [p.name for p in lassos[:2]] == ["m", "resolution"]
+    assert all(p.default is not inspect.Parameter.empty for p in lassos[2:])
+    assert positional(objects.fingerprint)[1].name == "kind"
+    traced = literals(PERFBENCH / "tracing.py", "TRACED")["TRACED"]
+    for module_name, functions in traced.items():
+        module = importlib.import_module(f"ril.{module_name}")
+        for name in functions:
+            fn = getattr(module, name, None)
+            assert callable(fn) and fn.__module__ == module.__name__, f"ril.{module_name}.{name}"
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)

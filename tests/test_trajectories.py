@@ -149,34 +149,31 @@ def test_unroll_length(prefix_len, n_extra):
 
 # Reference enumeration, written from the documented order alone: fragments
 # by (length, start, steps) with steps as (action, next_state) pairs, lassos
-# by (prefix, cycle).
-def _reference_walks(m, s, n, possible_only):
+# by (prefix, cycle), every step possible and every lasso starting in
+# support(mu0).
+def _reference_walks(m, s, n):
     if n == 0:
         yield ()
         return
     for a in range(m.n_actions):
         for s2 in range(m.n_states):
-            if possible_only and not m.tau[s, a, s2] > 0.0:
+            if not m.tau[s, a, s2] > 0.0:
                 continue
-            for rest in _reference_walks(m, s2, n - 1, possible_only):
+            for rest in _reference_walks(m, s2, n - 1):
                 yield ((a, s2),) + rest
 
 
-def _reference_fragments(m, max_len, possible_only, initial_only):
+def _reference_fragments(m, max_len, initial_only):
     starts = [s for s in range(m.n_states) if not initial_only or m.mu0[s] > 0.0]
     for n in range(max_len + 1):
         for s in starts:
-            for steps in _reference_walks(m, s, n, possible_only):
+            for steps in _reference_walks(m, s, n):
                 yield Fragment(s, steps)
 
 
-def _reference_lassos(m, prefix_cap, cycle_cap, possible_only, initial_only):
-    cycles = [
-        f
-        for f in _reference_fragments(m, cycle_cap, possible_only, False)
-        if f.length >= 1 and f.end == f.start
-    ]
-    for prefix in _reference_fragments(m, prefix_cap, possible_only, initial_only):
+def _reference_lassos(m, prefix_cap, cycle_cap):
+    cycles = [f for f in _reference_fragments(m, cycle_cap, False) if f.length >= 1 and f.end == f.start]
+    for prefix in _reference_fragments(m, prefix_cap, True):
         for cycle in cycles:
             if cycle.start == prefix.end:
                 yield LassoTrajectory(prefix, cycle)
@@ -222,39 +219,25 @@ def _check_against_reference(enumerate_fn, want, needed, scalar, vectorised, m):
     st.sampled_from([0.3, 0.5, 0.7]),
     st.integers(0, 10_000),
     st.booleans(),
-    st.booleans(),
     st.sampled_from([Resolution(), Resolution(2, 2, 2)]),
 )
-def test_enumeration_and_returns_match_reference(
-    n_states, n_actions, sparsity, seed, possible_only, initial_only, res
-):
+def test_enumeration_and_returns_match_reference(n_states, n_actions, sparsity, seed, initial_only, res):
     cfg = SamplerConfig(n_states=(n_states, n_states), n_actions=(n_actions, n_actions), sparsity=sparsity)
     m = sample_mdp(cfg, seed=seed)
-    frags = _bounded(_reference_fragments(m, res.max_fragment_len, possible_only, initial_only))
+    frags = _bounded(_reference_fragments(m, res.max_fragment_len, initial_only))
     _check_against_reference(
-        lambda cap: enumerate_fragments(
-            m, res.max_fragment_len, possible_only=possible_only, initial_only=initial_only, cap=cap
-        ),
+        lambda cap: enumerate_fragments(m, res.max_fragment_len, initial_only=initial_only, cap=cap),
         frags,
         None if frags is None else len(frags),
         fragment_return,
         fragment_returns,
         m,
     )
-    lassos = _bounded(
-        _reference_lassos(m, res.lasso_prefix_cap, res.lasso_cycle_cap, possible_only, initial_only)
-    )
-    prefixes = _bounded(_reference_fragments(m, res.lasso_prefix_cap, possible_only, initial_only))
-    walks = _bounded(_reference_fragments(m, res.lasso_cycle_cap, possible_only, False))
+    lassos = _bounded(_reference_lassos(m, res.lasso_prefix_cap, res.lasso_cycle_cap))
+    prefixes = _bounded(_reference_fragments(m, res.lasso_prefix_cap, True))
+    walks = _bounded(_reference_fragments(m, res.lasso_cycle_cap, False))
     _check_against_reference(
-        lambda cap: enumerate_lassos(
-            m,
-            res.lasso_prefix_cap,
-            res.lasso_cycle_cap,
-            possible_only=possible_only,
-            initial_only=initial_only,
-            cap=cap,
-        ),
+        lambda cap: enumerate_lassos(m, res.lasso_prefix_cap, res.lasso_cycle_cap, cap=cap),
         lassos,
         None if None in (lassos, prefixes, walks) else max(len(lassos), len(prefixes), len(walks)),
         lasso_return,
