@@ -63,7 +63,6 @@ from .micro import (
 from .objects import (
     KIND_LABELS,
     KIND_TAGS,
-    ComparisonModel,
     ObjectFingerprint,
     Resolution,
     boltzmann_comparison_prob,

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ContractError, ConvergenceError, EnumerationCapError, MdpFormatError
-from .hasse import build_refinement_order, order_to_dot, render_order
+from .hasse import build_refinement_order, check_roster, order_to_dot, render_order
 from .invariance import (
     STATUS_COUNTEREXAMPLE,
     CheckConfig,
@@ -90,14 +90,7 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        bad = [k for k in self.kinds if k not in KIND_TAGS]
-        if bad:
-            raise ContractError(f"unknown roster entries: {bad}")
-        if not self.kinds:
-            raise ContractError("the kind roster must be non-empty")
-        repeated = sorted({k for k in self.kinds if self.kinds.count(k) > 1})
-        if repeated:
-            raise ContractError(f"kinds repeats roster entries: {repeated}")
+        check_roster(self.kinds)
 
     def echo(self, unread: tuple[str, ...]) -> dict:
         """The settings as a config document, less the keys in `unread`."""
@@ -338,7 +331,7 @@ def cmd_table(args) -> int:
     report = reproduce_directory_table(exp.check)
     verdicts = report.verdicts_obj()
     run = _run_report(
-        exp.echo(CHECK_UNREAD), verdicts, report.report_obj()["timings"],
+        exp.echo(CHECK_UNREAD), verdicts, report.cell_seconds(),
         _input_digests({"config": args.config}),
     )
     _write_out(exp.out_dir, "verdicts.json", _dump_json(verdicts))

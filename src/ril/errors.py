@@ -35,7 +35,3 @@ class ConvergenceError(RuntimeError):
 
 class EnumerationCapError(RuntimeError):
     """Enumerating fragments or lassos would exceed the configured cap."""
-
-    def __init__(self, message: str, cap: int):
-        super().__init__(message)
-        self.cap = cap

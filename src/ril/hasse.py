@@ -7,6 +7,7 @@ for refuting witnesses in both directions; this module assembles all pairs
 into the induced order:
 
 * kinds with no refuting witness either way merge into equivalence groups,
+  each represented by its first member in roster order,
 * groups are ordered by the strict verdicts of their member pairs,
 * the reduced cover relation (the diagram's edges) drops every ordered pair
   implied by transitivity.
@@ -14,10 +15,12 @@ into the induced order:
 Member pairs of one group must all compare as equivalent, member pairs of
 two groups must all agree on the groups' relation, and the group order must
 be transitively consistent; violations are reported on the result rather
-than silently patched, since each would falsify the order itself.  All
-iteration follows the fixed kind roster, so results are deterministic given
-the configuration.  Each pair's comparison is timed; the times go to the run
-report, never into the diagram's JSON.
+than silently patched, since each would falsify the order itself.  A roster
+must name known kinds, at least one and none twice (check_roster, which the
+command line's config check calls too).  All iteration follows the roster,
+so results are deterministic given the configuration.  Each pair's
+comparison is timed; the times go to the run report, never into the
+diagram's JSON.
 """
 
 from __future__ import annotations
@@ -51,20 +54,6 @@ class RefinementOrder:
     @property
     def consistent(self) -> bool:
         return not self.issues
-
-    def group_of(self, kind: str) -> tuple[str, ...]:
-        for g in self.groups:
-            if kind in g:
-                return g
-        raise ContractError(f"unknown object kind {kind!r}")
-
-    def relation(self, kind_a: str, kind_b: str) -> str:
-        for v in self.verdicts:
-            if (v.kind_a, v.kind_b) == (kind_a, kind_b):
-                return v.relation
-            if (v.kind_a, v.kind_b) == (kind_b, kind_a):
-                return _flip(v.relation)
-        raise ContractError(f"no verdict recorded for ({kind_a!r}, {kind_b!r})")
 
     def to_obj(self, include_witnesses: bool = False) -> dict:
         """The diagram as JSON.  Each pair holds its verdict with witnesses, or
@@ -101,23 +90,16 @@ def _flip(relation: str) -> str:
     return relation
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            # Keep the earlier roster entry as the representative.
-            if KIND_TAGS.index(ry) < KIND_TAGS.index(rx):
-                rx, ry = ry, rx
-            self.parent[ry] = rx
+def check_roster(kinds: tuple[str, ...]) -> None:
+    """Raise ContractError unless kinds is a non-empty roster of distinct known kinds."""
+    bad = [k for k in kinds if k not in KIND_TAGS]
+    if bad:
+        raise ContractError(f"unknown roster entries: {bad}")
+    if not kinds:
+        raise ContractError("the kind roster must be non-empty")
+    repeated = sorted({k for k in kinds if kinds.count(k) > 1})
+    if repeated:
+        raise ContractError(f"kinds repeats roster entries: {repeated}")
 
 
 def _transitive_reduction(nodes: list[str], reaches: dict[tuple[str, str], bool]) -> list[tuple[str, str]]:
@@ -136,9 +118,7 @@ def _transitive_reduction(nodes: list[str], reaches: dict[tuple[str, str], bool]
 
 def build_refinement_order(cfg: CheckConfig, kinds: tuple[str, ...] = KIND_TAGS) -> RefinementOrder:
     """Compare every pair of kinds and assemble the refinement diagram."""
-    for k in kinds:
-        if k not in KIND_TAGS:
-            raise ContractError(f"unknown object kind {k!r}")
+    check_roster(kinds)
     verdicts, seconds = [], []
     for i, a in enumerate(kinds):
         for b in kinds[i + 1:]:
@@ -146,18 +126,18 @@ def build_refinement_order(cfg: CheckConfig, kinds: tuple[str, ...] = KIND_TAGS)
             verdicts.append(refinement_compare(a, b, cfg))
             seconds.append(time.perf_counter() - t0)
 
-    uf = _UnionFind(kinds)
+    # Each kind's group representative: the earliest roster entry among the
+    # kinds it is equivalent to, directly or through others.  The renderers
+    # take a group's first member as the one its edges name.
+    rep = {k: k for k in kinds}
     for v in verdicts:
         if v.relation == RELATION_EQUIVALENT:
-            uf.union(v.kind_a, v.kind_b)
-    reps = []
+            keep, drop = sorted((rep[v.kind_a], rep[v.kind_b]), key=kinds.index)
+            rep = {k: keep if r == drop else r for k, r in rep.items()}
     members: dict[str, list[str]] = {}
     for k in kinds:
-        r = uf.find(k)
-        if r not in members:
-            members[r] = []
-            reps.append(r)
-        members[r].append(k)
+        members.setdefault(rep[k], []).append(k)
+    reps = list(members)
     groups = tuple(tuple(members[r]) for r in reps)
 
     by_pair = {(v.kind_a, v.kind_b): v.relation for v in verdicts}

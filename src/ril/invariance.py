@@ -43,6 +43,7 @@ transformation draws, and trial order use seeds derived per trial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable
 
@@ -149,9 +150,11 @@ class CheckConfig:
         for name, low in {"trials": 0, "budget": 0, "refine_trials": 1, "tol_rel": 0.0}.items():
             if not getattr(self, name) >= low:
                 raise ContractError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not math.isfinite(self.tol_rel):
+            raise ContractError(f"tol_rel must be finite, got {self.tol_rel}")
         # Every member drawn at magnitude 0 is the identity: a false invariance claim.
-        if not self.magnitude > 0.0:
-            raise ContractError(f"magnitude must be > 0, got {self.magnitude}")
+        if not (self.magnitude > 0.0 and math.isfinite(self.magnitude)):
+            raise ContractError(f"magnitude must be > 0 and finite, got {self.magnitude}")
 
 
 @dataclass(frozen=True)

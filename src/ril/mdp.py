@@ -63,12 +63,6 @@ class Mdp:
     def n_actions(self) -> int:
         return len(self.actions)
 
-    def state_index(self, name: str) -> int:
-        return self.states.index(name)
-
-    def action_index(self, name: str) -> int:
-        return self.actions.index(name)
-
 
 @dataclass(frozen=True, eq=False)
 class MdpStack:

@@ -38,14 +38,14 @@ distributions) run one stacked solve, and every reduction in it stays per
 member (see the solvers module), so each payload has the bytes of its
 member fingerprinted alone.  The fragment and lasso kinds share one
 canonical enumeration and compute returns and comparison matrices member by
-member, so no n x n matrix is ever stacked.
+member, so no n x n matrix is ever stacked.  The newest enumeration of each
+basis kind, fragments or lassos, is kept and reused for every MDP with the
+same supports of tau and mu0 at the same resolution.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,8 +149,6 @@ class Resolution:
 class ObjectFingerprint:
     kind: str
     payload: np.ndarray
-    resolution: Resolution
-    beta: float
 
     def __post_init__(self):
         p = np.asarray(self.payload)
@@ -165,20 +163,6 @@ class ObjectFingerprint:
 
 # ---------------------------------------------------------------------------
 # Comparison models
-
-
-@dataclass(frozen=True)
-class ComparisonModel:
-    """Pairwise preference data over a fixed item list.
-
-    For mode "boltzmann", matrix[i, j] is the probability that item j is
-    preferred to item i; for mode "noiseless", matrix[i, j] is 1 when item i
-    is ranked no higher than item j (a total, transitive weak order).
-    """
-
-    mode: str
-    items: Sequence
-    matrix: np.ndarray
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -253,23 +237,27 @@ def tie_group_ranks(values: np.ndarray, tol: float) -> np.ndarray:
     return ranks
 
 
-def comparison_model(m: Mdp, items, mode: str, beta: float = 1.0) -> ComparisonModel:
-    items, returns = _comparison_returns(m, items)
+def comparison_model(m: Mdp, items, mode: str, beta: float = 1.0) -> np.ndarray:
+    """Pairwise preference matrix over a fixed item list.
+
+    For mode "boltzmann", matrix[i, j] is the probability that item j is
+    preferred to item i; for mode "noiseless", matrix[i, j] is 1 when item i
+    is ranked no higher than item j (a total, transitive weak order).
+    """
+    returns = _comparison_returns(m, items)[1]
     if mode == "boltzmann":
         if beta <= 0:
             raise ContractError("beta must be positive")
         diffs = returns[None, :] - returns[:, None]
         diffs *= beta
-        matrix = _logistic(diffs)
-    elif mode == "noiseless":
+        return _logistic(diffs)
+    if mode == "noiseless":
         # Relative to the spread of the returns themselves, so the ranks
         # are unchanged by any positive affine map of the returns.
         tie_tol = NOISELESS_TIE_RTOL * float(np.ptp(returns)) if len(returns) else 0.0
         ranks = tie_group_ranks(returns, tie_tol)
-        matrix = (ranks[:, None] <= ranks[None, :]).astype(np.int8)
-    else:
-        raise ContractError(f"unknown comparison mode {mode!r}")
-    return ComparisonModel(mode=mode, items=items, matrix=matrix)
+        return (ranks[:, None] <= ranks[None, :]).astype(np.int8)
+    raise ContractError(f"unknown comparison mode {mode!r}")
 
 
 def recover_reward_from_comparisons(m: Mdp, oracle, beta: float = 1.0) -> np.ndarray:
@@ -315,28 +303,25 @@ def _distribution_payloads(m: MdpStack, policy: Policy, relevant: np.ndarray) ->
     return np.concatenate([mu0, masked.reshape(len(masked), -1)], axis=1)
 
 
-# The last few enumerations, keyed by everything they depend on: the
-# supports of tau and mu0 and the resolution.  A trial fingerprints m and
+# The newest enumeration of each basis kind, "fragments" or "lassos", as
+# (key, basis).  The key is everything an enumeration depends on: the
+# resolution and the supports of tau and mu0.  A trial fingerprints m and
 # with_reward(m, ...) on the same dynamics, and attack-plan predicates
-# enumerate the MDP they accept just before it is fingerprinted.
-_RECENT_BASES = 8
-_recent_bases: OrderedDict = OrderedDict()
+# enumerate the MDP they accept just before it is fingerprinted, so nearly
+# every repeat is of the newest enumeration.
+_newest_bases: dict[str, tuple] = {}
 
 
-def _recent_basis(kind: str, m: Mdp, resolution: Resolution, enumerate_basis):
-    key = (kind, resolution, m.tau.shape, (m.tau > 0.0).tobytes(), (m.mu0 > 0.0).tobytes())
-    basis = _recent_bases.get(key)
-    if basis is not None:
-        _recent_bases.move_to_end(key)
-        return basis
-    basis = _recent_bases[key] = enumerate_basis()
-    while len(_recent_bases) > _RECENT_BASES:
-        _recent_bases.popitem(last=False)
-    return basis
+def _newest_basis(kind: str, m: Mdp, resolution: Resolution, enumerate_basis):
+    key = (resolution, m.tau.shape, (m.tau > 0.0).tobytes(), (m.mu0 > 0.0).tobytes())
+    slot = _newest_bases.get(kind)
+    if slot is None or slot[0] != key:
+        slot = _newest_bases[kind] = (key, enumerate_basis())
+    return slot[1]
 
 
 def canonical_fragments(m: Mdp, resolution: Resolution) -> Fragments:
-    return _recent_basis(
+    return _newest_basis(
         "fragments",
         m,
         resolution,
@@ -345,7 +330,7 @@ def canonical_fragments(m: Mdp, resolution: Resolution) -> Fragments:
 
 
 def canonical_lassos(m: Mdp, resolution: Resolution) -> Lassos:
-    return _recent_basis(
+    return _newest_basis(
         "lassos",
         m,
         resolution,
@@ -376,7 +361,6 @@ def fingerprint(
     over the shared dynamics; each has the bytes of its member alone.
     """
     tag = str(kind)
-    beta = params.beta
     stack = as_stack(m)
     # One payload per member, along a leading axis or in a list.
     if tag == "q_policy":
@@ -408,12 +392,10 @@ def fingerprint(
             items = canonical_fragments(first, resolution)
         else:
             items = canonical_lassos(first, resolution)
-        payloads = [_item_payload(member, tag, items, beta) for member in stack.members]
+        payloads = [_item_payload(member, tag, items, params.beta) for member in stack.members]
     else:
         raise ContractError(f"unknown object kind {tag!r}")
-    fps = tuple(
-        ObjectFingerprint(kind=tag, payload=p.ravel(), resolution=resolution, beta=beta) for p in payloads
-    )
+    fps = tuple(ObjectFingerprint(kind=tag, payload=p.ravel()) for p in payloads)
     return fps if isinstance(m, MdpStack) else fps[0]
 
 
@@ -426,4 +408,4 @@ def _item_payload(m: Mdp, tag: str, items: Fragments | Lassos, beta: float) -> n
     if tag == "lottery_order":
         return lottery_library_values(m, items)
     mode = "boltzmann" if tag.startswith("boltzmann") else "noiseless"
-    return comparison_model(m, items, mode, beta=beta).matrix
+    return comparison_model(m, items, mode, beta=beta)

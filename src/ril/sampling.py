@@ -16,6 +16,7 @@ conversion.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,9 @@ class SamplerConfig:
             raise ContractError(f"sparsity {self.sparsity} outside [0, 1)")
         if not 0.0 <= self.orphan_prob <= 1.0:
             raise ContractError(f"orphan_prob {self.orphan_prob} outside [0, 1]")
+        for name in ("reward_low", "reward_high"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractError(f"{name} {getattr(self, name)} is not finite")
         if not self.reward_low <= self.reward_high:
             raise ContractError(f"reward_low {self.reward_low} exceeds reward_high {self.reward_high}")
         if self.min_initial_states < 1:

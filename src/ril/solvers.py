@@ -35,6 +35,7 @@ raises ConvergenceError.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +59,10 @@ class SolverParams:
     max_iters: int = 100_000   # improvement steps (policy iteration) or sweeps (VI)
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ContractError(f"beta must be positive, got {self.beta}")
-        if self.epsilon <= 0:
-            raise ContractError(f"epsilon must be positive, got {self.epsilon}")
+        if not (self.beta > 0 and math.isfinite(self.beta)):
+            raise ContractError(f"beta must be positive and finite, got {self.beta}")
+        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+            raise ContractError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_iters < 0:
             raise ContractError(f"max_iters must be >= 0, got {self.max_iters}")
 
@@ -92,7 +93,7 @@ class Policy:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim not in (2, 3):
             raise ContractError("policy table must be 2-dimensional (3 for a stack)")
-        if np.any(p < 0) or np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-9):
+        if not (np.all(p >= 0) and np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-9)):
             raise ContractError("policy rows must be distributions")
         object.__setattr__(self, "probs", p)
 

@@ -126,13 +126,9 @@ class TableReport:
             "all_reproduced": self.all_reproduced,
         }
 
-    def report_obj(self) -> dict:
-        out = self.verdicts_obj()
-        out["timings"] = {
-            f"{c.kind}/{c.transform_class}": round(c.elapsed, 6) for c in self.cells
-        }
-        out["total_seconds"] = round(sum(c.elapsed for c in self.cells), 6)
-        return out
+    def cell_seconds(self) -> dict[str, float]:
+        """Each cell's wall time, keyed kind/class; never in verdicts_obj."""
+        return {f"{c.kind}/{c.transform_class}": round(c.elapsed, 6) for c in self.cells}
 
 
 def _observed_mark(status: str) -> str:

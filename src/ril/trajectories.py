@@ -314,7 +314,7 @@ def enumerate_fragments(
     first = np.cumsum(fan) - fan
 
     def over_cap(n: int) -> EnumerationCapError:
-        return EnumerationCapError(f"fragment enumeration exceeds cap of {cap} at length {n}", cap)
+        return EnumerationCapError(f"fragment enumeration exceeds cap of {cap} at length {n}")
 
     start = np.array(initial_states(m), dtype=np.intp) if initial_only else np.arange(n_s)
     if len(start) > cap:
@@ -369,7 +369,7 @@ def enumerate_lassos(
     per_state = np.bincount(cycles.start, minlength=m.n_states)
     grow = per_state[prefixes.end]
     if int(grow.sum()) > cap:
-        raise EnumerationCapError(f"lasso enumeration exceeds cap of {cap}", cap)
+        raise EnumerationCapError(f"lasso enumeration exceeds cap of {cap}")
     prefix_of, rank = _fan_out(grow)
     cycle_of = (np.cumsum(per_state) - per_state)[prefixes.end][prefix_of] + rank
     return Lassos(prefixes, cycles, prefix_of, cycle_of)

@@ -27,6 +27,7 @@ counterexample searches): see _CONSTRAINT_KEYS below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -496,10 +497,10 @@ def sample_transform(
     Degenerate cases (e.g. masking an empty transition set) return Identity
     carrying an explanatory note.  Unknown constraint keys are rejected so
     callers cannot silently misspell them, and so is a magnitude that is not
-    positive: at 0 every member is the identity.
+    positive and finite: at 0 every member is the identity.
     """
-    if not magnitude > 0.0:
-        raise ContractError(f"magnitude must be > 0, got {magnitude}")
+    if not (magnitude > 0.0 and math.isfinite(magnitude)):
+        raise ContractError(f"magnitude must be > 0 and finite, got {magnitude}")
     cons = dict(constraints or {})
     unknown = set(cons) - _CONSTRAINT_KEYS
     if unknown:
@@ -546,7 +547,6 @@ def is_sprime_redistribution(m: Mdp, r1: np.ndarray, r2: np.ndarray) -> bool:
 class ShapingDecomposition:
     phi: np.ndarray
     k_initial: float | None
-    max_residual: float
     # Triples outside the requested scope where the potential does not explain
     # the difference; nonempty means "shaping plus a mask on these".
     off_scope_mismatch: tuple[tuple[int, int, int], ...]
@@ -594,8 +594,7 @@ def decompose_shaping(
     A = np.array(rows)
     b = np.array(rhs)
     phi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    residual = float(np.max(np.abs(A @ phi - b))) if len(b) else 0.0
-    if residual > tol:
+    if np.max(np.abs(A @ phi - b)) > tol:
         return None
 
     predicted = m.gamma * phi[None, None, :] - phi[:, None, None]
@@ -609,7 +608,7 @@ def decompose_shaping(
         k_vals = phi[init]
         if np.max(np.abs(k_vals - k_vals[0])) <= tol:
             k = float(k_vals[0])
-    return ShapingDecomposition(phi=phi, k_initial=k, max_residual=residual, off_scope_mismatch=off)
+    return ShapingDecomposition(phi=phi, k_initial=k, off_scope_mismatch=off)
 
 
 def is_optimality_preserving(

@@ -162,6 +162,31 @@ def test_transform_rejects_a_magnitude_that_is_not_positive(tmp_path, capsys, ma
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["check", "--kind", "q_star", "--class", "shaping", "--tol", "inf"], None),
+        (["table", "--tol", "1e400"], None),
+        (["check", "--kind", "q_star", "--class", "shaping"], '{"magnitude": 1e400}'),
+        (["check", "--kind", "q_star", "--class", "shaping"], '{"sampler": {"reward_low": -1e400}}'),
+        (["transform", "--class", "shaping", "--magnitude", "inf"], None),
+        (["solve", "--beta", "nan"], None),
+        (["solve", "--tol", "nan"], None),
+    ],
+    ids=["check-tol", "table-tol", "magnitude", "reward-low", "transform-magnitude", "solve-beta", "solve-tol"],
+)
+def test_a_setting_that_is_not_finite_exits_2(tmp_path, capsys, argv, config):
+    if argv[0] in ("solve", "transform"):
+        argv = [*argv, "--mdp", write_mdp(tmp_path, chain_mdp())]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "finite" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # check
 

@@ -1,9 +1,13 @@
 """Refinement-order construction: grouping, cover edges, dot output."""
 
+import pytest
+
 import ril.hasse
 from ril import (
     CheckConfig,
+    ContractError,
     RELATION_A_REFINES_B,
+    RELATION_B_REFINES_A,
     RELATION_EQUIVALENT,
     RefinementVerdict,
     Resolution,
@@ -33,7 +37,7 @@ def test_equivalent_pair_merges():
     order = build_refinement_order(FAST, kinds=("q_policy", "q_star"))
     assert order.groups == (("q_policy", "q_star"),)
     assert order.edges == ()
-    assert order.relation("q_policy", "q_star") == RELATION_EQUIVALENT
+    assert order.to_obj()["pairs"]["q_policy|q_star"]["relation"] == RELATION_EQUIVALENT
 
 
 def test_incomparable_pair_stays_apart():
@@ -54,7 +58,13 @@ def test_chain_reduces_transitive_edge():
         ("return_fragments", "q_star"),
         ("q_star", "boltzmann_policy"),
     }
-    assert order.group_of("q_star") == ("q_star",)
+    assert ("q_star",) in order.groups
+
+
+@pytest.mark.parametrize("kinds", [("q_star", "q_soft", "q_star"), (), ("q_star", "banana")])
+def test_a_roster_with_a_repeated_or_unknown_kind_or_none_is_rejected(kinds):
+    with pytest.raises(ContractError, match="roster"):
+        build_refinement_order(FAST, kinds=kinds)
 
 
 def test_render_and_dot_output():
@@ -84,6 +94,26 @@ def test_a_group_pair_that_is_not_equivalent_is_an_issue(monkeypatch):
     assert order.groups == (("q_policy", "q_star", "q_soft"),)
     assert order.issues == ("group q_policy holds q_policy and q_soft, which compare as a_refines_b",)
     assert not order.consistent
+
+
+def test_a_group_is_named_by_its_first_roster_member(monkeypatch):
+    # Out of KIND_TAGS order, q_star comes first in its group, so the edge
+    # into the group names q_star, the member the renderers look up.
+    fabricated = {
+        ("q_star", "q_policy"): RELATION_EQUIVALENT,
+        ("q_star", "return_fragments"): RELATION_B_REFINES_A,
+        ("q_policy", "return_fragments"): RELATION_B_REFINES_A,
+    }
+
+    def compare(a, b, cfg):
+        return RefinementVerdict(a, b, fabricated[(a, b)], None, None, 0, 0)
+
+    monkeypatch.setattr(ril.hasse, "refinement_compare", compare)
+    order = build_refinement_order(FAST, kinds=("q_star", "q_policy", "return_fragments"))
+    assert order.groups == (("q_star", "q_policy"), ("return_fragments",))
+    assert order.edges == (("return_fragments", "q_star"),)
+    assert "G2 (return_fragments) -> G1 (q_star)" in render_order(order)
+    assert "g1 -> g0;" in order_to_dot(order)
 
 
 def test_each_directions_witness_does_not_depend_on_roster_order():

@@ -27,8 +27,7 @@ def test_make_mdp_valid():
     m = loop_mdp()
     assert validate_mdp(m) == []
     assert m.n_states == 1 and m.n_actions == 1
-    assert m.state_index("s") == 0
-    assert m.action_index("a") == 0
+    assert m.states == ("s",) and m.actions == ("a",)
 
 
 def test_make_mdp_rejects_bad_row_sum():

@@ -1,7 +1,6 @@
 """Reward-derived object fingerprints and preference models."""
 
 import hashlib
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -128,13 +127,13 @@ def test_comparison_model_modes():
     m = two_action_loop_mdp()
     items = [Fragment(0), Fragment(0, ((0, 0),)), Fragment(0, ((1, 0),))]
     bolt = comparison_model(m, items, "boltzmann", beta=2.0)
-    assert bolt.matrix.shape == (3, 3)
-    assert np.allclose(np.diag(bolt.matrix), 0.5, atol=1e-12)
-    assert np.allclose(bolt.matrix + bolt.matrix.T, 1.0, atol=1e-12)
+    assert bolt.shape == (3, 3)
+    assert np.allclose(np.diag(bolt), 0.5, atol=1e-12)
+    assert np.allclose(bolt + bolt.T, 1.0, atol=1e-12)
 
     noiseless = comparison_model(m, items, "noiseless")
-    assert noiseless.matrix.dtype == np.int8
-    assert noiseless.matrix[0, 1] == 1 and noiseless.matrix[1, 0] == 0
+    assert noiseless.dtype == np.int8
+    assert noiseless[0, 1] == 1 and noiseless[1, 0] == 0
 
     with pytest.raises(ContractError):
         comparison_model(m, items, "majority")
@@ -297,7 +296,7 @@ def test_payloads_are_read_only():
 
 
 def test_one_enumeration_serves_every_reward_on_the_same_dynamics(monkeypatch):
-    monkeypatch.setattr(objects, "_recent_bases", OrderedDict())
+    monkeypatch.setattr(objects, "_newest_bases", {})
     calls = {"fragments": 0, "lassos": 0}
 
     def counting(name, enumerate_fn):
@@ -323,7 +322,7 @@ def test_one_enumeration_serves_every_reward_on_the_same_dynamics(monkeypatch):
 
 
 def test_other_supports_never_share_a_basis(monkeypatch):
-    monkeypatch.setattr(objects, "_recent_bases", OrderedDict())
+    monkeypatch.setattr(objects, "_newest_bases", {})
     m = return_fan_mdp()
     tau = np.array(m.tau)
     tau[0, 1] = [0.0, 1.0, 0.0]  # risky now surely reaches t1

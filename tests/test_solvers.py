@@ -228,6 +228,8 @@ def test_policy_rejects_bad_rows():
         Policy(np.array([[0.5, 0.6]]))
     with pytest.raises(ContractError):
         Policy(np.array([[-0.1, 1.1]]))
+    with pytest.raises(ContractError):
+        Policy(np.full((1, 2), np.nan))
 
 
 def test_solver_params_validation():

@@ -74,8 +74,9 @@ def test_small_table_run_reproduces_and_serializes():
     text = json.dumps(obj, sort_keys=True)
     assert "elapsed" not in text
 
-    full = report.report_obj()
-    assert "timings" in full and "total_seconds" in full
+    seconds = report.cell_seconds()
+    assert list(seconds) == [f"{c.kind}/{c.transform_class}" for c in report.cells]
+    assert all(s >= 0.0 for s in seconds.values())
 
     rendered = render_table(report)
     assert rendered.count("\n") >= len(KIND_TAGS)

@@ -1,11 +1,13 @@
-"""The benchmark still runs against the package: its probe, the names it
-reads, and one pass of its config at a seed the acceptance tests do not use."""
+"""The benchmark and the demos still run against the package: the benchmark's
+probe, the names it reads and one pass of its config at a seed the acceptance
+tests do not use, and each demo script."""
 
 import ast
 import hashlib
 import importlib
 import inspect
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -189,3 +191,14 @@ def test_a_benchmark_pass_at_another_seed_reproduces_the_directory_and_the_diagr
     assert all(replay_witness(w)["reproduced"] for w in witnesses + refining)
     # A refinement witness keeps the kind it preserves.
     assert not any(replay_witness({**w, "kind": w["preserved_kind"]})["reproduced"] for w in refining)
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_each_demo_runs(demo):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        capture_output=True, text=True, cwd=ROOT, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()
