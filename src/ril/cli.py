@@ -29,7 +29,6 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .invariance import (
     check_invariance,
     search_counterexample,
 )
-from .mdp import Mdp, load_mdp, make_mdp, mdp_to_obj, with_reward
+from .mdp import Mdp, load_mdp, make_mdp, mdp_to_obj, read_fields, read_value, with_reward
 from .micro import transfer_mdp, transfer_target
 from .objects import KIND_TAGS
 from .solvers import (
@@ -150,48 +149,11 @@ def _run_report(config_echo: dict, verdicts: dict, timings: dict, digests: dict)
     }
 
 
-def _coerce(tp, value):
-    """`value` checked as a leaf field of type `tp`: a tuple, an optional
-    number or a number.  Only an integral number widens or narrows."""
-    if get_origin(tp) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise TypeError(f"expected a list, got {value!r}")
-        args = get_args(tp)
-        types = [args[0]] * len(value) if args[-1] is Ellipsis else args
-        if len(value) != len(types):
-            raise ValueError(f"expected {len(types)} numbers, got {value!r}")
-        return tuple(map(_number, types, value))
-    if get_args(tp):  # `int | None`
-        return None if value is None else _number(get_args(tp)[0], value)
-    return _number(tp, value)
-
-
-def _number(tp, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    if tp is int and isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return tp(value)
-
-
-def _merge(obj, doc, what: str):
-    """`obj` with the fields that `doc` sets, each coerced to its field's type."""
-    if not isinstance(doc, dict):
-        raise ContractError(f"{what} must hold a JSON object")
-    types = get_type_hints(type(obj))
-    unknown = set(doc) - set(types)
-    if unknown:
-        raise ContractError(f"unknown {what} keys: {sorted(unknown)}")
-    changes = {}
-    for key, value in doc.items():
-        current = getattr(obj, key)
-        if is_dataclass(current):
-            changes[key] = _merge(current, value, key)
-            continue
-        try:
-            changes[key] = _coerce(types[key], value)
-        except (TypeError, ValueError) as exc:
-            raise ContractError(f"bad {what} value for {key!r}: {exc}") from exc
+def _merge(obj, changes: dict, what: str):
+    """`obj` with the fields that read_fields read, nested dataclasses merged field by field."""
+    for key, value in changes.items():
+        if is_dataclass(getattr(obj, key)):
+            changes[key] = _merge(getattr(obj, key), value, key)
     try:
         return replace(obj, **changes)
     except ContractError as exc:
@@ -214,13 +176,10 @@ def experiment_config(args, base: CheckConfig | None = None) -> ExperimentConfig
     tree = {k: v for k, v in doc.items() if k not in ("beta", "kinds", "out_dir")}
     if "beta" in doc:
         tree["params"] = {"beta": doc["beta"]}
-    kinds, out_dir = doc.get("kinds", KIND_TAGS), doc.get("out_dir")
-    if not isinstance(kinds, (list, tuple)):
-        raise ContractError(f"bad config value for 'kinds': expected a list, got {kinds!r}")
-    if not isinstance(out_dir, (str, type(None))):
-        raise ContractError(f"bad config value for 'out_dir': expected a string, got {out_dir!r}")
     return ExperimentConfig(
-        check=_merge(base or CheckConfig(), tree, "config"), kinds=tuple(kinds), out_dir=out_dir
+        check=_merge(base or CheckConfig(), read_fields(CheckConfig, tree, "config"), "config"),
+        kinds=read_value(tuple[str, ...], doc.get("kinds", KIND_TAGS), "config value for 'kinds'"),
+        out_dir=read_value(str | None, doc.get("out_dir"), "config value for 'out_dir'"),
     )
 
 
@@ -371,15 +330,15 @@ def _load_transfer_inputs(args) -> tuple[Mdp, TransferTarget]:
     if args.mdp is None or args.tau_prime is None or args.l_file is None:
         raise ContractError("transfer-demo needs all of --mdp, --tau-prime, --l (or none)")
     m = load_mdp(args.mdp)
-    tau_prime = np.array(_load_json(args.tau_prime), dtype=float)
-    raw_l = _load_json(args.l_file)
-    L = np.array(
-        [[math.nan if v is None else float(v) for v in row] for row in raw_l], dtype=float
-    )
+    tau_prime = read_value(np.ndarray, _load_json(args.tau_prime), "--tau-prime document")
+    # Rows of optional numbers: TransferTarget reads None as NaN, "no requirement".
+    L = read_value(tuple[tuple[float | None, ...], ...], _load_json(args.l_file), "--l document")
     return m, TransferTarget(tau_prime=tau_prime, L=L)
 
 
 def cmd_transfer_demo(args) -> int:
+    if not 0.0 <= args.tol < math.inf:
+        raise ContractError(f"tol must be >= 0 and finite, got {args.tol}")
     m, target = _load_transfer_inputs(args)
     r2 = transfer_redistribution(m, target)
     m_new_r1 = make_mdp(

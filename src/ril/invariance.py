@@ -58,10 +58,13 @@ from .mdp import (
     mdp_to_obj,
     possible_mask,
     reachable_state_mask,
+    read_fields,
+    read_value,
     stack_mdps,
     terminal_mask,
     unreachable_transition_mask,
     with_reward,
+    write_fields,
 )
 from .micro import fan_order_preserving_rescale, return_fan_mdp
 from .objects import (
@@ -460,17 +463,14 @@ def _witness_obj(
     trial: int,
     origin: str,
 ) -> dict:
-    res = cfg.resolution
+    resolution = write_fields(cfg.resolution)
+    del resolution["enumeration_cap"]  # it bounds the enumeration, not the fingerprint
     return {
         "kind": kind,
         "transform_class": cls,
         "mdp": mdp_to_obj(m),
         "transform": transform_to_obj(t),
-        "resolution": {
-            "max_fragment_len": res.max_fragment_len,
-            "lasso_prefix_cap": res.lasso_prefix_cap,
-            "lasso_cycle_cap": res.lasso_cycle_cap,
-        },
+        "resolution": resolution,
         "beta": cfg.params.beta,
         "tol_rel": cfg.tol_rel,
         "diff_index": int(diff[0]),
@@ -484,13 +484,9 @@ def replay_witness(obj: dict) -> dict:
     """Re-run a serialized witness; returns the observed divergence."""
     m = mdp_from_obj(obj["mdp"])
     t = transform_from_obj(obj["transform"])
-    res = Resolution(
-        max_fragment_len=int(obj["resolution"]["max_fragment_len"]),
-        lasso_prefix_cap=int(obj["resolution"]["lasso_prefix_cap"]),
-        lasso_cycle_cap=int(obj["resolution"]["lasso_cycle_cap"]),
-    )
-    params = SolverParams(beta=float(obj.get("beta", SolverParams.beta)))
-    tol_rel = float(obj.get("tol_rel", CheckConfig.tol_rel))
+    res = Resolution(**read_fields(Resolution, obj["resolution"], "resolution"))
+    params = SolverParams(beta=read_value(float, obj.get("beta", SolverParams.beta), "witness beta"))
+    tol_rel = read_value(float, obj.get("tol_rel", CheckConfig.tol_rel), "witness tol_rel")
     pair = stack_mdps(m, with_reward(m, apply_transform(m, t)))
     equal, diff = fingerprints_equal(*fingerprint(pair, obj["kind"], res, params), tol_rel)
     return {

@@ -25,13 +25,18 @@ The JSON layout is ``{"states", "actions", "gamma", "mu0", "tau", "reward"}``
 with ``tau`` and ``reward`` indexed ``[s][a][s']``.  The parser rejects
 non-finite numbers and probability rows whose sums stray beyond 1e-9, then
 renormalizes the small float noise away.
+
+read_fields reads every JSON document the package takes (MDPs,
+transformations, witnesses, configs) by the type hints of a dataclass's
+fields.  A stray key, a missing field, a bool or string for a number, a
+fraction for an integer and a number for a string are errors.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -263,69 +268,108 @@ def impossible_transition_mask(m: Mdp) -> np.ndarray:
 # JSON serialization
 
 
+def _plain(value):
+    """value as JSON data: arrays and tuples become nested lists."""
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def write_fields(obj) -> dict:
+    """The fields of dataclass obj as JSON data, the document read_fields reads back."""
+    return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+
+
 def mdp_to_obj(m: Mdp) -> dict:
-    return {
-        "states": list(m.states),
-        "actions": list(m.actions),
-        "gamma": m.gamma,
-        "mu0": m.mu0.tolist(),
-        "tau": m.tau.tolist(),
-        "reward": m.reward.tolist(),
-    }
+    return write_fields(m)
 
 
 def dump_mdp(m: Mdp) -> str:
     return json.dumps(mdp_to_obj(m), indent=2, sort_keys=True)
 
 
-def _reject_nonfinite(value):
-    # json.loads hook: the format forbids NaN/Infinity literals outright.
-    raise MdpFormatError(f"non-finite number {value!r} in MDP document", [f"non-finite number {value!r}"])
+def _is_numbers(x) -> bool:
+    """Is x a number or nested lists of numbers?  A bool is not a number."""
+    if isinstance(x, list):
+        return all(map(_is_numbers, x))
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _read(tp, value):
+    """value checked as type tp: a tuple type, ``X | None``, str, np.ndarray
+    (nested lists of numbers), int or float.  Only an integral number widens
+    or narrows."""
+    args = get_args(tp)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {value!r}")
+        types = [args[0]] * len(value) if args[-1] is Ellipsis else args
+        if len(value) != len(types):
+            raise ValueError(f"expected {len(types)} entries, got {value!r}")
+        return tuple(map(_read, types, value))
+    if args:  # `X | None`
+        return None if value is None else _read(args[0], value)
+    if tp is str:
+        if not isinstance(value, str):
+            raise TypeError(f"expected a string, got {value!r}")
+        return value
+    if tp is np.ndarray:
+        if not (isinstance(value, list) and _is_numbers(value)):
+            raise TypeError(f"expected nested lists of numbers, got {value!r:.80}")
+        return np.array(value, dtype=float)  # ValueError when ragged
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    if tp is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return tp(value)
+
+
+def read_value(tp, value, what: str):
+    """value read as type tp; raises ContractError naming what."""
+    try:
+        return _read(tp, value)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"bad {what}: {exc}") from exc
+
+
+def read_fields(cls, doc, what: str) -> dict:
+    """The fields of dataclass cls that the JSON object doc sets, read by their type hints.
+
+    A field typed as a dataclass reads to a dict of its own fields.  Raises
+    ContractError on a doc that is not an object, a stray key, a missing
+    field without a default, and the first value of the wrong type.
+    """
+    if not isinstance(doc, dict):
+        raise ContractError(f"{what} must hold a JSON object")
+    hints, own = get_type_hints(cls), fields(cls)
+    unknown = set(doc) - {f.name for f in own}
+    if unknown:
+        raise ContractError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [
+        f.name for f in own if f.name not in doc and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ContractError(f"missing {what} keys: {missing}")
+    return {
+        key: read_fields(hints[key], value, key) if is_dataclass(hints[key])
+        else read_value(hints[key], value, f"{what} value for {key!r}")
+        for key, value in doc.items()
+    }
 
 
 def mdp_from_obj(obj: dict) -> Mdp:
-    violations = []
-    if not isinstance(obj, dict):
-        raise MdpFormatError("MDP document must be a JSON object", ["not an object"])
-    for key in ("states", "actions", "gamma", "mu0", "tau", "reward"):
-        if key not in obj:
-            violations.append(f"missing key {key!r}")
-    if violations:
-        raise MdpFormatError("malformed MDP document: " + "; ".join(violations), violations)
-
-    def scan(x):
-        if isinstance(x, bool):
-            violations.append("boolean where number expected")
-        elif isinstance(x, (int, float)):
-            if not math.isfinite(x):
-                violations.append(f"non-finite number {x!r}")
-        elif isinstance(x, list):
-            for y in x:
-                scan(y)
-        else:
-            violations.append(f"non-numeric entry {x!r}")
-
-    for key in ("gamma", "mu0", "tau", "reward"):
-        scan(obj[key])
-    if violations:
-        raise MdpFormatError("malformed MDP document: " + "; ".join(violations), violations)
-
+    """The MDP an mdp_to_obj document describes.  Raises MdpFormatError at the
+    first missing, stray or badly typed key, else with every violation
+    validate_mdp finds."""
     try:
-        return make_mdp(
-            obj["states"], obj["actions"], obj["tau"], obj["mu0"], obj["reward"],
-            obj["gamma"], renormalize=True,
-        )
+        return make_mdp(**read_fields(Mdp, obj, "MDP"), renormalize=True)
     except ContractError as e:
         raise MdpFormatError(str(e), e.violations) from e
-    except (TypeError, ValueError) as e:
-        raise MdpFormatError(f"malformed MDP document: {e}", [str(e)]) from e
 
 
 def parse_mdp(text: str) -> Mdp:
     try:
-        obj = json.loads(text, parse_constant=_reject_nonfinite)
-    except MdpFormatError:
-        raise
+        obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise MdpFormatError(f"invalid JSON: {e}", [str(e)]) from e
     return mdp_from_obj(obj)

@@ -45,7 +45,8 @@ from .mdp import Mdp, MdpStack, as_stack, reachable_state_mask
 
 # Direct linear solves must satisfy their Bellman equation to this relative scale.
 BELLMAN_RESIDUAL_TOL = 1e-10
-# Actions within this of the best advantage count as optimal (relative scale).
+# Actions within this of the best advantage count as optimal (relative to the
+# largest optimal advantage at a reachable state).
 DEFAULT_TIE_RTOL = 1e-7
 # Policy iteration keeps the current action unless another beats it by more
 # than this (relative scale), so tied actions cannot cycle.
@@ -321,15 +322,15 @@ def optimal_action_mask(
 ) -> np.ndarray:
     """mask[..., s, a]: is a's advantage within the tie band of zero?
 
-    The band is DEFAULT_TIE_RTOL * (1 + max |E_tau R(s, a)| over reachable s),
-    per member.  Masks and S'-redistribution leave that scale, and so the
-    band, as it was.  Pass tables (optimal_q of m) when they are already
-    solved.
+    The band is DEFAULT_TIE_RTOL * (1 + max |A*(s, a)| over reachable s),
+    per member.  Potential shaping, S'-redistribution and both masks leave
+    the optimal advantages at reachable states, and so the band, as they
+    were.  Pass tables (optimal_q of m) when they are already solved.
     """
     if tables is None:
         tables = optimal_q(m, params)
-    r = expected_reward(m)[..., reachable_state_mask(m), :]
-    band = DEFAULT_TIE_RTOL * (1.0 + np.max(np.abs(r), axis=(-2, -1)))
+    adv = tables.adv[..., reachable_state_mask(m), :]
+    band = DEFAULT_TIE_RTOL * (1.0 + np.max(np.abs(adv), axis=(-2, -1)))
     return tables.adv >= -band[..., None, None]
 
 

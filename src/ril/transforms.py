@@ -23,6 +23,10 @@ reward table of a fixed-dynamics MDP:
 `sample_transform` draws a member of a named class for a given MDP.  The
 optional constraints dict steers samples away from degenerate members (for
 counterexample searches): see _CONSTRAINT_KEYS below.
+
+A member's JSON document is ``{"family": name}`` plus its fields, one family
+table mapping names to classes both ways; transform_from_obj reads the
+fields with mdp.read_fields, so a stray key or a mistyped value is an error.
 """
 
 from __future__ import annotations
@@ -38,9 +42,11 @@ from .mdp import (
     impossible_transition_mask,
     initial_states,
     possible_mask,
+    read_fields,
     supported_state_mask,
     terminal_mask,
     unreachable_transition_mask,
+    write_fields,
 )
 from .solvers import (
     SolverParams,
@@ -175,7 +181,10 @@ TransformSpec = (
 
 
 def _freeze(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
+    try:
+        out = np.array(a, dtype=float)
+    except ValueError as exc:  # ragged rows
+        raise ContractError(f"expected a rectangular array: {exc}") from exc
     out.setflags(write=False)
     return out
 
@@ -496,11 +505,14 @@ def sample_transform(
 
     Degenerate cases (e.g. masking an empty transition set) return Identity
     carrying an explanatory note.  Unknown constraint keys are rejected so
-    callers cannot silently misspell them, and so is a magnitude that is not
-    positive and finite: at 0 every member is the identity.
+    callers cannot silently misspell them, and so are a magnitude that is not
+    positive and finite (at 0 every member is the identity) and a negative
+    seed.
     """
     if not (magnitude > 0.0 and math.isfinite(magnitude)):
         raise ContractError(f"magnitude must be > 0 and finite, got {magnitude}")
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     cons = dict(constraints or {})
     unknown = set(cons) - _CONSTRAINT_KEYS
     if unknown:
@@ -637,9 +649,7 @@ class TransferTarget:
 
     def __post_init__(self):
         object.__setattr__(self, "tau_prime", _freeze(self.tau_prime))
-        L = np.array(self.L, dtype=float)
-        L.setflags(write=False)
-        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "L", _freeze(self.L))  # None becomes NaN
 
 
 def transfer_redistribution(m: Mdp, target: TransferTarget) -> np.ndarray:
@@ -690,66 +700,33 @@ def transfer_redistribution(m: Mdp, target: TransferTarget) -> np.ndarray:
 # JSON serialization
 
 
+# The name each family goes by under a document's "family" key.
+_FAMILIES = {
+    "identity": Identity,
+    "potential_shaping": PotentialShaping,
+    "sprime_redistribution": SPrimeRedistribution,
+    "positive_scaling": PositiveLinearScaling,
+    "zpmt": ZeroPreservingMonotone,
+    "mask": Mask,
+    "opt_preserving": OptimalityPreserving,
+}
+_FAMILY_NAMES = {cls: name for name, cls in _FAMILIES.items()}
+
+
 def transform_to_obj(t: TransformSpec) -> dict:
-    if isinstance(t, Identity):
-        out: dict = {"family": "identity"}
-        if t.note:
-            out["note"] = t.note
-        return out
-    if isinstance(t, PotentialShaping):
-        return {"family": "potential_shaping", "phi": t.phi.tolist(), "k_initial": t.k_initial}
-    if isinstance(t, SPrimeRedistribution):
-        return {"family": "sprime_redistribution", "delta": t.delta.tolist()}
-    if isinstance(t, PositiveLinearScaling):
-        return {"family": "positive_scaling", "c": t.c}
-    if isinstance(t, ZeroPreservingMonotone):
-        return {"family": "zpmt", "breakpoints": t.breakpoints.tolist()}
-    if isinstance(t, Mask):
-        return {
-            "family": "mask",
-            "transitions": [list(x) for x in t.transitions],
-            "replacement": t.replacement.tolist(),
-            "which": t.which,
-        }
-    if isinstance(t, OptimalityPreserving):
-        return {
-            "family": "opt_preserving",
-            "opt_sets": [list(x) for x in t.opt_sets],
-            "psi": t.psi.tolist(),
-            "gaps": t.gaps.tolist(),
-        }
-    raise ContractError(f"unknown transformation {type(t).__name__}")
+    """``{"family": name}`` plus every field of t; an Identity without a note writes none."""
+    if type(t) not in _FAMILY_NAMES:
+        raise ContractError(f"unknown transformation {type(t).__name__}")
+    out = {"family": _FAMILY_NAMES[type(t)], **write_fields(t)}
+    if isinstance(t, Identity) and not t.note:
+        del out["note"]
+    return out
 
 
 def transform_from_obj(obj: dict) -> TransformSpec:
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise ContractError("transformation document must be an object with a 'family' key")
-    fam = obj["family"]
-    try:
-        if fam == "identity":
-            return Identity(note=obj.get("note", ""))
-        if fam == "potential_shaping":
-            k = obj.get("k_initial")
-            return PotentialShaping(phi=np.array(obj["phi"], dtype=float),
-                                    k_initial=None if k is None else float(k))
-        if fam == "sprime_redistribution":
-            return SPrimeRedistribution(delta=np.array(obj["delta"], dtype=float))
-        if fam == "positive_scaling":
-            return PositiveLinearScaling(c=float(obj["c"]))
-        if fam == "zpmt":
-            return ZeroPreservingMonotone(breakpoints=np.array(obj["breakpoints"], dtype=float))
-        if fam == "mask":
-            return Mask(
-                transitions=tuple(tuple(int(v) for v in t) for t in obj["transitions"]),
-                replacement=np.array(obj["replacement"], dtype=float),
-                which=obj.get("which", ""),
-            )
-        if fam == "opt_preserving":
-            return OptimalityPreserving(
-                opt_sets=tuple(tuple(int(a) for a in acts) for acts in obj["opt_sets"]),
-                psi=np.array(obj["psi"], dtype=float),
-                gaps=np.array(obj["gaps"], dtype=float),
-            )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ContractError(f"malformed {fam} document: {e}") from e
-    raise ContractError(f"unknown transformation family {fam!r}")
+    """The member a transform_to_obj document describes, read by read_fields."""
+    family = obj.get("family") if isinstance(obj, dict) else None
+    if not (isinstance(family, str) and family in _FAMILIES):
+        raise ContractError(f"a transformation's 'family' must be one of {sorted(_FAMILIES)}, got {family!r}")
+    cls = _FAMILIES[family]
+    return cls(**read_fields(cls, {k: v for k, v in obj.items() if k != "family"}, family))

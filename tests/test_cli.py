@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ril import Resolution, SamplerConfig, dump_mdp, sample_mdp
+from ril import Resolution, SamplerConfig, dump_mdp, mdp_to_obj, sample_mdp
 from ril.cli import build_parser, experiment_config, main
 from ril.table import table_check_config
 from ril.micro import chain_mdp, delayed_reward_chain_mdp, loop_mdp, transfer_mdp, two_action_loop_mdp
@@ -160,6 +160,52 @@ def test_transform_rejects_a_magnitude_that_is_not_positive(tmp_path, capsys, ma
     captured = capsys.readouterr()
     assert captured.err.startswith("error: magnitude must be > 0")
     assert captured.out == ""
+
+
+def test_transform_rejects_a_negative_seed(tmp_path, capsys):
+    path = write_mdp(tmp_path, chain_mdp())
+    assert main(["transform", "--mdp", path, "--class", "shaping", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({"family": "potential_shaping", "phi": [0.5, 0], "k_intial": 0}, "k_intial"),
+        ({"family": "mask", "transitions": [[0, 0, 1.7]], "replacement": [1.0]}, "'transitions'"),
+        ({"family": "positive_scaling", "c": True}, "'c'"),
+        ({"family": "positive_scaling", "c": "2"}, "'c'"),
+        ({"family": "opt_preserving", "opt_sets": [[0.9], [0]], "psi": [0, 0], "gaps": [[0], [0]]}, "'opt_sets'"),
+        ({"family": "positive_scaling"}, "missing positive_scaling keys: ['c']"),
+        ({"family": ["mask"]}, "'family' must be one of"),
+    ],
+    ids=[
+        "misspelt-key", "fractional-index", "bool-number", "string-number", "fractional-action",
+        "missing-field", "list-family",
+    ],
+)
+def test_transform_rejects_a_document_it_would_misread(tmp_path, capsys, doc, named):
+    # The first five once ran as some other member than the document says.
+    path = write_mdp(tmp_path, chain_mdp())
+    tfile = tmp_path / "t.json"
+    tfile.write_text(json.dumps(doc))
+    assert main(["transform", "--mdp", path, "--transform", str(tfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and named in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [({"states": [0, 1]}, "'states'"), ({"name": "chain"}, "name")],
+    ids=["numeric-state-names", "stray-key"],
+)
+def test_solve_rejects_an_mdp_document_it_would_misread(tmp_path, capsys, change, named):
+    path = tmp_path / "mdp.json"
+    path.write_text(json.dumps({**mdp_to_obj(chain_mdp()), **change}))
+    assert main(["solve", "--mdp", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and named in captured.err
 
 
 @pytest.mark.parametrize(
@@ -463,6 +509,36 @@ def test_transfer_demo_neutral_requirement_keeps_optimum(tmp_path, capsys):
 def test_transfer_demo_partial_arguments_exit_2(tmp_path):
     path = write_mdp(tmp_path, transfer_mdp())
     assert main(["transfer-demo", "--mdp", path]) == 2
+
+
+@pytest.mark.parametrize(
+    "tau_prime, requirements",
+    [
+        ([[["0.3", 0.7], [0.5, 0.5]], [[0.0, 1.0], [0.0, 1.0]]], [[1.0, None], [None, None]]),
+        (None, [["1.0", None], [None, None]]),
+        (None, [[True, None], [None, None]]),
+        (None, [[1.0, None], [None]]),
+    ],
+    ids=["string-probability", "string-requirement", "bool-requirement", "ragged-requirements"],
+)
+def test_transfer_demo_rejects_a_document_it_would_misread(tmp_path, capsys, tau_prime, requirements):
+    m = transfer_mdp()
+    if tau_prime is None:
+        tau_prime = np.array(m.tau)
+        tau_prime[0, 0] = [0.3, 0.7]
+        tau_prime = tau_prime.tolist()
+    tp_path, l_path = tmp_path / "tau_prime.json", tmp_path / "l.json"
+    tp_path.write_text(json.dumps(tau_prime))
+    l_path.write_text(json.dumps(requirements))
+    argv = ["transfer-demo", "--mdp", write_mdp(tmp_path, m), "--tau-prime", str(tp_path), "--l", str(l_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_transfer_demo_rejects_a_tolerance_that_is_not_a_finite_nonnegative_number(capsys, tol):
+    assert main(["transfer-demo", f"--tol={tol}"]) == 2
+    assert capsys.readouterr().err.startswith("error: tol must be >= 0")
 
 
 def test_version_flag():

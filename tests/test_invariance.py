@@ -24,6 +24,7 @@ from ril import (
     complementary_ambiguity_check,
     fingerprint,
     fingerprints_equal,
+    mdp_to_obj,
     refinement_compare,
     replay_witness,
     search_counterexample,
@@ -185,6 +186,35 @@ def test_witness_replays():
     result = replay_witness(v.witness)
     assert result["reproduced"]
     assert result["diff_magnitude"] > 0
+
+
+def chain_witness(**changes) -> dict:
+    """A witness by hand: a shaping of chain_mdp moves Q*."""
+    witness = {
+        "kind": "q_star",
+        "transform_class": "shaping",
+        "mdp": mdp_to_obj(chain_mdp()),
+        "transform": {"family": "potential_shaping", "phi": [0.5, 0.0], "k_initial": None},
+        "resolution": {"max_fragment_len": 2, "lasso_prefix_cap": 2, "lasso_cycle_cap": 2},
+        "beta": 1.0,
+        "tol_rel": 1e-8,
+    }
+    return {**witness, **changes}
+
+
+@pytest.mark.parametrize(
+    "changes, named",
+    [
+        ({"resolution": {"max_fragment_len": 2.5, "lasso_prefix_cap": 2, "lasso_cycle_cap": 2}}, "max_fragment_len"),
+        ({"beta": "2"}, "beta"),
+        ({"tol_rel": True}, "tol_rel"),
+    ],
+    ids=["fractional-resolution", "string-beta", "bool-tol"],
+)
+def test_replay_rejects_a_witness_it_would_misread(changes, named):
+    assert replay_witness(chain_witness())["reproduced"]
+    with pytest.raises(ContractError, match=named):
+        replay_witness(chain_witness(**changes))
 
 
 def test_search_on_fixed_mdp():

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from ril import (
     ConvergenceError,
     Policy,
+    PotentialShaping,
     SolverParams,
+    apply_transform,
     boltzmann_rational_policy,
     expected_reward,
     log_sum_exp_rows,
+    make_mdp,
     maximally_supportive_optimal_policy,
     mce_policy,
     optimal_action_sets,
@@ -242,3 +245,16 @@ def test_solver_params_validation():
     with pytest.raises(ContractError):
         SolverParams(max_iters=-1)
     assert SolverParams(max_iters=0).max_iters == 0
+
+
+def test_the_tie_band_does_not_move_under_shaping():
+    # In s0, a1 trails a0 by 2.3e-7.  A band scaled by the expected rewards
+    # left a1 out at 1e-7 * (1 + 0.5) and, after shaping by phi(s0) = -2,
+    # took it in at 1e-7 * (1 + 2.5).  The optimal advantages do not move.
+    m = make_mdp(
+        states=["s0", "s1"], actions=["a0", "a1"],
+        tau=[[[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]]], mu0=[1.0, 0.0],
+        reward=[[[0.0, 0.5], [0.0, 0.5 - 2.3e-7]], [[0.0, 0.0], [0.0, 0.0]]], gamma=0.9,
+    )
+    shaped = with_reward(m, apply_transform(m, PotentialShaping(phi=np.array([-2.0, 0.0]))))
+    assert optimal_action_sets(m)[0] == optimal_action_sets(shaped)[0] == (0,)

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from ril import replay_witness
+from ril import CLASS_TAGS, dump_mdp, replay_witness
 from ril.cli import main
+from ril.micro import chain_mdp
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -191,6 +192,18 @@ def test_a_benchmark_pass_at_another_seed_reproduces_the_directory_and_the_diagr
     assert all(replay_witness(w)["reproduced"] for w in witnesses + refining)
     # A refinement witness keeps the kind it preserves.
     assert not any(replay_witness({**w, "kind": w["preserved_kind"]})["reproduced"] for w in refining)
+
+
+def test_transform_output_of_every_class_is_pinned(tmp_path, capsys):
+    # The bytes of `ril transform` for each class on chain_mdp at seed 7,
+    # pinned before the transformation writer was made generic.
+    path = tmp_path / "chain.json"
+    path.write_text(dump_mdp(chain_mdp()))
+    digest = hashlib.sha256()
+    for cls in CLASS_TAGS:
+        assert main(["transform", "--mdp", str(path), "--class", cls, "--seed", "7"]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == "f4bdf8e73a5847598726339a847097aa5263163ac218d41248d5e3b6c0812dff"
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

@@ -1,5 +1,9 @@
 """Reward transformation families: application, validation, sampling, fitting."""
 
+import json
+import typing
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,7 @@ from ril import (
     PotentialShaping,
     SPrimeRedistribution,
     TransferTarget,
+    TransformSpec,
     ZeroPreservingMonotone,
     apply_transform,
     decompose_shaping,
@@ -321,6 +326,7 @@ def test_transfer_rejects_bad_shapes():
 def test_transform_json_round_trip_all_families():
     m = orphan_state_mdp()
     specs = [
+        Identity(),
         Identity(note="degenerate"),
         PotentialShaping(phi=np.array([1.0, -0.5, 0.25]), k_initial=None),
         PotentialShaping(phi=np.array([2.0, 0.5, 0.0]), k_initial=2.0),
@@ -334,9 +340,14 @@ def test_transform_json_round_trip_all_families():
             gaps=np.zeros((3, 1)),
         ),
     ]
+    # One member of every family at least, so that none is missing from the family table.
+    assert {type(t) for t in specs} == set(typing.get_args(TransformSpec))
+    assert transform_to_obj(Identity()) == {"family": "identity"}
     for t in specs:
-        t2 = transform_from_obj(transform_to_obj(t))
+        t2 = transform_from_obj(json.loads(json.dumps(transform_to_obj(t))))
         assert type(t2) is type(t)
+        for f in fields(t):
+            assert np.array_equal(getattr(t2, f.name), getattr(t, f.name)), f.name
         assert transform_to_obj(t2) == transform_to_obj(t)
 
 
