@@ -58,7 +58,6 @@ from .solvers import (
 )
 from .table import render_table, reproduce_directory_table, table_check_config
 from .transforms import (
-    CLASS_TAGS,
     TransferTarget,
     apply_transform,
     sample_transform,
@@ -257,10 +256,6 @@ def cmd_transform(args) -> int:
 
 def cmd_check(args) -> int:
     exp = experiment_config(args)
-    if args.kind not in KIND_TAGS:
-        raise ContractError(f"unknown object kind {args.kind!r}")
-    if args.transform_class not in CLASS_TAGS:
-        raise ContractError(f"unknown transformation class {args.transform_class!r}")
     m = load_mdp(args.mdp) if args.mdp else None
     t0 = time.perf_counter()
     if args.search:

@@ -212,7 +212,7 @@ def order_to_dot(order: RefinementOrder) -> str:
     rep_index = {g[0]: i for i, g in enumerate(order.groups)}
     lines = ["digraph refinement {", "  rankdir=TB;", "  node [shape=box];"]
     for i, g in enumerate(order.groups):
-        label = "\\n".join(KIND_LABELS.get(k, k) for k in g)
+        label = "\\n".join(KIND_LABELS[k] for k in g)
         lines.append(f'  g{i} [label="{label}"];')
     for u, v in order.edges:
         lines.append(f"  g{rep_index[u]} -> g{rep_index[v]};")

@@ -44,7 +44,7 @@ transformation draws, and trial order use seeds derived per trial.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -81,6 +81,7 @@ from .sampling import SamplerConfig, derive_seed, sample_mdp, sample_mdp_where
 from .solvers import SolverParams, optimal_action_sets, reward_scale
 from .trajectories import count_lassos, lasso_returns
 from .transforms import (
+    CLASS_TAGS,
     Identity,
     TransformSpec,
     apply_transform,
@@ -463,14 +464,12 @@ def _witness_obj(
     trial: int,
     origin: str,
 ) -> dict:
-    resolution = write_fields(cfg.resolution)
-    del resolution["enumeration_cap"]  # it bounds the enumeration, not the fingerprint
     return {
         "kind": kind,
         "transform_class": cls,
         "mdp": mdp_to_obj(m),
         "transform": transform_to_obj(t),
-        "resolution": resolution,
+        "resolution": write_fields(cfg.resolution),
         "beta": cfg.params.beta,
         "tol_rel": cfg.tol_rel,
         "diff_index": int(diff[0]),
@@ -481,12 +480,25 @@ def _witness_obj(
 
 
 def replay_witness(obj: dict) -> dict:
-    """Re-run a serialized witness; returns the observed divergence."""
+    """Re-run a serialized witness; returns the observed divergence.
+
+    The witness must carry kind, mdp, transform, beta, tol_rel and every
+    resolution field, so that it replays at the settings it was found at; a
+    missing key raises ContractError naming it.
+    """
+    if not isinstance(obj, dict):
+        raise ContractError("a witness must hold a JSON object")
+    missing = [key for key in ("kind", "mdp", "transform", "resolution", "beta", "tol_rel") if key not in obj]
+    if missing:
+        raise ContractError(f"missing witness keys: {missing}")
+    res = Resolution(**read_fields(Resolution, obj["resolution"], "resolution"))
+    missing = [f.name for f in fields(Resolution) if f.name not in obj["resolution"]]
+    if missing:
+        raise ContractError(f"missing resolution keys: {missing}")
     m = mdp_from_obj(obj["mdp"])
     t = transform_from_obj(obj["transform"])
-    res = Resolution(**read_fields(Resolution, obj["resolution"], "resolution"))
-    params = SolverParams(beta=read_value(float, obj.get("beta", SolverParams.beta), "witness beta"))
-    tol_rel = read_value(float, obj.get("tol_rel", CheckConfig.tol_rel), "witness tol_rel")
+    params = SolverParams(beta=read_value(float, obj["beta"], "witness beta"))
+    tol_rel = read_value(float, obj["tol_rel"], "witness tol_rel")
     pair = stack_mdps(m, with_reward(m, apply_transform(m, t)))
     equal, diff = fingerprints_equal(*fingerprint(pair, obj["kind"], res, params), tol_rel)
     return {
@@ -529,6 +541,9 @@ def _run_trials(
     for k in (kind, *needs):
         if k not in KIND_TAGS:
             raise ContractError(f"unknown object kind {k!r}")
+    for cls, _ in plans:
+        if cls not in CLASS_TAGS:
+            raise ContractError(f"unknown transformation class {cls!r}")
 
     def bind(cls: str, row: PlanRow):
         overrides = dict(row.sampler)

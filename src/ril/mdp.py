@@ -40,9 +40,6 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-# Probability rows are renormalized on construction; afterwards sums hold to
-# this tolerance, which downstream solvers rely on.
-ROW_SUM_TOL = 1e-12
 # The parser accepts this much drift in input documents before renormalizing.
 PARSE_ROW_SUM_TOL = 1e-9
 

@@ -9,6 +9,10 @@ agree (comparison semantics live in the invariance module; ordinal payloads
 compare exactly, numeric ones within tolerance, lotteries up to positive
 affine rescaling of returns).
 
+Each kind is one entry of KINDS, keyed by its tag: a label, the basis its
+payload ranges over (None, "fragments" or "lassos") and a payload function.
+KIND_TAGS, KIND_LABELS, FRAGMENT_KINDS and LASSO_KINDS are read from it.
+
 Payload layouts by kind tag:
 
 * q_policy, q_star, q_soft: flattened (S, A) action-value tables; q_policy
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -65,7 +70,6 @@ from .solvers import (
     uniform_policy,
 )
 from .trajectories import (
-    DEFAULT_ENUMERATION_CAP,
     Fragment,
     Fragments,
     LassoTrajectory,
@@ -80,66 +84,81 @@ from .trajectories import (
 # noiseless preference models.
 NOISELESS_TIE_RTOL = 1e-9
 
-KIND_TAGS = (
-    "q_policy",
-    "q_star",
-    "q_soft",
-    "boltzmann_policy",
-    "mce_policy",
-    "supportive_optimal_policy",
-    "traj_dist_boltzmann",
-    "traj_dist_mce",
-    "traj_dist_optimal",
-    "return_fragments",
-    "return_trajectories",
-    "boltzmann_cmp_fragments",
-    "boltzmann_cmp_trajectories",
-    "noiseless_cmp_fragments",
-    "noiseless_cmp_trajectories",
-    "lottery_order",
-    "optimal_policy_set",
-)
 
-KIND_LABELS = {
-    "q_policy": "Q (reference policy)",
-    "q_star": "Q (optimal)",
-    "q_soft": "Q (max-causal-entropy)",
-    "boltzmann_policy": "Boltzmann-rational policy",
-    "mce_policy": "max-causal-entropy policy",
-    "supportive_optimal_policy": "maximally supportive optimal policy",
-    "traj_dist_boltzmann": "trajectory distribution (Boltzmann)",
-    "traj_dist_mce": "trajectory distribution (MCE)",
-    "traj_dist_optimal": "trajectory distribution (optimal)",
-    "return_fragments": "fragment returns",
-    "return_trajectories": "trajectory returns",
-    "boltzmann_cmp_fragments": "Boltzmann comparisons of fragments",
-    "boltzmann_cmp_trajectories": "Boltzmann comparisons of trajectories",
-    "noiseless_cmp_fragments": "noiseless comparisons of fragments",
-    "noiseless_cmp_trajectories": "noiseless comparisons of trajectories",
-    "lottery_order": "return-lottery order",
-    "optimal_policy_set": "set of optimal policies",
+@dataclass(frozen=True)
+class Kind:
+    """With basis None, payload(stack, params) gives one payload per member of
+    an MdpStack; with basis "fragments" or "lassos", payload(m, items, params)
+    gives one member's payload over that canonical enumeration.  payload
+    looks up what it calls in this module's globals when it runs, so that
+    rebinding those names (the traced benchmark run does) sees each call."""
+
+    label: str
+    basis: str | None
+    payload: Callable
+
+
+# The object kinds by tag, in directory-table row order.
+KINDS: dict[str, Kind] = {
+    "q_policy": Kind("Q (reference policy)", None, lambda s, p: policy_q(s, uniform_policy(s)).q),
+    "q_star": Kind("Q (optimal)", None, lambda s, p: optimal_q(s, p).q),
+    "q_soft": Kind("Q (max-causal-entropy)", None, lambda s, p: soft_q(s, p).q),
+    "boltzmann_policy": Kind(
+        "Boltzmann-rational policy", None, lambda s, p: boltzmann_rational_policy(s, p).probs),
+    "mce_policy": Kind("max-causal-entropy policy", None, lambda s, p: mce_policy(s, p).probs),
+    "supportive_optimal_policy": Kind(
+        "maximally supportive optimal policy", None,
+        lambda s, p: maximally_supportive_optimal_policy(s, p).probs),
+    "traj_dist_boltzmann": Kind(
+        "trajectory distribution (Boltzmann)", None,
+        lambda s, p: _trajectory_payloads(s, boltzmann_rational_policy(s, p))),
+    "traj_dist_mce": Kind(
+        "trajectory distribution (MCE)", None, lambda s, p: _trajectory_payloads(s, mce_policy(s, p))),
+    "traj_dist_optimal": Kind(
+        "trajectory distribution (optimal)", None,
+        lambda s, p: _trajectory_payloads(s, maximally_supportive_optimal_policy(s, p), visited_only=True)),
+    "return_fragments": Kind(
+        "fragment returns", "fragments", lambda m, items, p: fragment_returns(m, items)),
+    "return_trajectories": Kind(
+        "trajectory returns", "lassos", lambda m, items, p: lasso_returns(m, items)),
+    "boltzmann_cmp_fragments": Kind(
+        "Boltzmann comparisons of fragments", "fragments",
+        lambda m, items, p: comparison_model(m, items, "boltzmann", p.beta)),
+    "boltzmann_cmp_trajectories": Kind(
+        "Boltzmann comparisons of trajectories", "lassos",
+        lambda m, items, p: comparison_model(m, items, "boltzmann", p.beta)),
+    "noiseless_cmp_fragments": Kind(
+        "noiseless comparisons of fragments", "fragments",
+        lambda m, items, p: comparison_model(m, items, "noiseless")),
+    "noiseless_cmp_trajectories": Kind(
+        "noiseless comparisons of trajectories", "lassos",
+        lambda m, items, p: comparison_model(m, items, "noiseless")),
+    "lottery_order": Kind(
+        "return-lottery order", "lassos", lambda m, items, p: lottery_library_values(m, items)),
+    "optimal_policy_set": Kind(
+        "set of optimal policies", None,
+        lambda s, p: (optimal_action_mask(s, p).astype(np.int64) << np.arange(s.n_actions)).sum(axis=-1)),
 }
-
-# Kinds whose payloads are built from lasso enumerations.
-LASSO_KINDS = frozenset(
-    ["return_trajectories", "boltzmann_cmp_trajectories", "noiseless_cmp_trajectories", "lottery_order"]
-)
-FRAGMENT_KINDS = frozenset(
-    ["return_fragments", "boltzmann_cmp_fragments", "noiseless_cmp_fragments"]
-)
+KIND_TAGS = tuple(KINDS)
+KIND_LABELS = {tag: kind.label for tag, kind in KINDS.items()}
+LASSO_KINDS = frozenset(tag for tag, kind in KINDS.items() if kind.basis == "lassos")
+FRAGMENT_KINDS = frozenset(tag for tag, kind in KINDS.items() if kind.basis == "fragments")
 
 
 @dataclass(frozen=True)
 class Resolution:
-    """Enumeration depth for fragment- and trajectory-based fingerprints."""
+    """Enumeration depth for fragment- and trajectory-based fingerprints.
+
+    Every enumeration shares one budget, trajectories.DEFAULT_ENUMERATION_CAP
+    items; past it, enumeration raises EnumerationCapError.
+    """
 
     max_fragment_len: int = 2
     lasso_prefix_cap: int = 3
     lasso_cycle_cap: int = 3
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 
     def __post_init__(self):
-        lows = {"max_fragment_len": 0, "lasso_prefix_cap": 0, "lasso_cycle_cap": 1, "enumeration_cap": 1}
+        lows = {"max_fragment_len": 0, "lasso_prefix_cap": 0, "lasso_cycle_cap": 1}
         for name, low in lows.items():
             if not getattr(self, name) >= low:
                 raise ContractError(f"{name} must be >= {low}, got {getattr(self, name)}")
@@ -295,9 +314,11 @@ def exact_comparison_oracle(m: Mdp, beta: float = 1.0):
 # Fingerprints
 
 
-def _distribution_payloads(m: MdpStack, policy: Policy, relevant: np.ndarray) -> np.ndarray:
-    # Policy rows outside the relevant states cannot influence which
-    # trajectories occur, so they are zeroed out of the payload.
+def _trajectory_payloads(m: MdpStack, policy: Policy, visited_only: bool = False) -> np.ndarray:
+    # Policy rows off the reachable states, or with visited_only off the
+    # states the policy can visit, cannot influence which trajectories occur,
+    # so they are zeroed out of the payload.
+    relevant = supported_state_mask(m, policy.probs) if visited_only else reachable_state_mask(m)
     masked = np.where(relevant[..., None], policy.probs, 0.0)
     mu0 = np.broadcast_to(np.asarray(m.mu0, dtype=float), masked.shape[:-1])
     return np.concatenate([mu0, masked.reshape(len(masked), -1)], axis=1)
@@ -322,21 +343,14 @@ def _newest_basis(kind: str, m: Mdp, resolution: Resolution, enumerate_basis):
 
 def canonical_fragments(m: Mdp, resolution: Resolution) -> Fragments:
     return _newest_basis(
-        "fragments",
-        m,
-        resolution,
-        lambda: enumerate_fragments(m, resolution.max_fragment_len, cap=resolution.enumeration_cap),
+        "fragments", m, resolution, lambda: enumerate_fragments(m, resolution.max_fragment_len)
     )
 
 
 def canonical_lassos(m: Mdp, resolution: Resolution) -> Lassos:
     return _newest_basis(
-        "lassos",
-        m,
-        resolution,
-        lambda: enumerate_lassos(
-            m, resolution.lasso_prefix_cap, resolution.lasso_cycle_cap, cap=resolution.enumeration_cap
-        ),
+        "lassos", m, resolution,
+        lambda: enumerate_lassos(m, resolution.lasso_prefix_cap, resolution.lasso_cycle_cap),
     )
 
 
@@ -361,51 +375,17 @@ def fingerprint(
     over the shared dynamics; each has the bytes of its member alone.
     """
     tag = str(kind)
+    if tag not in KINDS:
+        raise ContractError(f"unknown object kind {tag!r}")
+    spec = KINDS[tag]
     stack = as_stack(m)
     # One payload per member, along a leading axis or in a list.
-    if tag == "q_policy":
-        payloads = policy_q(stack, uniform_policy(stack)).q
-    elif tag == "q_star":
-        payloads = optimal_q(stack, params).q
-    elif tag == "q_soft":
-        payloads = soft_q(stack, params).q
-    elif tag == "boltzmann_policy":
-        payloads = boltzmann_rational_policy(stack, params).probs
-    elif tag == "mce_policy":
-        payloads = mce_policy(stack, params).probs
-    elif tag == "supportive_optimal_policy":
-        payloads = maximally_supportive_optimal_policy(stack, params).probs
-    elif tag == "optimal_policy_set":
-        mask = optimal_action_mask(stack, params)
-        payloads = (mask.astype(np.int64) << np.arange(stack.n_actions)).sum(axis=-1)
-    elif tag == "traj_dist_boltzmann":
-        pi = boltzmann_rational_policy(stack, params)
-        payloads = _distribution_payloads(stack, pi, reachable_state_mask(stack))
-    elif tag == "traj_dist_mce":
-        payloads = _distribution_payloads(stack, mce_policy(stack, params), reachable_state_mask(stack))
-    elif tag == "traj_dist_optimal":
-        pi = maximally_supportive_optimal_policy(stack, params)
-        payloads = _distribution_payloads(stack, pi, supported_state_mask(stack, pi.probs))
-    elif tag in FRAGMENT_KINDS or tag in LASSO_KINDS:
-        first = stack.members[0]
-        if tag in FRAGMENT_KINDS:
-            items = canonical_fragments(first, resolution)
-        else:
-            items = canonical_lassos(first, resolution)
-        payloads = [_item_payload(member, tag, items, params.beta) for member in stack.members]
+    if spec.basis is None:
+        payloads = spec.payload(stack, params)
     else:
-        raise ContractError(f"unknown object kind {tag!r}")
+        basis = canonical_fragments if spec.basis == "fragments" else canonical_lassos
+        items = basis(stack.members[0], resolution)
+        payloads = [spec.payload(member, items, params) for member in stack.members]
     fps = tuple(ObjectFingerprint(kind=tag, payload=p.ravel()) for p in payloads)
     return fps if isinstance(m, MdpStack) else fps[0]
 
-
-def _item_payload(m: Mdp, tag: str, items: Fragments | Lassos, beta: float) -> np.ndarray:
-    """One member's payload of a fragment or lasso kind over the canonical items."""
-    if tag == "return_fragments":
-        return fragment_returns(m, items)
-    if tag == "return_trajectories":
-        return lasso_returns(m, items)
-    if tag == "lottery_order":
-        return lottery_library_values(m, items)
-    mode = "boltzmann" if tag.startswith("boltzmann") else "noiseless"
-    return comparison_model(m, items, mode, beta=beta)

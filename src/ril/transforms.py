@@ -20,7 +20,9 @@ reward table of a fixed-dynamics MDP:
   optimality gaps off O; expected rewards become constant over each (s,a)
   support and off-support entries keep their original values.
 
-`sample_transform` draws a member of a named class for a given MDP.  The
+`sample_transform` draws a member of a named class for a given MDP.  Each
+class is one entry of the class table, _CLASSES: its tag, in directory-table
+column order, and its member sampler; CLASS_TAGS is read from it.  The
 optional constraints dict steers samples away from degenerate members (for
 counterexample searches): see _CONSTRAINT_KEYS below.
 
@@ -33,6 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -60,21 +64,6 @@ from .solvers import (
 REDISTRIBUTION_EXPECTATION_TOL = 1e-10
 # Exactness required of declared potential/breakpoint structure.
 STRUCT_TOL = 1e-12
-
-# Transformation classes in directory-table column order.
-CLASS_TAGS = (
-    "identity",
-    "shaping_zero_initial",
-    "shaping_k_initial",
-    "shaping",
-    "sprime_redistribution",
-    "positive_scaling",
-    "zpmt",
-    "opt_all_states",
-    "opt_supported_states",
-    "mask_impossible",
-    "mask_unreachable",
-)
 
 # Constraint keys accepted by sample_transform (all optional).  The attack
 # plans of invariance.py pass all but k_nonzero, which the k-shift identity
@@ -328,7 +317,7 @@ def extreme_reward_value(m: Mdp) -> float:
     return 4.0 * reward_scale(m) / ((1.0 - m.gamma) * m.gamma ** 3)
 
 
-def _sample_potential(m: Mdp, rng, magnitude: float, k_mode: str, cons: dict) -> PotentialShaping:
+def _sample_potential(m: Mdp, rng, magnitude: float, cons: dict, params, k_mode: str) -> PotentialShaping:
     scale = magnitude * reward_scale(m)
     term = terminal_mask(m)
     init = np.array(m.mu0 > 0.0)
@@ -375,7 +364,7 @@ def _sample_potential(m: Mdp, rng, magnitude: float, k_mode: str, cons: dict) ->
     return PotentialShaping(phi=phi, k_initial=k)
 
 
-def _sample_redistribution(m: Mdp, rng, magnitude: float, cons: dict) -> SPrimeRedistribution:
+def _sample_redistribution(m: Mdp, rng, magnitude: float, cons: dict, params) -> SPrimeRedistribution:
     scale = magnitude * reward_scale(m)
     delta = rng.uniform(-scale, scale, m.tau.shape)
     push = cons.get("push")
@@ -396,7 +385,7 @@ def _sample_redistribution(m: Mdp, rng, magnitude: float, cons: dict) -> SPrimeR
     return SPrimeRedistribution(delta=delta)
 
 
-def _sample_zpmt(m: Mdp, rng, magnitude: float, cons: dict) -> ZeroPreservingMonotone:
+def _sample_zpmt(m: Mdp, rng, magnitude: float, cons: dict, params) -> ZeroPreservingMonotone:
     values = np.unique(np.concatenate([[0.0], m.reward.ravel()]))
     pad = 1.0 + magnitude * reward_scale(m)
     if cons.get("nonlinear"):
@@ -425,7 +414,7 @@ def _sample_zpmt(m: Mdp, rng, magnitude: float, cons: dict) -> ZeroPreservingMon
     return ZeroPreservingMonotone(breakpoints=np.column_stack([xs, ys]))
 
 
-def _sample_mask(m: Mdp, rng, magnitude: float, which: str, cons: dict) -> TransformSpec:
+def _sample_mask(m: Mdp, rng, magnitude: float, cons: dict, params, which: str) -> TransformSpec:
     if which == "impossible":
         mask = impossible_transition_mask(m)
     else:
@@ -462,7 +451,7 @@ def _sample_mask(m: Mdp, rng, magnitude: float, which: str, cons: dict) -> Trans
 
 
 def _sample_opt(
-    m: Mdp, rng, magnitude: float, scope: str, cons: dict, params: SolverParams
+    m: Mdp, rng, magnitude: float, cons: dict, params: SolverParams, scope: str
 ) -> OptimalityPreserving:
     tables = optimal_q(m, params)
     sets = optimal_action_sets(m, params, tables=tables)
@@ -493,6 +482,26 @@ def _sample_opt(
     return OptimalityPreserving(opt_sets=tuple(tuple(x) for x in sets), psi=tables.v, gaps=gaps)
 
 
+# Transformation classes by tag, in directory-table column order, each with
+# its member sampler(m, rng, magnitude, constraints, params).  identity has
+# none: its one member needs no draw.
+_CLASSES: dict[str, Callable | None] = {
+    "identity": None,
+    "shaping_zero_initial": partial(_sample_potential, k_mode="zero"),
+    "shaping_k_initial": partial(_sample_potential, k_mode="k"),
+    "shaping": partial(_sample_potential, k_mode="free"),
+    "sprime_redistribution": _sample_redistribution,
+    "positive_scaling": lambda m, rng, magnitude, cons, params: PositiveLinearScaling(
+        c=float(np.exp(rng.uniform(np.log(1.0 / 3.0), np.log(3.0))))),
+    "zpmt": _sample_zpmt,
+    "opt_all_states": partial(_sample_opt, scope="all"),
+    "opt_supported_states": partial(_sample_opt, scope="supported"),
+    "mask_impossible": partial(_sample_mask, which="impossible"),
+    "mask_unreachable": partial(_sample_mask, which="unreachable"),
+}
+CLASS_TAGS = tuple(_CLASSES)
+
+
 def sample_transform(
     class_tag: str,
     m: Mdp,
@@ -517,31 +526,12 @@ def sample_transform(
     unknown = set(cons) - _CONSTRAINT_KEYS
     if unknown:
         raise ContractError(f"unknown constraint keys {sorted(unknown)}")
-    if class_tag == "identity":
+    if class_tag not in _CLASSES:
+        raise ContractError(f"unknown transformation class {class_tag!r}")
+    draw = _CLASSES[class_tag]
+    if draw is None:
         return Identity()
-    rng = np.random.default_rng(seed)
-    if class_tag == "shaping_zero_initial":
-        return _sample_potential(m, rng, magnitude, "zero", cons)
-    if class_tag == "shaping_k_initial":
-        return _sample_potential(m, rng, magnitude, "k", cons)
-    if class_tag == "shaping":
-        return _sample_potential(m, rng, magnitude, "free", cons)
-    if class_tag == "sprime_redistribution":
-        return _sample_redistribution(m, rng, magnitude, cons)
-    if class_tag == "positive_scaling":
-        c = float(np.exp(rng.uniform(np.log(1.0 / 3.0), np.log(3.0))))
-        return PositiveLinearScaling(c=c)
-    if class_tag == "zpmt":
-        return _sample_zpmt(m, rng, magnitude, cons)
-    if class_tag == "opt_all_states":
-        return _sample_opt(m, rng, magnitude, "all", cons, params)
-    if class_tag == "opt_supported_states":
-        return _sample_opt(m, rng, magnitude, "supported", cons, params)
-    if class_tag == "mask_impossible":
-        return _sample_mask(m, rng, magnitude, "impossible", cons)
-    if class_tag == "mask_unreachable":
-        return _sample_mask(m, rng, magnitude, "unreachable", cons)
-    raise ContractError(f"unknown transformation class {class_tag!r}")
+    return draw(m, np.random.default_rng(seed), magnitude, cons, params)
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,7 @@ def test_check_invariant_cell(tmp_path, capsys):
     assert verdict["trials_run"] == 5
     report = read_json(out / "report.json")
     assert "timings" in report and "config" in report
-    assert report["config"]["resolution"]["enumeration_cap"] == Resolution().enumeration_cap
+    assert report["config"]["resolution"] == vars(Resolution())
     assert report["config"]["trials"] == 5
     # the echo holds only the settings a check reads
     assert "classes" not in report["config"]
@@ -301,6 +301,7 @@ def test_check_rejects_unknown_config_key(tmp_path):
         {"classes": ["shaping"]},
         {"threads": 2},
         {"params": {"beta": 2.0}},
+        {"resolution": {"enumeration_cap": 60}},
     ],
 )
 def test_check_rejects_config_keys_it_would_ignore(tmp_path, capsys, config):
@@ -341,7 +342,6 @@ def test_check_rejects_config_keys_it_would_ignore(tmp_path, capsys, config):
         {"resolution": {"max_fragment_len": -1}},
         {"resolution": {"lasso_prefix_cap": -1}},
         {"resolution": {"lasso_cycle_cap": 0}},
-        {"resolution": {"enumeration_cap": 0}},
         {"sampler": {"max_initial_states": 0}},
         {"kinds": ["q_star", "q_star", "return_fragments"]},
     ],

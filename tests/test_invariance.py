@@ -43,6 +43,7 @@ from ril.micro import chain_mdp, loop_mdp, return_fan_mdp, two_action_loop_mdp
 from ril.objects import canonical_lassos, tie_group_ranks
 from ril.sampling import derive_seed, sample_mdp
 from ril.solvers import reward_scale
+from ril.table import table_check_config
 from ril.trajectories import count_lassos, lasso_returns
 
 FAST = CheckConfig(
@@ -217,6 +218,21 @@ def test_replay_rejects_a_witness_it_would_misread(changes, named):
         replay_witness(chain_witness(**changes))
 
 
+@pytest.mark.parametrize(
+    "drop", ["kind", "mdp", "transform", "resolution", "beta", "tol_rel", "lasso_cycle_cap"]
+)
+def test_replay_rejects_a_witness_that_lacks_a_setting(drop):
+    # A missing key ended in KeyError, and a missing setting replayed at its
+    # default (depth 3 for lasso_cycle_cap), not where the witness was found.
+    witness = chain_witness()
+    if drop in witness:
+        del witness[drop]
+    else:
+        witness["resolution"] = {k: v for k, v in witness["resolution"].items() if k != drop}
+    with pytest.raises(ContractError, match=drop):
+        replay_witness(witness)
+
+
 def test_search_on_fixed_mdp():
     # the two-action loop rejects curvature-bending rescalings outright
     v = search_counterexample(
@@ -253,6 +269,15 @@ def test_unknown_cell_arguments_rejected():
         check_invariance("no_such_kind", "shaping", FAST)
     with pytest.raises(ContractError):
         check_invariance("q_star", "no_such_class", FAST)
+    # A fixed MDP past the fragment budget skips every trial before a member
+    # is drawn; the class is checked all the same.
+    dense = sample_mdp(SamplerConfig(n_states=(4, 4), n_actions=(3, 3), sparsity=0.0), seed=7)
+    cfg = table_check_config(trials=5, budget=50)
+    with pytest.raises(ContractError, match="banana"):
+        search_counterexample("boltzmann_cmp_fragments", "banana", cfg, mdp=dense)
+    # The kind is checked before its roster of classes is read.
+    with pytest.raises(ContractError, match="banana"):
+        refinement_compare("banana", "q_star", FAST)
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +516,9 @@ def test_lasso_needs_decide_as_the_eager_offer_does():
     needs = {row.predicate for row in ATTACK_PLANS.values() if isinstance(row.predicate, LassoNeed)}
     needs |= {p for p in _BASE_PREDICATES.values() if isinstance(p, LassoNeed)}
     # Resolution(1, 1, 1) leaves an MDP without a reachable self-loop with no
-    # lassos; the small enumeration cap and the long caps overflow.  Small
-    # rewards leave few return pairs 0.05 apart for moderate_pair.
-    resolutions = [Resolution(), Resolution(1, 1, 1), Resolution(2, 3, 3, enumeration_cap=60), Resolution(2, 4, 4)]
+    # lassos; the long caps overflow the enumeration cap.  Small rewards
+    # leave few return pairs 0.05 apart for moderate_pair.
+    resolutions = [Resolution(), Resolution(1, 1, 1), Resolution(2, 3, 3), Resolution(2, 4, 4)]
     samplers = [
         SamplerConfig(n_states=(2, 5), n_actions=(1, 3), sparsity=0.5),
         SamplerConfig(n_states=(2, 5), n_actions=(1, 3), sparsity=0.5, reward_low=-0.01, reward_high=0.01),

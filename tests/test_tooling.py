@@ -14,9 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from ril import CLASS_TAGS, dump_mdp, replay_witness
+from ril import CLASS_TAGS, KIND_TAGS, dump_mdp, replay_witness
 from ril.cli import main
-from ril.micro import chain_mdp
+from ril.micro import chain_mdp, two_action_loop_mdp
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -130,6 +130,46 @@ def test_the_call_shapes_the_tracer_reads_hold():
         for name in functions:
             fn = getattr(module, name, None)
             assert callable(fn) and fn.__module__ == module.__name__, f"ril.{module_name}.{name}"
+
+
+def test_each_kind_calls_the_traced_names_through_the_objects_module(monkeypatch):
+    # perfbench/tracing.py traces a call by rebinding the name in ril.objects;
+    # a payload function that stored the function object would call past it.
+    from ril import objects
+
+    traced = literals(PERFBENCH / "tracing.py", "TRACED")["TRACED"]
+    names = {fn for fns in traced.values() for fn in fns if hasattr(objects, fn)} | {"canonical_fragments"}
+    reached = set()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            reached.add(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(objects, name, counting(name, getattr(objects, name)))
+    fragments = {"canonical_fragments", "enumerate_fragments", "fragment_returns"}
+    lassos = {"canonical_lassos", "enumerate_lassos", "lasso_returns"}
+    needs = {
+        "q_policy": {"policy_q"},
+        "q_star": {"optimal_q"},
+        "q_soft": {"soft_q"},
+        "return_fragments": fragments,
+        "return_trajectories": lassos,
+        "boltzmann_cmp_fragments": fragments | {"comparison_model"},
+        "boltzmann_cmp_trajectories": lassos | {"comparison_model"},
+        "noiseless_cmp_fragments": fragments | {"comparison_model"},
+        "noiseless_cmp_trajectories": lassos | {"comparison_model"},
+        "lottery_order": lassos,
+    }
+    assert set(needs) <= set(KIND_TAGS)
+    for kind in KIND_TAGS:
+        reached.clear()
+        monkeypatch.setattr(objects, "_newest_bases", {})  # so that each kind enumerates
+        objects.fingerprint(two_action_loop_mdp(), kind, objects.Resolution(2, 2, 2))
+        assert needs.get(kind, set()) | {"fingerprint"} <= reached, kind
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
