@@ -52,7 +52,6 @@ import numpy as np
 from .errors import ContractError, EnumerationCapError
 from .mdp import (
     Mdp,
-    MdpStack,
     initial_states,
     mdp_from_obj,
     mdp_to_obj,
@@ -479,6 +478,15 @@ def _witness_obj(
     }
 
 
+def _comparison(
+    m: Mdp, t: TransformSpec, res: Resolution, params: SolverParams, tol_rel: float
+) -> Callable[[str], tuple[bool, tuple[int, float] | None]]:
+    """compare(kind): fingerprints_equal on kind's one stacked fingerprint of R
+    and t(R), which share their dynamics.  Trials and witness replays use it."""
+    pair = stack_mdps(m, with_reward(m, apply_transform(m, t)))
+    return lambda kind: fingerprints_equal(*fingerprint(pair, kind, res, params), tol_rel)
+
+
 def replay_witness(obj: dict) -> dict:
     """Re-run a serialized witness; returns the observed divergence.
 
@@ -499,8 +507,7 @@ def replay_witness(obj: dict) -> dict:
     t = transform_from_obj(obj["transform"])
     params = SolverParams(beta=read_value(float, obj["beta"], "witness beta"))
     tol_rel = read_value(float, obj["tol_rel"], "witness tol_rel")
-    pair = stack_mdps(m, with_reward(m, apply_transform(m, t)))
-    equal, diff = fingerprints_equal(*fingerprint(pair, obj["kind"], res, params), tol_rel)
+    equal, diff = _comparison(m, t, res, params, tol_rel)(obj["kind"])
     return {
         "reproduced": not equal,
         "diff_index": None if diff is None else int(diff[0]),
@@ -591,19 +598,15 @@ def _run_trials(
         for i in range(n):
             yield draw(i)
 
-    def compare(pair: MdpStack, k: str) -> tuple[bool, tuple[int, float] | None]:
-        return fingerprints_equal(*fingerprint(pair, k, cfg.resolution, cfg.params), cfg.tol_rel)
-
     run = skipped = 0
     for drawn in draws():
         if drawn is None:
             skipped += 1
             continue
         m, t, cls, trial, origin = drawn
-        # R and t(R) share their dynamics: each kind is one stacked fingerprint.
-        pair = stack_mdps(m, with_reward(m, apply_transform(m, t)))
-        equal, diff = compare(pair, kind)
-        if not equal and preserve is not None and not compare(pair, preserve)[0]:
+        compare = _comparison(m, t, cfg.resolution, cfg.params, cfg.tol_rel)
+        equal, diff = compare(kind)
+        if not equal and preserve is not None and not compare(preserve)[0]:
             # Numerically possible only at tolerance boundaries; not a valid witness.
             skipped += 1
             continue

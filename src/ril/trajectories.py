@@ -22,7 +22,7 @@ their results are bit-identical to the scalar functions.
 Enumeration order is deterministic: fragments sort by (length, start state,
 step sequence) with steps compared as (action, next_state) index pairs; lassos
 sort by (prefix, cycle) in that fragment order.  Enumeration raises rather
-than silently truncating when it would exceed the configured cap, and it
+than silently truncating when it would exceed DEFAULT_ENUMERATION_CAP, and it
 raises before allocating the layer that would exceed it.
 """
 
@@ -290,18 +290,12 @@ def _arrays(m: Mdp, items, cls):
     return items
 
 
-def enumerate_fragments(
-    m: Mdp,
-    max_len: int,
-    *,
-    initial_only: bool = False,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> Fragments:
+def enumerate_fragments(m: Mdp, max_len: int, *, initial_only: bool = False) -> Fragments:
     """All possible fragments of length 0..max_len in deterministic order.
 
     Every step of a fragment has tau > 0; initial_only restricts start states
     to support(mu0).  Raises EnumerationCapError when the output would exceed
-    cap.
+    DEFAULT_ENUMERATION_CAP.
     """
     if max_len < 0:
         raise ContractError("max_len must be >= 0")
@@ -314,10 +308,10 @@ def enumerate_fragments(
     first = np.cumsum(fan) - fan
 
     def over_cap(n: int) -> EnumerationCapError:
-        return EnumerationCapError(f"fragment enumeration exceeds cap of {cap} at length {n}")
+        return EnumerationCapError(f"fragment enumeration exceeds cap of {DEFAULT_ENUMERATION_CAP} at length {n}")
 
     start = np.array(initial_states(m), dtype=np.intp) if initial_only else np.arange(n_s)
-    if len(start) > cap:
+    if len(start) > DEFAULT_ENUMERATION_CAP:
         raise over_cap(0)
     layers = [(start, np.empty((len(start), 0), dtype=np.intp))]
     end = start
@@ -325,7 +319,7 @@ def enumerate_fragments(
     for n in range(1, max_len + 1):
         grow = fan[end]
         total += int(grow.sum())
-        if total > cap:
+        if total > DEFAULT_ENUMERATION_CAP:
             raise over_cap(n)
         parent, rank = _fan_out(grow)
         step = codes[first[end][parent] + rank]
@@ -346,30 +340,25 @@ def enumerate_fragments(
     )
 
 
-def enumerate_lassos(
-    m: Mdp,
-    prefix_cap: int,
-    cycle_cap: int,
-    *,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> Lassos:
+def enumerate_lassos(m: Mdp, prefix_cap: int, cycle_cap: int) -> Lassos:
     """All possible lassos with prefix length <= prefix_cap and cycle length <= cycle_cap.
 
     Every step has tau > 0, and prefixes start in support(mu0): lassos stand
     in for whole trajectories, which begin at mu0.  Order: (prefix, cycle)
-    lexicographic in fragment order.  Raises EnumerationCapError beyond cap.
+    lexicographic in fragment order.  Raises EnumerationCapError beyond
+    DEFAULT_ENUMERATION_CAP.
     """
     if cycle_cap < 1:
         raise ContractError("cycle_cap must be >= 1")
-    prefixes = enumerate_fragments(m, prefix_cap, initial_only=True, cap=cap)
-    walks = enumerate_fragments(m, cycle_cap, cap=cap)
+    prefixes = enumerate_fragments(m, prefix_cap, initial_only=True)
+    walks = enumerate_fragments(m, cycle_cap)
     closed = np.flatnonzero((walks.length >= 1) & (walks.start == walks.end))
     # Cycles grouped by their state, in fragment order within each state.
     cycles = walks._take(closed[np.argsort(walks.start[closed], kind="stable")])
     per_state = np.bincount(cycles.start, minlength=m.n_states)
     grow = per_state[prefixes.end]
-    if int(grow.sum()) > cap:
-        raise EnumerationCapError(f"lasso enumeration exceeds cap of {cap}")
+    if int(grow.sum()) > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError(f"lasso enumeration exceeds cap of {DEFAULT_ENUMERATION_CAP}")
     prefix_of, rank = _fan_out(grow)
     cycle_of = (np.cumsum(per_state) - per_state)[prefixes.end][prefix_of] + rank
     return Lassos(prefixes, cycles, prefix_of, cycle_of)

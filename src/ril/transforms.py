@@ -22,9 +22,9 @@ reward table of a fixed-dynamics MDP:
 
 `sample_transform` draws a member of a named class for a given MDP.  Each
 class is one entry of the class table, _CLASSES: its tag, in directory-table
-column order, and its member sampler; CLASS_TAGS is read from it.  The
-optional constraints dict steers samples away from degenerate members (for
-counterexample searches): see _CONSTRAINT_KEYS below.
+column order, and its member sampler; CLASS_TAGS is read from it.  Each
+sampler takes as keyword-only parameters the constraints that steer its
+samples away from degenerate members (for counterexample searches).
 
 A member's JSON document is ``{"family": name}`` plus its fields, one family
 table mapping names to classes both ways; transform_from_obj reads the
@@ -33,10 +33,11 @@ fields with mdp.read_fields, so a stray key or a mistyped value is an error.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -64,37 +65,6 @@ from .solvers import (
 REDISTRIBUTION_EXPECTATION_TOL = 1e-10
 # Exactness required of declared potential/breakpoint structure.
 STRUCT_TOL = 1e-12
-
-# Constraint keys accepted by sample_transform (all optional).  The attack
-# plans of invariance.py pass all but k_nonzero, which the k-shift identity
-# suite passes; the rescaling proof also passes nonlinear.
-#   phi_nonzero_on: list[int]   force a clearly nonzero potential on one of these states
-#   phi_spread_on: list[int]    force two of these states to get distinct potentials
-#   phi_spike: (state, value)   potential is exactly value * e_state
-#   k_nonzero: bool             force |k| away from zero (k-initial family)
-#   nonlinear: bool             ZPMT slopes alternate by a factor >= 1.6 between
-#                               breakpoints placed at every distinct reward value
-#   push: (s, a, s_hi, value)   redistribution moves value onto tau-possible
-#                               (s,a,s_hi), compensated on another support state
-#   extreme_possible_sign: +-1  mask replaces one possible masked triple by a
-#                               value beyond every attainable return
-#   boost_action: (s, a, bonus) mask adds bonus to possible rewards of (s, a)
-#   diff_outside_supported: bool  opt family prescribes non-optimal action sets
-#                               outside the supported set
-_CONSTRAINT_KEYS = frozenset(
-    [
-        "phi_nonzero_on",
-        "phi_spread_on",
-        "phi_spike",
-        "k_nonzero",
-        "nonlinear",
-        "push",
-        "extreme_possible_sign",
-        "boost_action",
-        "diff_outside_supported",
-    ]
-)
-
 
 @dataclass(frozen=True)
 class Identity:
@@ -317,15 +287,25 @@ def extreme_reward_value(m: Mdp) -> float:
     return 4.0 * reward_scale(m) / ((1.0 - m.gamma) * m.gamma ** 3)
 
 
-def _sample_potential(m: Mdp, rng, magnitude: float, cons: dict, params, k_mode: str) -> PotentialShaping:
+def _sample_potential(
+    k_mode: str, m: Mdp, rng, magnitude: float, params, *,
+    phi_spike: tuple[int, float] | None = None,
+    phi_nonzero_on: Sequence[int] = (),
+    phi_spread_on: Sequence[int] = (),
+) -> PotentialShaping:
+    """A shaping potential; k_mode "zero", "k" or "free" treats initial states.
+
+    phi_spike (state, value) makes the potential exactly value * e_state;
+    phi_nonzero_on forces a clearly nonzero potential on one of its states;
+    phi_spread_on forces two of its states to get distinct potentials.
+    """
     scale = magnitude * reward_scale(m)
     term = terminal_mask(m)
     init = np.array(m.mu0 > 0.0)
     phi = rng.uniform(-scale, scale, m.n_states)
 
-    spike = cons.get("phi_spike")
-    if spike is not None:
-        state, value = spike
+    if phi_spike is not None:
+        state, value = phi_spike
         phi = np.zeros(m.n_states)
         phi[state] = value
 
@@ -334,14 +314,11 @@ def _sample_potential(m: Mdp, rng, magnitude: float, cons: dict, params, k_mode:
         phi[init] = 0.0
         k = 0.0
     elif k_mode == "k":
-        if spike is not None:
+        if phi_spike is not None:
             # Keep the spike: the shared initial value is whatever it left there.
             k = float(phi[np.flatnonzero(init)[0]]) if init.any() else 0.0
         else:
             k = float(rng.uniform(-scale, scale))
-            if cons.get("k_nonzero"):
-                sign = 1.0 if rng.random() < 0.5 else -1.0
-                k = sign * scale * float(rng.uniform(0.3, 1.0))
         if np.any(init & term):
             k = 0.0  # an initial terminal state pins the shared value to zero
         phi[init] = k
@@ -350,24 +327,27 @@ def _sample_potential(m: Mdp, rng, magnitude: float, cons: dict, params, k_mode:
     phi[term] = 0.0
 
     free = ~term if k is None else ~(term | init)
-    for target in cons.get("phi_nonzero_on", []):
+    for target in phi_nonzero_on:
         if free[target] and abs(phi[target]) < 0.25 * scale:
             sign = 1.0 if rng.random() < 0.5 else -1.0
             phi[target] = sign * scale * float(rng.uniform(0.3, 1.0))
             break
         if abs(phi[target]) >= 0.25 * scale:
             break
-    spread = [s for s in cons.get("phi_spread_on", []) if not term[s]]
+    spread = [s for s in phi_spread_on if not term[s]]
     if len(spread) >= 2 and abs(phi[spread[0]] - phi[spread[1]]) < 0.25 * scale:
         phi[spread[0]] = 0.6 * scale * float(rng.uniform(0.8, 1.2))
         phi[spread[1]] = -0.6 * scale * float(rng.uniform(0.8, 1.2))
     return PotentialShaping(phi=phi, k_initial=k)
 
 
-def _sample_redistribution(m: Mdp, rng, magnitude: float, cons: dict, params) -> SPrimeRedistribution:
+def _sample_redistribution(
+    m: Mdp, rng, magnitude: float, params, *, push: tuple[int, int, int, float] | None = None
+) -> SPrimeRedistribution:
+    """A zero-expectation delta; push (s, a, s_hi, value) instead moves value
+    onto the tau-possible (s, a, s_hi), compensated on another support state."""
     scale = magnitude * reward_scale(m)
     delta = rng.uniform(-scale, scale, m.tau.shape)
-    push = cons.get("push")
     if push is not None:
         s, a, s_hi, value = push
         row_supp = np.flatnonzero(m.tau[s, a] > 0)
@@ -385,13 +365,16 @@ def _sample_redistribution(m: Mdp, rng, magnitude: float, cons: dict, params) ->
     return SPrimeRedistribution(delta=delta)
 
 
-def _sample_zpmt(m: Mdp, rng, magnitude: float, cons: dict, params) -> ZeroPreservingMonotone:
+def _sample_zpmt(
+    m: Mdp, rng, magnitude: float, params, *, nonlinear: bool = False
+) -> ZeroPreservingMonotone:
+    """A monotone rescaling through the origin; nonlinear places breakpoints at
+    every distinct reward value, with slopes alternating by a factor >= 1.6
+    between them."""
     values = np.unique(np.concatenate([[0.0], m.reward.ravel()]))
     pad = 1.0 + magnitude * reward_scale(m)
-    if cons.get("nonlinear"):
-        # Breakpoints at every distinct reward value; slopes strictly alternate
-        # by a factor >= 1.6, so the function is genuinely non-linear across
-        # every breakpoint (and in particular on the attained reward set).
+    if nonlinear:
+        # Non-linear across every breakpoint, so on the attained reward set too.
         xs = np.concatenate([[values[0] - pad], values, [values[-1] + pad]])
         base = float(rng.uniform(0.4, 2.0))
         factor = float(rng.uniform(1.6, 2.6))
@@ -414,7 +397,17 @@ def _sample_zpmt(m: Mdp, rng, magnitude: float, cons: dict, params) -> ZeroPrese
     return ZeroPreservingMonotone(breakpoints=np.column_stack([xs, ys]))
 
 
-def _sample_mask(m: Mdp, rng, magnitude: float, cons: dict, params, which: str) -> TransformSpec:
+def _sample_mask(
+    which: str, m: Mdp, rng, magnitude: float, params, *,
+    extreme_possible_sign: float | None = None,
+    boost_action: tuple[int, int, float] | None = None,
+) -> TransformSpec:
+    """A mask on the "impossible" or "unreachable" transitions.
+
+    extreme_possible_sign (+-1) replaces one possible masked triple by a value
+    beyond every attainable return; boost_action (s, a, bonus) adds bonus to
+    the possible masked rewards of (s, a).  Either keeps the other rewards.
+    """
     if which == "impossible":
         mask = impossible_transition_mask(m)
     else:
@@ -427,17 +420,15 @@ def _sample_mask(m: Mdp, rng, magnitude: float, cons: dict, params, which: str) 
     original = m.reward[mask]
     replacement = rng.uniform(-2 * scale, 2 * scale, len(triples))
 
-    sign = cons.get("extreme_possible_sign")
-    if sign is not None:
+    if extreme_possible_sign is not None:
         poss = possible_mask(m)
         candidates = [i for i, t in enumerate(triples) if poss[t]]
         if not candidates:
             return Identity(note=f"no possible {which} transitions to perturb")
         replacement = original.copy()
-        replacement[candidates[0]] = sign * extreme_reward_value(m)
-    boost = cons.get("boost_action")
-    if boost is not None:
-        s, a, bonus = boost
+        replacement[candidates[0]] = extreme_possible_sign * extreme_reward_value(m)
+    if boost_action is not None:
+        s, a, bonus = boost_action
         poss = possible_mask(m)
         replacement = original.copy()
         hit = False
@@ -451,8 +442,11 @@ def _sample_mask(m: Mdp, rng, magnitude: float, cons: dict, params, which: str) 
 
 
 def _sample_opt(
-    m: Mdp, rng, magnitude: float, cons: dict, params: SolverParams, scope: str
+    scope: str, m: Mdp, rng, magnitude: float, params: SolverParams, *, diff_outside_supported: bool = False
 ) -> OptimalityPreserving:
+    """A member keeping the optimal-action sets on "all" states, or on the
+    "supported" ones only and drawing the rest; diff_outside_supported makes
+    each drawn set differ from the current one."""
     tables = optimal_q(m, params)
     sets = optimal_action_sets(m, params, tables=tables)
     if scope == "supported":
@@ -464,7 +458,7 @@ def _sample_opt(
             if supported[s]:
                 new_sets.append(sets[s])
                 continue
-            if cons.get("diff_outside_supported") and m.n_actions >= 2:
+            if diff_outside_supported and m.n_actions >= 2:
                 # Any nonempty action set differing from the current optimal one.
                 choices = [a for a in range(m.n_actions) if (a,) != tuple(sets[s])]
                 new_sets.append((int(rng.choice(choices)),))
@@ -483,23 +477,28 @@ def _sample_opt(
 
 
 # Transformation classes by tag, in directory-table column order, each with
-# its member sampler(m, rng, magnitude, constraints, params).  identity has
+# its member sampler(m, rng, magnitude, params, **constraints).  identity has
 # none: its one member needs no draw.
 _CLASSES: dict[str, Callable | None] = {
     "identity": None,
-    "shaping_zero_initial": partial(_sample_potential, k_mode="zero"),
-    "shaping_k_initial": partial(_sample_potential, k_mode="k"),
-    "shaping": partial(_sample_potential, k_mode="free"),
+    "shaping_zero_initial": partial(_sample_potential, "zero"),
+    "shaping_k_initial": partial(_sample_potential, "k"),
+    "shaping": partial(_sample_potential, "free"),
     "sprime_redistribution": _sample_redistribution,
-    "positive_scaling": lambda m, rng, magnitude, cons, params: PositiveLinearScaling(
+    "positive_scaling": lambda m, rng, magnitude, params: PositiveLinearScaling(
         c=float(np.exp(rng.uniform(np.log(1.0 / 3.0), np.log(3.0))))),
     "zpmt": _sample_zpmt,
-    "opt_all_states": partial(_sample_opt, scope="all"),
-    "opt_supported_states": partial(_sample_opt, scope="supported"),
-    "mask_impossible": partial(_sample_mask, which="impossible"),
-    "mask_unreachable": partial(_sample_mask, which="unreachable"),
+    "opt_all_states": partial(_sample_opt, "all"),
+    "opt_supported_states": partial(_sample_opt, "supported"),
+    "mask_impossible": partial(_sample_mask, "impossible"),
+    "mask_unreachable": partial(_sample_mask, "unreachable"),
 }
 CLASS_TAGS = tuple(_CLASSES)
+# The constraints each class's sampler takes, read once at import: reading a
+# signature per call would triple sample_transform's cost.
+_TAKES = {
+    tag: frozenset(inspect.getfullargspec(draw).kwonlyargs if draw else ()) for tag, draw in _CLASSES.items()
+}
 
 
 def sample_transform(
@@ -513,25 +512,26 @@ def sample_transform(
     """Draw a member of the named transformation class for m.
 
     Degenerate cases (e.g. masking an empty transition set) return Identity
-    carrying an explanatory note.  Unknown constraint keys are rejected so
-    callers cannot silently misspell them, and so are a magnitude that is not
-    positive and finite (at 0 every member is the identity) and a negative
-    seed.
+    carrying an explanatory note.  constraints maps the keyword parameters of
+    the class's sampler to values; a key the sampler does not take is rejected,
+    so a misspelt or misrouted one cannot go unused, and so are a magnitude
+    that is not positive and finite (at 0 every member is the identity) and a
+    negative seed.
     """
     if not (magnitude > 0.0 and math.isfinite(magnitude)):
         raise ContractError(f"magnitude must be > 0 and finite, got {magnitude}")
     if seed < 0:
         raise ContractError(f"seed must be >= 0, got {seed}")
-    cons = dict(constraints or {})
-    unknown = set(cons) - _CONSTRAINT_KEYS
-    if unknown:
-        raise ContractError(f"unknown constraint keys {sorted(unknown)}")
     if class_tag not in _CLASSES:
         raise ContractError(f"unknown transformation class {class_tag!r}")
+    cons = constraints or {}
+    unknown = set(cons) - _TAKES[class_tag]
+    if unknown:
+        raise ContractError(f"class {class_tag!r} takes no constraints {sorted(unknown)}")
     draw = _CLASSES[class_tag]
     if draw is None:
         return Identity()
-    return draw(m, np.random.default_rng(seed), magnitude, cons, params)
+    return draw(m, np.random.default_rng(seed), magnitude, params, **cons)
 
 
 # ---------------------------------------------------------------------------

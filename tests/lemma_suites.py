@@ -44,9 +44,9 @@ def _scale(m, r2) -> float:
     return max(1.0, reward_scale(m), float(np.max(np.abs(r2))))
 
 
-def _shaped_pair(seed: int, class_tag: str, constraints=None):
+def _shaped_pair(seed: int, class_tag: str):
     m = sample_mdp(SUITE_SAMPLER, derive_seed(seed, "mdp"))
-    t = sample_transform(class_tag, m, derive_seed(seed, "t"), constraints=constraints)
+    t = sample_transform(class_tag, m, derive_seed(seed, "t"))
     return m, t, apply_transform(m, t)
 
 
@@ -102,10 +102,12 @@ def _initial_lassos(m):
 
 def k_shift_of_lasso_returns(seed: int) -> float:
     """k-initial shaping plus an unreachable mask drops every possible initial
-    trajectory's return by exactly k."""
+    trajectory's return by exactly k, drawn with |k| >= 0.3 * reward_scale."""
     for attempt in range(40):
         s = derive_seed(seed, "k", attempt)
-        m, t, r2 = _shaped_pair(s, "shaping_k_initial", constraints={"k_nonzero": True})
+        m, t, r2 = _shaped_pair(s, "shaping_k_initial")
+        if abs(t.k_initial) < 0.3 * reward_scale(m):
+            continue
         lassos = _initial_lassos(m)
         if lassos:
             break

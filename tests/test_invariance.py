@@ -27,6 +27,7 @@ from ril import (
     mdp_to_obj,
     refinement_compare,
     replay_witness,
+    sample_transform,
     search_counterexample,
 )
 from ril.errors import EnumerationCapError
@@ -41,9 +42,9 @@ from ril.invariance import (
 )
 from ril.micro import chain_mdp, loop_mdp, return_fan_mdp, two_action_loop_mdp
 from ril.objects import canonical_lassos, tie_group_ranks
-from ril.sampling import derive_seed, sample_mdp
+from ril.sampling import derive_seed, sample_mdp, sample_mdp_where
 from ril.solvers import reward_scale
-from ril.table import table_check_config
+from ril.table import expected_marks, table_check_config
 from ril.trajectories import count_lassos, lasso_returns
 
 FAST = CheckConfig(
@@ -78,6 +79,38 @@ def test_rosters_cover_every_kind():
         assert roster, kind
         assert set(roster) <= set(CLASS_TAGS)
         assert "identity" not in roster  # identity is implicit everywhere
+
+
+# Classes that other classes lie inside.
+_WIDER = {
+    "shaping_zero_initial": {"shaping_k_initial", "shaping"},
+    "shaping_k_initial": {"shaping"},
+    "mask_impossible": {"mask_unreachable"},
+}
+
+
+def test_rosters_agree_with_expected_marks():
+    # Each roster class is marked invariant for its kind, and every other
+    # class so marked, but identity, lies inside a roster class.
+    marks = expected_marks()["marks"]
+    for kind, roster in KIND_ROSTERS.items():
+        invariant = {cls for cls, mark in zip(CLASS_TAGS, marks[kind]) if mark in ("inv", "inv_special")}
+        assert set(roster) <= invariant, kind
+        for cls in invariant - set(roster) - {"identity"}:
+            assert _WIDER.get(cls, set()) & set(roster), (kind, cls)
+
+
+def test_every_plan_rows_constraints_are_taken_by_its_class():
+    cfg = table_check_config()
+    for (cls, kind), row in ATTACK_PLANS.items():
+        if row.constraints is None:
+            continue
+        sampler = replace(cfg.sampler, **row.sampler)
+        meets = (lambda m: row.predicate(m, cfg)) if row.predicate else (lambda m: True)
+        m = next(filter(None, (sample_mdp_where(sampler, seed, meets) for seed in range(20))))
+        for trial in (0, 1):
+            # A key the class's sampler does not take would raise ContractError.
+            sample_transform(cls, m, seed=trial, constraints=row.constraints(m, trial, cfg))
 
 
 # ---------------------------------------------------------------------------

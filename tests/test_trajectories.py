@@ -1,6 +1,7 @@
 """Fragments, lasso trajectories, and return computations."""
 
 import itertools
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ril import (
     truncation_bound,
     unroll_lasso,
 )
+from ril import trajectories
 from ril.objects import Resolution
 from ril.trajectories import count_lassos
 from ril.micro import chain_mdp, loop_mdp, two_action_loop_mdp
@@ -94,10 +96,11 @@ def test_enumerate_fragments_only_possible():
 def test_enumeration_cap_raises():
     cfg = SamplerConfig(n_states=(4, 4), n_actions=(3, 3), sparsity=0.0)
     m = sample_mdp(cfg, seed=7)
-    with pytest.raises(EnumerationCapError):
-        enumerate_fragments(m, max_len=6, cap=50)
-    with pytest.raises(EnumerationCapError):
-        enumerate_lassos(m, prefix_cap=4, cycle_cap=4, cap=50)
+    with patch.object(trajectories, "DEFAULT_ENUMERATION_CAP", 50):
+        with pytest.raises(EnumerationCapError):
+            enumerate_fragments(m, max_len=6)
+        with pytest.raises(EnumerationCapError):
+            enumerate_lassos(m, prefix_cap=4, cycle_cap=4)
 
 
 def test_lasso_closed_form_matches_truncated_unroll():
@@ -190,10 +193,19 @@ def _bounded(items):
     return items if len(items) <= REFERENCE_LIMIT else None
 
 
+def _capped(enumerate_fn):
+    """enumerate_fn as a function of the enumeration cap it runs under."""
+    def run(cap):
+        with patch.object(trajectories, "DEFAULT_ENUMERATION_CAP", cap):
+            return enumerate_fn()
+
+    return run
+
+
 def _check_against_reference(enumerate_fn, want, needed, scalar, vectorised, m):
-    # needed is the smallest cap that passes: the item count, or for lassos
-    # the largest of the lasso, prefix and closed-walk counts, since the
-    # prefix and walk enumerations share the cap.
+    # enumerate_fn takes the cap.  needed is the smallest cap that passes: the
+    # item count, or for lassos the largest of the lasso, prefix and
+    # closed-walk counts, since the prefix and walk enumerations share the cap.
     if want is None or needed is None:
         with pytest.raises(EnumerationCapError):
             enumerate_fn(REFERENCE_LIMIT)
@@ -226,7 +238,7 @@ def test_enumeration_and_returns_match_reference(n_states, n_actions, sparsity, 
     m = sample_mdp(cfg, seed=seed)
     frags = _bounded(_reference_fragments(m, res.max_fragment_len, initial_only))
     _check_against_reference(
-        lambda cap: enumerate_fragments(m, res.max_fragment_len, initial_only=initial_only, cap=cap),
+        _capped(lambda: enumerate_fragments(m, res.max_fragment_len, initial_only=initial_only)),
         frags,
         None if frags is None else len(frags),
         fragment_return,
@@ -237,7 +249,7 @@ def test_enumeration_and_returns_match_reference(n_states, n_actions, sparsity, 
     prefixes = _bounded(_reference_fragments(m, res.lasso_prefix_cap, True))
     walks = _bounded(_reference_fragments(m, res.lasso_cycle_cap, False))
     _check_against_reference(
-        lambda cap: enumerate_lassos(m, res.lasso_prefix_cap, res.lasso_cycle_cap, cap=cap),
+        _capped(lambda: enumerate_lassos(m, res.lasso_prefix_cap, res.lasso_cycle_cap)),
         lassos,
         None if None in (lassos, prefixes, walks) else max(len(lassos), len(prefixes), len(walks)),
         lasso_return,
@@ -261,5 +273,6 @@ def test_lasso_count_matches_enumeration(n_states, n_actions, sparsity, orphan_p
         n_states=(n_states, n_states), n_actions=(n_actions, n_actions), sparsity=sparsity, orphan_prob=orphan_prob
     )
     m = sample_mdp(cfg, seed=seed)
-    want = len(enumerate_lassos(m, prefix_cap, cycle_cap, cap=10**6))
+    with patch.object(trajectories, "DEFAULT_ENUMERATION_CAP", 10**6):
+        want = len(enumerate_lassos(m, prefix_cap, cycle_cap))
     assert count_lassos(m, prefix_cap, cycle_cap) == want

@@ -357,6 +357,11 @@ def test_sample_transform_rejects_unknown_class_and_keys():
         sample_transform("no_such_class", m, seed=0)
     with pytest.raises(ContractError):
         sample_transform("shaping", m, seed=0, constraints={"phi_nonzro_on": [0]})
+    # A key that another class's sampler takes is rejected too.
+    with pytest.raises(ContractError, match="'shaping'.*'push'"):
+        sample_transform("shaping", m, seed=0, constraints={"push": (0, 0, 1, 1.0)})
+    with pytest.raises(ContractError, match="'identity'.*'nonlinear'"):
+        sample_transform("identity", m, seed=0, constraints={"nonlinear": True})
 
 
 def test_sample_transform_deterministic():
