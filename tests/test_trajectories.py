@@ -96,11 +96,12 @@ def test_enumerate_fragments_only_possible():
 def test_enumeration_cap_raises():
     cfg = SamplerConfig(n_states=(4, 4), n_actions=(3, 3), sparsity=0.0)
     m = sample_mdp(cfg, seed=7)
+    # 628 fragments and 117 lassos, each far inside the real cap.
     with patch.object(trajectories, "DEFAULT_ENUMERATION_CAP", 50):
         with pytest.raises(EnumerationCapError):
-            enumerate_fragments(m, max_len=6)
+            enumerate_fragments(m, max_len=2)
         with pytest.raises(EnumerationCapError):
-            enumerate_lassos(m, prefix_cap=4, cycle_cap=4)
+            enumerate_lassos(m, prefix_cap=1, cycle_cap=1)
 
 
 def test_lasso_closed_form_matches_truncated_unroll():
