@@ -45,10 +45,17 @@ canonical enumeration and compute returns and comparison matrices member by
 member, so no n x n matrix is ever stacked.  The newest enumeration of each
 basis kind, fragments or lassos, is kept and reused for every MDP with the
 same supports of tau and mu0 at the same resolution.
+
+Comparisons.  comparison_model's "boltzmann" matrix is the one Boltzmann
+comparison model; boltzmann_comparison_prob is its pairwise entry, which
+exact_comparison_oracle binds to m and beta.  Items are all fragments or all
+lassos, every step possible, lassos start in support(mu0), and beta is
+positive and finite; anything else raises ContractError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -72,8 +79,8 @@ from .solvers import (
 from .trajectories import (
     Fragment,
     Fragments,
-    LassoTrajectory,
     Lassos,
+    _arrays,
     enumerate_fragments,
     enumerate_lassos,
     fragment_returns,
@@ -201,49 +208,28 @@ def _logistic(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _comparison_returns(m: Mdp, items) -> tuple[Fragments | Lassos, np.ndarray]:
-    """Items as arrays, with their returns.
-
-    Items are all fragments or all lassos, every step possible, and lassos
-    start in support(mu0).
-    """
-    if not isinstance(items, (Fragments, Lassos)):
-        items = list(items)
-        for item in items:
-            if not isinstance(item, (Fragment, LassoTrajectory)):
-                raise ContractError(f"cannot compare item of type {type(item).__name__}")
-        if all(isinstance(item, Fragment) for item in items):
-            items = Fragments.of(m, items)
-        elif all(isinstance(item, LassoTrajectory) for item in items):
-            items = Lassos.of(m, items)
-        else:
-            raise ContractError("comparison items must be all fragments or all lassos")
+def _comparison_returns(m: Mdp, items) -> np.ndarray:
+    """Returns of items whose every step is possible; lassos start in support(mu0)."""
+    items = _arrays(m, items)
     # The padding index past a fragment's end counts as possible.
     possible = np.append(possible_mask(m).ravel(), True)
     if isinstance(items, Fragments):
         if not possible[items.steps].all():
             raise ContractError("comparison items must be possible")
-        return items, fragment_returns(m, items)
+        return fragment_returns(m, items)
     prefix_ok = possible[items.prefixes.steps].all(axis=1)[items.prefix_of]
     cycle_ok = possible[items.cycles.steps].all(axis=1)[items.cycle_of]
     if not (prefix_ok.all() and cycle_ok.all()):
         raise ContractError("comparison items must be possible")
     if not np.all(m.mu0[items.start] > 0.0):
         raise ContractError("trajectory comparisons need initial start states")
-    return items, lasso_returns(m, items)
-
-
-def _item_return(m: Mdp, item) -> float:
-    return float(_comparison_returns(m, [item])[1][0])
+    return lasso_returns(m, items)
 
 
 def boltzmann_comparison_prob(m: Mdp, item1, item2, beta: float = 1.0) -> float:
-    """P(item1 ranked below item2) = logistic(beta * (G2 - G1))."""
-    if beta <= 0:
-        raise ContractError("beta must be positive")
-    g1 = _item_return(m, item1)
-    g2 = _item_return(m, item2)
-    return float(_logistic(np.array([beta * (g2 - g1)]))[0])
+    """P(item1 ranked below item2) = logistic(beta * (G2 - G1)), entry [0, 1] of
+    comparison_model over [item1, item2]."""
+    return float(comparison_model(m, [item1, item2], "boltzmann", beta)[0, 1])
 
 
 def tie_group_ranks(values: np.ndarray, tol: float) -> np.ndarray:
@@ -263,10 +249,10 @@ def comparison_model(m: Mdp, items, mode: str, beta: float = 1.0) -> np.ndarray:
     preferred to item i; for mode "noiseless", matrix[i, j] is 1 when item i
     is ranked no higher than item j (a total, transitive weak order).
     """
-    returns = _comparison_returns(m, items)[1]
+    returns = _comparison_returns(m, items)
     if mode == "boltzmann":
-        if beta <= 0:
-            raise ContractError("beta must be positive")
+        if not (beta > 0 and math.isfinite(beta)):
+            raise ContractError(f"beta must be positive and finite, got {beta}")
         diffs = returns[None, :] - returns[:, None]
         diffs *= beta
         return _logistic(diffs)
@@ -287,8 +273,8 @@ def recover_reward_from_comparisons(m: Mdp, oracle, beta: float = 1.0) -> np.nda
     gives p = logistic(beta * R(s,a,s')), hence R = log(p / (1-p)) / beta.
     Entries on impossible transitions are NaN (nothing constrains them).
     """
-    if beta <= 0:
-        raise ContractError("beta must be positive")
+    if not (beta > 0 and math.isfinite(beta)):
+        raise ContractError(f"beta must be positive and finite, got {beta}")
     poss = possible_mask(m)
     out = np.full(m.reward.shape, np.nan)
     for s, a, s2 in np.argwhere(poss):
@@ -303,11 +289,7 @@ def recover_reward_from_comparisons(m: Mdp, oracle, beta: float = 1.0) -> np.nda
 
 def exact_comparison_oracle(m: Mdp, beta: float = 1.0):
     """Preference oracle answering with exact Boltzmann probabilities for m."""
-
-    def oracle(item1, item2) -> float:
-        return boltzmann_comparison_prob(m, item1, item2, beta)
-
-    return oracle
+    return functools.partial(boltzmann_comparison_prob, m, beta=beta)
 
 
 # ---------------------------------------------------------------------------

@@ -98,9 +98,6 @@ class LassoTrajectory:
     def start(self) -> int:
         return self.prefix.start
 
-    def sort_key(self):
-        return (self.prefix.sort_key(), self.cycle.sort_key())
-
 
 def fragment_return(m: Mdp, frag: Fragment) -> float:
     """Discounted return sum_t gamma^t * reward along the fragment."""
@@ -183,6 +180,8 @@ class Fragments(_Trajectories):
     columns and the padding index S*A*S after them.
     """
 
+    item = Fragment
+
     def __init__(self, n_states: int, n_actions: int, start, length, steps):
         self.shape = (n_states, n_actions)
         self.start = start
@@ -238,6 +237,8 @@ class Fragments(_Trajectories):
 class Lassos(_Trajectories):
     """Lassos as rows prefix_of[i] of a prefix table and cycle_of[i] of a cycle table."""
 
+    item = LassoTrajectory
+
     def __init__(self, prefixes: Fragments, cycles: Fragments, prefix_of, cycle_of):
         self.shape = prefixes.shape
         self.prefixes = prefixes
@@ -279,9 +280,20 @@ class Lassos(_Trajectories):
         return [LassoTrajectory(prefixes[p], cycles[c]) for p, c in zip(p_of.tolist(), c_of.tolist())]
 
 
-def _arrays(m: Mdp, items, cls):
-    if not isinstance(items, cls):
-        return cls.of(m, list(items))
+def _arrays(m: Mdp, items, cls=None) -> Fragments | Lassos:
+    """items as Fragments or Lassos indexed for m; the one place items become arrays.
+
+    A list must be all Fragment or all LassoTrajectory objects, and cls, when
+    given, is the only class accepted; anything else raises ContractError.
+    """
+    classes = (cls,) if cls else (Fragments, Lassos)
+    if not isinstance(items, classes):
+        items = list(items)
+        for array_cls in classes:
+            if all(isinstance(item, array_cls.item) for item in items):
+                return array_cls.of(m, items)
+        names = " or ".join(f"all {c.item.__name__} objects" for c in classes)
+        raise ContractError(f"items must be {names}")
     if items.shape != (m.n_states, m.n_actions):
         raise ContractError(
             f"items enumerated for (states, actions) {items.shape}, "

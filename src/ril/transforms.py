@@ -212,7 +212,7 @@ def validate_transform(m: Mdp, t: TransformSpec) -> list[str]:
             out.append("function must map 0 to 0")
         return out
     if isinstance(t, Mask):
-        if len(t.transitions) != len(t.replacement):
+        if t.replacement.shape != (len(t.transitions),):
             out.append("one replacement value per masked transition required")
         if len(set(t.transitions)) != len(t.transitions):
             out.append("masked transitions must be unique")
@@ -268,14 +268,11 @@ def apply_transform(m: Mdp, t: TransformSpec) -> np.ndarray:
         for (s, a, s2), value in zip(t.transitions, t.replacement):
             r[s, a, s2] = value
         return r
-    if isinstance(t, OptimalityPreserving):
-        # Expected new reward per (s,a): psi(s) - gamma E[psi(S')] - gap(s,a),
-        # spread constantly over the transition support.
-        e = t.psi[:, None] - m.gamma * np.einsum("sap,p->sa", m.tau, t.psi) - t.gaps
-        supp = possible_mask(m)
-        out = np.where(supp, e[:, :, None], r)
-        return out
-    raise ContractError(f"unknown transformation {type(t).__name__}")
+    # OptimalityPreserving, the last family validate_transform accepts.
+    # Expected new reward per (s,a): psi(s) - gamma E[psi(S')] - gap(s,a),
+    # spread constantly over the transition support.
+    e = t.psi[:, None] - m.gamma * np.einsum("sap,p->sa", m.tau, t.psi) - t.gaps
+    return np.where(possible_mask(m), e[:, :, None], r)
 
 
 # ---------------------------------------------------------------------------

@@ -178,10 +178,14 @@ def test_transform_rejects_a_negative_seed(tmp_path, capsys):
         ({"family": "opt_preserving", "opt_sets": [[0.9], [0]], "psi": [0, 0], "gaps": [[0], [0]]}, "'opt_sets'"),
         ({"family": "positive_scaling"}, "missing positive_scaling keys: ['c']"),
         ({"family": ["mask"]}, "'family' must be one of"),
+        (
+            {"family": "mask", "transitions": [[0, 0, 0]], "replacement": [[1.0, 2.0]]},
+            "one replacement value per masked transition",
+        ),
     ],
     ids=[
         "misspelt-key", "fractional-index", "bool-number", "string-number", "fractional-action",
-        "missing-field", "list-family",
+        "missing-field", "list-family", "nested-replacement",
     ],
 )
 def test_transform_rejects_a_document_it_would_misread(tmp_path, capsys, doc, named):

@@ -9,6 +9,7 @@ from ril import (
     RELATION_A_REFINES_B,
     RELATION_B_REFINES_A,
     RELATION_EQUIVALENT,
+    RELATION_INCOMPARABLE,
     RefinementVerdict,
     Resolution,
     SamplerConfig,
@@ -77,38 +78,69 @@ def test_render_and_dot_output():
     assert dot.rstrip().endswith("}")
 
 
-def test_a_group_pair_that_is_not_equivalent_is_an_issue(monkeypatch):
-    # Equivalence merges transitively: q_policy ~ q_star ~ q_soft form one
-    # group although q_policy strictly refines q_soft.
-    fabricated = {
-        ("q_policy", "q_star"): RELATION_EQUIVALENT,
-        ("q_policy", "q_soft"): RELATION_A_REFINES_B,
-        ("q_star", "q_soft"): RELATION_EQUIVALENT,
-    }
-
+def fabricate(monkeypatch, fabricated):
     def compare(a, b, cfg):
         return RefinementVerdict(a, b, fabricated[(a, b)], None, None, 0, 0)
 
     monkeypatch.setattr(ril.hasse, "refinement_compare", compare)
+
+
+def test_a_group_pair_that_is_not_equivalent_is_an_issue(monkeypatch):
+    # Equivalence merges transitively: q_policy ~ q_star ~ q_soft form one
+    # group although q_policy strictly refines q_soft.
+    fabricate(monkeypatch, {
+        ("q_policy", "q_star"): RELATION_EQUIVALENT,
+        ("q_policy", "q_soft"): RELATION_A_REFINES_B,
+        ("q_star", "q_soft"): RELATION_EQUIVALENT,
+    })
     order = build_refinement_order(FAST, kinds=("q_policy", "q_star", "q_soft"))
     assert order.groups == (("q_policy", "q_star", "q_soft"),)
     assert order.issues == ("group q_policy holds q_policy and q_soft, which compare as a_refines_b",)
     assert not order.consistent
 
 
+def test_groups_whose_members_disagree_are_an_issue(monkeypatch):
+    # q_policy ~ q_star form one group, whose members compare differently
+    # with q_soft.
+    fabricate(monkeypatch, {
+        ("q_policy", "q_star"): RELATION_EQUIVALENT,
+        ("q_policy", "q_soft"): RELATION_A_REFINES_B,
+        ("q_star", "q_soft"): RELATION_INCOMPARABLE,
+    })
+    order = build_refinement_order(FAST, kinds=("q_policy", "q_star", "q_soft"))
+    assert order.groups == (("q_policy", "q_star"), ("q_soft",))
+    assert order.issues == (
+        "groups q_policy and q_soft have conflicting member verdicts: ['a_refines_b', 'incomparable']",
+        "groups q_soft and q_policy have conflicting member verdicts: ['b_refines_a', 'incomparable']",
+    )
+    assert order.consistent is False
+
+
+def test_an_order_that_is_not_transitive_is_an_issue(monkeypatch):
+    fabricate(monkeypatch, {
+        ("q_policy", "q_star"): RELATION_A_REFINES_B,
+        ("q_policy", "q_soft"): RELATION_INCOMPARABLE,
+        ("q_star", "q_soft"): RELATION_A_REFINES_B,
+    })
+    order = build_refinement_order(FAST, kinds=("q_policy", "q_star", "q_soft"))
+    assert order.groups == (("q_policy",), ("q_star",), ("q_soft",))
+    issue = "order is not transitive across q_policy -> q_star -> q_soft"
+    assert order.issues == (issue,)
+    assert order.consistent is False
+    assert order.to_obj()["consistent"] is False
+    text = render_order(order)
+    assert text.endswith(f"\n\nConsistency issues:\n  ! {issue}")
+    assert "order consistent" not in text
+
+
 def test_a_group_is_named_by_its_first_roster_member(monkeypatch):
     # Out of KIND_TAGS order, q_star comes first in its group, so the edge
     # into the group names q_star, the member the renderers look up.
-    fabricated = {
+    fabricate(monkeypatch, {
         ("q_star", "q_policy"): RELATION_EQUIVALENT,
         ("q_star", "return_fragments"): RELATION_B_REFINES_A,
         ("q_policy", "return_fragments"): RELATION_B_REFINES_A,
-    }
-
-    def compare(a, b, cfg):
-        return RefinementVerdict(a, b, fabricated[(a, b)], None, None, 0, 0)
-
-    monkeypatch.setattr(ril.hasse, "refinement_compare", compare)
+    })
     order = build_refinement_order(FAST, kinds=("q_star", "q_policy", "return_fragments"))
     assert order.groups == (("q_star", "q_policy"), ("return_fragments",))
     assert order.edges == (("return_fragments", "q_star"),)

@@ -85,6 +85,44 @@ def test_comparison_prob_rejects_impossible_items():
         boltzmann_comparison_prob(m, Fragment(0, ((0, 0),)), Fragment(0))
 
 
+def test_comparison_prob_rejects_a_fragment_against_a_lasso():
+    # Items are all fragments or all lassos, in the pairwise entry as in the matrix.
+    m = loop_mdp()
+    lasso = canonical_lassos(m, Resolution())[0]
+    for items in ([Fragment(0), lasso], [lasso, Fragment(0)]):
+        with pytest.raises(ContractError, match="all Fragment objects or all LassoTrajectory objects"):
+            boltzmann_comparison_prob(m, *items)
+        with pytest.raises(ContractError, match="all Fragment objects or all LassoTrajectory objects"):
+            comparison_model(m, items, "boltzmann")
+
+
+def test_comparison_prob_is_an_entry_of_the_comparison_matrix():
+    # A pair pads its steps to the longer item, the matrix to the longest
+    # enumerated one; a padded step adds exactly +0.0, so the bits agree.
+    m = sample_mdp(SamplerConfig(n_states=(3, 3), n_actions=(2, 2)), derive_seed(7, "pairwise"))
+    res = Resolution(2, 1, 2)
+    for kind, items in (
+        ("boltzmann_cmp_fragments", canonical_fragments(m, res)),
+        ("boltzmann_cmp_trajectories", canonical_lassos(m, res)),
+    ):
+        n = len(items)
+        matrix = fingerprint(m, kind, res).payload.reshape(n, n)
+        for i, j in ((0, n - 1), (n - 1, 0), (1, n // 2)):
+            assert boltzmann_comparison_prob(m, items[i], items[j]) == matrix[i, j]
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, np.nan, np.inf])
+def test_comparison_helpers_reject_a_beta_that_is_not_positive_and_finite(beta):
+    m = chain_mdp()
+    items = [Fragment(0), Fragment(0, ((0, 1),))]
+    with pytest.raises(ContractError, match="beta must be positive and finite"):
+        comparison_model(m, items, "boltzmann", beta)
+    with pytest.raises(ContractError, match="beta must be positive and finite"):
+        boltzmann_comparison_prob(m, *items, beta)
+    with pytest.raises(ContractError, match="beta must be positive and finite"):
+        recover_reward_from_comparisons(m, exact_comparison_oracle(m, 1.0), beta)
+
+
 def test_tie_group_ranks_frozen():
     values = np.array([0.0, 1e-12, 0.5, 0.5 + 1e-12, 1.0])
     assert tie_group_ranks(values, tol=1e-9).tolist() == [0, 0, 1, 1, 2]

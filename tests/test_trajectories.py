@@ -124,6 +124,20 @@ def test_lasso_returns_vectorized():
     assert np.array_equal(got, want)
 
 
+def test_returns_take_only_their_own_kind_of_item():
+    m = loop_mdp()
+    lassos = enumerate_lassos(m, prefix_cap=1, cycle_cap=1)
+    with pytest.raises(ContractError, match="all Fragment objects"):
+        fragment_returns(m, list(lassos))
+    with pytest.raises(ContractError, match="all Fragment objects"):
+        fragment_returns(m, lassos)
+    with pytest.raises(ContractError, match="all LassoTrajectory objects"):
+        lasso_returns(m, [Fragment(0), lassos[0]])
+    with pytest.raises(ContractError, match="all LassoTrajectory objects"):
+        lasso_returns(m, [(0, 0, 0)])
+    assert lasso_returns(m, []).shape == (0,)
+
+
 @st.composite
 def loop_fragments(draw):
     # paths in the two-action loop: any action sequence stays at state 0

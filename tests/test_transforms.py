@@ -276,6 +276,21 @@ def test_decompose_shaping_reports_off_scope_mismatch():
     assert decompose_shaping(m, m.reward, r2, scope="all") is None
 
 
+def test_decompose_shaping_in_possible_scope_names_an_impossible_change():
+    # Shaping plus a change on the impossible (s0, a, s0): only the possible
+    # triples must fit the potential, so that triple is the one mismatch.
+    m = chain_mdp()
+    r2 = apply_transform(m, PotentialShaping(phi=np.array([2.5, 0.0])))
+    r2[0, 0, 0] += 1.0
+    dec = decompose_shaping(m, m.reward, r2, scope="possible")
+    assert dec is not None
+    assert np.allclose(dec.phi, [2.5, 0.0], atol=1e-12)
+    assert dec.off_scope_mismatch == ((0, 0, 0),)
+    assert decompose_shaping(m, m.reward, r2, scope="all") is None
+    with pytest.raises(ContractError, match="unknown scope 'banana'"):
+        decompose_shaping(m, m.reward, r2, scope="banana")
+
+
 # ---------------------------------------------------------------------------
 # Dynamics transfer
 
