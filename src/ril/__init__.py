@@ -130,13 +130,11 @@ from .transforms import (
     decompose_shaping,
     extreme_reward_value,
     is_optimality_preserving,
-    is_sprime_redistribution,
     piecewise_linear,
     sample_transform,
     transfer_redistribution,
     transform_from_obj,
     transform_to_obj,
-    validate_transform,
 )
 
 __version__ = "0.1.0"

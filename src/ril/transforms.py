@@ -20,6 +20,10 @@ reward table of a fixed-dynamics MDP:
   optimality gaps off O; expected rewards become constant over each (s,a)
   support and off-support entries keep their original values.
 
+Each family states its own rules: violations(m) names each way a member is
+ill formed for m (a wrong shape, a NaN or infinite field, a broken constraint)
+and _apply(m, r) is its unchecked action on R; apply_transform runs both.
+
 `sample_transform` draws a member of a named class for a given MDP.  Each
 class is one entry of the class table, _CLASSES: its tag, in directory-table
 column order, and its member sampler; CLASS_TAGS is read from it.  Each
@@ -51,6 +55,7 @@ from .mdp import (
     supported_state_mask,
     terminal_mask,
     unreachable_transition_mask,
+    with_reward,
     write_fields,
 )
 from .solvers import (
@@ -66,9 +71,21 @@ REDISTRIBUTION_EXPECTATION_TOL = 1e-10
 # Exactness required of declared potential/breakpoint structure.
 STRUCT_TOL = 1e-12
 
+
+def _non_finite(**fields) -> list[str]:
+    """One violation per named field holding a NaN or an infinity (None holds no value)."""
+    return [f"{k} must be finite" for k, v in fields.items() if v is not None and not np.isfinite(v).all()]
+
+
 @dataclass(frozen=True)
 class Identity:
     note: str = ""
+
+    def violations(self, m: Mdp) -> list[str]:
+        return []
+
+    def _apply(self, m: Mdp, r: np.ndarray) -> np.ndarray:
+        return r
 
 
 @dataclass(frozen=True)
@@ -79,6 +96,23 @@ class PotentialShaping:
     def __post_init__(self):
         object.__setattr__(self, "phi", _freeze(self.phi))
 
+    def violations(self, m: Mdp) -> list[str]:
+        if self.phi.shape != (m.n_states,):
+            return [f"phi shape {self.phi.shape}, expected {(m.n_states,)}"]
+        out = _non_finite(phi=self.phi, k_initial=self.k_initial)
+        if out:
+            return out
+        if np.any(np.abs(self.phi[terminal_mask(m)]) > STRUCT_TOL):
+            out.append("potential must vanish at terminal states")
+        if self.k_initial is not None:
+            init = list(initial_states(m))
+            if np.any(np.abs(self.phi[init] - self.k_initial) > STRUCT_TOL):
+                out.append("potential must equal k_initial on every initial state")
+        return out
+
+    def _apply(self, m: Mdp, r: np.ndarray) -> np.ndarray:
+        return r + m.gamma * self.phi[None, None, :] - self.phi[:, None, None]
+
 
 @dataclass(frozen=True)
 class SPrimeRedistribution:
@@ -87,10 +121,33 @@ class SPrimeRedistribution:
     def __post_init__(self):
         object.__setattr__(self, "delta", _freeze(self.delta))
 
+    def violations(self, m: Mdp) -> list[str]:
+        if self.delta.shape != m.tau.shape:
+            return [f"delta shape {self.delta.shape}, expected {m.tau.shape}"]
+        out = _non_finite(delta=self.delta)
+        if out:
+            return out
+        exp = np.einsum("sap,sap->sa", m.tau, self.delta)
+        if np.any(np.abs(exp) > REDISTRIBUTION_EXPECTATION_TOL):
+            s, a = np.unravel_index(np.argmax(np.abs(exp)), exp.shape)
+            out.append(f"delta expectation {exp[s, a]:.3e} at (s={m.states[s]}, a={m.actions[a]})")
+        return out
+
+    def _apply(self, m: Mdp, r: np.ndarray) -> np.ndarray:
+        return r + self.delta
+
 
 @dataclass(frozen=True)
 class PositiveLinearScaling:
     c: float
+
+    def violations(self, m: Mdp) -> list[str]:
+        if np.isfinite(self.c) and self.c > 0:
+            return []
+        return [f"scale factor must be positive and finite, got {self.c}"]
+
+    def _apply(self, m: Mdp, r: np.ndarray) -> np.ndarray:
+        return self.c * r
 
 
 @dataclass(frozen=True)
@@ -99,6 +156,24 @@ class ZeroPreservingMonotone:
 
     def __post_init__(self):
         object.__setattr__(self, "breakpoints", _freeze(self.breakpoints))
+
+    def violations(self, m: Mdp) -> list[str]:
+        b = self.breakpoints
+        if b.ndim != 2 or b.shape[1] != 2 or b.shape[0] < 2:
+            return ["breakpoints must be an (n, 2) array with n >= 2"]
+        out = _non_finite(breakpoints=b)
+        if out:
+            return out
+        if np.any(np.diff(b[:, 0]) <= 0):
+            out.append("breakpoint x values must be strictly increasing")
+        if np.any(np.diff(b[:, 1]) <= 0):
+            out.append("breakpoint y values must be strictly increasing")
+        if abs(float(piecewise_linear(np.array([0.0]), b)[0])) > STRUCT_TOL:
+            out.append("function must map 0 to 0")
+        return out
+
+    def _apply(self, m: Mdp, r: np.ndarray) -> np.ndarray:
+        return piecewise_linear(r, self.breakpoints)
 
 
 @dataclass(frozen=True)
@@ -113,6 +188,24 @@ class Mask:
         )
         object.__setattr__(self, "replacement", _freeze(self.replacement))
 
+    def violations(self, m: Mdp) -> list[str]:
+        out: list[str] = []
+        nS, nA = m.n_states, m.n_actions
+        if self.replacement.shape != (len(self.transitions),):
+            out.append("one replacement value per masked transition required")
+        if len(set(self.transitions)) != len(self.transitions):
+            out.append("masked transitions must be unique")
+        for s, a, s2 in self.transitions:
+            if not (0 <= s < nS and 0 <= a < nA and 0 <= s2 < nS):
+                out.append(f"transition index ({s}, {a}, {s2}) out of range")
+                break
+        return out + _non_finite(replacement=self.replacement)
+
+    def _apply(self, m: Mdp, r: np.ndarray) -> np.ndarray:
+        for (s, a, s2), value in zip(self.transitions, self.replacement):
+            r[s, a, s2] = value
+        return r
+
 
 @dataclass(frozen=True)
 class OptimalityPreserving:
@@ -126,6 +219,36 @@ class OptimalityPreserving:
         )
         object.__setattr__(self, "psi", _freeze(self.psi))
         object.__setattr__(self, "gaps", _freeze(self.gaps))
+
+    def violations(self, m: Mdp) -> list[str]:
+        nS, nA = m.n_states, m.n_actions
+        if len(self.opt_sets) != nS:
+            return [f"opt_sets has {len(self.opt_sets)} entries, expected {nS}"]
+        if self.psi.shape != (nS,):
+            return [f"psi shape {self.psi.shape}, expected {(nS,)}"]
+        if self.gaps.shape != (nS, nA):
+            return [f"gaps shape {self.gaps.shape}, expected {(nS, nA)}"]
+        out = _non_finite(psi=self.psi, gaps=self.gaps)
+        if out:
+            return out
+        for s, acts in enumerate(self.opt_sets):
+            if not acts:
+                out.append(f"opt_sets[{s}] is empty")
+            if any(a < 0 or a >= nA for a in acts):
+                out.append(f"opt_sets[{s}] has out-of-range actions")
+            for a in range(nA):
+                if a in acts:
+                    if self.gaps[s, a] != 0.0:
+                        out.append(f"gap must be zero on prescribed optimal ({s}, {a})")
+                elif not self.gaps[s, a] > 0.0:
+                    out.append(f"gap must be positive off prescribed optimal ({s}, {a})")
+        return out
+
+    def _apply(self, m: Mdp, r: np.ndarray) -> np.ndarray:
+        # Expected new reward per (s,a): psi(s) - gamma E[psi(S')] - gap(s,a),
+        # spread constantly over the transition support.
+        e = self.psi[:, None] - m.gamma * np.einsum("sap,p->sa", m.tau, self.psi) - self.gaps
+        return np.where(possible_mask(m), e[:, :, None], r)
 
 
 TransformSpec = (
@@ -148,10 +271,6 @@ def _freeze(a) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Validation and application
-
-
 def piecewise_linear(x: np.ndarray, breakpoints: np.ndarray) -> np.ndarray:
     """Evaluate the piecewise-linear function, extrapolating with edge slopes."""
     xs, ys = breakpoints[:, 0], breakpoints[:, 1]
@@ -169,110 +288,14 @@ def piecewise_linear(x: np.ndarray, breakpoints: np.ndarray) -> np.ndarray:
     return y
 
 
-def validate_transform(m: Mdp, t: TransformSpec) -> list[str]:
-    """Family-specific preconditions; empty list means t is well formed for m."""
-    out: list[str] = []
-    nS, nA = m.n_states, m.n_actions
-    if isinstance(t, Identity):
-        return out
-    if isinstance(t, PotentialShaping):
-        if t.phi.shape != (nS,):
-            return [f"phi shape {t.phi.shape}, expected {(nS,)}"]
-        term = terminal_mask(m)
-        if np.any(np.abs(t.phi[term]) > STRUCT_TOL):
-            out.append("potential must vanish at terminal states")
-        if t.k_initial is not None:
-            init = list(initial_states(m))
-            if np.any(np.abs(t.phi[init] - t.k_initial) > STRUCT_TOL):
-                out.append("potential must equal k_initial on every initial state")
-        return out
-    if isinstance(t, SPrimeRedistribution):
-        if t.delta.shape != (nS, nA, nS):
-            return [f"delta shape {t.delta.shape}, expected {(nS, nA, nS)}"]
-        exp = np.einsum("sap,sap->sa", m.tau, t.delta)
-        if np.any(np.abs(exp) > REDISTRIBUTION_EXPECTATION_TOL):
-            s, a = np.unravel_index(np.argmax(np.abs(exp)), exp.shape)
-            out.append(
-                f"delta expectation {exp[s, a]:.3e} at (s={m.states[s]}, a={m.actions[a]})"
-            )
-        return out
-    if isinstance(t, PositiveLinearScaling):
-        if not (np.isfinite(t.c) and t.c > 0):
-            out.append(f"scale factor must be positive, got {t.c}")
-        return out
-    if isinstance(t, ZeroPreservingMonotone):
-        b = t.breakpoints
-        if b.ndim != 2 or b.shape[1] != 2 or b.shape[0] < 2:
-            return ["breakpoints must be an (n, 2) array with n >= 2"]
-        if np.any(np.diff(b[:, 0]) <= 0):
-            out.append("breakpoint x values must be strictly increasing")
-        if np.any(np.diff(b[:, 1]) <= 0):
-            out.append("breakpoint y values must be strictly increasing")
-        if abs(float(piecewise_linear(np.array([0.0]), b)[0])) > STRUCT_TOL:
-            out.append("function must map 0 to 0")
-        return out
-    if isinstance(t, Mask):
-        if t.replacement.shape != (len(t.transitions),):
-            out.append("one replacement value per masked transition required")
-        if len(set(t.transitions)) != len(t.transitions):
-            out.append("masked transitions must be unique")
-        for s, a, s2 in t.transitions:
-            if not (0 <= s < nS and 0 <= a < nA and 0 <= s2 < nS):
-                out.append(f"transition index ({s}, {a}, {s2}) out of range")
-                break
-        if not np.all(np.isfinite(t.replacement)):
-            out.append("replacement values must be finite")
-        return out
-    if isinstance(t, OptimalityPreserving):
-        if len(t.opt_sets) != nS:
-            return [f"opt_sets has {len(t.opt_sets)} entries, expected {nS}"]
-        if t.psi.shape != (nS,):
-            return [f"psi shape {t.psi.shape}, expected {(nS,)}"]
-        if t.gaps.shape != (nS, nA):
-            return [f"gaps shape {t.gaps.shape}, expected {(nS, nA)}"]
-        for s, acts in enumerate(t.opt_sets):
-            if not acts:
-                out.append(f"opt_sets[{s}] is empty")
-            if any(a < 0 or a >= nA for a in acts):
-                out.append(f"opt_sets[{s}] has out-of-range actions")
-        for s in range(nS):
-            for a in range(nA):
-                if a in t.opt_sets[s]:
-                    if t.gaps[s, a] != 0.0:
-                        out.append(f"gap must be zero on prescribed optimal ({s}, {a})")
-                elif not t.gaps[s, a] > 0.0:
-                    out.append(f"gap must be positive off prescribed optimal ({s}, {a})")
-        return out
-    return [f"unknown transformation {type(t).__name__}"]
-
-
 def apply_transform(m: Mdp, t: TransformSpec) -> np.ndarray:
-    """New reward table R' for m under t.  Raises ContractError if t is invalid."""
-    violations = validate_transform(m, t)
+    """New reward table R' for m under t; ContractError unless t is a family member with no violations."""
+    if type(t) not in _FAMILY_NAMES:
+        raise ContractError(f"unknown transformation {type(t).__name__}")
+    violations = t.violations(m)
     if violations:
-        raise ContractError(
-            f"invalid {type(t).__name__}: " + "; ".join(violations), violations
-        )
-    r = np.array(m.reward, dtype=float)
-    if isinstance(t, Identity):
-        return r
-    if isinstance(t, PotentialShaping):
-        return r + m.gamma * t.phi[None, None, :] - t.phi[:, None, None]
-    if isinstance(t, SPrimeRedistribution):
-        return r + t.delta
-    if isinstance(t, PositiveLinearScaling):
-        return t.c * r
-    if isinstance(t, ZeroPreservingMonotone):
-        return piecewise_linear(r, t.breakpoints)
-    if isinstance(t, Mask):
-        for (s, a, s2), value in zip(t.transitions, t.replacement):
-            r[s, a, s2] = value
-        return r
-    # OptimalityPreserving, the last family validate_transform accepts.
-    # Expected new reward per (s,a): psi(s) - gamma E[psi(S')] - gap(s,a),
-    # spread constantly over the transition support.
-    e = t.psi[:, None] - m.gamma * np.einsum("sap,p->sa", m.tau, t.psi) - t.gaps
-    return np.where(possible_mask(m), e[:, :, None], r)
+        raise ContractError(f"invalid {type(t).__name__}: " + "; ".join(violations), violations)
+    return t._apply(m, np.array(m.reward, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -535,13 +558,6 @@ def sample_transform(
 # Membership tests and reward-function recovery helpers
 
 
-def is_sprime_redistribution(m: Mdp, r1: np.ndarray, r2: np.ndarray) -> bool:
-    """Do r1 and r2 differ only by a tau-expectation-preserving delta?"""
-    tol = 1e-8 * (1.0 + float(np.max(np.abs(r1))))
-    exp = np.einsum("sap,sap->sa", m.tau, np.asarray(r2) - np.asarray(r1))
-    return bool(np.all(np.abs(exp) <= tol))
-
-
 @dataclass(frozen=True)
 class ShapingDecomposition:
     phi: np.ndarray
@@ -575,38 +591,22 @@ def decompose_shaping(
     else:
         raise ContractError(f"unknown scope {scope!r}")
 
-    rows = []
-    rhs = []
-    for s, a, s2 in np.argwhere(in_scope):
-        row = np.zeros(m.n_states)
-        row[s2] += m.gamma
-        row[s] -= 1.0
-        rows.append(row)
-        rhs.append(d[s, a, s2])
-    for t in np.flatnonzero(terminal_mask(m)):
-        row = np.zeros(m.n_states)
-        row[t] = 1.0
-        rows.append(row)
-        rhs.append(0.0)
-    if not rows:
-        return None
-    A = np.array(rows)
-    b = np.array(rhs)
+    # The potential difference gamma e_s' - e_s of every (s, a, s'), one row
+    # per triple, plus a row phi(t) = 0 for each terminal state t.
+    eye = np.eye(m.n_states)
+    step = np.broadcast_to(m.gamma * eye - eye[:, None, None, :], m.tau.shape + (m.n_states,))
+    term = eye[terminal_mask(m)]
+    A = np.vstack([step[in_scope], term])
+    b = np.concatenate([d[in_scope], np.zeros(len(term))])
     phi, *_ = np.linalg.lstsq(A, b, rcond=None)
     if np.max(np.abs(A @ phi - b)) > tol:
         return None
 
-    predicted = m.gamma * phi[None, None, :] - phi[:, None, None]
-    mism = np.abs(d - predicted) > tol
-    mism &= ~in_scope
+    mism = (np.abs(d - step @ phi) > tol) & ~in_scope
     off = tuple(tuple(int(v) for v in t) for t in np.argwhere(mism))
 
-    init = list(initial_states(m))
-    k: float | None = None
-    if init:
-        k_vals = phi[init]
-        if np.max(np.abs(k_vals - k_vals[0])) <= tol:
-            k = float(k_vals[0])
+    k_vals = phi[list(initial_states(m))]  # mu0 has support, so never empty
+    k = float(k_vals[0]) if np.max(np.abs(k_vals - k_vals[0])) <= tol else None
     return ShapingDecomposition(phi=phi, k_initial=k, off_scope_mismatch=off)
 
 
@@ -616,9 +616,10 @@ def is_optimality_preserving(
     opt_sets: tuple[tuple[int, ...], ...],
     params: SolverParams = SolverParams(),
 ) -> bool:
-    """Does r2 make exactly the prescribed action sets optimal in every state?"""
-    from .mdp import with_reward
-
+    """Does r2 make exactly the prescribed action sets optimal in every state?
+    Raises ContractError unless opt_sets has one entry per state."""
+    if len(opt_sets) != m.n_states:
+        raise ContractError(f"opt_sets has {len(opt_sets)} entries, expected {m.n_states}")
     sets2 = optimal_action_sets(with_reward(m, r2), params)
     return all(tuple(sorted(a)) == tuple(sorted(b)) for a, b in zip(sets2, opt_sets))
 

@@ -182,10 +182,15 @@ def test_transform_rejects_a_negative_seed(tmp_path, capsys):
             {"family": "mask", "transitions": [[0, 0, 0]], "replacement": [[1.0, 2.0]]},
             "one replacement value per masked transition",
         ),
+        # json writes and reads NaN; the member must not apply.
+        ({"family": "potential_shaping", "phi": [0.5, 0], "k_initial": float("nan")}, "k_initial must be finite"),
+        ({"family": "zpmt", "breakpoints": [[-1, -1], [0, 0], [1, float("nan")]]}, "breakpoints must be finite"),
+        ({"family": "sprime_redistribution", "delta": [[[float("nan"), 0]], [[0, 0]]]}, "delta must be finite"),
     ],
     ids=[
         "misspelt-key", "fractional-index", "bool-number", "string-number", "fractional-action",
-        "missing-field", "list-family", "nested-replacement",
+        "missing-field", "list-family", "nested-replacement", "nan-k-initial", "nan-breakpoint",
+        "nan-impossible-delta",
     ],
 )
 def test_transform_rejects_a_document_it_would_misread(tmp_path, capsys, doc, named):

@@ -22,10 +22,10 @@ from ril import (
     ZeroPreservingMonotone,
     apply_transform,
     decompose_shaping,
+    expected_reward,
     extreme_reward_value,
     impossible_transition_mask,
     is_optimality_preserving,
-    is_sprime_redistribution,
     optimal_action_sets,
     piecewise_linear,
     possible_mask,
@@ -34,7 +34,6 @@ from ril import (
     transform_from_obj,
     transform_to_obj,
     unreachable_transition_mask,
-    validate_transform,
     with_reward,
 )
 from ril.micro import (
@@ -100,7 +99,7 @@ def test_shaping_application_formula():
 def test_shaping_must_vanish_at_terminals():
     m = chain_mdp()
     bad = PotentialShaping(phi=np.array([0.0, 1.0]))
-    assert any("terminal" in v for v in validate_transform(m, bad))
+    assert any("terminal" in v for v in bad.violations(m))
     with pytest.raises(ContractError):
         apply_transform(m, bad)
 
@@ -108,9 +107,14 @@ def test_shaping_must_vanish_at_terminals():
 def test_shaping_k_initial_consistency():
     m = chain_mdp()
     ok = PotentialShaping(phi=np.array([2.0, 0.0]), k_initial=2.0)
-    assert validate_transform(m, ok) == []
+    assert ok.violations(m) == []
     bad = PotentialShaping(phi=np.array([1.0, 0.0]), k_initial=2.0)
-    assert any("k_initial" in v for v in validate_transform(m, bad))
+    assert any("k_initial" in v for v in bad.violations(m))
+
+
+def assert_same_expected_reward(m, r2):
+    # E_tau[R(s, a, S')] as the solvers read it, not the family's own rule.
+    assert np.allclose(expected_reward(with_reward(m, r2)), expected_reward(m), rtol=0.0, atol=1e-9)
 
 
 def test_redistribution_expectation_preserved():
@@ -118,12 +122,11 @@ def test_redistribution_expectation_preserved():
     delta = np.zeros(m.tau.shape)
     delta[0, 0] = [1.0, -1.0]  # tau row (0.5, 0.5): expectation stays 0
     t = SPrimeRedistribution(delta=delta)
-    assert validate_transform(m, t) == []
-    r2 = apply_transform(m, t)
-    assert is_sprime_redistribution(m, m.reward, r2)
+    assert t.violations(m) == []
+    assert_same_expected_reward(m, apply_transform(m, t))
 
     bad = SPrimeRedistribution(delta=np.full(m.tau.shape, 0.5))
-    assert any("expectation" in v for v in validate_transform(m, bad))
+    assert any("expectation" in v for v in bad.violations(m))
 
 
 def test_sampled_redistribution_is_valid():
@@ -131,15 +134,15 @@ def test_sampled_redistribution_is_valid():
     for seed in range(10):
         m = sample_mdp(cfg, seed=seed)
         t = sample_transform("sprime_redistribution", m, seed=1000 + seed)
-        assert validate_transform(m, t) == []
-        assert is_sprime_redistribution(m, m.reward, apply_transform(m, t))
+        assert t.violations(m) == []
+        assert_same_expected_reward(m, apply_transform(m, t))
 
 
 def test_scaling_family():
     m = loop_mdp()
     assert np.allclose(apply_transform(m, PositiveLinearScaling(c=2.0)), 2.0 * m.reward)
     for c in (0.0, -1.0, float("inf")):
-        assert validate_transform(m, PositiveLinearScaling(c=c))
+        assert PositiveLinearScaling(c=c).violations(m)
 
 
 def test_piecewise_linear_evaluation():
@@ -152,11 +155,11 @@ def test_piecewise_linear_evaluation():
 def test_zpmt_validation():
     m = loop_mdp()
     not_increasing = ZeroPreservingMonotone(np.array([[0.0, 0.0], [1.0, -1.0]]))
-    assert any("y values" in v for v in validate_transform(m, not_increasing))
+    assert any("y values" in v for v in not_increasing.violations(m))
     misses_zero = ZeroPreservingMonotone(np.array([[-1.0, 0.0], [1.0, 2.0]]))
-    assert any("0 to 0" in v for v in validate_transform(m, misses_zero))
+    assert any("0 to 0" in v for v in misses_zero.violations(m))
     bad_x = ZeroPreservingMonotone(np.array([[0.0, 0.0], [0.0, 1.0]]))
-    assert any("x values" in v for v in validate_transform(m, bad_x))
+    assert any("x values" in v for v in bad_x.violations(m))
 
 
 def test_sampled_zpmt_is_zero_preserving_monotone():
@@ -165,7 +168,7 @@ def test_sampled_zpmt_is_zero_preserving_monotone():
         m = sample_mdp(cfg, seed=seed)
         for cons in (None, {"nonlinear": True}):
             t = sample_transform("zpmt", m, seed=2000 + seed, constraints=cons)
-            assert validate_transform(m, t) == []
+            assert t.violations(m) == []
             grid = np.linspace(-3.0, 3.0, 41)
             y = piecewise_linear(grid, t.breakpoints)
             assert np.all(np.diff(y) > 0)
@@ -196,11 +199,11 @@ def test_mask_degenerate_returns_identity():
 def test_mask_validation():
     m = orphan_state_mdp()
     dup = Mask(transitions=((0, 0, 2), (0, 0, 2)), replacement=np.array([1.0, 2.0]))
-    assert any("unique" in v for v in validate_transform(m, dup))
+    assert any("unique" in v for v in dup.violations(m))
     short = Mask(transitions=((0, 0, 2),), replacement=np.array([1.0, 2.0]))
-    assert any("per masked transition" in v for v in validate_transform(m, short))
+    assert any("per masked transition" in v for v in short.violations(m))
     out_of_range = Mask(transitions=((9, 0, 0),), replacement=np.array([1.0]))
-    assert any("out of range" in v for v in validate_transform(m, out_of_range))
+    assert any("out of range" in v for v in out_of_range.violations(m))
 
 
 def test_optimality_preserving_keeps_prescribed_sets():
@@ -208,11 +211,18 @@ def test_optimality_preserving_keeps_prescribed_sets():
     for seed in range(8):
         m = sample_mdp(cfg, seed=3000 + seed)
         t = sample_transform("opt_all_states", m, seed=seed)
-        assert validate_transform(m, t) == []
+        assert t.violations(m) == []
         r2 = apply_transform(m, t)
         assert is_optimality_preserving(m, r2, t.opt_sets)
         # scope "all" prescribes the current optimal sets, so they are unchanged
         assert list(t.opt_sets) == [tuple(x) for x in optimal_action_sets(m)]
+
+
+@pytest.mark.parametrize("opt_sets", [((0,),), ((0,),) * 5], ids=["too-few", "too-many"])
+def test_is_optimality_preserving_rejects_opt_sets_of_the_wrong_length(opt_sets):
+    m = orphan_state_mdp()  # three states
+    with pytest.raises(ContractError, match=f"opt_sets has {len(opt_sets)} entries, expected 3"):
+        is_optimality_preserving(m, m.reward, opt_sets)
 
 
 def test_optimality_preserving_validation():
@@ -220,16 +230,43 @@ def test_optimality_preserving_validation():
     bad_gap = OptimalityPreserving(
         opt_sets=((1,),), psi=np.array([3.0]), gaps=np.array([[0.0, 0.0]])
     )
-    assert any("positive" in v for v in validate_transform(m, bad_gap))
+    assert any("positive" in v for v in bad_gap.violations(m))
     empty = OptimalityPreserving(
         opt_sets=((),), psi=np.array([3.0]), gaps=np.array([[1.0, 1.0]])
     )
-    assert any("empty" in v for v in validate_transform(m, empty))
+    assert any("empty" in v for v in empty.violations(m))
 
 
 def test_identity_apply_is_noop():
     m = two_action_loop_mdp()
     assert np.array_equal(apply_transform(m, Identity()), m.reward)
+
+
+def test_apply_transform_rejects_what_is_not_a_family_member():
+    with pytest.raises(ContractError, match="unknown transformation object"):
+        apply_transform(chain_mdp(), object())
+
+
+# One member of chain_mdp per non-finite field (s1 is terminal, s0 initial).
+NON_FINITE_MEMBERS = {
+    "phi": lambda v: PotentialShaping(phi=[v, 0.0]),
+    "k_initial": lambda v: PotentialShaping(phi=[0.5, 0.0], k_initial=v),
+    # (s0, a, s0) is impossible, so the value drops out of the expectation.
+    "delta": lambda v: SPrimeRedistribution(delta=[[[v, 0.0]], [[0.0, 0.0]]]),
+    "breakpoints": lambda v: ZeroPreservingMonotone(breakpoints=[[-1.0, -1.0], [0.0, 0.0], [1.0, v]]),
+    "psi": lambda v: OptimalityPreserving(opt_sets=((0,), (0,)), psi=[v, 0.0], gaps=np.zeros((2, 1))),
+    "gaps": lambda v: OptimalityPreserving(opt_sets=((0,), (0,)), psi=[1.0, 0.0], gaps=[[v], [0.0]]),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", sorted(NON_FINITE_MEMBERS))
+def test_violations_name_a_non_finite_field(field, value):
+    m = chain_mdp()
+    t = NON_FINITE_MEMBERS[field](value)
+    assert t.violations(m) == [f"{field} must be finite"]
+    with pytest.raises(ContractError, match=f"{field} must be finite"):
+        apply_transform(m, t)
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +392,13 @@ def test_transform_json_round_trip_all_families():
             gaps=np.zeros((3, 1)),
         ),
     ]
-    # One member of every family at least, so that none is missing from the family table.
+    # One member of every family at least, so that none is missing from the family table,
+    # and each one well formed for m, so that every family states its rules and applies.
     assert {type(t) for t in specs} == set(typing.get_args(TransformSpec))
     assert transform_to_obj(Identity()) == {"family": "identity"}
     for t in specs:
+        assert t.violations(m) == []
+        assert apply_transform(m, t).shape == m.reward.shape
         t2 = transform_from_obj(json.loads(json.dumps(transform_to_obj(t))))
         assert type(t2) is type(t)
         for f in fields(t):
