@@ -20,11 +20,11 @@ verdicts do not depend on it.
 import sys
 import time
 
-from ril import render_table, reproduce_directory_table, table_check_config
+from ril import CheckConfig, render_table, reproduce_directory_table
 
 
 def main(seed: int):
-    cfg = table_check_config(seed=seed, trials=6, budget=80)
+    cfg = CheckConfig(seed=seed, trials=6, budget=80)
     t0 = time.perf_counter()
     report = reproduce_directory_table(cfg)
     elapsed = time.perf_counter() - t0

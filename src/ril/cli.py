@@ -6,11 +6,13 @@ fails fast with exit 2 (argparse's convention).  Exit codes: 0 success, 1
 directory-table diff, 2 input or configuration error (an MDP with more
 fragments or lassos than the enumeration cap included), 3 numerical failure.
 
-check, table and order resolve their settings one way: defaults, then the
-experiment config file (--config), then flags.  Each flag sets the config key
-of its argparse dest.  report.json echoes the resolved settings in the config
-file's shape, less the keys the subcommand does not read, so the echo fed
-back as --config reproduces the run.
+check, table and order resolve their settings one way: CheckConfig's
+defaults, then the experiment config file (--config), then flags.  Each flag
+sets the config key of its argparse dest.  The defaults are the directory
+run's, so bare `table` and `order` reproduce the acceptance suite's table and
+diagram, and `check` of one cell gives that cell's table entry.  report.json
+echoes the resolved settings in the config file's shape, less the keys the
+subcommand does not read, so the echo fed back as --config reproduces the run.
 
 All randomness flows from the single experiment seed via per-trial derived
 seeds, so verdict output is a pure function of (config, inputs).  Reports
@@ -56,7 +58,7 @@ from .solvers import (
     soft_q,
     uniform_policy,
 )
-from .table import render_table, reproduce_directory_table, table_check_config
+from .table import render_table, reproduce_directory_table
 from .transforms import (
     TransferTarget,
     apply_transform,
@@ -161,7 +163,7 @@ def _merge(obj, changes: dict, what: str):
 
 
 def experiment_config(args, base: CheckConfig | None = None) -> ExperimentConfig:
-    """Merge config-file settings and command-line overrides over defaults."""
+    """Merge config-file settings and command-line overrides over `base` or CheckConfig()."""
     doc = {}
     if getattr(args, "config", None):
         doc = _load_json(args.config)
@@ -281,7 +283,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_table(args) -> int:
-    exp = experiment_config(args, base=table_check_config())
+    exp = experiment_config(args)
     report = reproduce_directory_table(exp.check)
     verdicts = report.verdicts_obj()
     run = _run_report(

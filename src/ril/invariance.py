@@ -136,7 +136,10 @@ _FRAG_VALUE_KINDS = frozenset(["return_fragments", "boltzmann_cmp_fragments"])
 
 @dataclass(frozen=True)
 class CheckConfig:
-    """Shared knobs for invariance checks, searches, and refinement runs."""
+    """Shared knobs for invariance checks, searches, and refinement runs.
+
+    The defaults are the directory run's settings: small MDPs, shallow lassos.
+    """
 
     seed: int = 20250817
     trials: int = 100
@@ -144,9 +147,9 @@ class CheckConfig:
     refine_trials: int = 24
     tol_rel: float = 1e-8
     magnitude: float = 1.0
-    resolution: Resolution = Resolution()
+    resolution: Resolution = Resolution(2, 2, 2)
     params: SolverParams = SolverParams()
-    sampler: SamplerConfig = SamplerConfig()
+    sampler: SamplerConfig = SamplerConfig(n_states=(2, 4), n_actions=(2, 3), sparsity=0.4, orphan_prob=0.3)
 
     def __post_init__(self):
         # Zero refinement trials would find no witness and claim equivalence.

@@ -18,7 +18,9 @@ checking for inv marks, directed counterexample search for not marks) and
 compares outcomes to the expected marks.  Cells run serially, in roster
 order, in one thread.  Cell experiments derive their random streams from
 (seed, kind, class) alone, so each cell's verdict is the same in any run
-order; wall-clock timings live in a separate report section.
+order and equals what the cell's experiment gives when run alone with the
+same config; CheckConfig's defaults are the directory run's settings.
+Wall-clock timings live in a separate report section.
 """
 
 from __future__ import annotations
@@ -213,15 +215,6 @@ def render_table(report: TableReport) -> str:
     return "\n".join(lines)
 
 
-def table_check_config(seed: int = CheckConfig().seed, trials: int = 100, budget: int = 100) -> CheckConfig:
-    """Configuration sized for the full directory run (small, fast MDPs)."""
-    from .objects import Resolution
-    from .sampling import SamplerConfig
-
-    return CheckConfig(
-        seed=seed,
-        trials=trials,
-        budget=budget,
-        resolution=Resolution(max_fragment_len=2, lasso_prefix_cap=2, lasso_cycle_cap=2),
-        sampler=SamplerConfig(n_states=(2, 4), n_actions=(2, 3), sparsity=0.4, orphan_prob=0.3),
-    )
+# The directory run's settings are CheckConfig's defaults.  The name stays for
+# its remaining callers, tests/test_acceptance.py and perfbench's setup probe.
+table_check_config = CheckConfig

@@ -33,6 +33,7 @@ samples away from degenerate members (for counterexample searches).
 A member's JSON document is ``{"family": name}`` plus its fields, one family
 table mapping names to classes both ways; transform_from_obj reads the
 fields with mdp.read_fields, so a stray key or a mistyped value is an error.
+The same table's classes make up the TransformSpec union.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import inspect
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -251,15 +252,18 @@ class OptimalityPreserving:
         return np.where(possible_mask(m), e[:, :, None], r)
 
 
-TransformSpec = (
-    Identity
-    | PotentialShaping
-    | SPrimeRedistribution
-    | PositiveLinearScaling
-    | ZeroPreservingMonotone
-    | Mask
-    | OptimalityPreserving
-)
+# The name each family goes by under a document's "family" key.
+_FAMILIES = {
+    "identity": Identity,
+    "potential_shaping": PotentialShaping,
+    "sprime_redistribution": SPrimeRedistribution,
+    "positive_scaling": PositiveLinearScaling,
+    "zpmt": ZeroPreservingMonotone,
+    "mask": Mask,
+    "opt_preserving": OptimalityPreserving,
+}
+_FAMILY_NAMES = {cls: name for name, cls in _FAMILIES.items()}
+TransformSpec = Union[tuple(_FAMILIES.values())]
 
 
 def _freeze(a) -> np.ndarray:
@@ -647,7 +651,7 @@ def transfer_redistribution(m: Mdp, target: TransferTarget) -> np.ndarray:
     solves the two-constraint system  tau_row . r = tau_row . r1  and
     tau_prime_row . r = L  by least squares (minimum-norm when the system is
     underdetermined).  Raises ContractError for requirements on unchanged rows,
-    unreachable requirements, or non-distribution tau_prime rows.
+    unreachable or infinite requirements, or non-distribution tau_prime rows.
     """
     tp = np.asarray(target.tau_prime, dtype=float)
     L = np.asarray(target.L, dtype=float)
@@ -656,8 +660,11 @@ def transfer_redistribution(m: Mdp, target: TransferTarget) -> np.ndarray:
         raise ContractError(f"tau_prime shape {tp.shape}, expected {m.tau.shape}")
     if L.shape != (nS, nA):
         raise ContractError(f"L shape {L.shape}, expected {(nS, nA)}")
-    if np.any(tp < 0) or np.any(np.abs(tp.sum(axis=2) - 1.0) > 1e-9):
+    # Written so that a NaN entry fails too.
+    if not (np.all(tp >= 0) and np.all(np.abs(tp.sum(axis=2) - 1.0) <= 1e-9)):
         raise ContractError("tau_prime rows must be probability distributions")
+    if np.any(np.isinf(L)):
+        raise ContractError("L entries must be finite, or NaN for no requirement")
 
     r2 = np.array(m.reward, dtype=float)
     for s in range(nS):
@@ -686,19 +693,6 @@ def transfer_redistribution(m: Mdp, target: TransferTarget) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # JSON serialization
-
-
-# The name each family goes by under a document's "family" key.
-_FAMILIES = {
-    "identity": Identity,
-    "potential_shaping": PotentialShaping,
-    "sprime_redistribution": SPrimeRedistribution,
-    "positive_scaling": PositiveLinearScaling,
-    "zpmt": ZeroPreservingMonotone,
-    "mask": Mask,
-    "opt_preserving": OptimalityPreserving,
-}
-_FAMILY_NAMES = {cls: name for name, cls in _FAMILIES.items()}
 
 
 def transform_to_obj(t: TransformSpec) -> dict:

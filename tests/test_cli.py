@@ -1,13 +1,13 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from ril import Resolution, SamplerConfig, dump_mdp, mdp_to_obj, sample_mdp
+from ril import CheckConfig, Resolution, SamplerConfig, dump_mdp, mdp_to_obj, sample_mdp
 from ril.cli import build_parser, experiment_config, main
-from ril.table import table_check_config
 from ril.micro import chain_mdp, delayed_reward_chain_mdp, loop_mdp, transfer_mdp, two_action_loop_mdp
 
 
@@ -258,7 +258,7 @@ def test_check_invariant_cell(tmp_path, capsys):
     assert verdict["trials_run"] == 5
     report = read_json(out / "report.json")
     assert "timings" in report and "config" in report
-    assert report["config"]["resolution"] == vars(Resolution())
+    assert report["config"]["resolution"] == vars(CheckConfig().resolution)
     assert report["config"]["trials"] == 5
     # the echo holds only the settings a check reads
     assert "classes" not in report["config"]
@@ -286,10 +286,15 @@ def test_check_rejects_unknown_cell(tmp_path):
 
 
 def test_check_past_the_enumeration_cap_exits_2(tmp_path, capsys):
-    # A dense 4-state, 3-action MDP has millions of lassos at the default caps.
+    # A dense 4-state, 3-action MDP has millions of lassos at caps 3/3.
     dense = sample_mdp(SamplerConfig(n_states=(4, 4), n_actions=(3, 3), sparsity=0.0), seed=7)
     path = write_mdp(tmp_path, dense)
-    code = main(["check", "--kind", "return_trajectories", "--class", "shaping", "--mdp", path, "--trials", "1"])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"resolution": {"lasso_prefix_cap": 3, "lasso_cycle_cap": 3}}))
+    code = main([
+        "check", "--kind", "return_trajectories", "--class", "shaping", "--mdp", path, "--trials", "1",
+        "--config", str(cfg),
+    ])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: lasso enumeration exceeds cap of 50000")
 
@@ -397,7 +402,7 @@ def test_config_echo_is_the_inverse_of_the_merge(tmp_path):
     })
     assert first.check.trials == 7 and first.check.sampler.n_states == (2, 3)
     # every key is echoed, so the base under the echo no longer matters
-    assert resolve(first.echo(()), base=table_check_config()) == first
+    assert resolve(first.echo(()), base=CheckConfig(resolution=Resolution(), sampler=SamplerConfig())) == first
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +426,28 @@ def test_table_small_run_and_determinism(tmp_path, capsys):
     assert len(doc["cells"]) == 17
     assert (out1 / "table.txt").exists()
     assert (out1 / "report.json").exists()
+
+
+def test_check_of_one_cell_gives_its_table_entry(tmp_path, capsys):
+    # check and table share their defaults, so a cell checked alone at the
+    # table's --trials and --budget repeats the table's counts and witness.
+    # optimal_policy_set skips one of its first 20 trials.
+    budget = ["--trials", "20", "--budget", "80"]
+    assert main(["table", *budget, "--out", str(tmp_path / "table")]) == 0
+    cells = read_json(tmp_path / "table" / "verdicts.json")["cells"]
+    for kind, cls, search in [
+        ("optimal_policy_set", "mask_impossible", []),
+        ("return_trajectories", "shaping_zero_initial", []),
+        ("q_star", "shaping", ["--search"]),
+        ("traj_dist_mce", "zpmt", ["--search"]),
+    ]:
+        out = tmp_path / f"{kind}-{cls}"
+        assert main(["check", "--kind", kind, "--class", cls, *search, *budget, "--out", str(out)]) == 0
+        verdict, cell = read_json(out / "check_verdict.json"), cells[kind][cls]
+        assert cell["expected"] in (("not",) if search else ("inv", "inv_special"))
+        for key in ("trials_run", "trials_skipped", "witness"):
+            assert verdict.get(key) == cell.get(key), (kind, cls, key)
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +554,13 @@ def test_transfer_demo_partial_arguments_exit_2(tmp_path):
         (None, [["1.0", None], [None, None]]),
         (None, [[True, None], [None, None]]),
         (None, [[1.0, None], [None]]),
+        ([[[math.nan, 1.0], [0.5, 0.5]], [[0.0, 1.0], [0.0, 1.0]]], [[1.0, None], [None, None]]),
+        (None, [[math.inf, None], [None, None]]),
     ],
-    ids=["string-probability", "string-requirement", "bool-requirement", "ragged-requirements"],
+    ids=[
+        "string-probability", "string-requirement", "bool-requirement", "ragged-requirements",
+        "nan-probability", "infinite-requirement",
+    ],
 )
 def test_transfer_demo_rejects_a_document_it_would_misread(tmp_path, capsys, tau_prime, requirements):
     m = transfer_mdp()

@@ -11,20 +11,12 @@ from ril import (
     RELATION_EQUIVALENT,
     RELATION_INCOMPARABLE,
     RefinementVerdict,
-    Resolution,
-    SamplerConfig,
     build_refinement_order,
     order_to_dot,
     render_order,
 )
 
-FAST = CheckConfig(
-    trials=8,
-    budget=60,
-    refine_trials=12,
-    sampler=SamplerConfig(n_states=(2, 4), n_actions=(2, 3), sparsity=0.4, orphan_prob=0.3),
-    resolution=Resolution(2, 2, 2),
-)
+FAST = CheckConfig(trials=8, budget=60, refine_trials=12)
 
 
 def test_single_kind_order():

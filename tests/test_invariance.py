@@ -44,16 +44,10 @@ from ril.micro import chain_mdp, loop_mdp, return_fan_mdp, two_action_loop_mdp
 from ril.objects import canonical_lassos, tie_group_ranks
 from ril.sampling import derive_seed, sample_mdp, sample_mdp_where
 from ril.solvers import reward_scale
-from ril.table import expected_marks, table_check_config
+from ril.table import expected_marks
 from ril.trajectories import count_lassos, lasso_returns
 
-FAST = CheckConfig(
-    trials=8,
-    budget=60,
-    refine_trials=12,
-    sampler=SamplerConfig(n_states=(2, 4), n_actions=(2, 3), sparsity=0.4, orphan_prob=0.3),
-    resolution=Resolution(2, 2, 2),
-)
+FAST = CheckConfig(trials=8, budget=60, refine_trials=12)
 
 
 def test_attack_plan_table_keys_and_rows():
@@ -101,7 +95,7 @@ def test_rosters_agree_with_expected_marks():
 
 
 def test_every_plan_rows_constraints_are_taken_by_its_class():
-    cfg = table_check_config()
+    cfg = CheckConfig()
     for (cls, kind), row in ATTACK_PLANS.items():
         if row.constraints is None:
             continue
@@ -305,7 +299,7 @@ def test_unknown_cell_arguments_rejected():
     # A fixed MDP past the fragment budget skips every trial before a member
     # is drawn; the class is checked all the same.
     dense = sample_mdp(SamplerConfig(n_states=(4, 4), n_actions=(3, 3), sparsity=0.0), seed=7)
-    cfg = table_check_config(trials=5, budget=50)
+    cfg = CheckConfig(trials=5, budget=50)
     with pytest.raises(ContractError, match="banana"):
         search_counterexample("boltzmann_cmp_fragments", "banana", cfg, mdp=dense)
     # The kind is checked before its roster of classes is read.

@@ -6,10 +6,10 @@ from ril import (
     CLASS_TAGS,
     KIND_TAGS,
     MARK_SYMBOLS,
+    CheckConfig,
     expected_marks,
     render_table,
     reproduce_directory_table,
-    table_check_config,
 )
 
 
@@ -61,7 +61,7 @@ def test_expected_marks_value_rows_agree():
 
 
 def test_small_table_run_reproduces_and_serializes():
-    cfg = table_check_config(trials=4, budget=80)
+    cfg = CheckConfig(trials=4, budget=80)
     report = reproduce_directory_table(cfg)
     assert len(report.cells) == len(KIND_TAGS) * len(CLASS_TAGS)
     assert report.all_reproduced, [

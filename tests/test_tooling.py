@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from ril import CLASS_TAGS, KIND_TAGS, dump_mdp, replay_witness
-from ril.cli import main
+from ril import CLASS_TAGS, KIND_TAGS, CheckConfig, dump_mdp, replay_witness
+from ril.cli import ExperimentConfig, main
 from ril.micro import chain_mdp, two_action_loop_mdp
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,6 +35,14 @@ def literals(path: Path, *names: str) -> dict:
 def base_config() -> dict:
     """The benchmark's BASE_CONFIG."""
     return literals(PERFBENCH / "workloads.py", "BASE_CONFIG")["BASE_CONFIG"]
+
+
+def test_the_benchmark_settings_are_the_default_settings():
+    # Bare `ril table` and `ril order` run the settings the benchmark times;
+    # only the seed and the trial counts of a pass differ.
+    counts = ("seed", "trials", "budget", "refine_trials")
+    bench = {k: v for k, v in base_config().items() if k not in counts}
+    assert bench == json.loads(json.dumps(ExperimentConfig(CheckConfig()).echo(("kinds", *counts))))
 
 
 @pytest.mark.parametrize(

@@ -365,10 +365,22 @@ def test_transfer_rejects_bad_shapes():
     m = transfer_mdp()
     with pytest.raises(ContractError):
         transfer_redistribution(m, TransferTarget(tau_prime=np.ones((1, 1, 1)), L=np.zeros((2, 2))))
-    bad_rows = np.array(m.tau)
-    bad_rows[0, 0] = [0.4, 0.4]
-    with pytest.raises(ContractError):
-        transfer_redistribution(m, TransferTarget(tau_prime=bad_rows, L=np.full((2, 2), np.nan)))
+    for bad_row in ([0.4, 0.4], [np.nan, 1.0]):
+        bad_rows = np.array(m.tau)
+        bad_rows[0, 0] = bad_row
+        with pytest.raises(ContractError, match="probability distributions"):
+            transfer_redistribution(m, TransferTarget(tau_prime=bad_rows, L=np.full((2, 2), np.nan)))
+
+
+def test_transfer_reads_nan_as_no_requirement_and_rejects_infinity():
+    m, target = transfer_mdp(), transfer_target()
+    L = np.array(target.L)
+    assert np.isnan(L[1, 1])
+    L[0, 0] = np.nan
+    assert np.array_equal(transfer_redistribution(m, TransferTarget(target.tau_prime, L)), m.reward)
+    L[0, 0] = np.inf
+    with pytest.raises(ContractError, match="L entries must be finite"):
+        transfer_redistribution(m, TransferTarget(target.tau_prime, L))
 
 
 # ---------------------------------------------------------------------------
