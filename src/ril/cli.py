@@ -4,7 +4,8 @@ Subcommands: solve, transform, check, table, order, transfer-demo.  Each
 subcommand takes --out and the flags it reads, and no others; an unknown flag
 fails fast with exit 2 (argparse's convention).  Exit codes: 0 success, 1
 directory-table diff, 2 input or configuration error (an MDP with more
-fragments or lassos than the enumeration cap included), 3 numerical failure.
+fragments or lassos than the enumeration cap, a path that cannot be read or
+written, and a file that is not UTF-8 included), 3 numerical failure.
 
 check, table and order resolve their settings one way: CheckConfig's
 defaults, then the experiment config file (--config), then flags.  Each flag
@@ -70,11 +71,9 @@ from .transforms import (
 
 DEFAULT_SEED = CheckConfig().seed
 
-# Top-level config keys: the fields of CheckConfig, with `beta` standing for
-# `params.beta`, and the two settings that live outside it.
-CONFIG_KEYS = frozenset(f.name for f in fields(CheckConfig) if f.name != "params") | {
-    "beta", "kinds", "out_dir",
-}
+# Top-level config keys: the fields of CheckConfig and the two settings that
+# live outside it.
+CONFIG_KEYS = frozenset(f.name for f in fields(CheckConfig)) | {"kinds", "out_dir"}
 # The config keys each experiment subcommand does not read.
 CHECK_UNREAD = ("kinds", "refine_trials")
 ORDER_UNREAD = ("trials", "budget")
@@ -95,7 +94,6 @@ class ExperimentConfig:
     def echo(self, unread: tuple[str, ...]) -> dict:
         """The settings as a config document, less the keys in `unread`."""
         doc = asdict(self.check)
-        doc["beta"] = doc.pop("params")["beta"]
         doc["kinds"] = list(self.kinds)
         for key in unread:
             del doc[key]
@@ -174,9 +172,7 @@ def experiment_config(args, base: CheckConfig | None = None) -> ExperimentConfig
             raise ContractError(f"unknown config keys: {sorted(unknown)}")
     # Command-line flags override the file.
     doc.update((k, v) for k, v in vars(args).items() if k in CONFIG_KEYS and v is not None)
-    tree = {k: v for k, v in doc.items() if k not in ("beta", "kinds", "out_dir")}
-    if "beta" in doc:
-        tree["params"] = {"beta": doc["beta"]}
+    tree = {k: v for k, v in doc.items() if k not in ("kinds", "out_dir")}
     return ExperimentConfig(
         check=_merge(base or CheckConfig(), read_fields(CheckConfig, tree, "config"), "config"),
         kinds=read_value(tuple[str, ...], doc.get("kinds", KIND_TAGS), "config value for 'kinds'"),
@@ -474,7 +470,7 @@ def main(argv=None) -> int:
             for v in violations:
                 print(f"  - {v}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, IsADirectoryError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

@@ -3,14 +3,18 @@
 Kind A refines kind B when every reward transformation preserving A's object
 also preserves B's: determining A pins the reward down at least as much as
 determining B.  refinement_compare decides one pair empirically by hunting
-for refuting witnesses in both directions; this module assembles all pairs
-into the induced order:
+for refuting witnesses in both directions; this module records every pair's
+verdict in one boolean matrix, refines[i, j] meaning "no witness keeps kind i
+while moving kind j" (the diagonal is True), and reads the order from it:
 
-* kinds with no refuting witness either way merge into equivalence groups,
-  each represented by its first member in roster order,
-* groups are ordered by the strict verdicts of their member pairs,
-* the reduced cover relation (the diagram's edges) drops every ordered pair
-  implied by transitivity.
+* the groups are the closure of refines & refines.T, the kinds with no
+  refuting witness either way, directly or through others; each group is
+  named by its first member in roster order,
+* a group is finer than another when every member pair between them
+  compares as a_refines_b (relation_of, the one rule naming a pair's
+  relation, reads each pair from the matrix),
+* the cover edges are finer & ~(finer @ finer): every ordered pair implied
+  by transitivity drops out.
 
 Member pairs of one group must all compare as equivalent, member pairs of
 two groups must all agree on the groups' relation, and the group order must
@@ -28,6 +32,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ContractError
 from .invariance import (
     RELATION_A_REFINES_B,
@@ -36,6 +42,7 @@ from .invariance import (
     CheckConfig,
     RefinementVerdict,
     refinement_compare,
+    relation_of,
 )
 from .objects import KIND_LABELS, KIND_TAGS
 
@@ -82,14 +89,6 @@ def _pair_key(v: RefinementVerdict) -> str:
     return f"{v.kind_a}|{v.kind_b}"
 
 
-def _flip(relation: str) -> str:
-    if relation == RELATION_A_REFINES_B:
-        return RELATION_B_REFINES_A
-    if relation == RELATION_B_REFINES_A:
-        return RELATION_A_REFINES_B
-    return relation
-
-
 def check_roster(kinds: tuple[str, ...]) -> None:
     """Raise ContractError unless kinds is a non-empty roster of distinct known kinds."""
     bad = [k for k in kinds if k not in KIND_TAGS]
@@ -102,86 +101,65 @@ def check_roster(kinds: tuple[str, ...]) -> None:
         raise ContractError(f"kinds repeats roster entries: {repeated}")
 
 
-def _transitive_reduction(nodes: list[str], reaches: dict[tuple[str, str], bool]) -> list[tuple[str, str]]:
-    edges = []
-    for u in nodes:
-        for v in nodes:
-            if u == v or not reaches[(u, v)]:
-                continue
-            implied = any(
-                w not in (u, v) and reaches[(u, w)] and reaches[(w, v)] for w in nodes
-            )
-            if not implied:
-                edges.append((u, v))
-    return edges
-
-
 def build_refinement_order(cfg: CheckConfig, kinds: tuple[str, ...] = KIND_TAGS) -> RefinementOrder:
     """Compare every pair of kinds and assemble the refinement diagram."""
     check_roster(kinds)
+    n = len(kinds)
+    # refines[i, j]: no witness keeps kind i while moving kind j.
+    refines = np.eye(n, dtype=bool)
     verdicts, seconds = [], []
     for i, a in enumerate(kinds):
-        for b in kinds[i + 1:]:
+        for j in range(i + 1, n):
             t0 = time.perf_counter()
-            verdicts.append(refinement_compare(a, b, cfg))
+            v = refinement_compare(a, kinds[j], cfg)
             seconds.append(time.perf_counter() - t0)
+            verdicts.append(v)
+            refines[i, j] = v.relation in (RELATION_EQUIVALENT, RELATION_A_REFINES_B)
+            refines[j, i] = v.relation in (RELATION_EQUIVALENT, RELATION_B_REFINES_A)
 
-    # Each kind's group representative: the earliest roster entry among the
-    # kinds it is equivalent to, directly or through others.  The renderers
-    # take a group's first member as the one its edges name.
-    rep = {k: k for k in kinds}
-    for v in verdicts:
-        if v.relation == RELATION_EQUIVALENT:
-            keep, drop = sorted((rep[v.kind_a], rep[v.kind_b]), key=kinds.index)
-            rep = {k: keep if r == drop else r for k, r in rep.items()}
-    members: dict[str, list[str]] = {}
-    for k in kinds:
-        members.setdefault(rep[k], []).append(k)
-    reps = list(members)
-    groups = tuple(tuple(members[r]) for r in reps)
+    def relation(i: int, j: int) -> str:
+        return relation_of(refines[i, j], refines[j, i])
 
-    by_pair = {(v.kind_a, v.kind_b): v.relation for v in verdicts}
-
-    def pair_relation(a: str, b: str) -> str:
-        if (a, b) in by_pair:
-            return by_pair[(a, b)]
-        return _flip(by_pair[(b, a)])
+    # Kinds that refine each other, directly or through others, form a group.
+    same = refines & refines.T
+    while not np.array_equal(wider := same @ same, same):
+        same = wider
+    # Each kind's group is named by its first member in roster order; the
+    # renderers take that member as the one the group's edges name.
+    first = same.argmax(axis=1)
+    reps = np.flatnonzero(first == np.arange(n))
+    members = [np.flatnonzero(first == r) for r in reps]
+    names = [kinds[r] for r in reps]
+    groups = tuple(tuple(kinds[i] for i in g) for g in members)
 
     issues = []
     # Equivalence is merged transitively, so a group may hold a pair that did
     # not compare as equivalent.
-    for r in reps:
-        for i, a in enumerate(members[r]):
-            for b in members[r][i + 1:]:
-                rel = pair_relation(a, b)
-                if rel != RELATION_EQUIVALENT:
-                    issues.append(f"group {r} holds {a} and {b}, which compare as {rel}")
-    finer: dict[tuple[str, str], bool] = {}
-    for ra in reps:
-        for rb in reps:
-            if ra == rb:
+    for name, g in zip(names, members):
+        for x, i in enumerate(g):
+            for j in g[x + 1:]:
+                if (rel := relation(i, j)) != RELATION_EQUIVALENT:
+                    issues.append(f"group {name} holds {kinds[i]} and {kinds[j]}, which compare as {rel}")
+    finer = np.zeros((len(reps), len(reps)), dtype=bool)
+    for x, gx in enumerate(members):
+        for y, gy in enumerate(members):
+            if x == y:
                 continue
-            rels = {pair_relation(a, b) for a in members[ra] for b in members[rb]}
+            rels = {relation(i, j) for i in gx for j in gy}
             if len(rels) > 1:
                 issues.append(
-                    f"groups {ra} and {rb} have conflicting member verdicts: {sorted(rels)}"
+                    f"groups {names[x]} and {names[y]} have conflicting member verdicts: {sorted(rels)}"
                 )
-            finer[(ra, rb)] = rels == {RELATION_A_REFINES_B}
+            finer[x, y] = rels == {RELATION_A_REFINES_B}
 
-    # The pairwise strict relation should already be transitively closed;
-    # gaps would mean some witness search failed where one must exist.
-    for ra in reps:
-        for rb in reps:
-            for rc in reps:
-                if len({ra, rb, rc}) == 3 and finer.get((ra, rb)) and finer.get((rb, rc)):
-                    if not finer.get((ra, rc)):
-                        issues.append(
-                            f"order is not transitive across {ra} -> {rb} -> {rc}"
-                        )
+    # The strict order should already be transitively closed; a gap would
+    # mean some witness search failed where one must exist.
+    for x, y, z in np.argwhere(finer[:, :, None] & finer[None, :, :] & ~finer[:, None, :]):
+        issues.append(f"order is not transitive across {names[x]} -> {names[y]} -> {names[z]}")
 
-    edges = _transitive_reduction(reps, finer)
+    edges = tuple((names[x], names[y]) for x, y in np.argwhere(finer & ~(finer @ finer)))
     return RefinementOrder(
-        verdicts=tuple(verdicts), groups=groups, edges=tuple(edges), issues=tuple(issues),
+        verdicts=tuple(verdicts), groups=groups, edges=edges, issues=tuple(issues),
         seconds=tuple(seconds),
     )
 

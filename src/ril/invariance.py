@@ -148,7 +148,7 @@ class CheckConfig:
     tol_rel: float = 1e-8
     magnitude: float = 1.0
     resolution: Resolution = Resolution(2, 2, 2)
-    params: SolverParams = SolverParams()
+    beta: float = 1.0
     sampler: SamplerConfig = SamplerConfig(n_states=(2, 4), n_actions=(2, 3), sparsity=0.4, orphan_prob=0.3)
 
     def __post_init__(self):
@@ -161,6 +161,8 @@ class CheckConfig:
         # Every member drawn at magnitude 0 is the identity: a false invariance claim.
         if not (self.magnitude > 0.0 and math.isfinite(self.magnitude)):
             raise ContractError(f"magnitude must be > 0 and finite, got {self.magnitude}")
+        if not (self.beta > 0.0 and math.isfinite(self.beta)):
+            raise ContractError(f"beta must be > 0 and finite, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -366,7 +368,7 @@ def _push(step_fn: Callable[[Mdp, CheckConfig], tuple[int, int, int]], extreme: 
 def _boost(m: Mdp, i: int, cfg: CheckConfig) -> dict:
     """Make a non-optimal action of the first unreachable state dominate."""
     u = int(np.flatnonzero(~reachable_state_mask(m))[0])
-    sets = optimal_action_sets(m, cfg.params)
+    sets = optimal_action_sets(m)  # Q* does not read beta
     spare = [a for a in range(m.n_actions) if a not in sets[u]]
     bonus = 10.0 * reward_scale(m) / (1.0 - m.gamma)
     return {"boost_action": (u, spare[0] if spare else 0, bonus)}
@@ -472,7 +474,7 @@ def _witness_obj(
         "mdp": mdp_to_obj(m),
         "transform": transform_to_obj(t),
         "resolution": write_fields(cfg.resolution),
-        "beta": cfg.params.beta,
+        "beta": cfg.beta,
         "tol_rel": cfg.tol_rel,
         "diff_index": int(diff[0]),
         "diff_magnitude": float(diff[1]),
@@ -570,6 +572,7 @@ def _run_trials(
         return cls, replace(cfg.sampler, **overrides), meets, row.constraints
 
     bound = [bind(cls, row) for cls, row in plans]
+    params = SolverParams(beta=cfg.beta)
 
     def draw(i: int) -> tuple[Mdp, TransformSpec, str, int, str] | None:
         cls, sampler, meets, constraints = bound[i % len(bound)]
@@ -588,7 +591,7 @@ def _run_trials(
         cons = constraints(m, i, cfg) if constraints is not None else {}
         t = sample_transform(
             cls, m, derive_seed(cfg.seed, stream, *key, i, "t"),
-            magnitude=cfg.magnitude, constraints=cons, params=cfg.params,
+            magnitude=cfg.magnitude, constraints=cons, params=params,
         )
         if isinstance(t, Identity) and t.note:
             return None
@@ -607,7 +610,7 @@ def _run_trials(
             skipped += 1
             continue
         m, t, cls, trial, origin = drawn
-        compare = _comparison(m, t, cfg.resolution, cfg.params, cfg.tol_rel)
+        compare = _comparison(m, t, cfg.resolution, params, cfg.tol_rel)
         equal, diff = compare(kind)
         if not equal and preserve is not None and not compare(preserve)[0]:
             # Numerically possible only at tolerance boundaries; not a valid witness.
@@ -709,13 +712,21 @@ CANNED_PRESERVING: dict[str, tuple[Callable[[], tuple[Mdp, TransformSpec]], ...]
 }
 
 
+def relation_of(a_refines_b: bool, b_refines_a: bool) -> str:
+    """The relation of kinds A and B, given which of them refines the other."""
+    if a_refines_b:
+        return RELATION_EQUIVALENT if b_refines_a else RELATION_A_REFINES_B
+    return RELATION_B_REFINES_A if b_refines_a else RELATION_INCOMPARABLE
+
+
 def _directional_witness(preserve: str, change: str, cfg: CheckConfig) -> tuple[dict | None, int, int]:
     """Find a transformation keeping `preserve`'s fingerprint while changing `change`'s.
 
     Trial i tries the i-th class of preserve's roster, cyclically, under its
     row against change.  Returns (witness or None, trials run, skipped).
     """
-    plans = [(cls, ATTACK_PLANS.get((cls, change), PlanRow())) for cls in KIND_ROSTERS[preserve]]
+    # An unknown kind has no roster; _run_trials rejects it before any trial.
+    plans = [(cls, ATTACK_PLANS.get((cls, change), PlanRow())) for cls in KIND_ROSTERS.get(preserve, ())]
     return _run_trials(
         change, cfg, "refine", (preserve, change), plans, (preserve, change), cfg.refine_trials,
         canned=CANNED_PRESERVING.get(preserve, ()), preserve=preserve,
@@ -727,23 +738,13 @@ def refinement_compare(kind_a: str, kind_b: str, cfg: CheckConfig) -> Refinement
 
     "A refines B" asserts every transformation preserving A's object also
     preserves B's.  The verdict searches for refuting witnesses both ways;
-    incomparability requires one in each direction.
+    relation_of names the relation from which directions found none, so
+    incomparability requires one witness in each direction.
     """
-    for k in (kind_a, kind_b):
-        if k not in KIND_TAGS:
-            raise ContractError(f"unknown object kind {k!r}")
     w_a, run_a, skipped_a = _directional_witness(kind_a, kind_b, cfg)  # preserves A, changes B
     w_b, run_b, skipped_b = _directional_witness(kind_b, kind_a, cfg)  # preserves B, changes A
-    if w_a is None and w_b is None:
-        relation = RELATION_EQUIVALENT
-    elif w_a is None:
-        relation = RELATION_A_REFINES_B
-    elif w_b is None:
-        relation = RELATION_B_REFINES_A
-    else:
-        relation = RELATION_INCOMPARABLE
     return RefinementVerdict(
-        kind_a=kind_a, kind_b=kind_b, relation=relation,
+        kind_a=kind_a, kind_b=kind_b, relation=relation_of(w_a is None, w_b is None),
         witness_preserves_a=w_a, witness_preserves_b=w_b,
         trials_run=run_a + run_b, trials_skipped=skipped_a + skipped_b,
     )

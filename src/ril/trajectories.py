@@ -57,9 +57,6 @@ class Fragment:
     def end(self) -> int:
         return self.steps[-1][1] if self.steps else self.start
 
-    def state_sequence(self) -> tuple[int, ...]:
-        return (self.start,) + tuple(s2 for _, s2 in self.steps)
-
     def transitions(self) -> tuple[tuple[int, int, int], ...]:
         out = []
         s = self.start
@@ -74,9 +71,6 @@ class Fragment:
                 f"cannot concatenate: fragment ends at {self.end}, next starts at {other.start}"
             )
         return Fragment(self.start, self.steps + other.steps)
-
-    def sort_key(self):
-        return (self.length, self.start, self.steps)
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,27 @@ def test_solve_missing_file_exits_2(tmp_path):
     assert main(["solve", "--mdp", str(tmp_path / "nothing.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--mdp", "{latin1}"],
+        ["check", "--kind", "q_star", "--class", "shaping", "--config", "{latin1}"],
+        ["transfer-demo", "--mdp", "{latin1}", "--tau-prime", "{latin1}", "--l", "{latin1}"],
+        ["solve", "--mdp", "{mdp}", "--out", "{file}"],
+        ["check", "--kind", "q_star", "--class", "shaping", "--trials", "1", "--out", "{file}/sub"],
+    ],
+    ids=["solve-mdp-not-utf8", "check-config-not-utf8", "transfer-demo-mdp-not-utf8", "out-is-a-file", "out-under-a-file"],
+)
+def test_a_path_that_cannot_be_read_or_written_exits_2(tmp_path, capsys, argv):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"states": ["\u00e9"]}'.encode("latin-1"))
+    file = tmp_path / "file"
+    file.write_text("")
+    paths = {"latin1": str(latin1), "mdp": write_mdp(tmp_path, chain_mdp()), "file": str(file)}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_solve_numerical_failure_exits_3(tmp_path, capsys):
     # Policy iteration needs three improvement steps on this MDP.
     path = write_mdp(tmp_path, delayed_reward_chain_mdp())

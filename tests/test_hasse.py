@@ -1,5 +1,9 @@
 """Refinement-order construction: grouping, cover edges, dot output."""
 
+import hashlib
+import itertools
+import json
+
 import pytest
 
 import ril.hasse
@@ -123,6 +127,28 @@ def test_an_order_that_is_not_transitive_is_an_issue(monkeypatch):
     text = render_order(order)
     assert text.endswith(f"\n\nConsistency issues:\n  ! {issue}")
     assert "order consistent" not in text
+
+
+@pytest.mark.parametrize(
+    "kinds, digest",
+    [
+        (("q_policy", "q_star", "q_soft"),
+         "026ea531e51e03d8c4a081d8c949b375936faa8b31fdd3aff484216bc0495475"),
+        (("q_star", "q_policy", "return_fragments", "q_soft"),
+         "5e4e64e91fbcd5bc78c046e2f4871e5f39586647a32426546449d848a772f3c9"),
+    ],
+)
+def test_groups_edges_and_issues_are_pinned_on_every_fabricated_order(monkeypatch, kinds, digest):
+    # Every assignment of the four relations to the roster's pairs: 64 on
+    # three kinds, 4,096 on four (out of KIND_TAGS order).
+    relations = (RELATION_EQUIVALENT, RELATION_A_REFINES_B, RELATION_B_REFINES_A, RELATION_INCOMPARABLE)
+    pairs = [(a, b) for i, a in enumerate(kinds) for b in kinds[i + 1:]]
+    seen = []
+    for assigned in itertools.product(relations, repeat=len(pairs)):
+        fabricate(monkeypatch, dict(zip(pairs, assigned)))
+        order = build_refinement_order(FAST, kinds=kinds)
+        seen.append([order.groups, order.edges, order.issues])
+    assert hashlib.sha256(json.dumps(seen).encode()).hexdigest() == digest
 
 
 def test_a_group_is_named_by_its_first_roster_member(monkeypatch):
