@@ -109,10 +109,16 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _make_out(out_dir: str | None) -> None:
+    """Make the output directory, if one is named, before any work: a path
+    that cannot be one fails at once, not after the run."""
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+
+
 def _write_out(out_dir: str | None, name: str, text: str) -> None:
     if out_dir is None:
         return
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, name), "w") as fh:
         fh.write(text)
 
@@ -189,6 +195,7 @@ def _policy_obj(policy) -> list:
 
 
 def cmd_solve(args) -> int:
+    _make_out(args.out_dir)
     m = load_mdp(args.mdp)
     params = SolverParams(beta=args.beta, epsilon=args.tol, max_iters=args.max_iters)
     uniform = uniform_policy(m)
@@ -197,8 +204,8 @@ def cmd_solve(args) -> int:
     t_soft = soft_q(m, params)
     pi_boltzmann = boltzmann_rational_policy(m, params)
     pi_mce = mce_policy(m, params)
-    sets = optimal_action_sets(m, params, tables=t_star)
-    pi_support = maximally_supportive_optimal_policy(m, params, tables=t_star)
+    sets = optimal_action_sets(m, tables=t_star)
+    pi_support = maximally_supportive_optimal_policy(m, tables=t_star)
     out = {
         "states": list(m.states),
         "actions": list(m.actions),
@@ -231,16 +238,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    _make_out(args.out_dir)
     m = load_mdp(args.mdp)
     if args.transform is not None:
         t = transform_from_obj(_load_json(args.transform))
     else:
         if args.transform_class is None:
             raise ContractError("transform requires --class or --transform")
-        t = sample_transform(
-            args.transform_class, m, args.seed, magnitude=args.magnitude,
-            params=SolverParams(beta=args.beta),
-        )
+        t = sample_transform(args.transform_class, m, args.seed, magnitude=args.magnitude)
     r2 = apply_transform(m, t)
     m2 = with_reward(m, r2)
     out = {
@@ -254,6 +259,7 @@ def cmd_transform(args) -> int:
 
 def cmd_check(args) -> int:
     exp = experiment_config(args)
+    _make_out(exp.out_dir)
     m = load_mdp(args.mdp) if args.mdp else None
     t0 = time.perf_counter()
     if args.search:
@@ -280,6 +286,7 @@ def cmd_check(args) -> int:
 
 def cmd_table(args) -> int:
     exp = experiment_config(args)
+    _make_out(exp.out_dir)
     report = reproduce_directory_table(exp.check)
     verdicts = report.verdicts_obj()
     run = _run_report(
@@ -300,6 +307,7 @@ def cmd_table(args) -> int:
 
 def cmd_order(args) -> int:
     exp = experiment_config(args)
+    _make_out(exp.out_dir)
     t0 = time.perf_counter()
     order = build_refinement_order(exp.check, kinds=exp.kinds)
     elapsed = time.perf_counter() - t0
@@ -332,6 +340,7 @@ def _load_transfer_inputs(args) -> tuple[Mdp, TransferTarget]:
 def cmd_transfer_demo(args) -> int:
     if not 0.0 <= args.tol < math.inf:
         raise ContractError(f"tol must be >= 0 and finite, got {args.tol}")
+    _make_out(args.out_dir)
     m, target = _load_transfer_inputs(args)
     r2 = transfer_redistribution(m, target)
     m_new_r1 = make_mdp(
@@ -417,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transform", default=None, help="transformation JSON file to apply")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed")
     p.add_argument("--magnitude", type=float, default=1.0, help="sampling magnitude")
-    p.add_argument("--beta", type=float, default=SolverParams.beta, help="inverse temperature")
     p.set_defaults(func=cmd_transform)
 
     # The experiment subcommands' flags default to None, so that only the

@@ -74,7 +74,7 @@ from .objects import (
     canonical_fragments,
     canonical_lassos,
     fingerprint,
-    tie_group_ranks,
+    noiseless_ranks,
 )
 from .sampling import SamplerConfig, derive_seed, sample_mdp, sample_mdp_where
 from .solvers import SolverParams, optimal_action_sets, reward_scale
@@ -254,7 +254,8 @@ def _stochastic_mask(m: Mdp) -> np.ndarray:
 class LassoNeed:
     """Least values of what an MDP's canonical lassos must offer: their
     count, distinct return levels, start states, most levels from one start,
-    a stochastic step, and two returns 0.05 to 8 apart.
+    a stochastic step, and two returns 0.05 to 8 apart.  Return levels are
+    the noiseless comparison's tied ranks (noiseless_ranks) over all lassos.
     An MDP past the enumeration caps or with none or over 400 lassos meets no
     need.  Calling a need counts the lassos in closed form and enumerates
     them only when the count lies in [max(count, 1), 400]; it then computes
@@ -283,12 +284,12 @@ class LassoNeed:
         if self.distinct <= 1 and self.per_start_distinct <= 1 and not self.moderate_pair:
             return True
         g = lasso_returns(m, lassos)
-        tol = 1e-9 * reward_scale(m)
-        if self.distinct > 1 and tie_group_ranks(g, tol).max() + 1 < self.distinct:
+        ranks = noiseless_ranks(g)
+        if self.distinct > 1 and ranks.max() + 1 < self.distinct:
             return False
         if self.per_start_distinct > 1:
             start = lassos.start
-            levels = max(tie_group_ranks(g[start == s], tol).max() + 1 for s in np.unique(start))
+            levels = max(len(np.unique(ranks[start == s])) for s in np.unique(start))
             if levels < self.per_start_distinct:
                 return False
         if self.moderate_pair:
@@ -497,7 +498,9 @@ def replay_witness(obj: dict) -> dict:
 
     The witness must carry kind, mdp, transform, beta, tol_rel and every
     resolution field, so that it replays at the settings it was found at; a
-    missing key raises ContractError naming it.
+    missing key raises ContractError naming it.  A refinement witness also
+    carries preserved_kind, and reproduces only when kind moves and
+    preserved_kind holds.
     """
     if not isinstance(obj, dict):
         raise ContractError("a witness must hold a JSON object")
@@ -512,9 +515,13 @@ def replay_witness(obj: dict) -> dict:
     t = transform_from_obj(obj["transform"])
     params = SolverParams(beta=read_value(float, obj["beta"], "witness beta"))
     tol_rel = read_value(float, obj["tol_rel"], "witness tol_rel")
-    equal, diff = _comparison(m, t, res, params, tol_rel)(obj["kind"])
+    compare = _comparison(m, t, res, params, tol_rel)
+    equal, diff = compare(obj["kind"])
+    held = True
+    if "preserved_kind" in obj:
+        held = compare(read_value(str, obj["preserved_kind"], "witness preserved_kind"))[0]
     return {
-        "reproduced": not equal,
+        "reproduced": not equal and held,
         "diff_index": None if diff is None else int(diff[0]),
         "diff_magnitude": None if diff is None else float(diff[1]),
     }
@@ -590,8 +597,7 @@ def _run_trials(
                 return None
         cons = constraints(m, i, cfg) if constraints is not None else {}
         t = sample_transform(
-            cls, m, derive_seed(cfg.seed, stream, *key, i, "t"),
-            magnitude=cfg.magnitude, constraints=cons, params=params,
+            cls, m, derive_seed(cfg.seed, stream, *key, i, "t"), magnitude=cfg.magnitude, constraints=cons
         )
         if isinstance(t, Identity) and t.note:
             return None

@@ -115,7 +115,7 @@ KINDS: dict[str, Kind] = {
     "mce_policy": Kind("max-causal-entropy policy", None, lambda s, p: mce_policy(s, p).probs),
     "supportive_optimal_policy": Kind(
         "maximally supportive optimal policy", None,
-        lambda s, p: maximally_supportive_optimal_policy(s, p).probs),
+        lambda s, p: maximally_supportive_optimal_policy(s).probs),
     "traj_dist_boltzmann": Kind(
         "trajectory distribution (Boltzmann)", None,
         lambda s, p: _trajectory_payloads(s, boltzmann_rational_policy(s, p))),
@@ -123,7 +123,7 @@ KINDS: dict[str, Kind] = {
         "trajectory distribution (MCE)", None, lambda s, p: _trajectory_payloads(s, mce_policy(s, p))),
     "traj_dist_optimal": Kind(
         "trajectory distribution (optimal)", None,
-        lambda s, p: _trajectory_payloads(s, maximally_supportive_optimal_policy(s, p), visited_only=True)),
+        lambda s, p: _trajectory_payloads(s, maximally_supportive_optimal_policy(s), visited_only=True)),
     "return_fragments": Kind(
         "fragment returns", "fragments", lambda m, items, p: fragment_returns(m, items)),
     "return_trajectories": Kind(
@@ -144,7 +144,7 @@ KINDS: dict[str, Kind] = {
         "return-lottery order", "lassos", lambda m, items, p: lottery_library_values(m, items)),
     "optimal_policy_set": Kind(
         "set of optimal policies", None,
-        lambda s, p: (optimal_action_mask(s, p).astype(np.int64) << np.arange(s.n_actions)).sum(axis=-1)),
+        lambda s, p: (optimal_action_mask(s).astype(np.int64) << np.arange(s.n_actions)).sum(axis=-1)),
 }
 KIND_TAGS = tuple(KINDS)
 KIND_LABELS = {tag: kind.label for tag, kind in KINDS.items()}
@@ -242,6 +242,14 @@ def tie_group_ranks(values: np.ndarray, tol: float) -> np.ndarray:
     return ranks
 
 
+def noiseless_ranks(returns: np.ndarray) -> np.ndarray:
+    """The noiseless comparison's tied ranks: gaps within NOISELESS_TIE_RTOL
+    of the returns' spread tie, so no positive affine map of the returns
+    moves a rank."""
+    tie_tol = NOISELESS_TIE_RTOL * float(np.ptp(returns)) if len(returns) else 0.0
+    return tie_group_ranks(returns, tie_tol)
+
+
 def comparison_model(m: Mdp, items, mode: str, beta: float = 1.0) -> np.ndarray:
     """Pairwise preference matrix over a fixed item list.
 
@@ -257,10 +265,7 @@ def comparison_model(m: Mdp, items, mode: str, beta: float = 1.0) -> np.ndarray:
         diffs *= beta
         return _logistic(diffs)
     if mode == "noiseless":
-        # Relative to the spread of the returns themselves, so the ranks
-        # are unchanged by any positive affine map of the returns.
-        tie_tol = NOISELESS_TIE_RTOL * float(np.ptp(returns)) if len(returns) else 0.0
-        ranks = tie_group_ranks(returns, tie_tol)
+        ranks = noiseless_ranks(returns)
         return (ranks[:, None] <= ranks[None, :]).astype(np.int8)
     raise ContractError(f"unknown comparison mode {mode!r}")
 

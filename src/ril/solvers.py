@@ -315,11 +315,7 @@ def mce_policy(m: Mdp | MdpStack, params: SolverParams = SolverParams()) -> Poli
     return Policy(softmax_rows(params.beta * tables.q))
 
 
-def optimal_action_mask(
-    m: Mdp | MdpStack,
-    params: SolverParams = SolverParams(),
-    tables: ValueTables | None = None,
-) -> np.ndarray:
+def optimal_action_mask(m: Mdp | MdpStack, *, tables: ValueTables | None = None) -> np.ndarray:
     """mask[..., s, a]: is a's advantage within the tie band of zero?
 
     The band is DEFAULT_TIE_RTOL * (1 + max |A*(s, a)| over reachable s),
@@ -328,32 +324,24 @@ def optimal_action_mask(
     were.  Pass tables (optimal_q of m) when they are already solved.
     """
     if tables is None:
-        tables = optimal_q(m, params)
+        tables = optimal_q(m)
     adv = tables.adv[..., reachable_state_mask(m), :]
     band = DEFAULT_TIE_RTOL * (1.0 + np.max(np.abs(adv), axis=(-2, -1)))
     return tables.adv >= -band[..., None, None]
 
 
-def optimal_action_sets(
-    m: Mdp,
-    params: SolverParams = SolverParams(),
-    tables: ValueTables | None = None,
-) -> list[tuple[int, ...]]:
+def optimal_action_sets(m: Mdp, *, tables: ValueTables | None = None) -> list[tuple[int, ...]]:
     """Per state, the optimal actions: optimal_action_mask as index tuples."""
-    mask = optimal_action_mask(m, params, tables)
+    mask = optimal_action_mask(m, tables=tables)
     return [tuple(int(a) for a in np.flatnonzero(row)) for row in mask]
 
 
-def maximally_supportive_optimal_policy(
-    m: Mdp | MdpStack,
-    params: SolverParams = SolverParams(),
-    tables: ValueTables | None = None,
-) -> Policy:
+def maximally_supportive_optimal_policy(m: Mdp | MdpStack, *, tables: ValueTables | None = None) -> Policy:
     """Uniform over every optimal action in each state.
 
     Pass tables (optimal_q of m) when they are already solved.
     """
-    mask = optimal_action_mask(m, params, tables)
+    mask = optimal_action_mask(m, tables=tables)
     return Policy(mask / mask.sum(axis=-1, keepdims=True))
 
 

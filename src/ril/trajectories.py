@@ -115,7 +115,7 @@ def lasso_return(m: Mdp, lasso: LassoTrajectory) -> float:
     return g_prefix + (m.gamma ** n) * g_cycle / (1.0 - m.gamma ** c)
 
 
-def unroll_lasso(m: Mdp, lasso: LassoTrajectory, n_steps: int) -> Fragment:
+def unroll_lasso(lasso: LassoTrajectory, n_steps: int) -> Fragment:
     """First n_steps of the lasso as a plain fragment."""
     steps = list(lasso.prefix.steps)
     for a, s2 in itertools.cycle(lasso.cycle.steps):

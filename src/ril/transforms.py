@@ -59,13 +59,7 @@ from .mdp import (
     with_reward,
     write_fields,
 )
-from .solvers import (
-    SolverParams,
-    maximally_supportive_optimal_policy,
-    optimal_action_sets,
-    optimal_q,
-    reward_scale,
-)
+from .solvers import maximally_supportive_optimal_policy, optimal_action_sets, optimal_q, reward_scale
 
 # Expectation of an S'-redistribution row must vanish to this absolute level.
 REDISTRIBUTION_EXPECTATION_TOL = 1e-10
@@ -312,7 +306,7 @@ def extreme_reward_value(m: Mdp) -> float:
 
 
 def _sample_potential(
-    k_mode: str, m: Mdp, rng, magnitude: float, params, *,
+    k_mode: str, m: Mdp, rng, magnitude: float, *,
     phi_spike: tuple[int, float] | None = None,
     phi_nonzero_on: Sequence[int] = (),
     phi_spread_on: Sequence[int] = (),
@@ -366,7 +360,7 @@ def _sample_potential(
 
 
 def _sample_redistribution(
-    m: Mdp, rng, magnitude: float, params, *, push: tuple[int, int, int, float] | None = None
+    m: Mdp, rng, magnitude: float, *, push: tuple[int, int, int, float] | None = None
 ) -> SPrimeRedistribution:
     """A zero-expectation delta; push (s, a, s_hi, value) instead moves value
     onto the tau-possible (s, a, s_hi), compensated on another support state."""
@@ -389,9 +383,7 @@ def _sample_redistribution(
     return SPrimeRedistribution(delta=delta)
 
 
-def _sample_zpmt(
-    m: Mdp, rng, magnitude: float, params, *, nonlinear: bool = False
-) -> ZeroPreservingMonotone:
+def _sample_zpmt(m: Mdp, rng, magnitude: float, *, nonlinear: bool = False) -> ZeroPreservingMonotone:
     """A monotone rescaling through the origin; nonlinear places breakpoints at
     every distinct reward value, with slopes alternating by a factor >= 1.6
     between them."""
@@ -422,7 +414,7 @@ def _sample_zpmt(
 
 
 def _sample_mask(
-    which: str, m: Mdp, rng, magnitude: float, params, *,
+    which: str, m: Mdp, rng, magnitude: float, *,
     extreme_possible_sign: float | None = None,
     boost_action: tuple[int, int, float] | None = None,
 ) -> TransformSpec:
@@ -466,16 +458,16 @@ def _sample_mask(
 
 
 def _sample_opt(
-    scope: str, m: Mdp, rng, magnitude: float, params: SolverParams, *, diff_outside_supported: bool = False
+    scope: str, m: Mdp, rng, magnitude: float, *, diff_outside_supported: bool = False
 ) -> OptimalityPreserving:
     """A member keeping the optimal-action sets on "all" states, or on the
     "supported" ones only and drawing the rest; diff_outside_supported makes
     each drawn set differ from the current one."""
-    tables = optimal_q(m, params)
-    sets = optimal_action_sets(m, params, tables=tables)
+    tables = optimal_q(m)
+    sets = optimal_action_sets(m, tables=tables)
     if scope == "supported":
         # Closure of support(mu0) under optimal-policy-supported possible moves.
-        pi = maximally_supportive_optimal_policy(m, params, tables=tables)
+        pi = maximally_supportive_optimal_policy(m, tables=tables)
         supported = supported_state_mask(m, pi.probs)
         new_sets = []
         for s in range(m.n_states):
@@ -501,15 +493,16 @@ def _sample_opt(
 
 
 # Transformation classes by tag, in directory-table column order, each with
-# its member sampler(m, rng, magnitude, params, **constraints).  identity has
-# none: its one member needs no draw.
+# its member sampler(m, rng, magnitude, **constraints).  identity has none:
+# its one member needs no draw.  positive_scaling draws c log-uniform in
+# [1/3, 3], whatever the magnitude.
 _CLASSES: dict[str, Callable | None] = {
     "identity": None,
     "shaping_zero_initial": partial(_sample_potential, "zero"),
     "shaping_k_initial": partial(_sample_potential, "k"),
     "shaping": partial(_sample_potential, "free"),
     "sprime_redistribution": _sample_redistribution,
-    "positive_scaling": lambda m, rng, magnitude, params: PositiveLinearScaling(
+    "positive_scaling": lambda m, rng, magnitude: PositiveLinearScaling(
         c=float(np.exp(rng.uniform(np.log(1.0 / 3.0), np.log(3.0))))),
     "zpmt": _sample_zpmt,
     "opt_all_states": partial(_sample_opt, "all"),
@@ -531,7 +524,6 @@ def sample_transform(
     seed: int,
     magnitude: float = 1.0,
     constraints: dict | None = None,
-    params: SolverParams = SolverParams(),
 ) -> TransformSpec:
     """Draw a member of the named transformation class for m.
 
@@ -540,7 +532,9 @@ def sample_transform(
     the class's sampler to values; a key the sampler does not take is rejected,
     so a misspelt or misrouted one cannot go unused, and so are a magnitude
     that is not positive and finite (at 0 every member is the identity) and a
-    negative seed.
+    negative seed.  No solver setting enters a draw: the optimality-preserving
+    classes read Q* alone.  positive_scaling draws c log-uniform in [1/3, 3],
+    whatever the magnitude.
     """
     if not (magnitude > 0.0 and math.isfinite(magnitude)):
         raise ContractError(f"magnitude must be > 0 and finite, got {magnitude}")
@@ -555,7 +549,7 @@ def sample_transform(
     draw = _CLASSES[class_tag]
     if draw is None:
         return Identity()
-    return draw(m, np.random.default_rng(seed), magnitude, params, **cons)
+    return draw(m, np.random.default_rng(seed), magnitude, **cons)
 
 
 # ---------------------------------------------------------------------------
@@ -614,17 +608,12 @@ def decompose_shaping(
     return ShapingDecomposition(phi=phi, k_initial=k, off_scope_mismatch=off)
 
 
-def is_optimality_preserving(
-    m: Mdp,
-    r2: np.ndarray,
-    opt_sets: tuple[tuple[int, ...], ...],
-    params: SolverParams = SolverParams(),
-) -> bool:
+def is_optimality_preserving(m: Mdp, r2: np.ndarray, opt_sets: tuple[tuple[int, ...], ...]) -> bool:
     """Does r2 make exactly the prescribed action sets optimal in every state?
     Raises ContractError unless opt_sets has one entry per state."""
     if len(opt_sets) != m.n_states:
         raise ContractError(f"opt_sets has {len(opt_sets)} entries, expected {m.n_states}")
-    sets2 = optimal_action_sets(with_reward(m, r2), params)
+    sets2 = optimal_action_sets(with_reward(m, r2))
     return all(tuple(sorted(a)) == tuple(sorted(b)) for a, b in zip(sets2, opt_sets))
 
 

@@ -90,6 +90,32 @@ def test_a_path_that_cannot_be_read_or_written_exits_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--out", "{file}"],
+        ["order", "--out", "{file}"],
+        ["check", "--kind", "q_star", "--class", "shaping", "--out", "{file}"],
+        ["table", "--config", "{config}"],
+    ],
+    ids=["table", "order", "check", "table-config-out-dir"],
+)
+def test_an_out_that_cannot_be_a_directory_exits_2_before_any_trial(tmp_path, capsys, monkeypatch, argv):
+    import ril.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the run started before its output directory was made")
+
+    for name in ("reproduce_directory_table", "build_refinement_order", "check_invariance"):
+        monkeypatch.setattr(ril.cli, name, never)
+    file = tmp_path / "file"
+    file.write_text("")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out_dir": str(file)}))
+    assert main([arg.format(file=file, config=config) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_solve_numerical_failure_exits_3(tmp_path, capsys):
     # Policy iteration needs three improvement steps on this MDP.
     path = write_mdp(tmp_path, delayed_reward_chain_mdp())
@@ -117,6 +143,7 @@ def test_unknown_flag_exits_2(tmp_path):
         ["solve", "--mdp", "mdp.json", "--trials", "1"],
         ["transform", "--mdp", "mdp.json", "--trials", "1"],
         ["transform", "--mdp", "mdp.json", "--tol", "1e-6"],
+        ["transform", "--mdp", "mdp.json", "--beta", "2"],
         ["order", "--trials", "1"],
         ["transfer-demo", "--seed", "1"],
         ["transfer-demo", "--trials", "1"],

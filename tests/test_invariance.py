@@ -21,9 +21,11 @@ from ril import (
     Resolution,
     SamplerConfig,
     check_invariance,
+    comparison_model,
     complementary_ambiguity_check,
     fingerprint,
     fingerprints_equal,
+    make_mdp,
     mdp_to_obj,
     refinement_compare,
     replay_witness,
@@ -338,6 +340,15 @@ def test_q_and_trajectory_returns_incomparable():
     assert v.witness_preserves_a is not None and v.witness_preserves_b is not None
 
 
+def test_a_refinement_witness_replays_only_while_its_preserved_kind_holds():
+    w = refinement_compare("q_star", "return_trajectories", FAST).witness_preserves_a
+    assert w["preserved_kind"] == "q_star" and replay_witness(w)["reproduced"]
+    # return_trajectories moved, so it cannot also be the kind that held.
+    assert not replay_witness({**w, "preserved_kind": "return_trajectories"})["reproduced"]
+    with pytest.raises(ContractError, match="unknown object kind"):
+        replay_witness({**w, "preserved_kind": "banana"})
+
+
 @pytest.fixture
 def fingerprinted(monkeypatch):
     """The kinds the trial kernel fingerprints, one entry per call."""
@@ -564,6 +575,27 @@ def test_lasso_needs_decide_as_the_eager_offer_does():
             accepted[need] += eager
     assert set(outcomes) == {"capped", "empty", "over_400", "enumerated"}, outcomes
     assert all(0 < accepted[need] < 240 for need in needs), accepted
+
+
+def test_lasso_needs_count_return_levels_by_the_noiseless_ties():
+    # One state, three self-loops: at Resolution(0, 0, 1) the lassos are the
+    # three loops, with returns 0, 10 and 10 - 5e-9.  The noiseless
+    # comparison ties the last two (their gap is within 1e-9 of the spread),
+    # so the lassos offer two return levels, not three.
+    m = make_mdp(
+        states=["s"], actions=["a", "b", "c"], tau=[[[1.0], [1.0], [1.0]]], mu0=[1.0],
+        reward=[[[0.0], [1.0], [1.0 - 5e-10]]], gamma=0.9,
+    )
+    cfg = replace(FAST, resolution=Resolution(0, 0, 1))
+    lassos = canonical_lassos(m, cfg.resolution)
+    g = lasso_returns(m, lassos)
+    assert len(lassos) == 3 and abs(np.ptp(g) - 10.0) < 1e-9
+    # With the two near-equal loops tied, 7 of the 9 pairs rank no higher
+    # (three distinct levels would give 6).
+    assert comparison_model(m, lassos, "noiseless").sum() == 7
+    assert LassoNeed(distinct=2)(m, cfg)
+    assert not LassoNeed(distinct=3)(m, cfg)
+    assert not LassoNeed(per_start_distinct=3)(m, cfg)
 
 
 def test_lasso_needs_reject_on_the_count_without_enumerating(monkeypatch):

@@ -187,6 +187,18 @@ def test_optimal_action_sets_on_micro():
     assert optimal_action_sets(loop_mdp()) == [(0,)]
 
 
+def test_the_optimal_action_helpers_take_no_solver_settings():
+    # Q* reads no solver setting, so a caller still passing one in second
+    # place fails rather than having it ignored.
+    from ril.solvers import optimal_action_mask
+
+    m = two_action_loop_mdp()
+    for helper in (optimal_action_mask, optimal_action_sets, maximally_supportive_optimal_policy):
+        with pytest.raises(TypeError):
+            helper(m, SolverParams())
+    assert optimal_action_sets(m, tables=optimal_q(m)) == [(1,)]
+
+
 def test_supportive_policy_uniform_over_ties():
     import ril
 

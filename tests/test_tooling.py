@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,24 @@ def test_the_call_shapes_the_tracer_reads_hold():
         for name in functions:
             fn = getattr(module, name, None)
             assert callable(fn) and fn.__module__ == module.__name__, f"ril.{module_name}.{name}"
+
+
+def test_every_parameter_of_a_public_function_is_read():
+    # A parameter the body never names is an option that changes nothing;
+    # passing it on to another function counts as reading it.
+    import ril
+
+    unread = []
+    for name in ril.__all__:
+        fn = getattr(ril, name)
+        if not inspect.isfunction(fn):
+            continue
+        node = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
+        args = node.args
+        params = [p.arg for p in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if p]
+        named = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        unread += [f"{fn.__module__}.{name}({p})" for p in params if p not in named]
+    assert unread == []
 
 
 def test_each_kind_calls_the_traced_names_through_the_objects_module(monkeypatch):

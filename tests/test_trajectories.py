@@ -110,7 +110,7 @@ def test_lasso_closed_form_matches_truncated_unroll():
         lassos = enumerate_lassos(m, prefix_cap=2, cycle_cap=2)
         for lasso in lassos[:10]:
             n = 60
-            approx = fragment_return(m, unroll_lasso(m, lasso, n))
+            approx = fragment_return(m, unroll_lasso(lasso, n))
             exact = lasso_return(m, lasso)
             assert abs(exact - approx) <= truncation_bound(m, n) + 1e-12
 
@@ -161,7 +161,7 @@ def test_unroll_length(prefix_len, n_extra):
     prefix = Fragment(0, ((0, 0),) * prefix_len)
     lasso = LassoTrajectory(prefix, Fragment(0, ((0, 0),)))
     n = prefix_len + n_extra
-    assert unroll_lasso(m, lasso, n).length == n
+    assert unroll_lasso(lasso, n).length == n
 
 
 # Reference enumeration, written from the documented order alone: fragments
