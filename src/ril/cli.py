@@ -405,6 +405,15 @@ def _roster(text: str) -> list[str]:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", dest="out_dir", default=None, help="output directory")
+    # The experiment subcommands' flags default to None, so that only the
+    # flags given override the config file; each dest is a config key.
+    experiment = argparse.ArgumentParser(add_help=False, parents=[common])
+    experiment.add_argument("--config", default=None, help="experiment config JSON")
+    experiment.add_argument("--seed", type=int, default=None, help="experiment seed")
+    experiment.add_argument("--tol", dest="tol_rel", type=float, default=None, help="relative tolerance")
+    cells = argparse.ArgumentParser(add_help=False, parents=[experiment])
+    cells.add_argument("--trials", type=int, default=None, help="trials per checked cell")
+    cells.add_argument("--budget", type=int, default=None, help="search budget per cell")
 
     parser = argparse.ArgumentParser(
         prog="ril",
@@ -428,32 +437,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--magnitude", type=float, default=1.0, help="sampling magnitude")
     p.set_defaults(func=cmd_transform)
 
-    # The experiment subcommands' flags default to None, so that only the
-    # flags given override the config file; each dest is a config key.
-    p = sub.add_parser("check", parents=[common], help="invariance check or counterexample search for one cell")
+    p = sub.add_parser("check", parents=[cells], help="invariance check or counterexample search for one cell")
     p.add_argument("--kind", required=True, help="object kind tag")
     p.add_argument("--class", dest="transform_class", required=True, help="transformation class tag")
     p.add_argument("--search", action="store_true", help="directed counterexample search")
     p.add_argument("--mdp", default=None, help="fixed MDP JSON file (otherwise sampled)")
-    p.add_argument("--config", default=None, help="experiment config JSON")
-    p.add_argument("--seed", type=int, default=None, help="experiment seed")
-    p.add_argument("--trials", type=int, default=None, help="trials per check")
-    p.add_argument("--budget", type=int, default=None, help="search budget")
-    p.add_argument("--tol", dest="tol_rel", type=float, default=None, help="relative tolerance")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("table", parents=[common], help="reproduce the invariance directory")
-    p.add_argument("--config", default=None, help="experiment config JSON")
-    p.add_argument("--seed", type=int, default=None, help="experiment seed")
-    p.add_argument("--trials", type=int, default=None, help="trials per checked cell")
-    p.add_argument("--budget", type=int, default=None, help="search budget per cell")
-    p.add_argument("--tol", dest="tol_rel", type=float, default=None, help="relative tolerance")
+    p = sub.add_parser("table", parents=[cells], help="reproduce the invariance directory")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("order", parents=[common], help="build the ambiguity-refinement diagram")
-    p.add_argument("--config", default=None, help="experiment config JSON")
-    p.add_argument("--seed", type=int, default=None, help="experiment seed")
-    p.add_argument("--tol", dest="tol_rel", type=float, default=None, help="relative tolerance")
+    p = sub.add_parser("order", parents=[experiment], help="build the ambiguity-refinement diagram")
     p.add_argument("--kinds", type=_roster, default=None, help="comma-separated kind roster")
     p.set_defaults(func=cmd_order)
 

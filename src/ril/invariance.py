@@ -44,6 +44,7 @@ transformation draws, and trial order use seeds derived per trial.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Iterable
 
@@ -542,7 +543,7 @@ def _run_trials(
     mdp: Mdp | None = None,
     canned: tuple[Callable[[], tuple[Mdp, TransformSpec]], ...] = (),
     preserve: str | None = None,
-) -> tuple[dict | None, int, int]:
+) -> tuple[dict | None, int, Counter]:
     """The one trial loop: apply class members and compare kind's fingerprints.
 
     Canned (MDP, member) pairs run first, then n trials.  Trial i takes its
@@ -555,7 +556,7 @@ def _run_trials(
     preserved kind's.  The preserved kind is compared only when kind moved,
     since only such a trial can become a witness.
 
-    Returns (first witness or None, trials run, trials skipped).
+    Returns (first witness or None, trials run, skipped trials by reason).
     """
     for k in (kind, *needs):
         if k not in KIND_TAGS:
@@ -581,11 +582,12 @@ def _run_trials(
     bound = [bind(cls, row) for cls, row in plans]
     params = SolverParams(beta=cfg.beta)
 
-    def draw(i: int) -> tuple[Mdp, TransformSpec, str, int, str] | None:
+    def draw(i: int) -> tuple[Mdp, TransformSpec, str, int, str] | str:
+        """The trial's (MDP, member, class, index, origin), or why it is skipped."""
         cls, sampler, meets, constraints = bound[i % len(bound)]
         if mdp is not None:
             if meets is not None and not meets(mdp):
-                return None
+                return "the given MDP fails the trial's requirements"
             m = mdp
         else:
             mdp_seed = derive_seed(cfg.seed, stream, *key, i, "mdp")
@@ -594,13 +596,13 @@ def _run_trials(
             else:
                 m = sample_mdp_where(sampler, mdp_seed, meets)
             if m is None:
-                return None
+                return "no sampled MDP met the trial's requirements"
         cons = constraints(m, i, cfg) if constraints is not None else {}
         t = sample_transform(
             cls, m, derive_seed(cfg.seed, stream, *key, i, "t"), magnitude=cfg.magnitude, constraints=cons
         )
         if isinstance(t, Identity) and t.note:
-            return None
+            return f"the member degenerated to the identity ({t.note})"
         return m, t, cls, i, stream
 
     def draws():
@@ -610,17 +612,18 @@ def _run_trials(
         for i in range(n):
             yield draw(i)
 
-    run = skipped = 0
+    run = 0
+    skipped = Counter()
     for drawn in draws():
-        if drawn is None:
-            skipped += 1
+        if isinstance(drawn, str):
+            skipped[drawn] += 1
             continue
         m, t, cls, trial, origin = drawn
         compare = _comparison(m, t, cfg.resolution, params, cfg.tol_rel)
         equal, diff = compare(kind)
         if not equal and preserve is not None and not compare(preserve)[0]:
             # Numerically possible only at tolerance boundaries; not a valid witness.
-            skipped += 1
+            skipped["the member moved the preserved kind too"] += 1
             continue
         run += 1
         if not equal:
@@ -636,18 +639,19 @@ def _run_trials(
 
 
 def _verdict(
-    kind: str, cls: str, found: tuple[dict | None, int, int], invariant_detail: str = ""
+    kind: str, cls: str, found: tuple[dict | None, int, Counter], invariant_detail: str = ""
 ) -> InvarianceVerdict:
     witness, run, skipped = found
     if witness is not None:
         status, detail = STATUS_COUNTEREXAMPLE, ""
     elif run == 0:
-        status, detail = STATUS_SKIPPED, "no applicable trials (class degenerate on sampled MDPs)"
+        causes = "; ".join(f"{n} where {reason}" for reason, n in skipped.items()) or "none was asked for"
+        status, detail = STATUS_SKIPPED, f"no applicable trials: {causes}"
     else:
         status, detail = STATUS_INVARIANT, invariant_detail
     return InvarianceVerdict(
         kind=kind, transform_class=cls, status=status,
-        trials_run=run, trials_skipped=skipped, witness=witness, detail=detail,
+        trials_run=run, trials_skipped=skipped.total(), witness=witness, detail=detail,
     )
 
 
@@ -725,11 +729,11 @@ def relation_of(a_refines_b: bool, b_refines_a: bool) -> str:
     return RELATION_B_REFINES_A if b_refines_a else RELATION_INCOMPARABLE
 
 
-def _directional_witness(preserve: str, change: str, cfg: CheckConfig) -> tuple[dict | None, int, int]:
+def _directional_witness(preserve: str, change: str, cfg: CheckConfig) -> tuple[dict | None, int, Counter]:
     """Find a transformation keeping `preserve`'s fingerprint while changing `change`'s.
 
     Trial i tries the i-th class of preserve's roster, cyclically, under its
-    row against change.  Returns (witness or None, trials run, skipped).
+    row against change.  Returns (witness or None, trials run, skipped by reason).
     """
     # An unknown kind has no roster; _run_trials rejects it before any trial.
     plans = [(cls, ATTACK_PLANS.get((cls, change), PlanRow())) for cls in KIND_ROSTERS.get(preserve, ())]
@@ -752,7 +756,7 @@ def refinement_compare(kind_a: str, kind_b: str, cfg: CheckConfig) -> Refinement
     return RefinementVerdict(
         kind_a=kind_a, kind_b=kind_b, relation=relation_of(w_a is None, w_b is None),
         witness_preserves_a=w_a, witness_preserves_b=w_b,
-        trials_run=run_a + run_b, trials_skipped=skipped_a + skipped_b,
+        trials_run=run_a + run_b, trials_skipped=(skipped_a + skipped_b).total(),
     )
 
 

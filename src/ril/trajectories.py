@@ -9,8 +9,9 @@ Enumerations are held as integer arrays, not objects.  ``Fragments`` stores
 each fragment's start and end state, its length, and its steps as flat
 transition indices ``(s * A + a) * S + s'``, padded with the index ``S*A*S``;
 ``Lassos`` pairs rows of a prefix table with rows of a cycle table.  Both
-are immutable sequences that build ``Fragment`` / ``LassoTrajectory``
-objects only when indexed or iterated.  The arrays depend on the support of
+are immutable and are never turned back into objects: hand-built
+``Fragment`` / ``LassoTrajectory`` items become arrays in one place,
+``_arrays``, and not the other way.  The arrays depend on the support of
 tau and mu0 alone, never on the reward or gamma, so one enumeration serves
 every reward on the same dynamics.
 
@@ -29,8 +30,6 @@ raises before allocating the layer that would exceed it.
 from __future__ import annotations
 
 import itertools
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,13 +63,6 @@ class Fragment:
             out.append((s, a, s2))
             s = s2
         return tuple(out)
-
-    def concat(self, other: "Fragment") -> "Fragment":
-        if other.start != self.end:
-            raise ContractError(
-                f"cannot concatenate: fragment ends at {self.end}, next starts at {other.start}"
-            )
-        return Fragment(self.start, self.steps + other.steps)
 
 
 @dataclass(frozen=True)
@@ -138,27 +130,15 @@ def _fan_out(fan: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return parent, rank
 
 
-class _Trajectories(Sequence):
-    """Immutable array-backed sequence: slices stay arrays, items become objects."""
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self._take(np.arange(len(self))[index])
-        i = operator.index(index)
-        n = len(self)
-        if not -n <= i < n:
-            raise IndexError(f"{type(self).__name__} index {index} out of range")
-        return self._objects(np.array([i % n]))[0]
-
-    def __iter__(self):
-        return iter(self._objects(np.arange(len(self))))
+class _Trajectories:
+    """Immutable arrays; equal when of one type and shape with equal arrays."""
 
     def __eq__(self, other):
-        if type(other) is type(self) and other.shape == self.shape:
-            return all(np.array_equal(a, b) for a, b in zip(self._content(), other._content()))
-        if isinstance(other, (_Trajectories, list, tuple)):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
+        if type(other) is not type(self):
+            return NotImplemented
+        return other.shape == self.shape and all(
+            np.array_equal(a, b) for a, b in zip(self._content(), other._content())
+        )
 
     __hash__ = None
 
@@ -217,16 +197,6 @@ class Fragments(_Trajectories):
         width = int(length.max()) if len(rows) else 0
         return Fragments(*self.shape, self.start[rows], length, self.steps[rows, :width])
 
-    def _objects(self, rows: np.ndarray) -> list[Fragment]:
-        n_s, n_a = self.shape
-        steps = self.steps[rows]
-        actions = (steps // n_s % n_a).tolist()
-        nexts = (steps % n_s).tolist()
-        return [
-            Fragment(s, tuple(zip(a[:n], s2[:n])))
-            for s, n, a, s2 in zip(self.start[rows].tolist(), self.length[rows].tolist(), actions, nexts)
-        ]
-
 
 class Lassos(_Trajectories):
     """Lassos as rows prefix_of[i] of a prefix table and cycle_of[i] of a cycle table."""
@@ -263,16 +233,6 @@ class Lassos(_Trajectories):
     def _content(self):
         return self.prefixes._take(self.prefix_of)._content() + self.cycles._take(self.cycle_of)._content()
 
-    def _take(self, rows: np.ndarray) -> "Lassos":
-        return Lassos(self.prefixes, self.cycles, self.prefix_of[rows], self.cycle_of[rows])
-
-    def _objects(self, rows: np.ndarray) -> list[LassoTrajectory]:
-        p_rows, p_of = np.unique(self.prefix_of[rows], return_inverse=True)
-        c_rows, c_of = np.unique(self.cycle_of[rows], return_inverse=True)
-        prefixes = self.prefixes._objects(p_rows)
-        cycles = self.cycles._objects(c_rows)
-        return [LassoTrajectory(prefixes[p], cycles[c]) for p, c in zip(p_of.tolist(), c_of.tolist())]
-
 
 def _arrays(m: Mdp, items, cls=None) -> Fragments | Lassos:
     """items as Fragments or Lassos indexed for m; the one place items become arrays.
@@ -281,11 +241,12 @@ def _arrays(m: Mdp, items, cls=None) -> Fragments | Lassos:
     given, is the only class accepted; anything else raises ContractError.
     """
     classes = (cls,) if cls else (Fragments, Lassos)
-    if not isinstance(items, classes):
+    if not isinstance(items, _Trajectories):
         items = list(items)
         for array_cls in classes:
             if all(isinstance(item, array_cls.item) for item in items):
                 return array_cls.of(m, items)
+    if not isinstance(items, classes):
         names = " or ".join(f"all {c.item.__name__} objects" for c in classes)
         raise ContractError(f"items must be {names}")
     if items.shape != (m.n_states, m.n_actions):

@@ -65,12 +65,12 @@ def shaping_value_identities(seed: int) -> float:
     errs = []
 
     frags = enumerate_fragments(m, FRAGMENT_LEN)
-    shift = np.array([m.gamma ** f.length * phi[f.end] - phi[f.start] for f in frags])
+    shift = m.gamma ** frags.length * phi[frags.end] - phi[frags.start]
     errs.append(np.max(np.abs(fragment_returns(m2, frags) - fragment_returns(m, frags) - shift)))
 
     lassos = enumerate_lassos(m, LASSO_PREFIX, LASSO_CYCLE)
     if lassos:
-        drop = np.array([phi[l.start] for l in lassos])
+        drop = phi[lassos.start]
         errs.append(np.max(np.abs(lasso_returns(m2, lassos) - lasso_returns(m, lassos) + drop)))
 
     pi = uniform_policy(m)

@@ -43,9 +43,8 @@ from ril.invariance import (
     _run_trials,
 )
 from ril.micro import chain_mdp, loop_mdp, return_fan_mdp, two_action_loop_mdp
-from ril.objects import canonical_lassos, tie_group_ranks
+from ril.objects import canonical_lassos, noiseless_ranks
 from ril.sampling import derive_seed, sample_mdp, sample_mdp_where
-from ril.solvers import reward_scale
 from ril.table import expected_marks
 from ril.trajectories import count_lassos, lasso_returns
 
@@ -367,13 +366,13 @@ def fingerprinted(monkeypatch):
 def test_refinement_compares_the_preserved_kind_only_when_the_changed_kind_moved(fingerprinted):
     # q_soft never moves under q_star's classes, so q_star is never compared.
     # A compare is one call, on the stack of R and t(R).
-    assert _directional_witness("q_star", "q_soft", FAST) == (None, FAST.refine_trials, 0)
+    assert _directional_witness("q_star", "q_soft", FAST) == (None, FAST.refine_trials, Counter())
     assert fingerprinted["q_star"] == 0
     assert fingerprinted["q_soft"] == FAST.refine_trials
     fingerprinted.clear()
     # Trial 0 moves return_trajectories and keeps q_star: one compare of each.
     w, run, skipped = _directional_witness("q_star", "return_trajectories", FAST)
-    assert (w["trial"], run, skipped) == (0, 1, 0)
+    assert (w["trial"], run, skipped) == (0, 1, Counter())
     assert fingerprinted == {"q_star": 1, "return_trajectories": 1}
 
 
@@ -383,7 +382,7 @@ def test_a_trial_that_moves_the_preserved_kind_is_skipped():
     found = _run_trials(
         "return_fragments", FAST, "refine", key, [("shaping", PlanRow())], key, 6, preserve="q_star",
     )
-    assert found == (None, 0, 6)
+    assert found == (None, 0, Counter({"the member moved the preserved kind too": 6}))
 
 
 def test_complementary_ambiguity_check():
@@ -452,6 +451,21 @@ def test_fixed_mdp_meets_the_base_predicate_only_in_search(experiment, status, c
     v = experiment("lottery_order", "identity", cfg, mdp=loop_mdp())
     assert v.status == status
     assert (v.trials_run, v.trials_skipped) == counts
+
+
+def test_a_skipped_check_names_each_cause_it_saw():
+    # Nothing is sampled on a fixed MDP.  The dense one has 18,369 lassos at
+    # FAST's resolution, past LassoNeed's 400, and no impossible transition.
+    dense = sample_mdp(SamplerConfig(n_states=(4, 4), n_actions=(3, 3), sparsity=0.0), seed=7)
+    v = search_counterexample("return_trajectories", "shaping", replace(FAST, budget=5), mdp=dense)
+    assert (v.status, v.trials_skipped) == (STATUS_SKIPPED, 5)
+    assert v.detail == "no applicable trials: 5 where the given MDP fails the trial's requirements"
+    v = check_invariance("q_star", "mask_impossible", FAST, mdp=dense)
+    assert (v.status, v.trials_skipped) == (STATUS_SKIPPED, FAST.trials)
+    assert v.detail == (
+        f"no applicable trials: {FAST.trials} where the member degenerated to the identity "
+        "(no impossible transitions to mask)"
+    )
 
 
 @pytest.fixture
@@ -527,16 +541,14 @@ def _eager_lasso_offer(m, res):
     if not lassos or len(lassos) > 400:
         return None
     g = lasso_returns(m, lassos)
-    tol = 1e-9 * reward_scale(m)
+    ranks = noiseless_ranks(g)
     starts = np.unique(lassos.start)
     diffs = np.abs(g[None, :] - g[:, None])
     return LassoNeed(
         count=len(lassos),
-        distinct=int(tie_group_ranks(g, tol).max()) + 1,
+        distinct=int(ranks.max()) + 1,
         starts=len(starts),
-        per_start_distinct=max(
-            int(tie_group_ranks(g[lassos.start == s], tol).max()) + 1 for s in starts
-        ),
+        per_start_distinct=max(len(np.unique(ranks[lassos.start == s])) for s in starts),
         stochastic_step=_first_stochastic_step(m, lassos) is not None,
         moderate_pair=bool(np.any((diffs >= 0.05) & (diffs <= 8.0))),
     )

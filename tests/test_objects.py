@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lemma_suites
+from test_trajectories import _reference_fragments, _reference_lassos
 from ril import (
     KIND_LABELS,
     KIND_TAGS,
     ContractError,
     Fragment,
+    LassoTrajectory,
     Mask,
     PotentialShaping,
     Resolution,
@@ -33,7 +35,7 @@ from ril import objects
 from ril.micro import chain_mdp, loop_mdp, return_fan_mdp, two_action_loop_mdp
 from ril.objects import FRAGMENT_KINDS, LASSO_KINDS, canonical_fragments, canonical_lassos
 from ril.sampling import SamplerConfig, derive_seed, sample_mdp
-from ril.trajectories import enumerate_fragments, enumerate_lassos, lasso_returns
+from ril.trajectories import Fragments, Lassos, enumerate_fragments, enumerate_lassos, lasso_returns
 
 
 def test_kind_roster_is_complete():
@@ -88,7 +90,7 @@ def test_comparison_prob_rejects_impossible_items():
 def test_comparison_prob_rejects_a_fragment_against_a_lasso():
     # Items are all fragments or all lassos, in the pairwise entry as in the matrix.
     m = loop_mdp()
-    lasso = canonical_lassos(m, Resolution())[0]
+    lasso = LassoTrajectory(Fragment(0), Fragment(0, ((0, 0),)))
     for items in ([Fragment(0), lasso], [lasso, Fragment(0)]):
         with pytest.raises(ContractError, match="all Fragment objects or all LassoTrajectory objects"):
             boltzmann_comparison_prob(m, *items)
@@ -101,10 +103,12 @@ def test_comparison_prob_is_an_entry_of_the_comparison_matrix():
     # enumerated one; a padded step adds exactly +0.0, so the bits agree.
     m = sample_mdp(SamplerConfig(n_states=(3, 3), n_actions=(2, 2)), derive_seed(7, "pairwise"))
     res = Resolution(2, 1, 2)
-    for kind, items in (
-        ("boltzmann_cmp_fragments", canonical_fragments(m, res)),
-        ("boltzmann_cmp_trajectories", canonical_lassos(m, res)),
-    ):
+    fragments = list(_reference_fragments(m, res.max_fragment_len, False))
+    lassos = list(_reference_lassos(m, res.lasso_prefix_cap, res.lasso_cycle_cap))
+    # The reference items, row for row the enumeration the matrix is built over.
+    assert Fragments.of(m, fragments) == canonical_fragments(m, res)
+    assert Lassos.of(m, lassos) == canonical_lassos(m, res)
+    for kind, items in (("boltzmann_cmp_fragments", fragments), ("boltzmann_cmp_trajectories", lassos)):
         n = len(items)
         matrix = fingerprint(m, kind, res).payload.reshape(n, n)
         for i, j in ((0, n - 1), (n - 1, 0), (1, n // 2)):

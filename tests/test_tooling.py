@@ -2,8 +2,10 @@
 probe, the names it reads and one pass of its config at a seed the acceptance
 tests do not use, and each demo script."""
 
+import argparse
 import ast
 import hashlib
+import re
 import importlib
 import inspect
 import json
@@ -16,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from ril import CLASS_TAGS, KIND_TAGS, CheckConfig, dump_mdp, replay_witness
-from ril.cli import ExperimentConfig, main
+from ril.cli import ExperimentConfig, build_parser, main
 from ril.micro import chain_mdp, two_action_loop_mdp
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -271,6 +273,26 @@ def test_transform_output_of_every_class_is_pinned(tmp_path, capsys):
         assert main(["transform", "--mdp", str(path), "--class", cls, "--seed", "7"]) == 0
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == "f4bdf8e73a5847598726339a847097aa5263163ac218d41248d5e3b6c0812dff"
+
+
+def test_the_readme_cli_table_lists_each_subcommands_flags():
+    lines = (ROOT / "README.md").read_text().splitlines()
+    head = lines.index("| subcommand | flags besides `--out` |")
+    rows = {}
+    for line in lines[head + 2 :]:
+        if not line.startswith("|"):
+            break
+        name, flags = line.strip("|").split("|")
+        rows[name.strip().strip("`")] = re.findall(r"`(--[\w-]+)`", flags)
+    (subcommands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        name: {flag for action in sub._actions for flag in action.option_strings if flag.startswith("--")}
+        - {"--help", "--out"}
+        for name, sub in subcommands.choices.items()
+    }
+    assert rows.keys() == parsed.keys()
+    for name, flags in rows.items():
+        assert len(flags) == len(set(flags)) and set(flags) == parsed[name], name
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

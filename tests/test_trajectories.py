@@ -24,7 +24,7 @@ from ril import (
 )
 from ril import trajectories
 from ril.objects import Resolution
-from ril.trajectories import count_lassos
+from ril.trajectories import Fragments, Lassos, count_lassos
 from ril.micro import chain_mdp, loop_mdp, two_action_loop_mdp
 from ril.sampling import SamplerConfig, sample_mdp
 
@@ -37,15 +37,6 @@ def test_fragment_accessors():
     assert f.end == 0
     assert f.transitions() == ((0, 0, 1), (1, 0, 0))
     assert Fragment(3).end == 3
-
-
-def test_fragment_concat_checks_endpoints():
-    a = Fragment(0, ((0, 1),))
-    b = Fragment(1, ((0, 0),))
-    assert a.concat(b) == Fragment(0, ((0, 1), (0, 0)))
-    # b ends at state 0 but b itself starts at state 1
-    with pytest.raises(ContractError):
-        b.concat(b)
 
 
 def test_lasso_structure_validation():
@@ -68,8 +59,9 @@ def test_loop_fragment_returns_frozen():
 def test_loop_lasso_return_frozen():
     m = loop_mdp()
     lassos = enumerate_lassos(m, prefix_cap=0, cycle_cap=1)
-    assert len(lassos) == 1
-    assert abs(lasso_return(m, lassos[0]) - 10.0) < RETURN_TOL
+    lasso = LassoTrajectory(Fragment(0), Fragment(0, ((0, 0),)))
+    assert lassos == Lassos.of(m, [lasso])
+    assert abs(lasso_return(m, lasso) - 10.0) < RETURN_TOL
 
 
 def test_enumeration_is_deterministic_and_sorted():
@@ -77,7 +69,9 @@ def test_enumeration_is_deterministic_and_sorted():
     a = enumerate_fragments(m, max_len=3)
     b = enumerate_fragments(m, max_len=3)
     assert a == b
-    keys = [(f.length, f.start, f.steps) for f in a]
+    # A step's (action, next_state) pair sorts as its flat index mod A*S.
+    n_s, n_a = a.shape
+    keys = np.column_stack([a.length, a.start, a.steps % (n_a * n_s)]).tolist()
     assert keys == sorted(keys)
     la = enumerate_lassos(m, prefix_cap=2, cycle_cap=2)
     lb = enumerate_lassos(m, prefix_cap=2, cycle_cap=2)
@@ -87,9 +81,11 @@ def test_enumeration_is_deterministic_and_sorted():
 def test_enumerate_fragments_only_possible():
     m = chain_mdp()
     frags = enumerate_fragments(m, max_len=2)
-    assert all(m.tau[s, a, s2] > 0.0 for f in frags for s, a, s2 in f.transitions())
+    n_s, n_a = frags.shape
+    steps = frags.steps[frags.steps < n_s * n_a * n_s]
+    assert (m.tau.ravel()[steps] > 0.0).all()
     # s0 has a single possible move, into s1; no fragment uses the zero row.
-    assert Fragment(0, ((0, 0),)) not in frags
+    assert Fragments.of(m, [Fragment(0, ((0, 0),))]).steps[0, 0] not in steps
 
 
 def test_enumeration_cap_raises():
@@ -107,8 +103,7 @@ def test_lasso_closed_form_matches_truncated_unroll():
     cfg = SamplerConfig(n_states=(2, 3), n_actions=(2, 2), sparsity=0.4)
     for seed in range(20):
         m = sample_mdp(cfg, seed=seed)
-        lassos = enumerate_lassos(m, prefix_cap=2, cycle_cap=2)
-        for lasso in lassos[:10]:
+        for lasso in itertools.islice(_reference_lassos(m, 2, 2), 10):
             n = 60
             approx = fragment_return(m, unroll_lasso(lasso, n))
             exact = lasso_return(m, lasso)
@@ -118,20 +113,22 @@ def test_lasso_closed_form_matches_truncated_unroll():
 def test_lasso_returns_vectorized():
     m = loop_mdp()
     lassos = enumerate_lassos(m, prefix_cap=1, cycle_cap=1)
-    got = lasso_returns(m, lassos)
-    want = np.array([lasso_return(m, l) for l in lassos])
-    assert np.array_equal(got, want)
+    items = list(_reference_lassos(m, 1, 1))
+    assert lassos == Lassos.of(m, items)
+    want = np.array([lasso_return(m, l) for l in items])
+    assert np.array_equal(lasso_returns(m, lassos), want)
 
 
 def test_returns_take_only_their_own_kind_of_item():
     m = loop_mdp()
     lassos = enumerate_lassos(m, prefix_cap=1, cycle_cap=1)
+    lasso = LassoTrajectory(Fragment(0), Fragment(0, ((0, 0),)))
     with pytest.raises(ContractError, match="all Fragment objects"):
-        fragment_returns(m, list(lassos))
+        fragment_returns(m, [lasso])
     with pytest.raises(ContractError, match="all Fragment objects"):
         fragment_returns(m, lassos)
     with pytest.raises(ContractError, match="all LassoTrajectory objects"):
-        lasso_returns(m, [Fragment(0), lassos[0]])
+        lasso_returns(m, [Fragment(0), lasso])
     with pytest.raises(ContractError, match="all LassoTrajectory objects"):
         lasso_returns(m, [(0, 0, 0)])
     assert lasso_returns(m, []).shape == (0,)
@@ -149,7 +146,7 @@ def loop_fragments(draw):
 def test_return_concatenation_rule(f1, f2):
     # G(f1.f2) = G(f1) + gamma^len(f1) G(f2)
     m = two_action_loop_mdp()
-    combined = fragment_return(m, f1.concat(f2))
+    combined = fragment_return(m, Fragment(f1.start, f1.steps + f2.steps))
     split = fragment_return(m, f1) + m.gamma ** f1.length * fragment_return(m, f2)
     assert abs(combined - split) < RETURN_TOL
 
@@ -216,8 +213,8 @@ def _capped(enumerate_fn):
     return run
 
 
-def _check_against_reference(enumerate_fn, want, needed, scalar, vectorised, m):
-    # enumerate_fn takes the cap.  needed is the smallest cap that passes: the
+def _check_against_reference(enumerate_fn, want, needed, arrays, scalar, vectorised, m):
+    # enumerate_fn takes the cap; arrays is Fragments or Lassos.  needed is the smallest cap that passes: the
     # item count, or for lassos the largest of the lasso, prefix and
     # closed-walk counts, since the prefix and walk enumerations share the cap.
     if want is None or needed is None:
@@ -226,11 +223,7 @@ def _check_against_reference(enumerate_fn, want, needed, scalar, vectorised, m):
         return
     got = enumerate_fn(needed)
     assert len(got) == len(want)
-    assert list(got) == want
-    assert got == want
-    if want:
-        assert got[-1] == want[-1]
-        assert list(got[1::2]) == want[1::2]
+    assert got == arrays.of(m, want)
     with pytest.raises(EnumerationCapError):
         enumerate_fn(needed - 1)
     expected = np.array([scalar(m, x) for x in want], dtype=float)
@@ -255,6 +248,7 @@ def test_enumeration_and_returns_match_reference(n_states, n_actions, sparsity, 
         _capped(lambda: enumerate_fragments(m, res.max_fragment_len, initial_only=initial_only)),
         frags,
         None if frags is None else len(frags),
+        Fragments,
         fragment_return,
         fragment_returns,
         m,
@@ -266,6 +260,7 @@ def test_enumeration_and_returns_match_reference(n_states, n_actions, sparsity, 
         _capped(lambda: enumerate_lassos(m, res.lasso_prefix_cap, res.lasso_cycle_cap)),
         lassos,
         None if None in (lassos, prefixes, walks) else max(len(lassos), len(prefixes), len(walks)),
+        Lassos,
         lasso_return,
         lasso_returns,
         m,
