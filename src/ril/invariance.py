@@ -16,7 +16,8 @@ witness.  Every trial draws its MDP by the same two rules:
 
 Three entry points pick the rows:
 
-* check_invariance uses the plain row, PlanRow().
+* check_invariance uses the plain row, PlanRow(), and keys its draws by the
+  kind's need group, not the kind, so the kinds of a group share them.
 * search_counterexample uses the cell's row of ATTACK_PLANS where one
   exists, which steers samples away from the degenerate corners of a class
   (zero potentials, near-linear rescalings, masks over empty sets).  A cell
@@ -53,6 +54,7 @@ import numpy as np
 from .errors import ContractError, EnumerationCapError
 from .mdp import (
     Mdp,
+    MdpStack,
     initial_states,
     mdp_from_obj,
     mdp_to_obj,
@@ -328,12 +330,19 @@ def _fragments_within_budget(m: Mdp, cfg: CheckConfig) -> bool:
         return False
 
 
-# What every MDP drawn for a kind must meet, whatever the class.
-_BASE_PREDICATES: dict[str, Callable[[Mdp, CheckConfig], bool]] = {
-    **{kind: LassoNeed() for kind in LASSO_KINDS},
-    "lottery_order": LassoNeed(count=2),
-    "boltzmann_cmp_fragments": _fragments_within_budget,
-    "noiseless_cmp_fragments": _fragments_within_budget,
+# What every MDP drawn for a kind must meet, whatever the class, by the
+# name of the kind's need group.  The kinds of a group share their check draws.
+_BASE_PREDICATES: dict[str, Callable[[Mdp, CheckConfig], bool] | None] = {
+    "none": None,
+    "fragments": _fragments_within_budget,
+    "lassos": LassoNeed(),
+    "lottery": LassoNeed(count=2),
+}
+_NEED_GROUPS: dict[str, str] = {
+    **{kind: "lassos" if kind in LASSO_KINDS else "none" for kind in KIND_TAGS},
+    "lottery_order": "lottery",
+    "boltzmann_cmp_fragments": "fragments",
+    "noiseless_cmp_fragments": "fragments",
 }
 
 
@@ -485,12 +494,16 @@ def _witness_obj(
     }
 
 
+def _pair(m: Mdp, t: TransformSpec) -> MdpStack:
+    """R and t(R) as one stack, which shares their dynamics and its solves."""
+    return stack_mdps(m, with_reward(m, apply_transform(m, t)))
+
+
 def _comparison(
-    m: Mdp, t: TransformSpec, res: Resolution, params: SolverParams, tol_rel: float
+    pair: MdpStack, res: Resolution, params: SolverParams, tol_rel: float
 ) -> Callable[[str], tuple[bool, tuple[int, float] | None]]:
-    """compare(kind): fingerprints_equal on kind's one stacked fingerprint of R
-    and t(R), which share their dynamics.  Trials and witness replays use it."""
-    pair = stack_mdps(m, with_reward(m, apply_transform(m, t)))
+    """compare(kind): fingerprints_equal on kind's one stacked fingerprint of
+    the pair.  Trials and witness replays use it."""
     return lambda kind: fingerprints_equal(*fingerprint(pair, kind, res, params), tol_rel)
 
 
@@ -516,7 +529,7 @@ def replay_witness(obj: dict) -> dict:
     t = transform_from_obj(obj["transform"])
     params = SolverParams(beta=read_value(float, obj["beta"], "witness beta"))
     tol_rel = read_value(float, obj["tol_rel"], "witness tol_rel")
-    compare = _comparison(m, t, res, params, tol_rel)
+    compare = _comparison(_pair(m, t), res, params, tol_rel)
     equal, diff = compare(obj["kind"])
     held = True
     if "preserved_kind" in obj:
@@ -532,6 +545,19 @@ def replay_witness(obj: dict) -> dict:
 # The trial kernel
 
 
+# The newest column of shared draws of each tuple of need groups, as (key,
+# draws so far); see _run_trials' share.  The table runs its cells column by
+# column, so one slot per tuple serves every check cell of a column.
+_newest_columns: dict[tuple[str, ...], tuple[tuple, list]] = {}
+
+
+def _newest_column(groups: tuple[str, ...], key: tuple) -> list:
+    slot = _newest_columns.get(groups)
+    if slot is None or slot[0] != key:
+        slot = _newest_columns[groups] = (key, [])
+    return slot[1]
+
+
 def _run_trials(
     kind: str,
     cfg: CheckConfig,
@@ -543,6 +569,7 @@ def _run_trials(
     mdp: Mdp | None = None,
     canned: tuple[Callable[[], tuple[Mdp, TransformSpec]], ...] = (),
     preserve: str | None = None,
+    share: bool = False,
 ) -> tuple[dict | None, int, Counter]:
     """The one trial loop: apply class members and compare kind's fingerprints.
 
@@ -556,6 +583,14 @@ def _run_trials(
     preserved kind's.  The preserved kind is compared only when kind moved,
     since only such a trial can become a witness.
 
+    A trial's draw is its MDP, its member and their stacked pair of R and
+    t(R), whose solver memo serves every kind compared on it.  With share
+    (and no mdp), the draws are read through the newest column of needs'
+    groups, keyed by everything else a draw depends on, (cfg, stream, key,
+    plans), and drawn into it the first time a trial asks.  Callers that
+    share a key then share their trials, and a kind's outcome is the same
+    whether or not the column was already drawn.
+
     Returns (first witness or None, trials run, skipped trials by reason).
     """
     for k in (kind, *needs):
@@ -564,6 +599,7 @@ def _run_trials(
     for cls, _ in plans:
         if cls not in CLASS_TAGS:
             raise ContractError(f"unknown transformation class {cls!r}")
+    groups = tuple(_NEED_GROUPS[k] for k in needs)
 
     def bind(cls: str, row: PlanRow):
         overrides = dict(row.sampler)
@@ -575,15 +611,15 @@ def _run_trials(
         high = overrides.get("max_initial_states", cfg.sampler.max_initial_states)
         if high is not None and high < low:
             overrides["max_initial_states"] = low
-        preds = [p for p in (row.predicate, *map(_BASE_PREDICATES.get, needs)) if p is not None]
+        preds = [p for p in (row.predicate, *map(_BASE_PREDICATES.get, groups)) if p is not None]
         meets = (lambda m: all(p(m, cfg) for p in preds)) if preds else None
         return cls, replace(cfg.sampler, **overrides), meets, row.constraints
 
     bound = [bind(cls, row) for cls, row in plans]
     params = SolverParams(beta=cfg.beta)
 
-    def draw(i: int) -> tuple[Mdp, TransformSpec, str, int, str] | str:
-        """The trial's (MDP, member, class, index, origin), or why it is skipped."""
+    def draw(i: int) -> tuple[Mdp, TransformSpec, MdpStack, str, int, str] | str:
+        """The trial's (MDP, member, pair, class, index, origin), or why it is skipped."""
         cls, sampler, meets, constraints = bound[i % len(bound)]
         if mdp is not None:
             if meets is not None and not meets(mdp):
@@ -603,14 +639,23 @@ def _run_trials(
         )
         if isinstance(t, Identity) and t.note:
             return f"the member degenerated to the identity ({t.note})"
-        return m, t, cls, i, stream
+        return m, t, _pair(m, t), cls, i, stream
+
+    column = _newest_column(groups, (cfg, stream, key, tuple(plans))) if share else None
 
     def draws():
         # Every canned pair is a zero-preserving monotone rescaling.
         for j, build in enumerate(canned):
-            yield (*build(), "zpmt", j, "canned")
+            m, t = build()
+            yield m, t, _pair(m, t), "zpmt", j, "canned"
         for i in range(n):
-            yield draw(i)
+            if column is None:
+                yield draw(i)
+                continue
+            # Trials ask in order, so trial i is drawn next or already was.
+            if i == len(column):
+                column.append(draw(i))
+            yield column[i]
 
     run = 0
     skipped = Counter()
@@ -618,8 +663,8 @@ def _run_trials(
         if isinstance(drawn, str):
             skipped[drawn] += 1
             continue
-        m, t, cls, trial, origin = drawn
-        compare = _comparison(m, t, cfg.resolution, params, cfg.tol_rel)
+        m, t, pair, cls, trial, origin = drawn
+        compare = _comparison(pair, cfg.resolution, params, cfg.tol_rel)
         equal, diff = compare(kind)
         if not equal and preserve is not None and not compare(preserve)[0]:
             # Numerically possible only at tolerance boundaries; not a valid witness.
@@ -658,13 +703,21 @@ def _verdict(
 def check_invariance(kind: str, cls: str, cfg: CheckConfig, mdp: Mdp | None = None) -> InvarianceVerdict:
     """Sample class members on random MDPs; report the first fingerprint change.
 
-    Draws under the plain plan, held only to the kind's base predicate.  With
-    mdp given, all trials run on that MDP, whatever that predicate says of
-    it.  Trials whose transformation degenerates to the identity (or whose
-    MDP requirements cannot be met) are counted as skipped.
+    Draws under the plain plan, held only to the kind's base predicate, from
+    seeds derived from (cfg.seed, "check", need group, class, trial): the
+    kinds of one need group draw the same trials, which _run_trials shares
+    between them, so the verdict is a function of (cfg, group, class) and
+    the kind alone.  With mdp given, all trials run on that MDP, whatever
+    the base predicate says of it, with member seeds keyed by (kind, class).
+    Trials whose transformation degenerates to the identity (or whose MDP
+    requirements cannot be met) are counted as skipped.
     """
-    needs = (kind,) if mdp is None else ()
-    found = _run_trials(kind, cfg, "check", (kind, cls), [(cls, PlanRow())], needs, cfg.trials, mdp)
+    if mdp is not None:
+        found = _run_trials(kind, cfg, "check", (kind, cls), [(cls, PlanRow())], (), cfg.trials, mdp)
+    else:
+        # An unknown kind has no group; _run_trials rejects it before any trial.
+        key = (_NEED_GROUPS.get(kind), cls)
+        found = _run_trials(kind, cfg, "check", key, [(cls, PlanRow())], (kind,), cfg.trials, share=True)
     return _verdict(kind, cls, found)
 
 

@@ -35,7 +35,7 @@ fraction for an integer and a number for a string are errors.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -72,8 +72,10 @@ class MdpStack:
 
     reward stacks the members' rewards along a leading axis, (k, S, A, S).
     Solvers and fingerprints evaluate a stack in one pass and answer with
-    that leading axis; they take a single Mdp as the stack of one.  Build
-    via stack_mdps.
+    that leading axis; they take a single Mdp as the stack of one.  solved
+    is the stack's own memo of the solver tables it was asked for (see the
+    solvers module), so each is solved once however many kinds read it.
+    Build via stack_mdps.
     """
 
     states: tuple[str, ...]
@@ -83,6 +85,7 @@ class MdpStack:
     reward: np.ndarray   # (k, S, A, S)
     gamma: float
     members: tuple[Mdp, ...]
+    solved: dict = field(default_factory=dict, repr=False)
 
     n_states = Mdp.n_states
     n_actions = Mdp.n_actions

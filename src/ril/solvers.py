@@ -29,7 +29,10 @@ a sum across the stack, would round differently.  Policy iteration runs
 the members in lockstep until none switches (a settled member re-solves to
 the same q); soft policy iteration stops each member at its own step.
 Each member's Bellman residual is checked, and the first member that fails
-raises ConvergenceError.
+raises ConvergenceError.  A stack answers optimal_q and soft_q from a memo
+it owns: each table is solved once per stack (Q* per max_iters, since it
+reads no other setting; soft Q per SolverParams), however many object kinds
+read it, and its arrays are read-only.
 """
 
 from __future__ import annotations
@@ -198,6 +201,19 @@ def policy_q_iterative(
     return _value_iteration(m, params, lambda q: (policy.probs * q).sum(axis=-1))
 
 
+def _solved(m: Mdp | MdpStack, key: tuple, solve) -> ValueTables:
+    """solve(), kept under key in a stack's memo with its arrays read-only;
+    an Mdp is solved on every call."""
+    if not isinstance(m, MdpStack):
+        return solve()
+    tables = m.solved.get(key)
+    if tables is None:
+        tables = m.solved[key] = solve()
+        for array in vars(tables).values():
+            array.setflags(write=False)
+    return tables
+
+
 def optimal_q(m: Mdp | MdpStack, params: SolverParams = SolverParams()) -> ValueTables:
     """Optimal action values by policy iteration.
 
@@ -205,15 +221,20 @@ def optimal_q(m: Mdp | MdpStack, params: SolverParams = SolverParams()) -> Value
     deterministic policy exactly, and switches a state's action only when
     another beats it by more than PI_TIE_RTOL * reward_scale, so tied actions
     cannot cycle.  Stops when no state of any member switches;
-    params.max_iters bounds the number of improvement steps.
+    params.max_iters bounds the number of improvement steps, and is the only
+    setting read, so a stack keeps one solve per max_iters.
     """
+    return _solved(m, ("optimal_q", params.max_iters), lambda: _policy_iteration(m, params.max_iters))
+
+
+def _policy_iteration(m: Mdp | MdpStack, max_iters: int) -> ValueTables:
     stack = as_stack(m)
     r = expected_reward(stack)
     tie = PI_TIE_RTOL * reward_scale(stack)[:, None]
     k, n_states, n_actions = r.shape
     members, states, action_ids = np.arange(k)[:, None], np.arange(n_states), np.arange(n_actions)
     actions = r.argmax(axis=-1)
-    for step in range(params.max_iters + 1):
+    for step in range(max_iters + 1):
         q = _solve_policy(stack, (actions[..., None] == action_ids).astype(float), r)
         best = q.argmax(axis=-1)
         switch = q.max(axis=-1) > q[members, states, actions] + tie
@@ -223,9 +244,9 @@ def optimal_q(m: Mdp | MdpStack, params: SolverParams = SolverParams()) -> Value
         actions = np.where(switch, best, actions)
     i = np.flatnonzero(moving)[0]
     raise ConvergenceError(
-        f"policy iteration did not converge in {params.max_iters} improvement steps",
+        f"policy iteration did not converge in {max_iters} improvement steps",
         float(_bellman_residuals(stack, r, q, q.max(axis=-1))[i]),
-        params.max_iters,
+        max_iters,
     )
 
 
@@ -241,8 +262,12 @@ def soft_q(m: Mdp | MdpStack, params: SolverParams = SolverParams()) -> ValueTab
     epsilon * reward_scale, or once the residual stops shrinking below the
     Bellman tolerance (the float floor at long horizons); its q stays as it
     was while the others go on.  params.max_iters bounds the number of
-    improvement steps.
+    improvement steps.  A stack keeps one solve per params.
     """
+    return _solved(m, ("soft_q", params), lambda: _soft_policy_iteration(m, params))
+
+
+def _soft_policy_iteration(m: Mdp | MdpStack, params: SolverParams) -> ValueTables:
     beta = params.beta
     stack = as_stack(m)
     r = expected_reward(stack)

@@ -15,12 +15,17 @@ package (data/expected_marks.json):
 
 reproduce_directory_table runs the matching experiment per cell (invariance
 checking for inv marks, directed counterexample search for not marks) and
-compares outcomes to the expected marks.  Cells run serially, in roster
-order, in one thread.  Cell experiments derive their random streams from
-(seed, kind, class) alone, so each cell's verdict is the same in any run
-order and equals what the cell's experiment gives when run alone with the
-same config; CheckConfig's defaults are the directory run's settings.
-Wall-clock timings live in a separate report section.
+compares outcomes to the expected marks.  Cells run serially in one thread,
+column by column (class outer, kind inner), and are reported in roster
+order.  A check cell draws its trials from (seed, need group, class), so
+the check cells of one need group and column share their draws, and a
+trial's stacked pair solves Q* and soft Q once for all of them; a search
+cell draws from (seed, kind, class).  Each cell's verdict is therefore the
+same in any run order and equals what the cell's experiment gives when run
+alone with the same config; CheckConfig's defaults are the directory run's
+settings.  Wall-clock timings live in a separate report section: the first
+check cell of a group in a column is charged for drawing the column, so
+per-cell times still add up to the wall time.
 """
 
 from __future__ import annotations
@@ -172,13 +177,19 @@ def _run_cell(kind: str, cls: str, expected: str, cfg: CheckConfig) -> CellResul
 
 
 def reproduce_directory_table(cfg: CheckConfig) -> TableReport:
-    """Run every directory cell, in roster order, against the expected marks."""
+    """Run every directory cell against the expected marks.
+
+    Cells run column by column, so that the check cells of one need group
+    and class read one column of draws; the report lists them in roster
+    order.
+    """
     marks = expected_marks()["marks"]
-    cells = tuple(
-        _run_cell(kind, cls, marks[kind][j], cfg)
-        for kind in KIND_TAGS
+    by_cell = {
+        (kind, cls): _run_cell(kind, cls, marks[kind][j], cfg)
         for j, cls in enumerate(CLASS_TAGS)
-    )
+        for kind in KIND_TAGS
+    }
+    cells = tuple(by_cell[kind, cls] for kind in KIND_TAGS for cls in CLASS_TAGS)
     return TableReport(cells=cells, seed=cfg.seed, trials=cfg.trials, budget=cfg.budget)
 
 

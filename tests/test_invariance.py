@@ -1,5 +1,6 @@
 """Invariance checking, counterexample search, and pairwise refinement."""
 
+import json
 from collections import Counter
 from dataclasses import replace
 
@@ -489,6 +490,8 @@ def draws(monkeypatch):
         return sample_member(cls, *args, **kwargs)
 
     sample_member = inv.sample_transform
+    # A check reads a column drawn earlier without drawing again.
+    monkeypatch.setattr(inv, "_newest_columns", {})
     monkeypatch.setattr(inv, "sample_mdp", recorder("plain", inv.sample_mdp))
     monkeypatch.setattr(inv, "sample_mdp_where", recorder("where", inv.sample_mdp_where))
     monkeypatch.setattr(inv, "sample_transform", member)
@@ -648,3 +651,66 @@ def test_a_rows_initial_state_bound_gives_way_to_the_configs_minimum(draws, args
     assert draws
     for _, drawn, _ in draws:
         assert drawn.max_initial_states == drawn.min_initial_states == 2
+
+
+# One check cell per need group, and q_star x mask_impossible, whose shared
+# column holds a skipped draw (trial 25 at the default seed).
+MEMO_CELLS = [
+    ("q_star", "sprime_redistribution"),
+    ("boltzmann_cmp_fragments", "mask_impossible"),
+    ("return_trajectories", "shaping_zero_initial"),
+    ("lottery_order", "shaping_k_initial"),
+    ("q_star", "mask_impossible"),
+]
+MEMO_CFG = replace(CheckConfig(), trials=30)
+
+
+@pytest.mark.parametrize("kind, cls", MEMO_CELLS)
+def test_a_check_verdict_is_the_same_whatever_its_column_holds(monkeypatch, kind, cls):
+    import ril.invariance as inv
+
+    group = inv._NEED_GROUPS[kind]
+    mates = [k for k in KIND_TAGS if inv._NEED_GROUPS[k] == group]
+    assert kind in mates
+
+    def run_after(order):
+        monkeypatch.setattr(inv, "_newest_columns", {})
+        verdicts = {k: check_invariance(k, cls, MEMO_CFG) for k in order}
+        return verdicts[kind]
+
+    alone = run_after([kind])
+    assert alone.status == STATUS_INVARIANT
+    # The other kinds of the group draw the column first, in roster order
+    # and in reverse.
+    assert run_after([k for k in mates if k != kind] + [kind]) == alone
+    assert run_after(mates[::-1]) == alone
+    # The group's check cells in the column read one set of trials.
+    marks = expected_marks()["marks"]
+    checked = [k for k in mates if marks[k][CLASS_TAGS.index(cls)] in ("inv", "inv_special")]
+    counts = {(v.trials_run, v.trials_skipped) for v in (check_invariance(k, cls, MEMO_CFG) for k in checked)}
+    assert counts == {(alone.trials_run, alone.trials_skipped)}
+    if (kind, cls) == ("q_star", "mask_impossible"):
+        assert alone.trials_skipped == 1
+
+
+def test_ril_check_of_a_cell_gives_its_table_entry(tmp_path, monkeypatch, capsys):
+    import ril.invariance as inv
+    from ril.cli import main
+
+    table = tmp_path / "table"
+    # A budget of 1 keeps the search cells short; some then fail their
+    # marks, so the run exits 1, but every check cell is still written.
+    args = ["--seed", str(MEMO_CFG.seed), "--trials", str(MEMO_CFG.trials)]
+    assert main(["table", *args, "--budget", "1", "--out", str(table)]) in (0, 1)
+    cells = json.loads((table / "verdicts.json").read_text())["cells"]
+    for kind, cls in MEMO_CELLS:
+        monkeypatch.setattr(inv, "_newest_columns", {})  # as in a fresh process
+        out = tmp_path / f"{kind}-{cls}"
+        assert main(["check", "--kind", kind, "--class", cls, *args, "--out", str(out)]) == 0
+        verdict = json.loads((out / "check_verdict.json").read_text())
+        entry = cells[kind][cls]
+        assert (entry["observed"], verdict["status"]) == ("inv", STATUS_INVARIANT), (kind, cls)
+        assert (verdict["trials_run"], verdict["trials_skipped"]) == (
+            entry["trials_run"], entry["trials_skipped"]
+        ), (kind, cls)
+    capsys.readouterr()

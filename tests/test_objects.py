@@ -18,6 +18,7 @@ from ril import (
     Mask,
     PotentialShaping,
     Resolution,
+    SolverParams,
     apply_transform,
     boltzmann_comparison_prob,
     comparison_model,
@@ -25,8 +26,10 @@ from ril import (
     fingerprint,
     lottery_library_values,
     make_mdp,
+    optimal_q,
     recover_reward_from_comparisons,
     sample_transform,
+    soft_q,
     stack_mdps,
     tie_group_ranks,
     with_reward,
@@ -433,6 +436,33 @@ def test_a_stack_fingerprints_each_member_as_it_would_alone(k):
             for got, want in zip(stacked, alone):
                 assert got.payload.dtype == want.payload.dtype, (i, tag)
                 assert got.payload.tobytes() == want.payload.tobytes(), (i, tag)
+
+
+def test_one_stack_solves_once_for_every_kind_in_either_order():
+    # All 17 kinds fingerprinted on one shared stack per pair, in roster
+    # order and in reverse, give the golden bytes of each MDP alone.
+    for order in (KIND_TAGS, KIND_TAGS[::-1]):
+        fps = []
+        for m, m2 in golden_pairs():
+            stack = stack_mdps(m, m2)
+            by_kind = {tag: fingerprint(stack, tag, GOLDEN_RESOLUTION) for tag in order}
+            fps += [by_kind[tag][j] for j in range(2) for tag in KIND_TAGS]
+            # Q* (keyed by max_iters, which is all it reads) and soft Q, once each.
+            assert set(stack.solved) == {("optimal_q", SolverParams().max_iters), ("soft_q", SolverParams())}
+        assert payload_digest(fps) == "6d6238b3d13fe64bc42dfe74e884ea17e72ae9c9f466c066c54a72a71dd4936d"
+
+
+def test_a_stacks_memoized_tables_are_read_only():
+    stack = stack_mdps(*next(golden_pairs()))
+    solved = (optimal_q(stack), soft_q(stack))
+    assert optimal_q(stack) is solved[0] and soft_q(stack) is solved[1]
+    for tables in solved:
+        for array in (tables.q, tables.v, tables.adv, tables.j):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+    # Q* reads no beta, so another beta hits the same entry; soft Q does not.
+    assert optimal_q(stack, SolverParams(beta=3.0)) is optimal_q(stack)
+    assert soft_q(stack, SolverParams(beta=3.0)) is not soft_q(stack)
 
 
 def test_a_stack_needs_shared_dynamics():

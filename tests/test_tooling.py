@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,50 @@ def test_the_call_shapes_the_tracer_reads_hold():
         for name in functions:
             fn = getattr(module, name, None)
             assert callable(fn) and fn.__module__ == module.__name__, f"ril.{module_name}.{name}"
+
+
+def test_the_item_hooks_see_one_call_per_cell_and_per_pair(monkeypatch):
+    # perfbench times items by rebinding these names with its ItemHook, and
+    # its check fails unless the hook sees every non-blank cell or pair.
+    from ril import hasse, table
+    from ril.table import expected_marks
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import ItemHook
+
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name, args[0], args[1]] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    hook = ItemHook()
+    for module, name in ((table, "check_invariance"), (table, "search_counterexample"), (hasse, "refinement_compare")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        hook.wrap(module, name, lambda a: (a[0], a[1]))
+    try:
+        table.reproduce_directory_table(CheckConfig(trials=2, budget=5))
+        roster = ["q_star", "boltzmann_policy", "return_trajectories"]
+        hasse.build_refinement_order(CheckConfig(refine_trials=2), kinds=roster)
+    finally:
+        hook.restore()
+    marks = expected_marks()["marks"]
+    want = {
+        (kind, cls): mark for kind, row in marks.items() for cls, mark in zip(CLASS_TAGS, row) if mark != "blank"
+    }
+    pairs = {(a, b) for i, a in enumerate(roster) for b in roster[i + 1:]}
+    assert len(want) == 182 and set(hook.durations) == set(want) | pairs
+    expected_calls = Counter()
+    for cell, mark in want.items():
+        if mark in ("inv", "inv_special", "mixed"):
+            expected_calls["check_invariance", *cell] += 1
+        if mark in ("not", "mixed"):
+            expected_calls["search_counterexample", *cell] += 1
+    expected_calls.update(("refinement_compare", *pair) for pair in pairs)
+    assert calls == expected_calls
 
 
 def test_every_parameter_of_a_public_function_is_read():
