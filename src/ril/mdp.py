@@ -6,7 +6,8 @@ An MDP here is a tuple (states, actions, tau, mu0, reward, gamma) where
 ``reward[s, a, s']`` is received on that transition.  Everything downstream
 (solvers, transformations, fingerprints) consumes this one structure.  An
 MdpStack holds k rewards over one set of dynamics, so that solvers and
-fingerprints evaluate a trial's R and t(R) in one pass.
+fingerprints evaluate a trial's R and t(R) in one pass.  An Mdp keeps the
+enumerations of its dynamics in bases, and with_reward hands them on.
 
 Derived notions live here as plain functions returning boolean masks rather
 than cached attributes:
@@ -48,7 +49,11 @@ from .errors import ContractError, MdpFormatError
 
 @dataclass(frozen=True, eq=False)
 class Mdp:
-    """Immutable tabular MDP.  Arrays are read-only views; build via make_mdp."""
+    """Immutable tabular MDP.  Arrays are read-only views; build via make_mdp.
+
+    bases memoizes the enumerations of the dynamics by (basis kind, resolution).
+    It is no constructor field, so no document carries it; with_reward hands it on.
+    """
 
     states: tuple[str, ...]
     actions: tuple[str, ...]
@@ -56,6 +61,7 @@ class Mdp:
     mu0: np.ndarray      # (S,) initial-state distribution
     reward: np.ndarray   # (S, A, S) rewards
     gamma: float
+    bases: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_states(self) -> int:
@@ -149,14 +155,16 @@ def make_mdp(states, actions, tau, mu0, reward, gamma, renormalize: bool = False
 
 
 def with_reward(m: Mdp, reward: np.ndarray) -> Mdp:
-    """Same dynamics and discount, different reward table."""
+    """Same dynamics and discount, different reward table; the enumerations are m's."""
     reward = np.array(reward, dtype=float)
     if reward.shape != m.reward.shape:
         raise ContractError(f"reward shape {reward.shape} != {m.reward.shape}")
     if not np.isfinite(reward).all():
         raise ContractError("reward contains non-finite entries")
     reward.setflags(write=False)
-    return Mdp(m.states, m.actions, m.tau, m.mu0, reward, m.gamma)
+    out = Mdp(m.states, m.actions, m.tau, m.mu0, reward, m.gamma)
+    object.__setattr__(out, "bases", m.bases)
+    return out
 
 
 def validate_mdp(m: Mdp) -> list[str]:
@@ -276,8 +284,8 @@ def _plain(value):
 
 
 def write_fields(obj) -> dict:
-    """The fields of dataclass obj as JSON data, the document read_fields reads back."""
-    return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+    """The constructor fields of dataclass obj as JSON data, the document read_fields reads back."""
+    return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj) if f.init}
 
 
 def mdp_to_obj(m: Mdp) -> dict:
@@ -333,15 +341,16 @@ def read_value(tp, value, what: str):
 
 
 def read_fields(cls, doc, what: str) -> dict:
-    """The fields of dataclass cls that the JSON object doc sets, read by their type hints.
+    """The constructor fields of dataclass cls that the JSON object doc sets, read by their type hints.
 
     A field typed as a dataclass reads to a dict of its own fields.  Raises
-    ContractError on a doc that is not an object, a stray key, a missing
-    field without a default, and the first value of the wrong type.
+    ContractError on a doc that is not an object, a stray key (a memo such
+    as Mdp.bases among them), a missing field without a default, and the
+    first value of the wrong type.
     """
     if not isinstance(doc, dict):
         raise ContractError(f"{what} must hold a JSON object")
-    hints, own = get_type_hints(cls), fields(cls)
+    hints, own = get_type_hints(cls), [f for f in fields(cls) if f.init]
     unknown = set(doc) - {f.name for f in own}
     if unknown:
         raise ContractError(f"unknown {what} keys: {sorted(unknown)}")

@@ -42,9 +42,8 @@ distributions) run one stacked solve, and every reduction in it stays per
 member (see the solvers module), so each payload has the bytes of its
 member fingerprinted alone.  The fragment and lasso kinds share one
 canonical enumeration and compute returns and comparison matrices member by
-member, so no n x n matrix is ever stacked.  The newest enumeration of each
-basis kind, fragments or lassos, is kept and reused for every MDP with the
-same supports of tau and mu0 at the same resolution.
+member, so no n x n matrix is ever stacked.  The enumeration is the first
+member's own (Mdp.bases), made once for every reward over its dynamics.
 
 Comparisons.  comparison_model's "boltzmann" matrix is the one Boltzmann
 comparison model; boltzmann_comparison_prob is its pairwise entry, which
@@ -311,34 +310,18 @@ def _trajectory_payloads(m: MdpStack, policy: Policy, visited_only: bool = False
     return np.concatenate([mu0, masked.reshape(len(masked), -1)], axis=1)
 
 
-# The newest enumeration of each basis kind, "fragments" or "lassos", as
-# (key, basis).  The key is everything an enumeration depends on: the
-# resolution and the supports of tau and mu0.  A trial fingerprints m and
-# with_reward(m, ...) on the same dynamics, and attack-plan predicates
-# enumerate the MDP they accept just before it is fingerprinted, so nearly
-# every repeat is of the newest enumeration.
-_newest_bases: dict[str, tuple] = {}
-
-
-def _newest_basis(kind: str, m: Mdp, resolution: Resolution, enumerate_basis):
-    key = (resolution, m.tau.shape, (m.tau > 0.0).tobytes(), (m.mu0 > 0.0).tobytes())
-    slot = _newest_bases.get(kind)
-    if slot is None or slot[0] != key:
-        slot = _newest_bases[kind] = (key, enumerate_basis())
-    return slot[1]
-
-
 def canonical_fragments(m: Mdp, resolution: Resolution) -> Fragments:
-    return _newest_basis(
-        "fragments", m, resolution, lambda: enumerate_fragments(m, resolution.max_fragment_len)
-    )
+    key = ("fragments", resolution)
+    if key not in m.bases:
+        m.bases[key] = enumerate_fragments(m, resolution.max_fragment_len)
+    return m.bases[key]
 
 
 def canonical_lassos(m: Mdp, resolution: Resolution) -> Lassos:
-    return _newest_basis(
-        "lassos", m, resolution,
-        lambda: enumerate_lassos(m, resolution.lasso_prefix_cap, resolution.lasso_cycle_cap),
-    )
+    key = ("lassos", resolution)
+    if key not in m.bases:
+        m.bases[key] = enumerate_lassos(m, resolution.lasso_prefix_cap, resolution.lasso_cycle_cap)
+    return m.bases[key]
 
 
 def lottery_library_values(m: Mdp, lassos) -> np.ndarray:

@@ -24,8 +24,9 @@ cell draws from (seed, kind, class).  Each cell's verdict is therefore the
 same in any run order and equals what the cell's experiment gives when run
 alone with the same config; CheckConfig's defaults are the directory run's
 settings.  Wall-clock timings live in a separate report section: the first
-check cell of a group in a column is charged for drawing the column, so
-per-cell times still add up to the wall time.
+check cell of a group in a column is charged for drawing the column and
+for its draws' first enumerations, which the drawn MDPs keep for the
+group's later kinds, so per-cell times still add up to the wall time.
 """
 
 from __future__ import annotations

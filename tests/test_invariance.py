@@ -693,6 +693,41 @@ def test_a_check_verdict_is_the_same_whatever_its_column_holds(monkeypatch, kind
         assert alone.trials_skipped == 1
 
 
+def test_a_column_enumerates_each_draw_once_for_every_kind_of_its_group(monkeypatch):
+    import ril.invariance as inv
+    import ril.objects as objects
+
+    calls = Counter()
+
+    def counting(name, enumerate_fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return enumerate_fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(objects, "enumerate_fragments", counting("fragments", objects.enumerate_fragments))
+    monkeypatch.setattr(objects, "enumerate_lassos", counting("lassos", objects.enumerate_lassos))
+    monkeypatch.setattr(inv, "_newest_columns", {})
+    for group, cls in (("lassos", "shaping_zero_initial"), ("fragments", "mask_impossible")):
+        mates = [k for k in KIND_TAGS if inv._NEED_GROUPS[k] == group]
+        assert len(mates) >= 2
+        verdict = check_invariance(mates[0], cls, FAST)
+        assert verdict.status == STATUS_INVARIANT, (mates[0], cls)
+        assert calls[group] > 0
+        drawn = calls.copy()
+        # The column's MDPs carry their enumerations to the group's other kinds.
+        for kind in mates[1:]:
+            assert check_invariance(kind, cls, FAST).trials_run == verdict.trials_run, kind
+            assert calls == drawn, kind
+    # A check on a given MDP enumerates it once across all its trials.
+    calls.clear()
+    m = return_fan_mdp()
+    for kind in ("return_trajectories", "noiseless_cmp_fragments"):
+        assert check_invariance(kind, "mask_impossible", FAST, mdp=m).trials_run == FAST.trials, kind
+    assert calls == {"lassos": 1, "fragments": 1}
+
+
 def test_ril_check_of_a_cell_gives_its_table_entry(tmp_path, monkeypatch, capsys):
     import ril.invariance as inv
     from ril.cli import main

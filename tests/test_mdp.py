@@ -147,6 +147,20 @@ def test_obj_round_trip():
     assert np.array_equal(m2.reward, m.reward)
 
 
+def test_documents_carry_only_constructor_fields():
+    from ril import fingerprint
+
+    m = chain_mdp()
+    fingerprint(m, "return_trajectories")
+    fingerprint(m, "return_fragments")
+    assert len(m.bases) == 2
+    assert with_reward(m, m.reward + 1.0).bases is m.bases
+    doc = mdp_to_obj(m)
+    assert set(doc) == {"states", "actions", "gamma", "mu0", "tau", "reward"}
+    with pytest.raises(MdpFormatError, match="bases"):
+        mdp_from_obj({**doc, "bases": {}})
+
+
 def test_parse_rejects_nan():
     import json
 

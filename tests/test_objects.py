@@ -341,7 +341,6 @@ def test_payloads_are_read_only():
 
 
 def test_one_enumeration_serves_every_reward_on_the_same_dynamics(monkeypatch):
-    monkeypatch.setattr(objects, "_newest_bases", {})
     calls = {"fragments": 0, "lassos": 0}
 
     def counting(name, enumerate_fn):
@@ -366,8 +365,7 @@ def test_one_enumeration_serves_every_reward_on_the_same_dynamics(monkeypatch):
     assert not np.array_equal(got, fingerprint(m, "return_trajectories", res).payload)
 
 
-def test_other_supports_never_share_a_basis(monkeypatch):
-    monkeypatch.setattr(objects, "_newest_bases", {})
+def test_other_supports_never_share_a_basis():
     m = return_fan_mdp()
     tau = np.array(m.tau)
     tau[0, 1] = [0.0, 1.0, 0.0]  # risky now surely reaches t1

@@ -241,7 +241,6 @@ def test_each_kind_calls_the_traced_names_through_the_objects_module(monkeypatch
     assert set(needs) <= set(KIND_TAGS)
     for kind in KIND_TAGS:
         reached.clear()
-        monkeypatch.setattr(objects, "_newest_bases", {})  # so that each kind enumerates
         objects.fingerprint(two_action_loop_mdp(), kind, objects.Resolution(2, 2, 2))
         assert needs.get(kind, set()) | {"fingerprint"} <= reached, kind
 
