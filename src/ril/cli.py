@@ -50,6 +50,7 @@ from .objects import KIND_TAGS
 from .solvers import (
     SolverParams,
     boltzmann_rational_policy,
+    expected_reward,
     maximally_supportive_optimal_policy,
     mce_policy,
     optimal_action_sets,
@@ -204,8 +205,8 @@ def cmd_solve(args) -> int:
     t_soft = soft_q(m, params)
     pi_boltzmann = boltzmann_rational_policy(m, params)
     pi_mce = mce_policy(m, params)
-    sets = optimal_action_sets(m, tables=t_star)
-    pi_support = maximally_supportive_optimal_policy(m, tables=t_star)
+    sets = optimal_action_sets(m)
+    pi_support = maximally_supportive_optimal_policy(m)
     out = {
         "states": list(m.states),
         "actions": list(m.actions),
@@ -349,9 +350,9 @@ def cmd_transfer_demo(args) -> int:
     )
     m_new_r2 = with_reward(m_new_r1, r2)
 
-    old_exp_r1 = np.einsum("sap,sap->sa", m.tau, m.reward)
-    old_exp_r2 = np.einsum("sap,sap->sa", m.tau, r2)
-    new_exp_r2 = np.einsum("sap,sap->sa", np.asarray(target.tau_prime), r2)
+    old_exp_r1 = expected_reward(m)
+    old_exp_r2 = expected_reward(with_reward(m, r2))
+    new_exp_r2 = expected_reward(m_new_r2)
     specified = ~np.isnan(np.asarray(target.L))
     max_keep_err = float(np.max(np.abs(old_exp_r2 - old_exp_r1)))
     max_l_err = float(

@@ -708,16 +708,15 @@ def check_invariance(kind: str, cls: str, cfg: CheckConfig, mdp: Mdp | None = No
     kinds of one need group draw the same trials, which _run_trials shares
     between them, so the verdict is a function of (cfg, group, class) and
     the kind alone.  With mdp given, all trials run on that MDP, whatever
-    the base predicate says of it, with member seeds keyed by (kind, class).
-    Trials whose transformation degenerates to the identity (or whose MDP
-    requirements cannot be met) are counted as skipped.
+    the base predicate says of it, with the same member seeds.  Trials whose
+    transformation degenerates to the identity (or whose MDP requirements
+    cannot be met) are counted as skipped.
     """
-    if mdp is not None:
-        found = _run_trials(kind, cfg, "check", (kind, cls), [(cls, PlanRow())], (), cfg.trials, mdp)
-    else:
-        # An unknown kind has no group; _run_trials rejects it before any trial.
-        key = (_NEED_GROUPS.get(kind), cls)
-        found = _run_trials(kind, cfg, "check", key, [(cls, PlanRow())], (kind,), cfg.trials, share=True)
+    # An unknown kind has no group; _run_trials rejects it before any trial.
+    key, sampled = (_NEED_GROUPS.get(kind), cls), mdp is None
+    found = _run_trials(
+        kind, cfg, "check", key, [(cls, PlanRow())], (kind,) if sampled else (), cfg.trials, mdp, share=sampled
+    )
     return _verdict(kind, cls, found)
 
 

@@ -6,8 +6,9 @@ An MDP here is a tuple (states, actions, tau, mu0, reward, gamma) where
 ``reward[s, a, s']`` is received on that transition.  Everything downstream
 (solvers, transformations, fingerprints) consumes this one structure.  An
 MdpStack holds k rewards over one set of dynamics, so that solvers and
-fingerprints evaluate a trial's R and t(R) in one pass.  An Mdp keeps the
-enumerations of its dynamics in bases, and with_reward hands them on.
+fingerprints evaluate a trial's R and t(R) in one pass.  One memo rule: an
+Mdp keeps its dynamics' enumerations in bases, which with_reward hands on,
+and its reward's solves in solved, which starts empty; a stack keeps its own.
 
 Derived notions live here as plain functions returning boolean masks rather
 than cached attributes:
@@ -51,8 +52,9 @@ from .errors import ContractError, MdpFormatError
 class Mdp:
     """Immutable tabular MDP.  Arrays are read-only views; build via make_mdp.
 
-    bases memoizes the enumerations of the dynamics by (basis kind, resolution).
-    It is no constructor field, so no document carries it; with_reward hands it on.
+    bases memoizes the enumerations of the dynamics by (basis kind,
+    resolution), and with_reward hands it on.  solved memoizes this reward's
+    solver tables (see the solvers module), and with_reward starts it empty.
     """
 
     states: tuple[str, ...]
@@ -62,6 +64,7 @@ class Mdp:
     reward: np.ndarray   # (S, A, S) rewards
     gamma: float
     bases: dict = field(default_factory=dict, init=False, repr=False)
+    solved: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_states(self) -> int:
@@ -79,9 +82,9 @@ class MdpStack:
     reward stacks the members' rewards along a leading axis, (k, S, A, S).
     Solvers and fingerprints evaluate a stack in one pass and answer with
     that leading axis; they take a single Mdp as the stack of one.  solved
-    is the stack's own memo of the solver tables it was asked for (see the
-    solvers module), so each is solved once however many kinds read it.
-    Build via stack_mdps.
+    memoizes the stack's solver tables as an Mdp's does, with the leading
+    axis, so each is solved once however many kinds read it.  Build via
+    stack_mdps.
     """
 
     states: tuple[str, ...]
@@ -91,7 +94,7 @@ class MdpStack:
     reward: np.ndarray   # (k, S, A, S)
     gamma: float
     members: tuple[Mdp, ...]
-    solved: dict = field(default_factory=dict, repr=False)
+    solved: dict = field(default_factory=dict, init=False, repr=False)
 
     n_states = Mdp.n_states
     n_actions = Mdp.n_actions
@@ -155,7 +158,7 @@ def make_mdp(states, actions, tau, mu0, reward, gamma, renormalize: bool = False
 
 
 def with_reward(m: Mdp, reward: np.ndarray) -> Mdp:
-    """Same dynamics and discount, different reward table; the enumerations are m's."""
+    """Same dynamics and discount, different reward table: m's enumerations, no solves yet."""
     reward = np.array(reward, dtype=float)
     if reward.shape != m.reward.shape:
         raise ContractError(f"reward shape {reward.shape} != {m.reward.shape}")

@@ -29,10 +29,10 @@ a sum across the stack, would round differently.  Policy iteration runs
 the members in lockstep until none switches (a settled member re-solves to
 the same q); soft policy iteration stops each member at its own step.
 Each member's Bellman residual is checked, and the first member that fails
-raises ConvergenceError.  A stack answers optimal_q and soft_q from a memo
-it owns: each table is solved once per stack (Q* per max_iters, since it
-reads no other setting; soft Q per SolverParams), however many object kinds
-read it, and its arrays are read-only.
+raises ConvergenceError.  An Mdp or a stack answers optimal_q and soft_q
+from the memo it owns, solved: each table is solved once per MDP or stack
+(Q* per max_iters, since it reads no other setting; soft Q per
+SolverParams), however many callers read it, and its arrays are read-only.
 """
 
 from __future__ import annotations
@@ -202,10 +202,7 @@ def policy_q_iterative(
 
 
 def _solved(m: Mdp | MdpStack, key: tuple, solve) -> ValueTables:
-    """solve(), kept under key in a stack's memo with its arrays read-only;
-    an Mdp is solved on every call."""
-    if not isinstance(m, MdpStack):
-        return solve()
+    """solve(), kept under key in m's memo with its arrays read-only."""
     tables = m.solved.get(key)
     if tables is None:
         tables = m.solved[key] = solve()
@@ -222,7 +219,7 @@ def optimal_q(m: Mdp | MdpStack, params: SolverParams = SolverParams()) -> Value
     another beats it by more than PI_TIE_RTOL * reward_scale, so tied actions
     cannot cycle.  Stops when no state of any member switches;
     params.max_iters bounds the number of improvement steps, and is the only
-    setting read, so a stack keeps one solve per max_iters.
+    setting read, so m keeps one solve per max_iters.
     """
     return _solved(m, ("optimal_q", params.max_iters), lambda: _policy_iteration(m, params.max_iters))
 
@@ -262,7 +259,7 @@ def soft_q(m: Mdp | MdpStack, params: SolverParams = SolverParams()) -> ValueTab
     epsilon * reward_scale, or once the residual stops shrinking below the
     Bellman tolerance (the float floor at long horizons); its q stays as it
     was while the others go on.  params.max_iters bounds the number of
-    improvement steps.  A stack keeps one solve per params.
+    improvement steps.  m keeps one solve per params.
     """
     return _solved(m, ("soft_q", params), lambda: _soft_policy_iteration(m, params))
 
@@ -340,33 +337,28 @@ def mce_policy(m: Mdp | MdpStack, params: SolverParams = SolverParams()) -> Poli
     return Policy(softmax_rows(params.beta * tables.q))
 
 
-def optimal_action_mask(m: Mdp | MdpStack, *, tables: ValueTables | None = None) -> np.ndarray:
+def optimal_action_mask(m: Mdp | MdpStack) -> np.ndarray:
     """mask[..., s, a]: is a's advantage within the tie band of zero?
 
     The band is DEFAULT_TIE_RTOL * (1 + max |A*(s, a)| over reachable s),
     per member.  Potential shaping, S'-redistribution and both masks leave
-    the optimal advantages at reachable states, and so the band, as they
-    were.  Pass tables (optimal_q of m) when they are already solved.
+    the optimal advantages at reachable states, and so the band, as they were.
     """
-    if tables is None:
-        tables = optimal_q(m)
+    tables = optimal_q(m)
     adv = tables.adv[..., reachable_state_mask(m), :]
     band = DEFAULT_TIE_RTOL * (1.0 + np.max(np.abs(adv), axis=(-2, -1)))
     return tables.adv >= -band[..., None, None]
 
 
-def optimal_action_sets(m: Mdp, *, tables: ValueTables | None = None) -> list[tuple[int, ...]]:
+def optimal_action_sets(m: Mdp) -> list[tuple[int, ...]]:
     """Per state, the optimal actions: optimal_action_mask as index tuples."""
-    mask = optimal_action_mask(m, tables=tables)
+    mask = optimal_action_mask(m)
     return [tuple(int(a) for a in np.flatnonzero(row)) for row in mask]
 
 
-def maximally_supportive_optimal_policy(m: Mdp | MdpStack, *, tables: ValueTables | None = None) -> Policy:
-    """Uniform over every optimal action in each state.
-
-    Pass tables (optimal_q of m) when they are already solved.
-    """
-    mask = optimal_action_mask(m, tables=tables)
+def maximally_supportive_optimal_policy(m: Mdp | MdpStack) -> Policy:
+    """Uniform over every optimal action in each state."""
+    mask = optimal_action_mask(m)
     return Policy(mask / mask.sum(axis=-1, keepdims=True))
 
 

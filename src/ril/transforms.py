@@ -463,11 +463,10 @@ def _sample_opt(
     """A member keeping the optimal-action sets on "all" states, or on the
     "supported" ones only and drawing the rest; diff_outside_supported makes
     each drawn set differ from the current one."""
-    tables = optimal_q(m)
-    sets = optimal_action_sets(m, tables=tables)
+    sets = optimal_action_sets(m)
     if scope == "supported":
         # Closure of support(mu0) under optimal-policy-supported possible moves.
-        pi = maximally_supportive_optimal_policy(m, tables=tables)
+        pi = maximally_supportive_optimal_policy(m)
         supported = supported_state_mask(m, pi.probs)
         new_sets = []
         for s in range(m.n_states):
@@ -489,7 +488,7 @@ def _sample_opt(
         for a in range(m.n_actions):
             if a not in sets[s]:
                 gaps[s, a] = scale * float(rng.uniform(0.2, 1.0))
-    return OptimalityPreserving(opt_sets=tuple(tuple(x) for x in sets), psi=tables.v, gaps=gaps)
+    return OptimalityPreserving(opt_sets=tuple(tuple(x) for x in sets), psi=optimal_q(m).v, gaps=gaps)
 
 
 # Transformation classes by tag, in directory-table column order, each with

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -44,6 +45,43 @@ def test_solve_two_action_to_stdout(tmp_path, capsys):
     assert abs(doc["v_star"][0] - 3.0) < 1e-10
     assert doc["optimal_action_sets"] == [["hi"]]
     assert abs(doc["j"]["uniform"] - 2.5) < 1e-10
+
+
+def test_solve_runs_each_iteration_once(tmp_path, monkeypatch):
+    # Q* and soft Q are solved once each, however many outputs read them.
+    import ril.solvers as solvers
+
+    runs = []
+
+    def counted(name, real):
+        def run(*args):
+            runs.append(name)
+            return real(*args)
+        return run
+
+    for name in ("_policy_iteration", "_soft_policy_iteration"):
+        monkeypatch.setattr(solvers, name, counted(name, getattr(solvers, name)))
+    path = write_mdp(tmp_path, sample_mdp(SamplerConfig(), 3))
+    assert main(["solve", "--mdp", path, "--out", str(tmp_path / "out")]) == 0
+    assert sorted(runs) == ["_policy_iteration", "_soft_policy_iteration"]
+
+
+@pytest.mark.parametrize(
+    "argv, name, digest",
+    [
+        (["solve", "--mdp", "{mdp}"], "solve.json",
+         "5e34807e9db7cc16801883bc36bca46ac5dda3a8a02a5dd85326de9612f0f48f"),
+        (["transfer-demo"], "transfer_demo.json",
+         "6f92304a0afc8dec7f912cc3e2325f03400f4494568c37140628bb2c75cec36d"),
+    ],
+    ids=["solve", "transfer-demo"],
+)
+def test_solve_and_transfer_demo_bytes_are_pinned(tmp_path, argv, name, digest):
+    # solve on sample_mdp(SamplerConfig(), 3) and the default transfer-demo.
+    mdp = write_mdp(tmp_path, sample_mdp(SamplerConfig(), 3))
+    out = tmp_path / "out"
+    assert main([arg.format(mdp=mdp) for arg in argv] + ["--out", str(out)]) == 0
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
 def test_solve_rejects_malformed_file(tmp_path, capsys):

@@ -728,6 +728,27 @@ def test_a_column_enumerates_each_draw_once_for_every_kind_of_its_group(monkeypa
     assert calls == {"lassos": 1, "fragments": 1}
 
 
+def test_checks_of_one_need_group_on_a_given_mdp_draw_the_same_members(monkeypatch):
+    # q_star and q_soft share the "none" need group, so on one given MDP
+    # they meet the same class members, as their sampled checks do.
+    import ril.invariance as inv
+
+    seeds = {}
+
+    def recording(kind):
+        def member(cls, m, seed, **kwargs):
+            seeds.setdefault(kind, []).append(seed)
+            return sample_transform(cls, m, seed, **kwargs)
+        return member
+
+    m = return_fan_mdp()
+    for kind in ("q_star", "q_soft"):
+        monkeypatch.setattr(inv, "sample_transform", recording(kind))
+        check_invariance(kind, "mask_impossible", FAST, mdp=m)
+    assert len(seeds["q_star"]) == FAST.trials
+    assert seeds["q_star"] == seeds["q_soft"]
+
+
 def test_ril_check_of_a_cell_gives_its_table_entry(tmp_path, monkeypatch, capsys):
     import ril.invariance as inv
     from ril.cli import main

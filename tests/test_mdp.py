@@ -14,6 +14,7 @@ from ril import (
     mdp_to_obj,
     parse_mdp,
     possible_mask,
+    soft_q,
     reachable_state_mask,
     terminal_mask,
     unreachable_transition_mask,
@@ -153,12 +154,14 @@ def test_documents_carry_only_constructor_fields():
     m = chain_mdp()
     fingerprint(m, "return_trajectories")
     fingerprint(m, "return_fragments")
-    assert len(m.bases) == 2
+    soft_q(m)
+    assert len(m.bases) == 2 and len(m.solved) == 1
     assert with_reward(m, m.reward + 1.0).bases is m.bases
     doc = mdp_to_obj(m)
     assert set(doc) == {"states", "actions", "gamma", "mu0", "tau", "reward"}
-    with pytest.raises(MdpFormatError, match="bases"):
-        mdp_from_obj({**doc, "bases": {}})
+    for memo in ("bases", "solved"):
+        with pytest.raises(MdpFormatError, match=memo):
+            mdp_from_obj({**doc, memo: {}})
 
 
 def test_parse_rejects_nan():

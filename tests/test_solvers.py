@@ -189,14 +189,49 @@ def test_optimal_action_sets_on_micro():
 
 def test_the_optimal_action_helpers_take_no_solver_settings():
     # Q* reads no solver setting, so a caller still passing one in second
-    # place fails rather than having it ignored.
+    # place fails rather than having it ignored; nor do they take solved
+    # tables, which m keeps itself.
     from ril.solvers import optimal_action_mask
 
     m = two_action_loop_mdp()
     for helper in (optimal_action_mask, optimal_action_sets, maximally_supportive_optimal_policy):
         with pytest.raises(TypeError):
             helper(m, SolverParams())
-    assert optimal_action_sets(m, tables=optimal_q(m)) == [(1,)]
+        with pytest.raises(TypeError):
+            helper(m, tables=optimal_q(m))
+    assert optimal_action_sets(m) == [(1,)]
+
+
+def test_an_mdp_solves_optimal_q_once():
+    m = two_action_loop_mdp()
+    assert optimal_q(m) is optimal_q(m)
+
+
+def test_an_mdp_solves_soft_q_once():
+    m = two_action_loop_mdp()
+    params = SolverParams(beta=2.0)
+    assert soft_q(m, params) is soft_q(m, params)
+
+
+def test_an_mdps_memoized_tables_are_read_only():
+    m = two_action_loop_mdp()
+    for tables in (optimal_q(m), soft_q(m)):
+        for array in (tables.q, tables.v, tables.adv):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+
+def test_with_reward_starts_without_solves_and_solves_its_own_reward():
+    m = two_action_loop_mdp()
+    optimal_q(m)
+    soft_q(m)
+    r2 = m.reward[:, ::-1]
+    m2 = with_reward(m, r2)
+    assert m2.solved == {}
+    fresh = make_mdp(m.states, m.actions, m.tau, m.mu0, r2, m.gamma)
+    assert optimal_q(m2).q.tobytes() == optimal_q(fresh).q.tobytes()
+    assert soft_q(m2).q.tobytes() == soft_q(fresh).q.tobytes()
+    assert optimal_q(m2).q.tobytes() != optimal_q(m).q.tobytes()
 
 
 def test_supportive_policy_uniform_over_ties():

@@ -206,6 +206,20 @@ def test_every_parameter_of_a_public_function_is_read():
     assert unread == []
 
 
+def test_the_public_functions_hold_no_more_defaulted_parameters():
+    # A ratchet: a new knob on a public function takes an edit here.
+    import ril
+
+    defaulted = [
+        f"{name}({p.name})"
+        for name in ril.__all__
+        if inspect.isfunction(fn := getattr(ril, name))
+        for p in inspect.signature(fn).parameters.values()
+        if p.default is not inspect.Parameter.empty
+    ]
+    assert len(defaulted) <= 22, defaulted
+
+
 def test_each_kind_calls_the_traced_names_through_the_objects_module(monkeypatch):
     # perfbench/tracing.py traces a call by rebinding the name in ril.objects;
     # a payload function that stored the function object would call past it.
