@@ -22,8 +22,10 @@ be transitively consistent; violations are reported on the result rather
 than silently patched, since each would falsify the order itself.  A roster
 must name known kinds, at least one and none twice (check_roster, which the
 command line's config check calls too).  All iteration follows the roster,
-so results are deterministic given the configuration.  Each pair's
-comparison is timed; the times go to the run report, never into the
+so results are deterministic given the configuration; the directions share
+their draws through the refinement columns of the trial kernel, which no
+result depends on and which are released when the order is built.  Each
+pair's comparison is timed; the times go to the run report, never into the
 diagram's JSON.
 """
 
@@ -43,6 +45,7 @@ from .invariance import (
     RefinementVerdict,
     refinement_compare,
     relation_of,
+    release_refinement_columns,
 )
 from .objects import KIND_LABELS, KIND_TAGS
 
@@ -108,14 +111,18 @@ def build_refinement_order(cfg: CheckConfig, kinds: tuple[str, ...] = KIND_TAGS)
     # refines[i, j]: no witness keeps kind i while moving kind j.
     refines = np.eye(n, dtype=bool)
     verdicts, seconds = [], []
-    for i, a in enumerate(kinds):
-        for j in range(i + 1, n):
-            t0 = time.perf_counter()
-            v = refinement_compare(a, kinds[j], cfg)
-            seconds.append(time.perf_counter() - t0)
-            verdicts.append(v)
-            refines[i, j] = v.relation in (RELATION_EQUIVALENT, RELATION_A_REFINES_B)
-            refines[j, i] = v.relation in (RELATION_EQUIVALENT, RELATION_B_REFINES_A)
+    try:
+        for i, a in enumerate(kinds):
+            for j in range(i + 1, n):
+                t0 = time.perf_counter()
+                v = refinement_compare(a, kinds[j], cfg)
+                seconds.append(time.perf_counter() - t0)
+                verdicts.append(v)
+                refines[i, j] = v.relation in (RELATION_EQUIVALENT, RELATION_A_REFINES_B)
+                refines[j, i] = v.relation in (RELATION_EQUIVALENT, RELATION_B_REFINES_A)
+    finally:
+        # The pairs share their draws through columns that no later call reads.
+        release_refinement_columns()
 
     def relation(i: int, j: int) -> str:
         return relation_of(refines[i, j], refines[j, i])

@@ -25,7 +25,10 @@ Three entry points pick the rows:
   trials; the plain plan finds every other witness within a small budget.
 * refinement_compare decides, for two object kinds, whether one's ambiguity
   refines the other's: it hunts for a transformation preserving one
-  fingerprint while changing the other, in both directions.  A trial compares
+  fingerprint while changing the other, in both directions.  A direction
+  draws from (seed, "refine", preserved kind, changed kind's need group),
+  so the directions that keep one kind and change kinds of one need group
+  under equal plans share their draws, as check cells do.  A trial compares
   the changed kind first, and the preserved kind only when the changed kind
   moved; a trial that moves both is skipped, never a witness.  Trials cycle
   through the preserved kind's known invariance classes, each under its row
@@ -545,17 +548,26 @@ def replay_witness(obj: dict) -> dict:
 # The trial kernel
 
 
-# The newest column of shared draws of each tuple of need groups, as (key,
-# draws so far); see _run_trials' share.  The table runs its cells column by
-# column, so one slot per tuple serves every check cell of a column.
-_newest_columns: dict[tuple[str, ...], tuple[tuple, list]] = {}
+# The newest column of shared draws in each slot, as (key, draws so far); see
+# _run_trials' share.  A slot is (stream, first part of the key): one per need
+# group for checks and one per preserved kind for refinements.  The table runs
+# its cells column by column, so one slot serves every check cell of a
+# column; the two directions of a refinement pair keep different kinds, so
+# neither evicts the other's column.
+_newest_columns: dict[tuple[str, str], tuple[tuple, list]] = {}
 
 
-def _newest_column(groups: tuple[str, ...], key: tuple) -> list:
-    slot = _newest_columns.get(groups)
-    if slot is None or slot[0] != key:
-        slot = _newest_columns[groups] = (key, [])
-    return slot[1]
+def _newest_column(slot: tuple[str, str], key: tuple) -> list:
+    held = _newest_columns.get(slot)
+    if held is None or held[0] != key:
+        held = _newest_columns[slot] = (key, [])
+    return held[1]
+
+
+def release_refinement_columns() -> None:
+    """Drop the shared columns of refinement draws, once no caller reads them again."""
+    for slot in [slot for slot in _newest_columns if slot[0] == "refine"]:
+        del _newest_columns[slot]
 
 
 def _run_trials(
@@ -585,11 +597,12 @@ def _run_trials(
 
     A trial's draw is its MDP, its member and their stacked pair of R and
     t(R), whose solver memo serves every kind compared on it.  With share
-    (and no mdp), the draws are read through the newest column of needs'
-    groups, keyed by everything else a draw depends on, (cfg, stream, key,
-    plans), and drawn into it the first time a trial asks.  Callers that
-    share a key then share their trials, and a kind's outcome is the same
-    whether or not the column was already drawn.
+    (and no mdp), the draws are read through the newest column of the slot
+    (stream, key[0]), keyed by everything a draw depends on, (cfg, stream,
+    key, plans), and drawn into it the first time a trial asks; key must
+    therefore fix the groups of needs, whose base predicates the draws meet.
+    Callers that share a key and plans then share their trials, and a kind's
+    outcome is the same whether or not the column was already drawn.
 
     Returns (first witness or None, trials run, skipped trials by reason).
     """
@@ -641,7 +654,7 @@ def _run_trials(
             return f"the member degenerated to the identity ({t.note})"
         return m, t, _pair(m, t), cls, i, stream
 
-    column = _newest_column(groups, (cfg, stream, key, tuple(plans))) if share else None
+    column = _newest_column((stream, key[0]), (cfg, stream, key, tuple(plans))) if share else None
 
     def draws():
         # Every canned pair is a zero-preserving monotone rescaling.
@@ -785,13 +798,16 @@ def _directional_witness(preserve: str, change: str, cfg: CheckConfig) -> tuple[
     """Find a transformation keeping `preserve`'s fingerprint while changing `change`'s.
 
     Trial i tries the i-th class of preserve's roster, cyclically, under its
-    row against change.  Returns (witness or None, trials run, skipped by reason).
+    row against change.  Draws come from seeds derived from (cfg.seed,
+    "refine", preserve, change's need group, trial), so directions that keep
+    one kind and change kinds of one group and plan share their trials.
+    Returns (witness or None, trials run, skipped by reason).
     """
-    # An unknown kind has no roster; _run_trials rejects it before any trial.
+    # An unknown kind has no roster or group; _run_trials rejects it before any trial.
     plans = [(cls, ATTACK_PLANS.get((cls, change), PlanRow())) for cls in KIND_ROSTERS.get(preserve, ())]
     return _run_trials(
-        change, cfg, "refine", (preserve, change), plans, (preserve, change), cfg.refine_trials,
-        canned=CANNED_PRESERVING.get(preserve, ()), preserve=preserve,
+        change, cfg, "refine", (preserve, _NEED_GROUPS.get(change)), plans, (preserve, change),
+        cfg.refine_trials, canned=CANNED_PRESERVING.get(preserve, ()), preserve=preserve, share=True,
     )
 
 

@@ -31,8 +31,9 @@ the same q); soft policy iteration stops each member at its own step.
 Each member's Bellman residual is checked, and the first member that fails
 raises ConvergenceError.  An Mdp or a stack answers optimal_q and soft_q
 from the memo it owns, solved: each table is solved once per MDP or stack
-(Q* per max_iters, since it reads no other setting; soft Q per
-SolverParams), however many callers read it, and its arrays are read-only.
+(Q* once, whatever its step bound, since it reads no other setting; soft Q
+per SolverParams), however many callers read it, and its arrays are
+read-only.
 """
 
 from __future__ import annotations
@@ -219,9 +220,11 @@ def optimal_q(m: Mdp | MdpStack, params: SolverParams = SolverParams()) -> Value
     another beats it by more than PI_TIE_RTOL * reward_scale, so tied actions
     cannot cycle.  Stops when no state of any member switches;
     params.max_iters bounds the number of improvement steps, and is the only
-    setting read, so m keeps one solve per max_iters.
+    setting read.  A converged policy iteration gives the same tables under
+    any bound, so m keeps one solve, and the bound is checked only when it
+    runs.
     """
-    return _solved(m, ("optimal_q", params.max_iters), lambda: _policy_iteration(m, params.max_iters))
+    return _solved(m, ("optimal_q",), lambda: _policy_iteration(m, params.max_iters))
 
 
 def _policy_iteration(m: Mdp | MdpStack, max_iters: int) -> ValueTables:

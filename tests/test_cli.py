@@ -48,7 +48,8 @@ def test_solve_two_action_to_stdout(tmp_path, capsys):
 
 
 def test_solve_runs_each_iteration_once(tmp_path, monkeypatch):
-    # Q* and soft Q are solved once each, however many outputs read them.
+    # Q* and soft Q are solved once each, however many outputs read them and
+    # whatever step bound the command line gives.
     import ril.solvers as solvers
 
     runs = []
@@ -62,8 +63,10 @@ def test_solve_runs_each_iteration_once(tmp_path, monkeypatch):
     for name in ("_policy_iteration", "_soft_policy_iteration"):
         monkeypatch.setattr(solvers, name, counted(name, getattr(solvers, name)))
     path = write_mdp(tmp_path, sample_mdp(SamplerConfig(), 3))
-    assert main(["solve", "--mdp", path, "--out", str(tmp_path / "out")]) == 0
-    assert sorted(runs) == ["_policy_iteration", "_soft_policy_iteration"]
+    for flags in ([], ["--max-iters", "50"]):
+        runs.clear()
+        assert main(["solve", "--mdp", path, *flags, "--out", str(tmp_path / "out")]) == 0
+        assert sorted(runs) == ["_policy_iteration", "_soft_policy_iteration"], flags
 
 
 @pytest.mark.parametrize(

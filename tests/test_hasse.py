@@ -16,6 +16,7 @@ from ril import (
     RELATION_INCOMPARABLE,
     RefinementVerdict,
     build_refinement_order,
+    check_invariance,
     order_to_dot,
     render_order,
 )
@@ -167,8 +168,9 @@ def test_a_group_is_named_by_its_first_roster_member(monkeypatch):
 
 
 def test_each_directions_witness_does_not_depend_on_roster_order():
-    # A direction's trials are seeded by (preserved kind, changed kind), so
-    # reversing the roster swaps each pair's sides and keeps its witnesses.
+    # A direction's trials are seeded by (preserved kind, changed kind's need
+    # group), so reversing the roster swaps each pair's sides and keeps its
+    # witnesses.
     kinds = ("q_star", "boltzmann_policy", "return_trajectories", "noiseless_cmp_trajectories")
     forward = build_refinement_order(FAST, kinds=kinds).to_obj(include_witnesses=True)["pairs"]
     backward = build_refinement_order(FAST, kinds=kinds[::-1]).to_obj(include_witnesses=True)["pairs"]
@@ -180,3 +182,51 @@ def test_each_directions_witness_does_not_depend_on_roster_order():
         assert pair.get("witness_preserves_b") == flipped.get("witness_preserves_a")
     assert any("witness_preserves_a" in pair for pair in forward.values())
     assert any("witness_preserves_b" in pair for pair in forward.values())
+
+
+def test_shared_refinement_columns_do_not_depend_on_pair_order(monkeypatch):
+    # Directions that share a column draw it in one roster order and read it
+    # in the other; every witness holds byte for byte either way.
+    import ril.invariance as inv
+
+    monkeypatch.setattr(inv, "_newest_columns", {})
+    cfg = CheckConfig(trials=8, budget=60, refine_trials=8)
+    kinds = (
+        "q_star", "boltzmann_policy", "return_fragments", "noiseless_cmp_fragments",
+        "return_trajectories", "lottery_order",
+    )
+
+    def witnesses(roster):
+        out = {}
+        for pair in build_refinement_order(cfg, kinds=roster).to_obj(include_witnesses=True)["pairs"].values():
+            a, b = pair["kind_a"], pair["kind_b"]
+            out[a, b] = json.dumps(pair.get("witness_preserves_a"))
+            out[b, a] = json.dumps(pair.get("witness_preserves_b"))
+        return out
+
+    forward = witnesses(kinds)
+    assert len(forward) == 30
+    assert witnesses(kinds[::-1]) == forward
+    assert any(w != "null" for w in forward.values())
+
+
+def test_an_order_releases_its_refinement_columns(monkeypatch):
+    # The pairs draw into shared columns while the order is built, and none
+    # outlives it; a check's column stays.
+    import ril.invariance as inv
+
+    monkeypatch.setattr(inv, "_newest_columns", {})
+    check_invariance("q_star", "mask_impossible", FAST)
+    checks = dict(inv._newest_columns)
+    assert list(checks) == [("check", "none")]
+    held = []
+
+    def compare(*args):
+        verdict = inv.refinement_compare(*args)
+        held.append(sum(slot[0] == "refine" for slot in inv._newest_columns))
+        return verdict
+
+    monkeypatch.setattr(ril.hasse, "refinement_compare", compare)
+    build_refinement_order(FAST, kinds=("q_star", "boltzmann_policy", "mce_policy"))
+    assert len(held) == 3 and min(held) > 0
+    assert inv._newest_columns == checks

@@ -534,6 +534,20 @@ def test_check_search_and_refine_draw_by_one_orphan_and_one_draw_rule(draws, exp
         assert replace(sampler, orphan_prob=cfg.sampler.orphan_prob) == cfg.sampler
 
 
+def test_refinement_directions_of_one_group_and_plan_draw_once(draws):
+    # boltzmann_policy and mce_policy share the "none" need group, and no row
+    # of q_star's roster classes names either, so the two directions that
+    # keep q_star read one column of draws.
+    for kind in ("boltzmann_policy", "mce_policy"):
+        assert not any((cls, kind) in ATTACK_PLANS for cls in KIND_ROSTERS["q_star"])
+    first = _directional_witness("q_star", "boltzmann_policy", FAST)
+    assert first == (None, FAST.refine_trials, Counter())
+    drawn = len(draws)
+    assert drawn >= FAST.refine_trials
+    assert _directional_witness("q_star", "mce_policy", FAST) == first
+    assert len(draws) == drawn
+
+
 def _eager_lasso_offer(m, res):
     """Every field of what m's canonical lassos offer, as a LassoNeed; None
     past the caps, with no lassos or with over 400."""

@@ -445,8 +445,8 @@ def test_one_stack_solves_once_for_every_kind_in_either_order():
             stack = stack_mdps(m, m2)
             by_kind = {tag: fingerprint(stack, tag, GOLDEN_RESOLUTION) for tag in order}
             fps += [by_kind[tag][j] for j in range(2) for tag in KIND_TAGS]
-            # Q* (keyed by max_iters, which is all it reads) and soft Q, once each.
-            assert set(stack.solved) == {("optimal_q", SolverParams().max_iters), ("soft_q", SolverParams())}
+            # Q* (whatever its step bound, the only setting it reads) and soft Q, once each.
+            assert set(stack.solved) == {("optimal_q",), ("soft_q", SolverParams())}
         assert payload_digest(fps) == "6d6238b3d13fe64bc42dfe74e884ea17e72ae9c9f466c066c54a72a71dd4936d"
 
 
