@@ -45,7 +45,7 @@ from .invariance import (
     RefinementVerdict,
     refinement_compare,
     relation_of,
-    release_refinement_columns,
+    release_columns,
 )
 from .objects import KIND_LABELS, KIND_TAGS
 
@@ -122,7 +122,7 @@ def build_refinement_order(cfg: CheckConfig, kinds: tuple[str, ...] = KIND_TAGS)
                 refines[j, i] = v.relation in (RELATION_EQUIVALENT, RELATION_B_REFINES_A)
     finally:
         # The pairs share their draws through columns that no later call reads.
-        release_refinement_columns()
+        release_columns("refine")
 
     def relation(i: int, j: int) -> str:
         return relation_of(refines[i, j], refines[j, i])

@@ -5,7 +5,11 @@ transformation class, and compare an object kind's fingerprints before and
 after.  One kernel, _run_trials, runs it: canned (MDP, member) pairs first,
 then seeded trials that each take a class and its PlanRow from the caller,
 stopping at the first fingerprint change, which it returns as a replayable
-witness.  Every trial draws its MDP by the same two rules:
+witness.  Trial i of a caller's L plans tries plan i % L at occurrence
+i // L, and draws its MDP and member from seeds derived from (seed,
+stream, caller's key, class, occurrence), so a draw depends on its class's
+column, never on which caller asked for it first.  Every trial draws its
+MDP by the same two rules:
 
 * orphans: a class in _ORPHAN_CLASSES, which acts on unreachable or
   unsupported states, draws with orphan_prob at least 0.6 unless its row
@@ -26,9 +30,9 @@ Three entry points pick the rows:
 * refinement_compare decides, for two object kinds, whether one's ambiguity
   refines the other's: it hunts for a transformation preserving one
   fingerprint while changing the other, in both directions.  A direction
-  draws from (seed, "refine", preserved kind, changed kind's need group),
-  so the directions that keep one kind and change kinds of one need group
-  under equal plans share their draws, as check cells do.  A trial compares
+  keys its draws by the need groups of its two kinds, so every direction
+  that tries a class under one row, over kinds of the same groups, reads
+  one column of that class's draws, whichever kind it keeps.  A trial compares
   the changed kind first, and the preserved kind only when the changed kind
   moved; a trial that moves both is skipped, never a witness.  Trials cycle
   through the preserved kind's known invariance classes, each under its row
@@ -42,7 +46,8 @@ kind (two lottery payloads describe the same preference order over return
 lotteries exactly when an increasing affine map aligns them).
 
 All verdicts are deterministic functions of (config, seed): MDP draws,
-transformation draws, and trial order use seeds derived per trial.
+transformation draws, and trial order use seeds derived per class and
+occurrence.
 """
 
 from __future__ import annotations
@@ -241,8 +246,8 @@ def fingerprints_equal(
 # Attack plans: per (class, kind) sampling strategy for the trial kernel
 
 
-def _sign(trial: int) -> float:
-    return 1.0 if trial % 2 == 0 else -1.0
+def _sign(occurrence: int) -> float:
+    return 1.0 if occurrence % 2 == 0 else -1.0
 
 
 def _free_states(m: Mdp) -> list[int]:
@@ -350,16 +355,16 @@ _NEED_GROUPS: dict[str, str] = {
 
 
 def _fixed(**cons):
-    return lambda m, i, cfg: dict(cons)
+    return lambda m, k, cfg: dict(cons)
 
 
 def _on_states(key: str, states: Callable[[Mdp], list[int]]):
-    return lambda m, i, cfg: {key: states(m)}
+    return lambda m, k, cfg: {key: states(m)}
 
 
 def _phi_spike(state_fn: Callable[[Mdp, CheckConfig], int]):
-    """Spike the potential at one state to the extreme reward, sign alternating by trial."""
-    return lambda m, i, cfg: {"phi_spike": (state_fn(m, cfg), _sign(i) * extreme_reward_value(m))}
+    """Spike the potential at one state to the extreme reward, sign alternating by occurrence."""
+    return lambda m, k, cfg: {"phi_spike": (state_fn(m, cfg), _sign(k) * extreme_reward_value(m))}
 
 
 def _row_step(m: Mdp, cfg: CheckConfig) -> tuple[int, int, int]:
@@ -372,14 +377,14 @@ def _lasso_step(m: Mdp, cfg: CheckConfig) -> tuple[int, int, int]:
 
 def _push(step_fn: Callable[[Mdp, CheckConfig], tuple[int, int, int]], extreme: bool = False):
     """Push reward onto the first stochastic step, of the rows or of the lassos."""
-    def build(m: Mdp, i: int, cfg: CheckConfig) -> dict:
+    def build(m: Mdp, k: int, cfg: CheckConfig) -> dict:
         value = extreme_reward_value(m) if extreme else 0.8 * reward_scale(m)
-        return {"push": (*step_fn(m, cfg), _sign(i) * value)}
+        return {"push": (*step_fn(m, cfg), _sign(k) * value)}
 
     return build
 
 
-def _boost(m: Mdp, i: int, cfg: CheckConfig) -> dict:
+def _boost(m: Mdp, k: int, cfg: CheckConfig) -> dict:
     """Make a non-optimal action of the first unreachable state dominate."""
     u = int(np.flatnonzero(~reachable_state_mask(m))[0])
     sets = optimal_action_sets(m)  # Q* does not read beta
@@ -395,10 +400,12 @@ def _canned_fan_pair() -> tuple[Mdp, TransformSpec]:
 @dataclass(frozen=True)
 class PlanRow:
     """One cell's attack plan: overrides of cfg.sampler, predicate(m, cfg),
-    constraints(m, trial, cfg), built only on MDPs that meet the predicate,
-    and canned (MDP, member) pairs.  PlanRow() is the plain plan."""
+    constraints(m, occurrence, cfg), built only on MDPs that meet the
+    predicate, and canned (MDP, member) pairs.  PlanRow() is the plain plan.
+    A row keys its class's shared columns, so it hashes by every field but
+    the sampler dict, which equality still compares."""
 
-    sampler: dict = field(default_factory=dict)
+    sampler: dict = field(default_factory=dict, hash=False)
     predicate: Callable[[Mdp, CheckConfig], bool] | None = None
     constraints: Callable[[Mdp, int, CheckConfig], dict] | None = None
     canned: tuple[Callable[[], tuple[Mdp, TransformSpec]], ...] = ()
@@ -455,7 +462,7 @@ _ROWS_BY_CLASS: dict[str, list[tuple[Iterable[str], PlanRow]]] = {
     "mask_unreachable": [
         (_ARGMAX_KINDS, PlanRow(_ORPHANS, _has_possible_unreachable, _boost)),
         (_NCF, PlanRow(
-            _ORPHANS, _has_possible_unreachable, lambda m, i, cfg: {"extreme_possible_sign": _sign(i)})),
+            _ORPHANS, _has_possible_unreachable, lambda m, k, cfg: {"extreme_possible_sign": _sign(k)})),
         (_VALUE_KINDS | _SOFT_POLICY_KINDS | _FRAG_VALUE_KINDS, PlanRow(_ORPHANS, _has_possible_unreachable)),
     ],
 }
@@ -548,33 +555,32 @@ def replay_witness(obj: dict) -> dict:
 # The trial kernel
 
 
-# The newest column of shared draws in each slot, as (key, draws so far); see
-# _run_trials' share.  A slot is (stream, first part of the key): one per need
-# group for checks and one per preserved kind for refinements.  The table runs
-# its cells column by column, so one slot serves every check cell of a
-# column; the two directions of a refinement pair keep different kinds, so
-# neither evicts the other's column.
-_newest_columns: dict[tuple[str, str], tuple[tuple, list]] = {}
+# The shared columns of draws, each under (stream, key, class, row) and
+# holding (cfg, its draws by occurrence) for the newest cfg it was read at;
+# see _run_trials' share.  Callers release a stream's columns, or one
+# class's, once they read them no more: the table a column of check cells,
+# build_refinement_order its refinement columns.
+_newest_columns: dict[tuple[str, tuple, str, PlanRow], tuple[CheckConfig, list]] = {}
 
 
-def _newest_column(slot: tuple[str, str], key: tuple) -> list:
-    held = _newest_columns.get(slot)
-    if held is None or held[0] != key:
-        held = _newest_columns[slot] = (key, [])
+def _column(stream: str, key: tuple, cls: str, row: PlanRow, cfg: CheckConfig) -> list:
+    held = _newest_columns.get((stream, key, cls, row))
+    if held is None or held[0] != cfg:
+        held = _newest_columns[stream, key, cls, row] = (cfg, [])
     return held[1]
 
 
-def release_refinement_columns() -> None:
-    """Drop the shared columns of refinement draws, once no caller reads them again."""
-    for slot in [slot for slot in _newest_columns if slot[0] == "refine"]:
-        del _newest_columns[slot]
+def release_columns(stream: str, cls: str | None = None) -> None:
+    """Drop the shared columns of a stream, or of one class in it, once no caller reads them again."""
+    for column in [c for c in _newest_columns if c[0] == stream and cls in (None, c[2])]:
+        del _newest_columns[column]
 
 
 def _run_trials(
     kind: str,
     cfg: CheckConfig,
     stream: str,
-    key: tuple[str, str],
+    key: tuple[str, ...],
     plans: list[tuple[str, PlanRow]],
     needs: tuple[str, ...],
     n: int,
@@ -585,24 +591,26 @@ def _run_trials(
 ) -> tuple[dict | None, int, Counter]:
     """The one trial loop: apply class members and compare kind's fingerprints.
 
-    Canned (MDP, member) pairs run first, then n trials.  Trial i takes its
-    class and row from plans[i % len(plans)] and its MDP and member from
-    seeds derived from (cfg.seed, stream, *key, i).  The MDP, mdp when given,
-    else drawn by the orphan and draw rules, must meet the row's predicate
-    and the base predicate of each kind in needs.  A trial is skipped when no
-    MDP meets them or the member degenerates to a noted Identity; with
-    preserve given, also when kind's fingerprint moves and so does the
-    preserved kind's.  The preserved kind is compared only when kind moved,
-    since only such a trial can become a witness.
+    Canned (MDP, member) pairs run first, then n trials.  Trial i of the L
+    plans tries plans[i % L], a class and its row, at occurrence k = i // L,
+    and draws its MDP and member from seeds derived from (cfg.seed, stream,
+    *key, class, k); its row builds the member's constraints from k too.
+    The MDP, mdp when given, else drawn by the orphan and draw rules, must
+    meet the row's predicate and the base predicate of each kind in needs.
+    A trial is skipped when no MDP meets them or the member degenerates to a
+    noted Identity; with preserve given, also when kind's fingerprint moves
+    and so does the preserved kind's.  The preserved kind is compared only
+    when kind moved, since only such a trial can become a witness, which
+    records the trial index i.
 
     A trial's draw is its MDP, its member and their stacked pair of R and
     t(R), whose solver memo serves every kind compared on it.  With share
-    (and no mdp), the draws are read through the newest column of the slot
-    (stream, key[0]), keyed by everything a draw depends on, (cfg, stream,
-    key, plans), and drawn into it the first time a trial asks; key must
-    therefore fix the groups of needs, whose base predicates the draws meet.
-    Callers that share a key and plans then share their trials, and a kind's
-    outcome is the same whether or not the column was already drawn.
+    (and no mdp), a plan's draws are read through the column (stream, key,
+    class, row) at cfg, by occurrence, and drawn into it the first time a
+    trial asks; key must therefore fix the groups of needs, whose base
+    predicates the draws meet.  Callers that try a class under one key and
+    row then share its trials, however many plans they cycle through, and a
+    kind's outcome is the same whether or not the column was already drawn.
 
     Returns (first witness or None, trials run, skipped trials by reason).
     """
@@ -612,7 +620,8 @@ def _run_trials(
     for cls, _ in plans:
         if cls not in CLASS_TAGS:
             raise ContractError(f"unknown transformation class {cls!r}")
-    groups = tuple(_NEED_GROUPS[k] for k in needs)
+    # In one order whatever the order of needs, so a draw never depends on it.
+    groups = sorted({_NEED_GROUPS[k] for k in needs})
 
     def bind(cls: str, row: PlanRow):
         overrides = dict(row.sampler)
@@ -631,52 +640,54 @@ def _run_trials(
     bound = [bind(cls, row) for cls, row in plans]
     params = SolverParams(beta=cfg.beta)
 
-    def draw(i: int) -> tuple[Mdp, TransformSpec, MdpStack, str, int, str] | str:
-        """The trial's (MDP, member, pair, class, index, origin), or why it is skipped."""
-        cls, sampler, meets, constraints = bound[i % len(bound)]
+    def draw(j: int, k: int) -> tuple[Mdp, TransformSpec, MdpStack] | str:
+        """Occurrence k of plans[j]: its (MDP, member, pair), or why it is skipped."""
+        cls, sampler, meets, constraints = bound[j]
         if mdp is not None:
             if meets is not None and not meets(mdp):
                 return "the given MDP fails the trial's requirements"
             m = mdp
         else:
-            mdp_seed = derive_seed(cfg.seed, stream, *key, i, "mdp")
+            mdp_seed = derive_seed(cfg.seed, stream, *key, cls, k, "mdp")
             if meets is None:
                 m = sample_mdp(sampler, mdp_seed)
             else:
                 m = sample_mdp_where(sampler, mdp_seed, meets)
             if m is None:
                 return "no sampled MDP met the trial's requirements"
-        cons = constraints(m, i, cfg) if constraints is not None else {}
+        cons = constraints(m, k, cfg) if constraints is not None else {}
         t = sample_transform(
-            cls, m, derive_seed(cfg.seed, stream, *key, i, "t"), magnitude=cfg.magnitude, constraints=cons
+            cls, m, derive_seed(cfg.seed, stream, *key, cls, k, "t"), magnitude=cfg.magnitude, constraints=cons
         )
         if isinstance(t, Identity) and t.note:
             return f"the member degenerated to the identity ({t.note})"
-        return m, t, _pair(m, t), cls, i, stream
+        return m, t, _pair(m, t)
 
-    column = _newest_column((stream, key[0]), (cfg, stream, key, tuple(plans))) if share else None
+    columns = [_column(stream, key, cls, row, cfg) for cls, row in plans] if share else None
 
     def draws():
         # Every canned pair is a zero-preserving monotone rescaling.
         for j, build in enumerate(canned):
             m, t = build()
-            yield m, t, _pair(m, t), "zpmt", j, "canned"
+            yield (m, t, _pair(m, t)), "zpmt", j, "canned"
         for i in range(n):
-            if column is None:
-                yield draw(i)
+            j, k = i % len(plans), i // len(plans)
+            if columns is None:
+                yield draw(j, k), plans[j][0], i, stream
                 continue
-            # Trials ask in order, so trial i is drawn next or already was.
-            if i == len(column):
-                column.append(draw(i))
-            yield column[i]
+            # A caller asks a column's occurrences in order, so k is drawn next or already was.
+            column = columns[j]
+            if k == len(column):
+                column.append(draw(j, k))
+            yield column[k], plans[j][0], i, stream
 
     run = 0
     skipped = Counter()
-    for drawn in draws():
+    for drawn, cls, trial, origin in draws():
         if isinstance(drawn, str):
             skipped[drawn] += 1
             continue
-        m, t, pair, cls, trial, origin = drawn
+        m, t, pair = drawn
         compare = _comparison(pair, cfg.resolution, params, cfg.tol_rel)
         equal, diff = compare(kind)
         if not equal and preserve is not None and not compare(preserve)[0]:
@@ -717,18 +728,20 @@ def check_invariance(kind: str, cls: str, cfg: CheckConfig, mdp: Mdp | None = No
     """Sample class members on random MDPs; report the first fingerprint change.
 
     Draws under the plain plan, held only to the kind's base predicate, from
-    seeds derived from (cfg.seed, "check", need group, class, trial): the
-    kinds of one need group draw the same trials, which _run_trials shares
-    between them, so the verdict is a function of (cfg, group, class) and
-    the kind alone.  With mdp given, all trials run on that MDP, whatever
+    seeds derived from (cfg.seed, "check", need group, class, trial), the
+    trial being the class's occurrence: the kinds of one need group draw the
+    same trials, which _run_trials shares between them through the column
+    (need group, class), so the verdict is a function of (cfg, group, class)
+    and the kind alone.  With mdp given, all trials run on that MDP, whatever
     the base predicate says of it, with the same member seeds.  Trials whose
     transformation degenerates to the identity (or whose MDP requirements
     cannot be met) are counted as skipped.
     """
     # An unknown kind has no group; _run_trials rejects it before any trial.
-    key, sampled = (_NEED_GROUPS.get(kind), cls), mdp is None
+    sampled = mdp is None
     found = _run_trials(
-        kind, cfg, "check", key, [(cls, PlanRow())], (kind,) if sampled else (), cfg.trials, mdp, share=sampled
+        kind, cfg, "check", (_NEED_GROUPS.get(kind),), [(cls, PlanRow())], (kind,) if sampled else (),
+        cfg.trials, mdp, share=sampled,
     )
     return _verdict(kind, cls, found)
 
@@ -741,12 +754,13 @@ def search_counterexample(
     Uses the cell's row of ATTACK_PLANS where one exists: MDP requirements
     plus transformation constraints that keep samples away from the
     subfamilies known to preserve the kind.  Canned witness pairs run first.
-    A fixed mdp that fails the requirements or the kind's base predicate
-    skips every trial.
+    Trials draw from seeds derived from (cfg.seed, "search", kind, class,
+    trial) and are never shared.  A fixed mdp that fails the requirements or
+    the kind's base predicate skips every trial.
     """
     row = ATTACK_PLANS.get((cls, kind), PlanRow())
     found = _run_trials(
-        kind, cfg, "search", (kind, cls), [(cls, row)], (kind,), cfg.budget, mdp,
+        kind, cfg, "search", (kind,), [(cls, row)], (kind,), cfg.budget, mdp,
         canned=row.canned if mdp is None else (),
     )
     return _verdict(kind, cls, found, f"no counterexample found in {found[1]} directed trials")
@@ -797,16 +811,20 @@ def relation_of(a_refines_b: bool, b_refines_a: bool) -> str:
 def _directional_witness(preserve: str, change: str, cfg: CheckConfig) -> tuple[dict | None, int, Counter]:
     """Find a transformation keeping `preserve`'s fingerprint while changing `change`'s.
 
-    Trial i tries the i-th class of preserve's roster, cyclically, under its
-    row against change.  Draws come from seeds derived from (cfg.seed,
-    "refine", preserve, change's need group, trial), so directions that keep
-    one kind and change kinds of one group and plan share their trials.
-    Returns (witness or None, trials run, skipped by reason).
+    Trial i tries class i % L of preserve's roster of L classes, under its
+    row against change, at occurrence i // L.  Draws come from seeds derived
+    from (cfg.seed, "refine", the need groups of both kinds, sorted and
+    de-duplicated, class, occurrence), so every direction that tries a class
+    under one row, over kinds of the same groups, reads one column of its
+    draws, whichever kind it keeps and however long its roster.  Returns
+    (witness or None, trials run, skipped by reason).
     """
-    # An unknown kind has no roster or group; _run_trials rejects it before any trial.
+    # An unknown kind has no roster or group and stands in for its own group
+    # here; _run_trials rejects it before any trial.
     plans = [(cls, ATTACK_PLANS.get((cls, change), PlanRow())) for cls in KIND_ROSTERS.get(preserve, ())]
+    groups = tuple(sorted({_NEED_GROUPS.get(k, k) for k in (preserve, change)}))
     return _run_trials(
-        change, cfg, "refine", (preserve, _NEED_GROUPS.get(change)), plans, (preserve, change),
+        change, cfg, "refine", groups, plans, (preserve, change),
         cfg.refine_trials, canned=CANNED_PRESERVING.get(preserve, ()), preserve=preserve, share=True,
     )
 

@@ -42,6 +42,7 @@ from .invariance import (
     STATUS_INVARIANT,
     CheckConfig,
     check_invariance,
+    release_columns,
     search_counterexample,
 )
 from .micro import chain_mdp, two_action_loop_mdp
@@ -181,15 +182,18 @@ def reproduce_directory_table(cfg: CheckConfig) -> TableReport:
     """Run every directory cell against the expected marks.
 
     Cells run column by column, so that the check cells of one need group
-    and class read one column of draws; the report lists them in roster
-    order.
+    and class read one column of draws, released once the column's cells
+    are done; the report lists them in roster order.
     """
     marks = expected_marks()["marks"]
-    by_cell = {
-        (kind, cls): _run_cell(kind, cls, marks[kind][j], cfg)
-        for j, cls in enumerate(CLASS_TAGS)
-        for kind in KIND_TAGS
-    }
+    by_cell = {}
+    for j, cls in enumerate(CLASS_TAGS):
+        try:
+            for kind in KIND_TAGS:
+                by_cell[kind, cls] = _run_cell(kind, cls, marks[kind][j], cfg)
+        finally:
+            # No later cell reads the column's check draws.
+            release_columns("check", cls)
     cells = tuple(by_cell[kind, cls] for kind in KIND_TAGS for cls in CLASS_TAGS)
     return TableReport(cells=cells, seed=cfg.seed, trials=cfg.trials, budget=cfg.budget)
 

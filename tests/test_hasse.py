@@ -218,12 +218,12 @@ def test_an_order_releases_its_refinement_columns(monkeypatch):
     monkeypatch.setattr(inv, "_newest_columns", {})
     check_invariance("q_star", "mask_impossible", FAST)
     checks = dict(inv._newest_columns)
-    assert list(checks) == [("check", "none")]
+    assert list(checks) == [("check", ("none",), "mask_impossible", inv.PlanRow())]
     held = []
 
     def compare(*args):
         verdict = inv.refinement_compare(*args)
-        held.append(sum(slot[0] == "refine" for slot in inv._newest_columns))
+        held.append(sum(column[0] == "refine" for column in inv._newest_columns))
         return verdict
 
     monkeypatch.setattr(ril.hasse, "refinement_compare", compare)

@@ -548,6 +548,47 @@ def test_refinement_directions_of_one_group_and_plan_draw_once(draws):
     assert len(draws) == drawn
 
 
+def test_directions_that_keep_different_kinds_share_the_draws_of_a_class(draws):
+    # q_star's roster is sprime_redistribution and mask_impossible, and
+    # boltzmann_policy's adds shaping.  No row of these classes names
+    # boltzmann_policy or mce_policy, and all three kinds are in the "none"
+    # need group, so the direction that keeps boltzmann_policy reads those
+    # two classes' occurrences from the columns the q_star direction drew.
+    for cls in KIND_ROSTERS["boltzmann_policy"]:
+        assert not any((cls, kind) in ATTACK_PLANS for kind in ("boltzmann_policy", "mce_policy"))
+    assert _directional_witness("q_star", "boltzmann_policy", FAST) == (None, FAST.refine_trials, Counter())
+    drawn = len(draws)
+    # mce_policy holds under every class of boltzmann_policy's roster, so
+    # the direction runs all its trials, a third of them under shaping.
+    assert _directional_witness("boltzmann_policy", "mce_policy", FAST) == (None, FAST.refine_trials, Counter())
+    assert [cls for _, _, cls in draws[drawn:]] == ["shaping"] * (FAST.refine_trials // 3)
+
+
+def test_a_signed_row_alternates_its_sign_by_the_occurrence_of_its_class(monkeypatch):
+    # In a roster of two classes, sprime_redistribution comes at trials 0
+    # and 2, its first and second occurrences: the row that pushes reward
+    # onto a stochastic step pushes up, then down.  Both classes keep q_star,
+    # so no trial ends the run.
+    import ril.invariance as inv
+
+    signs = []
+
+    def member(cls, m, seed, **kwargs):
+        if cls == "sprime_redistribution":
+            signs.append(float(np.sign(kwargs["constraints"]["push"][3])))
+        return sample_transform(cls, m, seed, **kwargs)
+
+    monkeypatch.setattr(inv, "sample_transform", member)
+    plans = [
+        ("sprime_redistribution", ATTACK_PLANS[("sprime_redistribution", "return_fragments")]),
+        ("mask_impossible", PlanRow()),
+    ]
+    assert [cls for cls, _ in plans] == list(KIND_ROSTERS["q_star"])
+    found = _run_trials("q_star", FAST, "refine", ("none",), plans, ("q_star",), 4)
+    assert found == (None, 4, Counter())
+    assert signs == [1.0, -1.0]
+
+
 def _eager_lasso_offer(m, res):
     """Every field of what m's canonical lassos offer, as a LassoNeed; None
     past the caps, with no lassos or with over 400."""

@@ -297,12 +297,12 @@ def test_a_benchmark_pass_at_another_seed_reproduces_the_directory_and_the_diagr
 
     # The verdict bytes of both workloads: the table's pinned before the
     # solvers evaluated a trial's two rewards as one stack, the order's since
-    # refinement directions draw by the changed kind's need group.
+    # refinement directions draw by (need groups, class, occurrence).
     assert hashlib.sha256((table / "verdicts.json").read_bytes()).hexdigest() == (
         "cbeb115e3143bd42beaa25a43bbe88f3cfa94d98f7b831219c3853305bbe8725"
     )
     assert hashlib.sha256((order / "order.json").read_bytes()).hexdigest() == (
-        "1c70e3b89575371a67ccda325c47316ed91e292505243dff46c0ca32b1683750"
+        "5943255f37085dbda3f5e720b03c8cddd53a90e35f6ca33291bfb8287a6c9b55"
     )
     # ril table exits 0 only when every cell reproduces its mark.
     cells = json.loads((table / "verdicts.json").read_text())["cells"]
@@ -320,6 +320,36 @@ def test_a_benchmark_pass_at_another_seed_reproduces_the_directory_and_the_diagr
     assert all(replay_witness(w)["reproduced"] for w in witnesses + refining)
     # A refinement witness keeps the kind it preserves.
     assert not any(replay_witness({**w, "kind": w["preserved_kind"]})["reproduced"] for w in refining)
+
+
+def test_an_order_pass_at_the_benchmark_config_draws_no_more_mdps(monkeypatch):
+    # A ratchet on draw sharing: every refinement direction that tries a
+    # class under one row, over kinds of the same need groups, reads one
+    # column of its draws.  One column per preserved kind and changed need
+    # group made 595 draws here, and a direction per pair of kinds 1,299.
+    import ril.invariance as inv
+    from ril.hasse import build_refinement_order
+
+    drawn = Counter()
+
+    def counting(name):
+        draw = getattr(inv, name)
+
+        def counted(*args, **kwargs):
+            drawn[name] += 1
+            return draw(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(inv, "_newest_columns", {})
+    for name in ("sample_mdp", "sample_mdp_where"):
+        monkeypatch.setattr(inv, name, counting(name))
+    refine_trials = literals(PERFBENCH / "workloads.py", "ORDER_REFINE_TRIALS")["ORDER_REFINE_TRIALS"]
+    # The benchmark's settings are the defaults but for the seed and trial counts.
+    order = build_refinement_order(CheckConfig(seed=4100540117377114495, refine_trials=refine_trials))
+    assert order.consistent and len(order.groups) == 11
+    assert drawn.total() <= 209, drawn
+    assert inv._newest_columns == {}
 
 
 def test_transform_output_of_every_class_is_pinned(tmp_path, capsys):
