@@ -6,10 +6,11 @@ after.  One kernel, _run_trials, runs it: canned (MDP, member) pairs first,
 then seeded trials that each take a class and its PlanRow from the caller,
 stopping at the first fingerprint change, which it returns as a replayable
 witness.  Trial i of a caller's L plans tries plan i % L at occurrence
-i // L, and draws its MDP and member from seeds derived from (seed,
-stream, caller's key, class, occurrence), so a draw depends on its class's
-column, never on which caller asked for it first.  Every trial draws its
-MDP by the same two rules:
+i // L, and draws its member from seeds derived from (seed, stream,
+caller's key, class, occurrence) and its MDP from the same seeds with the
+row's draw name, if it names one, in place of the class; so a draw depends
+on its column, never on which caller asked for it first.  Every trial
+draws its MDP by the same two rules:
 
 * orphans: a class in _ORPHAN_CLASSES, which acts on unreachable or
   unsupported states, draws with orphan_prob at least 0.6 unless its row
@@ -20,8 +21,9 @@ MDP by the same two rules:
 
 Three entry points pick the rows:
 
-* check_invariance uses the plain row, PlanRow(), and keys its draws by the
-  kind's need group, not the kind, so the kinds of a group share them.
+* check_invariance uses the plain plan, with the class's orphan rule as its
+  draw name, and keys its draws by the kind's need group, not the kind, so
+  the kinds of a group share them, and the classes of one rule its MDPs.
 * search_counterexample uses the cell's row of ATTACK_PLANS where one
   exists, which steers samples away from the degenerate corners of a class
   (zero potentials, near-linear rescalings, masks over empty sets).  A cell
@@ -401,7 +403,8 @@ def _canned_fan_pair() -> tuple[Mdp, TransformSpec]:
 class PlanRow:
     """One cell's attack plan: overrides of cfg.sampler, predicate(m, cfg),
     constraints(m, occurrence, cfg), built only on MDPs that meet the
-    predicate, and canned (MDP, member) pairs.  PlanRow() is the plain plan.
+    predicate, canned (MDP, member) pairs, and draw, the name that keys the
+    trials' MDP seeds in place of the class.  PlanRow() is the plain plan.
     A row keys its class's shared columns, so it hashes by every field but
     the sampler dict, which equality still compares."""
 
@@ -409,6 +412,7 @@ class PlanRow:
     predicate: Callable[[Mdp, CheckConfig], bool] | None = None
     constraints: Callable[[Mdp, int, CheckConfig], dict] | None = None
     canned: tuple[Callable[[], tuple[Mdp, TransformSpec]], ...] = ()
+    draw: str | None = None
 
 
 _ONE_INITIAL = {"max_initial_states": 1}
@@ -555,23 +559,32 @@ def replay_witness(obj: dict) -> dict:
 # The trial kernel
 
 
-# The shared columns of draws, each under (stream, key, class, row) and
-# holding (cfg, its draws by occurrence) for the newest cfg it was read at;
-# see _run_trials' share.  Callers release a stream's columns, or one
-# class's, once they read them no more: the table a column of check cells,
-# build_refinement_order its refinement columns.
-_newest_columns: dict[tuple[str, tuple, str, PlanRow], tuple[CheckConfig, list]] = {}
+# The shared columns, each under (stream, key, name, row, tail) and holding
+# (cfg, its draws by occurrence) for the newest cfg it was read at; see
+# _run_trials' share.  The tail names what a column holds, as in the seeds
+# it draws from: "mdp" a draw name's MDPs, "t" a class's trials.  Callers
+# release a stream's columns, or one class's trials, once they read them
+# no more: the table its check columns, build_refinement_order its
+# refinement columns.
+_newest_columns: dict[tuple[str, tuple, str, PlanRow, str], tuple[CheckConfig, list]] = {}
 
 
-def _column(stream: str, key: tuple, cls: str, row: PlanRow, cfg: CheckConfig) -> list:
-    held = _newest_columns.get((stream, key, cls, row))
+def _column(column: tuple[str, tuple, str, PlanRow, str], cfg: CheckConfig) -> list:
+    held = _newest_columns.get(column)
     if held is None or held[0] != cfg:
-        held = _newest_columns[stream, key, cls, row] = (cfg, [])
+        held = _newest_columns[column] = (cfg, [])
     return held[1]
 
 
+def _occurrence(column: list, k: int, draw: Callable[[int], object]):
+    """Occurrence k of a column, drawing every occurrence up to it in order."""
+    while len(column) <= k:
+        column.append(draw(len(column)))
+    return column[k]
+
+
 def release_columns(stream: str, cls: str | None = None) -> None:
-    """Drop the shared columns of a stream, or of one class in it, once no caller reads them again."""
+    """Drop a stream's shared columns, or those named by one class, once no caller reads them again."""
     for column in [c for c in _newest_columns if c[0] == stream and cls in (None, c[2])]:
         del _newest_columns[column]
 
@@ -592,11 +605,13 @@ def _run_trials(
     """The one trial loop: apply class members and compare kind's fingerprints.
 
     Canned (MDP, member) pairs run first, then n trials.  Trial i of the L
-    plans tries plans[i % L], a class and its row, at occurrence k = i // L,
-    and draws its MDP and member from seeds derived from (cfg.seed, stream,
-    *key, class, k); its row builds the member's constraints from k too.
-    The MDP, mdp when given, else drawn by the orphan and draw rules, must
-    meet the row's predicate and the base predicate of each kind in needs.
+    plans tries plans[i % L], a class and its row, at occurrence k = i // L.
+    It draws its member from seeds derived from (cfg.seed, stream, *key,
+    class, k), and its MDP from (cfg.seed, stream, *key, name, k, "mdp"),
+    the name being the row's draw, or the class when the row names none;
+    its row builds the member's constraints from k too.  The MDP, mdp when
+    given, else drawn by the orphan and draw rules, must meet the row's
+    predicate and the base predicate of each kind in needs.
     A trial is skipped when no MDP meets them or the member degenerates to a
     noted Identity; with preserve given, also when kind's fingerprint moves
     and so does the preserved kind's.  The preserved kind is compared only
@@ -606,11 +621,14 @@ def _run_trials(
     A trial's draw is its MDP, its member and their stacked pair of R and
     t(R), whose solver memo serves every kind compared on it.  With share
     (and no mdp), a plan's draws are read through the column (stream, key,
-    class, row) at cfg, by occurrence, and drawn into it the first time a
-    trial asks; key must therefore fix the groups of needs, whose base
-    predicates the draws meet.  Callers that try a class under one key and
-    row then share its trials, however many plans they cycle through, and a
-    kind's outcome is the same whether or not the column was already drawn.
+    class, row, "t") at cfg, by occurrence, and drawn into it the first time
+    a trial asks, and their MDPs likewise through the column (stream, key,
+    name, row, "mdp"); key must therefore fix the groups of needs, whose
+    base predicates the draws meet.  Callers that try a class under one key
+    and row then share its trials, however many plans they cycle through;
+    rows of several classes that name one draw, and so one sampler and
+    predicate, share one Mdp object per occurrence, with its memos.  A
+    kind's outcome is the same whether or not a column was already drawn.
 
     Returns (first witness or None, trials run, skipped trials by reason).
     """
@@ -640,19 +658,21 @@ def _run_trials(
     bound = [bind(cls, row) for cls, row in plans]
     params = SolverParams(beta=cfg.beta)
 
+    def sample(j: int, k: int) -> Mdp | None:
+        """Occurrence k of plans[j]'s sampled MDP, or None if none met its requirements."""
+        cls, sampler, meets, _ = bound[j]
+        mdp_seed = derive_seed(cfg.seed, stream, *key, plans[j][1].draw or cls, k, "mdp")
+        return sample_mdp(sampler, mdp_seed) if meets is None else sample_mdp_where(sampler, mdp_seed, meets)
+
     def draw(j: int, k: int) -> tuple[Mdp, TransformSpec, MdpStack] | str:
         """Occurrence k of plans[j]: its (MDP, member, pair), or why it is skipped."""
-        cls, sampler, meets, constraints = bound[j]
+        cls, _, meets, constraints = bound[j]
         if mdp is not None:
             if meets is not None and not meets(mdp):
                 return "the given MDP fails the trial's requirements"
             m = mdp
         else:
-            mdp_seed = derive_seed(cfg.seed, stream, *key, cls, k, "mdp")
-            if meets is None:
-                m = sample_mdp(sampler, mdp_seed)
-            else:
-                m = sample_mdp_where(sampler, mdp_seed, meets)
+            m = sample(j, k) if columns is None else _occurrence(columns[j][0], k, lambda r: sample(j, r))
             if m is None:
                 return "no sampled MDP met the trial's requirements"
         cons = constraints(m, k, cfg) if constraints is not None else {}
@@ -663,7 +683,11 @@ def _run_trials(
             return f"the member degenerated to the identity ({t.note})"
         return m, t, _pair(m, t)
 
-    columns = [_column(stream, key, cls, row, cfg) for cls, row in plans] if share else None
+    # Each plan's columns of MDPs and of trials.
+    columns = [
+        (_column((stream, key, row.draw or cls, row, "mdp"), cfg), _column((stream, key, cls, row, "t"), cfg))
+        for cls, row in plans
+    ] if share else None
 
     def draws():
         # Every canned pair is a zero-preserving monotone rescaling.
@@ -672,14 +696,8 @@ def _run_trials(
             yield (m, t, _pair(m, t)), "zpmt", j, "canned"
         for i in range(n):
             j, k = i % len(plans), i // len(plans)
-            if columns is None:
-                yield draw(j, k), plans[j][0], i, stream
-                continue
-            # A caller asks a column's occurrences in order, so k is drawn next or already was.
-            column = columns[j]
-            if k == len(column):
-                column.append(draw(j, k))
-            yield column[k], plans[j][0], i, stream
+            drawn = draw(j, k) if columns is None else _occurrence(columns[j][1], k, lambda q: draw(j, q))
+            yield drawn, plans[j][0], i, stream
 
     run = 0
     skipped = Counter()
@@ -727,20 +745,26 @@ def _verdict(
 def check_invariance(kind: str, cls: str, cfg: CheckConfig, mdp: Mdp | None = None) -> InvarianceVerdict:
     """Sample class members on random MDPs; report the first fingerprint change.
 
-    Draws under the plain plan, held only to the kind's base predicate, from
-    seeds derived from (cfg.seed, "check", need group, class, trial), the
-    trial being the class's occurrence: the kinds of one need group draw the
-    same trials, which _run_trials shares between them through the column
-    (need group, class), so the verdict is a function of (cfg, group, class)
-    and the kind alone.  With mdp given, all trials run on that MDP, whatever
-    the base predicate says of it, with the same member seeds.  Trials whose
-    transformation degenerates to the identity (or whose MDP requirements
-    cannot be met) are counted as skipped.
+    Draws under the plain plan, held only to the kind's base predicate.  The
+    trial's member comes from seeds derived from (cfg.seed, "check", need
+    group, class, trial), the trial being the class's occurrence, and its
+    MDP from (cfg.seed, "check", need group, rule, trial, "mdp"), where the
+    rule is "orphan" for a class in _ORPHAN_CLASSES and "plain" otherwise:
+    a class's MDPs depend on it only through the orphan rule.  So the kinds
+    of one need group draw the same trials, which _run_trials shares between
+    them through the column (need group, class), and every class of one
+    rule reads one column of MDPs (need group, rule), with their memos; the
+    verdict is a function of (cfg, group, class) and the kind alone.  With
+    mdp given, all trials run on that MDP, whatever the base predicate says
+    of it, with the same member seeds.  Trials whose transformation
+    degenerates to the identity (or whose MDP requirements cannot be met)
+    are counted as skipped.
     """
     # An unknown kind has no group; _run_trials rejects it before any trial.
     sampled = mdp is None
+    row = PlanRow(draw="orphan" if cls in _ORPHAN_CLASSES else "plain")
     found = _run_trials(
-        kind, cfg, "check", (_NEED_GROUPS.get(kind),), [(cls, PlanRow())], (kind,) if sampled else (),
+        kind, cfg, "check", (_NEED_GROUPS.get(kind),), [(cls, row)], (kind,) if sampled else (),
         cfg.trials, mdp, share=sampled,
     )
     return _verdict(kind, cls, found)

@@ -17,16 +17,19 @@ reproduce_directory_table runs the matching experiment per cell (invariance
 checking for inv marks, directed counterexample search for not marks) and
 compares outcomes to the expected marks.  Cells run serially in one thread,
 column by column (class outer, kind inner), and are reported in roster
-order.  A check cell draws its trials from (seed, need group, class), so
-the check cells of one need group and column share their draws, and a
-trial's stacked pair solves Q* and soft Q once for all of them; a search
-cell draws from (seed, kind, class).  Each cell's verdict is therefore the
-same in any run order and equals what the cell's experiment gives when run
-alone with the same config; CheckConfig's defaults are the directory run's
-settings.  Wall-clock timings live in a separate report section: the first
-check cell of a group in a column is charged for drawing the column and
-for its draws' first enumerations, which the drawn MDPs keep for the
-group's later kinds, so per-cell times still add up to the wall time.
+order.  A check cell draws its members from (seed, need group, class) and
+its MDPs from (seed, need group, orphan rule), so the check cells of one
+need group and column share their draws, and a trial's stacked pair solves
+Q* and soft Q once for all of them, while the group's columns of one rule
+share its MDPs; a search cell draws from (seed, kind, class).  Each cell's
+verdict is therefore the same in any run order and equals what the cell's
+experiment gives when run alone with the same config; CheckConfig's
+defaults are the directory run's settings.  Wall-clock timings live in a
+separate report section: the first check cell of a group and rule in the
+run is charged for their MDP draws and the MDPs' first enumerations,
+which the MDPs keep for the group's later kinds and classes, and the first
+of a group in a column for drawing its members, so per-cell times still
+add up to the wall time.
 """
 
 from __future__ import annotations
@@ -183,17 +186,23 @@ def reproduce_directory_table(cfg: CheckConfig) -> TableReport:
 
     Cells run column by column, so that the check cells of one need group
     and class read one column of draws, released once the column's cells
-    are done; the report lists them in roster order.
+    are done.  The check cells of a need group read one column of MDPs per
+    orphan rule across the classes, released after the last class.  The
+    report lists the cells in roster order.
     """
     marks = expected_marks()["marks"]
     by_cell = {}
-    for j, cls in enumerate(CLASS_TAGS):
-        try:
-            for kind in KIND_TAGS:
-                by_cell[kind, cls] = _run_cell(kind, cls, marks[kind][j], cfg)
-        finally:
-            # No later cell reads the column's check draws.
-            release_columns("check", cls)
+    try:
+        for j, cls in enumerate(CLASS_TAGS):
+            try:
+                for kind in KIND_TAGS:
+                    by_cell[kind, cls] = _run_cell(kind, cls, marks[kind][j], cfg)
+            finally:
+                # No later cell reads the column's check draws.
+                release_columns("check", cls)
+    finally:
+        # Nor, after the last class, the check MDPs.
+        release_columns("check")
     cells = tuple(by_cell[kind, cls] for kind in KIND_TAGS for cls in CLASS_TAGS)
     return TableReport(cells=cells, seed=cfg.seed, trials=cfg.trials, budget=cfg.budget)
 

@@ -212,13 +212,16 @@ def test_shared_refinement_columns_do_not_depend_on_pair_order(monkeypatch):
 
 def test_an_order_releases_its_refinement_columns(monkeypatch):
     # The pairs draw into shared columns while the order is built, and none
-    # outlives it; a check's column stays.
+    # outlives it; a check's columns, its MDPs' and its trials', stay.
     import ril.invariance as inv
 
     monkeypatch.setattr(inv, "_newest_columns", {})
     check_invariance("q_star", "mask_impossible", FAST)
     checks = dict(inv._newest_columns)
-    assert list(checks) == [("check", ("none",), "mask_impossible", inv.PlanRow())]
+    row = inv.PlanRow(draw="plain")
+    assert list(checks) == [
+        ("check", ("none",), "plain", row, "mdp"), ("check", ("none",), "mask_impossible", row, "t"),
+    ]
     held = []
 
     def compare(*args):

@@ -708,8 +708,7 @@ def test_a_rows_initial_state_bound_gives_way_to_the_configs_minimum(draws, args
         assert drawn.max_initial_states == drawn.min_initial_states == 2
 
 
-# One check cell per need group, and q_star x mask_impossible, whose shared
-# column holds a skipped draw (trial 25 at the default seed).
+# One check cell per need group, and q_star x mask_impossible.
 MEMO_CELLS = [
     ("q_star", "sprime_redistribution"),
     ("boltzmann_cmp_fragments", "mask_impossible"),
@@ -718,6 +717,9 @@ MEMO_CELLS = [
     ("q_star", "mask_impossible"),
 ]
 MEMO_CFG = replace(CheckConfig(), trials=30)
+# A cell whose shared column holds a skipped draw at the default config
+# (trial 57 at the default seed), where the table checks it.
+SKIPPING_CELL = ("boltzmann_cmp_fragments", "mask_impossible")
 
 
 @pytest.mark.parametrize("kind, cls", MEMO_CELLS)
@@ -727,10 +729,11 @@ def test_a_check_verdict_is_the_same_whatever_its_column_holds(monkeypatch, kind
     group = inv._NEED_GROUPS[kind]
     mates = [k for k in KIND_TAGS if inv._NEED_GROUPS[k] == group]
     assert kind in mates
+    cfg = CheckConfig() if (kind, cls) == SKIPPING_CELL else MEMO_CFG
 
     def run_after(order):
         monkeypatch.setattr(inv, "_newest_columns", {})
-        verdicts = {k: check_invariance(k, cls, MEMO_CFG) for k in order}
+        verdicts = {k: check_invariance(k, cls, cfg) for k in order}
         return verdicts[kind]
 
     alone = run_after([kind])
@@ -742,10 +745,45 @@ def test_a_check_verdict_is_the_same_whatever_its_column_holds(monkeypatch, kind
     # The group's check cells in the column read one set of trials.
     marks = expected_marks()["marks"]
     checked = [k for k in mates if marks[k][CLASS_TAGS.index(cls)] in ("inv", "inv_special")]
-    counts = {(v.trials_run, v.trials_skipped) for v in (check_invariance(k, cls, MEMO_CFG) for k in checked)}
+    counts = {(v.trials_run, v.trials_skipped) for v in (check_invariance(k, cls, cfg) for k in checked)}
     assert counts == {(alone.trials_run, alone.trials_skipped)}
-    if (kind, cls) == ("q_star", "mask_impossible"):
+    if (kind, cls) == SKIPPING_CELL:
         assert alone.trials_skipped == 1
+
+
+def test_checks_of_one_need_group_share_their_mdps_across_classes(draws, monkeypatch):
+    # A check's MDP depends on its class only through the orphan rule.  So
+    # after the first plain class of the "none" group, another plain class
+    # draws only its members, and the two orphan classes read one column of
+    # MDPs, drawn once.  Each cell's verdict is the one it gives alone.
+    import ril.invariance as inv
+
+    members = []
+    draw_member = inv.sample_transform
+
+    def member(cls, *args, **kwargs):
+        members.append(cls)
+        return draw_member(cls, *args, **kwargs)
+
+    monkeypatch.setattr(inv, "sample_transform", member)
+    cells = [
+        ("q_star", "sprime_redistribution"), ("boltzmann_policy", "shaping"), ("q_soft", "mask_impossible"),
+        ("traj_dist_boltzmann", "mask_unreachable"), ("traj_dist_optimal", "opt_supported_states"),
+    ]
+    assert {inv._NEED_GROUPS[kind] for kind, _ in cells} == {"none"}
+    verdicts, mdps = [], []
+    for kind, cls in cells:
+        drawn, met = len(draws), len(members)
+        verdicts.append(check_invariance(kind, cls, FAST))
+        mdps.append(draws[drawn:])
+        assert verdicts[-1].status == STATUS_INVARIANT, (kind, cls)
+        assert members[met:] == [cls] * FAST.trials, (kind, cls)
+    assert [len(drawn) for drawn in mdps] == [FAST.trials, 0, 0, FAST.trials, 0]
+    assert {sampler.orphan_prob for _, sampler, _ in mdps[0]} == {FAST.sampler.orphan_prob}
+    assert {sampler.orphan_prob for _, sampler, _ in mdps[3]} == {0.6}
+    for (kind, cls), verdict in zip(cells, verdicts):
+        monkeypatch.setattr(inv, "_newest_columns", {})
+        assert check_invariance(kind, cls, FAST) == verdict, (kind, cls)
 
 
 def test_a_column_enumerates_each_draw_once_for_every_kind_of_its_group(monkeypatch):

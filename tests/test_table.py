@@ -82,3 +82,33 @@ def test_small_table_run_reproduces_and_serializes():
     assert rendered.count("\n") >= len(KIND_TAGS)
     assert "all cells reproduced" in rendered
 
+
+
+def test_a_table_releases_its_check_columns(monkeypatch):
+    # While the table runs, a check reads the trial columns of its class
+    # only, and the MDP columns of every (need group, orphan rule) it has
+    # met so far; none outlives the table, and a refinement's columns stay.
+    import ril.invariance as inv
+    import ril.table
+
+    monkeypatch.setattr(inv, "_newest_columns", {})
+    cfg = CheckConfig(trials=2, budget=10)
+    inv.refinement_compare("q_star", "q_soft", cfg)
+    refines = dict(inv._newest_columns)
+    assert refines and {column[0] for column in refines} == {"refine"}
+    held = []
+
+    def check(kind, cls, *args, **kwargs):
+        verdict = inv.check_invariance(kind, cls, *args, **kwargs)
+        checks = [column for column in inv._newest_columns if column[0] == "check"]
+        held.append((cls, {c[2] for c in checks if c[-1] == "t"}, {c[:3] for c in checks if c[-1] == "mdp"}))
+        return verdict
+
+    monkeypatch.setattr(ril.table, "check_invariance", check)
+    reproduce_directory_table(cfg)
+    assert all(trials <= {cls} for cls, trials, _ in held)
+    assert {(group, rule) for *_, mdps in held for _, (group,), rule in mdps} == {
+        (group, "plain") for group in ("none", "fragments", "lassos", "lottery")
+    } | {(group, "orphan") for group in ("none", "lassos", "lottery")}
+    assert len(held[-1][2]) == 7
+    assert inv._newest_columns == refines

@@ -295,11 +295,11 @@ def test_a_benchmark_pass_at_another_seed_reproduces_the_directory_and_the_diagr
     assert main(["order", "--config", str(order_cfg), "--out", str(order)]) == 0
     capsys.readouterr()
 
-    # The verdict bytes of both workloads: the table's pinned before the
-    # solvers evaluated a trial's two rewards as one stack, the order's since
+    # The verdict bytes of both workloads: the table's since a check draws
+    # its MDP by (need group, orphan rule, occurrence), the order's since
     # refinement directions draw by (need groups, class, occurrence).
     assert hashlib.sha256((table / "verdicts.json").read_bytes()).hexdigest() == (
-        "cbeb115e3143bd42beaa25a43bbe88f3cfa94d98f7b831219c3853305bbe8725"
+        "a31ec0c8155d0f61c38d95970850cddbbe733c4056f93976bec75ed6dcd1261b"
     )
     assert hashlib.sha256((order / "order.json").read_bytes()).hexdigest() == (
         "5943255f37085dbda3f5e720b03c8cddd53a90e35f6ca33291bfb8287a6c9b55"
@@ -349,6 +349,35 @@ def test_an_order_pass_at_the_benchmark_config_draws_no_more_mdps(monkeypatch):
     order = build_refinement_order(CheckConfig(seed=4100540117377114495, refine_trials=refine_trials))
     assert order.consistent and len(order.groups) == 11
     assert drawn.total() <= 209, drawn
+    assert inv._newest_columns == {}
+
+
+def test_a_table_pass_at_the_benchmark_config_draws_no_more_mdps(monkeypatch):
+    # A ratchet on draw sharing: the check cells of one need group read one
+    # column of MDPs per orphan rule, whatever their class.  One column per
+    # need group and class made 340 draws here.
+    import ril.invariance as inv
+    from ril.table import reproduce_directory_table
+
+    drawn = Counter()
+
+    def counting(name):
+        draw = getattr(inv, name)
+
+        def counted(*args, **kwargs):
+            drawn[name] += 1
+            return draw(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(inv, "_newest_columns", {})
+    for name in ("sample_mdp", "sample_mdp_where"):
+        monkeypatch.setattr(inv, name, counting(name))
+    sizes = literals(PERFBENCH / "workloads.py", "TABLE_TRIALS", "TABLE_BUDGET")
+    # The benchmark's settings are the defaults but for the seed and trial counts.
+    cfg = CheckConfig(seed=4100540117377114495, trials=sizes["TABLE_TRIALS"], budget=sizes["TABLE_BUDGET"])
+    assert reproduce_directory_table(cfg).all_reproduced
+    assert drawn.total() <= 160, drawn
     assert inv._newest_columns == {}
 
 
