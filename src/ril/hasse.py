@@ -23,9 +23,9 @@ than silently patched, since each would falsify the order itself.  A roster
 must name known kinds, at least one and none twice (check_roster, which the
 command line's config check calls too).  All iteration follows the roster,
 so results are deterministic given the configuration; the directions share
-their draws through the refinement columns of the trial kernel, which no
-result depends on and which are released when the order is built.  Each
-pair's comparison is timed; the times go to the run report, never into the
+their draws through the columns of a shared_draws() scope, which no result
+depends on and which closes when the order is built.  Each pair's
+comparison is timed; the times go to the run report, never into the
 diagram's JSON.
 """
 
@@ -45,7 +45,7 @@ from .invariance import (
     RefinementVerdict,
     refinement_compare,
     relation_of,
-    release_columns,
+    shared_draws,
 )
 from .objects import KIND_LABELS, KIND_TAGS
 
@@ -111,7 +111,8 @@ def build_refinement_order(cfg: CheckConfig, kinds: tuple[str, ...] = KIND_TAGS)
     # refines[i, j]: no witness keeps kind i while moving kind j.
     refines = np.eye(n, dtype=bool)
     verdicts, seconds = [], []
-    try:
+    # The pairs share their draws through columns that no later call reads.
+    with shared_draws():
         for i, a in enumerate(kinds):
             for j in range(i + 1, n):
                 t0 = time.perf_counter()
@@ -120,9 +121,6 @@ def build_refinement_order(cfg: CheckConfig, kinds: tuple[str, ...] = KIND_TAGS)
                 verdicts.append(v)
                 refines[i, j] = v.relation in (RELATION_EQUIVALENT, RELATION_A_REFINES_B)
                 refines[j, i] = v.relation in (RELATION_EQUIVALENT, RELATION_B_REFINES_A)
-    finally:
-        # The pairs share their draws through columns that no later call reads.
-        release_columns("refine")
 
     def relation(i: int, j: int) -> str:
         return relation_of(refines[i, j], refines[j, i])

@@ -9,8 +9,9 @@ witness.  Trial i of a caller's L plans tries plan i % L at occurrence
 i // L, and draws its member from seeds derived from (seed, stream,
 caller's key, class, occurrence) and its MDP from the same seeds with the
 row's draw name, if it names one, in place of the class; so a draw depends
-on its column, never on which caller asked for it first.  Every trial
-draws its MDP by the same two rules:
+on its column, never on which caller asked for it first.  Columns live in
+the store a caller opens with shared_draws() and die with its scope;
+outside one no draw is shared.  Every trial draws its MDP by two rules:
 
 * orphans: a class in _ORPHAN_CLASSES, which acts on unreachable or
   unsupported states, draws with orphan_prob at least 0.6 unless its row
@@ -56,8 +57,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -559,21 +562,21 @@ def replay_witness(obj: dict) -> dict:
 # The trial kernel
 
 
-# The shared columns, each under (stream, key, name, row, tail) and holding
-# (cfg, its draws by occurrence) for the newest cfg it was read at; see
-# _run_trials' share.  The tail names what a column holds, as in the seeds
-# it draws from: "mdp" a draw name's MDPs, "t" a class's trials.  Callers
-# release a stream's columns, or one class's trials, once they read them
-# no more: the table its check columns, build_refinement_order its
-# refinement columns.
-_newest_columns: dict[tuple[str, tuple, str, PlanRow, str], tuple[CheckConfig, list]] = {}
+# The open store: each column under (stream, key, name, row, tail, cfg),
+# its draws by occurrence (see _run_trials), the tail naming what it holds as
+# in its seeds: "mdp" a draw name's MDPs, "t" a class's trials.
+_open_store: ContextVar[dict | None] = ContextVar("ril_shared_draws", default=None)
 
 
-def _column(column: tuple[str, tuple, str, PlanRow, str], cfg: CheckConfig) -> list:
-    held = _newest_columns.get(column)
-    if held is None or held[0] != cfg:
-        held = _newest_columns[column] = (cfg, [])
-    return held[1]
+@contextmanager
+def shared_draws() -> Iterator[dict]:
+    """Share the draws of the trials run in the scope through one store, which
+    it yields, opened empty and dropped on exit; an inner scope hides the outer's."""
+    token = _open_store.set({})
+    try:
+        yield _open_store.get()
+    finally:
+        _open_store.reset(token)
 
 
 def _occurrence(column: list, k: int, draw: Callable[[int], object]):
@@ -583,10 +586,11 @@ def _occurrence(column: list, k: int, draw: Callable[[int], object]):
     return column[k]
 
 
-def release_columns(stream: str, cls: str | None = None) -> None:
-    """Drop a stream's shared columns, or those named by one class, once no caller reads them again."""
-    for column in [c for c in _newest_columns if c[0] == stream and cls in (None, c[2])]:
-        del _newest_columns[column]
+def release_columns(cls: str) -> None:
+    """Drop the open store's columns named by one class, once no caller reads them again."""
+    store = _open_store.get() or {}
+    for column in [c for c in store if c[2] == cls]:
+        del store[column]
 
 
 def _run_trials(
@@ -600,7 +604,6 @@ def _run_trials(
     mdp: Mdp | None = None,
     canned: tuple[Callable[[], tuple[Mdp, TransformSpec]], ...] = (),
     preserve: str | None = None,
-    share: bool = False,
 ) -> tuple[dict | None, int, Counter]:
     """The one trial loop: apply class members and compare kind's fingerprints.
 
@@ -619,16 +622,17 @@ def _run_trials(
     records the trial index i.
 
     A trial's draw is its MDP, its member and their stacked pair of R and
-    t(R), whose solver memo serves every kind compared on it.  With share
-    (and no mdp), a plan's draws are read through the column (stream, key,
-    class, row, "t") at cfg, by occurrence, and drawn into it the first time
-    a trial asks, and their MDPs likewise through the column (stream, key,
-    name, row, "mdp"); key must therefore fix the groups of needs, whose
-    base predicates the draws meet.  Callers that try a class under one key
-    and row then share its trials, however many plans they cycle through;
-    rows of several classes that name one draw, and so one sampler and
-    predicate, share one Mdp object per occurrence, with its memos.  A
-    kind's outcome is the same whether or not a column was already drawn.
+    t(R), whose solver memo serves every kind compared on it.  Inside a
+    shared_draws() scope (and with no mdp), a plan's draws are read through
+    the store's column (stream, key, class, row, "t", cfg), by occurrence,
+    and drawn into it the first time a trial asks, and their MDPs likewise
+    through the column (stream, key, name, row, "mdp", cfg); key must
+    therefore fix the groups of needs, whose base predicates the draws meet.
+    Callers that try a class under one key and row then share its trials,
+    however many plans they cycle through; rows of several classes that name
+    one draw, and so one sampler and predicate, share one Mdp object per
+    occurrence, with its memos.  A kind's outcome is the same whether or not
+    a column was already drawn, or a scope is open at all.
 
     Returns (first witness or None, trials run, skipped trials by reason).
     """
@@ -683,11 +687,13 @@ def _run_trials(
             return f"the member degenerated to the identity ({t.note})"
         return m, t, _pair(m, t)
 
-    # Each plan's columns of MDPs and of trials.
+    # Each plan's columns of MDPs and of trials, in the open store.
+    store = _open_store.get() if mdp is None else None
     columns = [
-        (_column((stream, key, row.draw or cls, row, "mdp"), cfg), _column((stream, key, cls, row, "t"), cfg))
+        (store.setdefault((stream, key, row.draw or cls, row, "mdp", cfg), []),
+         store.setdefault((stream, key, cls, row, "t", cfg), []))
         for cls, row in plans
-    ] if share else None
+    ] if store is not None else None
 
     def draws():
         # Every canned pair is a zero-preserving monotone rescaling.
@@ -745,27 +751,26 @@ def _verdict(
 def check_invariance(kind: str, cls: str, cfg: CheckConfig, mdp: Mdp | None = None) -> InvarianceVerdict:
     """Sample class members on random MDPs; report the first fingerprint change.
 
-    Draws under the plain plan, held only to the kind's base predicate.  The
-    trial's member comes from seeds derived from (cfg.seed, "check", need
-    group, class, trial), the trial being the class's occurrence, and its
-    MDP from (cfg.seed, "check", need group, rule, trial, "mdp"), where the
-    rule is "orphan" for a class in _ORPHAN_CLASSES and "plain" otherwise:
-    a class's MDPs depend on it only through the orphan rule.  So the kinds
-    of one need group draw the same trials, which _run_trials shares between
-    them through the column (need group, class), and every class of one
-    rule reads one column of MDPs (need group, rule), with their memos; the
-    verdict is a function of (cfg, group, class) and the kind alone.  With
-    mdp given, all trials run on that MDP, whatever the base predicate says
-    of it, with the same member seeds.  Trials whose transformation
-    degenerates to the identity (or whose MDP requirements cannot be met)
-    are counted as skipped.
+    Draws under the plain plan, held only to the kind's base predicate.
+    The trial's member comes from seeds derived from (cfg.seed, "check",
+    need group, class, trial), the trial being the class's occurrence, and
+    its MDP from (cfg.seed, "check", need group, rule, trial, "mdp"), where
+    the rule is "orphan" for a class in _ORPHAN_CLASSES and "plain"
+    otherwise: a class's MDPs depend on it only through the orphan rule.
+    So the kinds of one need group draw the same trials, which _run_trials
+    shares between them inside a shared_draws() scope through the column
+    (need group, class), and every class of one rule reads one column of
+    MDPs (need group, rule), with their memos; the verdict is a function of
+    (cfg, group, class) and the kind alone.  With mdp given, all trials run
+    on that MDP, whatever the base predicate says of it, with the same
+    member seeds.  Trials whose transformation degenerates to the identity
+    (or whose MDP requirements cannot be met) are counted as skipped.
     """
     # An unknown kind has no group; _run_trials rejects it before any trial.
-    sampled = mdp is None
     row = PlanRow(draw="orphan" if cls in _ORPHAN_CLASSES else "plain")
     found = _run_trials(
-        kind, cfg, "check", (_NEED_GROUPS.get(kind),), [(cls, row)], (kind,) if sampled else (),
-        cfg.trials, mdp, share=sampled,
+        kind, cfg, "check", (_NEED_GROUPS.get(kind),), [(cls, row)], (kind,) if mdp is None else (),
+        cfg.trials, mdp,
     )
     return _verdict(kind, cls, found)
 
@@ -779,8 +784,8 @@ def search_counterexample(
     plus transformation constraints that keep samples away from the
     subfamilies known to preserve the kind.  Canned witness pairs run first.
     Trials draw from seeds derived from (cfg.seed, "search", kind, class,
-    trial) and are never shared.  A fixed mdp that fails the requirements or
-    the kind's base predicate skips every trial.
+    trial), a column only the cell reads.  A fixed mdp that fails the
+    requirements or the kind's base predicate skips every trial.
     """
     row = ATTACK_PLANS.get((cls, kind), PlanRow())
     found = _run_trials(
@@ -849,7 +854,7 @@ def _directional_witness(preserve: str, change: str, cfg: CheckConfig) -> tuple[
     groups = tuple(sorted({_NEED_GROUPS.get(k, k) for k in (preserve, change)}))
     return _run_trials(
         change, cfg, "refine", groups, plans, (preserve, change),
-        cfg.refine_trials, canned=CANNED_PRESERVING.get(preserve, ()), preserve=preserve, share=True,
+        cfg.refine_trials, canned=CANNED_PRESERVING.get(preserve, ()), preserve=preserve,
     )
 
 

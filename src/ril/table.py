@@ -18,18 +18,18 @@ checking for inv marks, directed counterexample search for not marks) and
 compares outcomes to the expected marks.  Cells run serially in one thread,
 column by column (class outer, kind inner), and are reported in roster
 order.  A check cell draws its members from (seed, need group, class) and
-its MDPs from (seed, need group, orphan rule), so the check cells of one
-need group and column share their draws, and a trial's stacked pair solves
-Q* and soft Q once for all of them, while the group's columns of one rule
-share its MDPs; a search cell draws from (seed, kind, class).  Each cell's
-verdict is therefore the same in any run order and equals what the cell's
-experiment gives when run alone with the same config; CheckConfig's
-defaults are the directory run's settings.  Wall-clock timings live in a
-separate report section: the first check cell of a group and rule in the
-run is charged for their MDP draws and the MDPs' first enumerations,
-which the MDPs keep for the group's later kinds and classes, and the first
-of a group in a column for drawing its members, so per-cell times still
-add up to the wall time.
+its MDPs from (seed, need group, orphan rule), so in the run's
+shared_draws() scope the check cells of one need group and column share
+their draws, and a trial's stacked pair solves Q* and soft Q once for all
+of them, while the group's columns of one rule share its MDPs; a search
+cell draws from (seed, kind, class).  Each cell's verdict is therefore the
+same in any run order and equals what the cell's experiment gives when run
+alone with the same config; CheckConfig's defaults are the directory run's
+settings.  Wall-clock timings live in a separate report section: the first
+check cell of a group and rule in the run is charged for their MDP draws
+and the MDPs' first enumerations, which the MDPs keep for the group's later
+kinds and classes, and the first of a group in a column for drawing its
+members, so per-cell times still add up to the wall time.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .invariance import (
     check_invariance,
     release_columns,
     search_counterexample,
+    shared_draws,
 )
 from .micro import chain_mdp, two_action_loop_mdp
 from .objects import KIND_TAGS
@@ -184,25 +185,21 @@ def _run_cell(kind: str, cls: str, expected: str, cfg: CheckConfig) -> CellResul
 def reproduce_directory_table(cfg: CheckConfig) -> TableReport:
     """Run every directory cell against the expected marks.
 
-    Cells run column by column, so that the check cells of one need group
-    and class read one column of draws, released once the column's cells
-    are done.  The check cells of a need group read one column of MDPs per
-    orphan rule across the classes, released after the last class.  The
-    report lists the cells in roster order.
+    Cells run column by column in one shared_draws() scope, so that the
+    check cells of one need group and class read one column of draws,
+    released with the class's search draws once the column's cells are
+    done.  The check cells of a need group read one column of MDPs per
+    orphan rule across the classes, which the scope drops when the table
+    returns.  The report lists the cells in roster order.
     """
     marks = expected_marks()["marks"]
     by_cell = {}
-    try:
+    with shared_draws():
         for j, cls in enumerate(CLASS_TAGS):
-            try:
-                for kind in KIND_TAGS:
-                    by_cell[kind, cls] = _run_cell(kind, cls, marks[kind][j], cfg)
-            finally:
-                # No later cell reads the column's check draws.
-                release_columns("check", cls)
-    finally:
-        # Nor, after the last class, the check MDPs.
-        release_columns("check")
+            for kind in KIND_TAGS:
+                by_cell[kind, cls] = _run_cell(kind, cls, marks[kind][j], cfg)
+            # No later cell reads the class's draws.
+            release_columns(cls)
     cells = tuple(by_cell[kind, cls] for kind in KIND_TAGS for cls in CLASS_TAGS)
     return TableReport(cells=cells, seed=cfg.seed, trials=cfg.trials, budget=cfg.budget)
 

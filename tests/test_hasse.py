@@ -184,12 +184,9 @@ def test_each_directions_witness_does_not_depend_on_roster_order():
     assert any("witness_preserves_b" in pair for pair in forward.values())
 
 
-def test_shared_refinement_columns_do_not_depend_on_pair_order(monkeypatch):
+def test_shared_refinement_columns_do_not_depend_on_pair_order():
     # Directions that share a column draw it in one roster order and read it
     # in the other; every witness holds byte for byte either way.
-    import ril.invariance as inv
-
-    monkeypatch.setattr(inv, "_newest_columns", {})
     cfg = CheckConfig(trials=8, budget=60, refine_trials=8)
     kinds = (
         "q_star", "boltzmann_policy", "return_fragments", "noiseless_cmp_fragments",
@@ -211,25 +208,29 @@ def test_shared_refinement_columns_do_not_depend_on_pair_order(monkeypatch):
 
 
 def test_an_order_releases_its_refinement_columns(monkeypatch):
-    # The pairs draw into shared columns while the order is built, and none
-    # outlives it; a check's columns, its MDPs' and its trials', stay.
+    # The pairs draw into the order's own store while it is built, and none
+    # outlives it; the enclosing store, a check's MDP and trial columns,
+    # is the same after it.
     import ril.invariance as inv
 
-    monkeypatch.setattr(inv, "_newest_columns", {})
-    check_invariance("q_star", "mask_impossible", FAST)
-    checks = dict(inv._newest_columns)
-    row = inv.PlanRow(draw="plain")
-    assert list(checks) == [
-        ("check", ("none",), "plain", row, "mdp"), ("check", ("none",), "mask_impossible", row, "t"),
-    ]
-    held = []
+    with inv.shared_draws() as outer:
+        check_invariance("q_star", "mask_impossible", FAST)
+        row = inv.PlanRow(draw="plain")
+        assert list(outer) == [
+            ("check", ("none",), "plain", row, "mdp", FAST), ("check", ("none",), "mask_impossible", row, "t", FAST),
+        ]
+        before = {column: len(drawn) for column, drawn in outer.items()}
+        held = []
 
-    def compare(*args):
-        verdict = inv.refinement_compare(*args)
-        held.append(sum(column[0] == "refine" for column in inv._newest_columns))
-        return verdict
+        def compare(*args):
+            verdict = inv.refinement_compare(*args)
+            store = inv._open_store.get()
+            assert store is not outer
+            held.append({column[0] for column in store})
+            return verdict
 
-    monkeypatch.setattr(ril.hasse, "refinement_compare", compare)
-    build_refinement_order(FAST, kinds=("q_star", "boltzmann_policy", "mce_policy"))
-    assert len(held) == 3 and min(held) > 0
-    assert inv._newest_columns == checks
+        monkeypatch.setattr(ril.hasse, "refinement_compare", compare)
+        build_refinement_order(FAST, kinds=("q_star", "boltzmann_policy", "mce_policy"))
+        assert inv._open_store.get() is outer
+        assert {column: len(drawn) for column, drawn in outer.items()} == before
+    assert held == [{"refine"}] * 3

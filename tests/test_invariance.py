@@ -42,6 +42,7 @@ from ril.invariance import (
     _directional_witness,
     _first_stochastic_step,
     _run_trials,
+    shared_draws,
 )
 from ril.micro import chain_mdp, loop_mdp, return_fan_mdp, two_action_loop_mdp
 from ril.objects import canonical_lassos, noiseless_ranks
@@ -490,12 +491,12 @@ def draws(monkeypatch):
         return sample_member(cls, *args, **kwargs)
 
     sample_member = inv.sample_transform
-    # A check reads a column drawn earlier without drawing again.
-    monkeypatch.setattr(inv, "_newest_columns", {})
     monkeypatch.setattr(inv, "sample_mdp", recorder("plain", inv.sample_mdp))
     monkeypatch.setattr(inv, "sample_mdp_where", recorder("where", inv.sample_mdp_where))
     monkeypatch.setattr(inv, "sample_transform", member)
-    return seen
+    # A check reads a column drawn earlier in the scope without drawing again.
+    with shared_draws():
+        yield seen
 
 
 @pytest.mark.parametrize(
@@ -723,7 +724,7 @@ SKIPPING_CELL = ("boltzmann_cmp_fragments", "mask_impossible")
 
 
 @pytest.mark.parametrize("kind, cls", MEMO_CELLS)
-def test_a_check_verdict_is_the_same_whatever_its_column_holds(monkeypatch, kind, cls):
+def test_a_check_verdict_is_the_same_whatever_its_column_holds(kind, cls):
     import ril.invariance as inv
 
     group = inv._NEED_GROUPS[kind]
@@ -732,8 +733,8 @@ def test_a_check_verdict_is_the_same_whatever_its_column_holds(monkeypatch, kind
     cfg = CheckConfig() if (kind, cls) == SKIPPING_CELL else MEMO_CFG
 
     def run_after(order):
-        monkeypatch.setattr(inv, "_newest_columns", {})
-        verdicts = {k: check_invariance(k, cls, cfg) for k in order}
+        with shared_draws():
+            verdicts = {k: check_invariance(k, cls, cfg) for k in order}
         return verdicts[kind]
 
     alone = run_after([kind])
@@ -782,8 +783,21 @@ def test_checks_of_one_need_group_share_their_mdps_across_classes(draws, monkeyp
     assert {sampler.orphan_prob for _, sampler, _ in mdps[0]} == {FAST.sampler.orphan_prob}
     assert {sampler.orphan_prob for _, sampler, _ in mdps[3]} == {0.6}
     for (kind, cls), verdict in zip(cells, verdicts):
-        monkeypatch.setattr(inv, "_newest_columns", {})
-        assert check_invariance(kind, cls, FAST) == verdict, (kind, cls)
+        with shared_draws():
+            assert check_invariance(kind, cls, FAST) == verdict, (kind, cls)
+
+
+def test_a_scope_keeps_the_columns_of_every_config_it_meets(draws):
+    # Columns are keyed by their config, so a check at another seed in
+    # between leaves the first config's columns in place: the check at the
+    # first config again draws no MDP and gives the same verdict.
+    other = replace(FAST, seed=FAST.seed + 1)
+    first = check_invariance("q_star", "sprime_redistribution", FAST)
+    assert first.status == STATUS_INVARIANT and len(draws) == FAST.trials
+    assert check_invariance("q_star", "sprime_redistribution", other).status == STATUS_INVARIANT
+    assert len(draws) == FAST.trials + other.trials
+    assert check_invariance("q_star", "sprime_redistribution", FAST) == first
+    assert len(draws) == FAST.trials + other.trials
 
 
 def test_a_column_enumerates_each_draw_once_for_every_kind_of_its_group(monkeypatch):
@@ -801,18 +815,18 @@ def test_a_column_enumerates_each_draw_once_for_every_kind_of_its_group(monkeypa
 
     monkeypatch.setattr(objects, "enumerate_fragments", counting("fragments", objects.enumerate_fragments))
     monkeypatch.setattr(objects, "enumerate_lassos", counting("lassos", objects.enumerate_lassos))
-    monkeypatch.setattr(inv, "_newest_columns", {})
     for group, cls in (("lassos", "shaping_zero_initial"), ("fragments", "mask_impossible")):
         mates = [k for k in KIND_TAGS if inv._NEED_GROUPS[k] == group]
         assert len(mates) >= 2
-        verdict = check_invariance(mates[0], cls, FAST)
-        assert verdict.status == STATUS_INVARIANT, (mates[0], cls)
-        assert calls[group] > 0
-        drawn = calls.copy()
-        # The column's MDPs carry their enumerations to the group's other kinds.
-        for kind in mates[1:]:
-            assert check_invariance(kind, cls, FAST).trials_run == verdict.trials_run, kind
-            assert calls == drawn, kind
+        with shared_draws():
+            verdict = check_invariance(mates[0], cls, FAST)
+            assert verdict.status == STATUS_INVARIANT, (mates[0], cls)
+            assert calls[group] > 0
+            drawn = calls.copy()
+            # The column's MDPs carry their enumerations to the group's other kinds.
+            for kind in mates[1:]:
+                assert check_invariance(kind, cls, FAST).trials_run == verdict.trials_run, kind
+                assert calls == drawn, kind
     # A check on a given MDP enumerates it once across all its trials.
     calls.clear()
     m = return_fan_mdp()
@@ -842,8 +856,7 @@ def test_checks_of_one_need_group_on_a_given_mdp_draw_the_same_members(monkeypat
     assert seeds["q_star"] == seeds["q_soft"]
 
 
-def test_ril_check_of_a_cell_gives_its_table_entry(tmp_path, monkeypatch, capsys):
-    import ril.invariance as inv
+def test_ril_check_of_a_cell_gives_its_table_entry(tmp_path, capsys):
     from ril.cli import main
 
     table = tmp_path / "table"
@@ -853,9 +866,9 @@ def test_ril_check_of_a_cell_gives_its_table_entry(tmp_path, monkeypatch, capsys
     assert main(["table", *args, "--budget", "1", "--out", str(table)]) in (0, 1)
     cells = json.loads((table / "verdicts.json").read_text())["cells"]
     for kind, cls in MEMO_CELLS:
-        monkeypatch.setattr(inv, "_newest_columns", {})  # as in a fresh process
         out = tmp_path / f"{kind}-{cls}"
-        assert main(["check", "--kind", kind, "--class", cls, *args, "--out", str(out)]) == 0
+        with shared_draws():  # as in a fresh process
+            assert main(["check", "--kind", kind, "--class", cls, *args, "--out", str(out)]) == 0
         verdict = json.loads((out / "check_verdict.json").read_text())
         entry = cells[kind][cls]
         assert (entry["observed"], verdict["status"]) == ("inv", STATUS_INVARIANT), (kind, cls)

@@ -85,30 +85,35 @@ def test_small_table_run_reproduces_and_serializes():
 
 
 def test_a_table_releases_its_check_columns(monkeypatch):
-    # While the table runs, a check reads the trial columns of its class
-    # only, and the MDP columns of every (need group, orphan rule) it has
-    # met so far; none outlives the table, and a refinement's columns stay.
+    # The table draws into its own store.  While it runs, a check finds
+    # there the trial columns of its class only, and the MDP columns of
+    # every (need group, orphan rule) it has met so far; the enclosing
+    # store, which holds a refinement's columns, is the same after it.
     import ril.invariance as inv
     import ril.table
 
-    monkeypatch.setattr(inv, "_newest_columns", {})
     cfg = CheckConfig(trials=2, budget=10)
-    inv.refinement_compare("q_star", "q_soft", cfg)
-    refines = dict(inv._newest_columns)
-    assert refines and {column[0] for column in refines} == {"refine"}
-    held = []
+    with inv.shared_draws() as outer:
+        inv.refinement_compare("q_star", "q_soft", cfg)
+        assert outer and {column[0] for column in outer} == {"refine"}
+        before = {column: len(drawn) for column, drawn in outer.items()}
+        held = []
 
-    def check(kind, cls, *args, **kwargs):
-        verdict = inv.check_invariance(kind, cls, *args, **kwargs)
-        checks = [column for column in inv._newest_columns if column[0] == "check"]
-        held.append((cls, {c[2] for c in checks if c[-1] == "t"}, {c[:3] for c in checks if c[-1] == "mdp"}))
-        return verdict
+        def check(kind, cls, *args, **kwargs):
+            verdict = inv.check_invariance(kind, cls, *args, **kwargs)
+            store = inv._open_store.get()
+            assert store is not outer
+            checks = [column for column in store if column[0] == "check"]
+            if "mdp" not in kwargs:  # a mixed cell's half, on a given MDP, shares nothing
+                held.append((cls, {c[2] for c in checks if c[4] == "t"}, {c[:3] for c in checks if c[4] == "mdp"}))
+            return verdict
 
-    monkeypatch.setattr(ril.table, "check_invariance", check)
-    reproduce_directory_table(cfg)
-    assert all(trials <= {cls} for cls, trials, _ in held)
+        monkeypatch.setattr(ril.table, "check_invariance", check)
+        reproduce_directory_table(cfg)
+        assert inv._open_store.get() is outer
+        assert {column: len(drawn) for column, drawn in outer.items()} == before
+    assert all(trials == {cls} for cls, trials, _ in held)
     assert {(group, rule) for *_, mdps in held for _, (group,), rule in mdps} == {
         (group, "plain") for group in ("none", "fragments", "lassos", "lottery")
     } | {(group, "orphan") for group in ("none", "lassos", "lottery")}
     assert len(held[-1][2]) == 7
-    assert inv._newest_columns == refines

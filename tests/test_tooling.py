@@ -341,15 +341,15 @@ def test_an_order_pass_at_the_benchmark_config_draws_no_more_mdps(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(inv, "_newest_columns", {})
     for name in ("sample_mdp", "sample_mdp_where"):
         monkeypatch.setattr(inv, name, counting(name))
     refine_trials = literals(PERFBENCH / "workloads.py", "ORDER_REFINE_TRIALS")["ORDER_REFINE_TRIALS"]
     # The benchmark's settings are the defaults but for the seed and trial counts.
-    order = build_refinement_order(CheckConfig(seed=4100540117377114495, refine_trials=refine_trials))
+    with inv.shared_draws() as store:
+        order = build_refinement_order(CheckConfig(seed=4100540117377114495, refine_trials=refine_trials))
     assert order.consistent and len(order.groups) == 11
     assert drawn.total() <= 209, drawn
-    assert inv._newest_columns == {}
+    assert store == {}
 
 
 def test_a_table_pass_at_the_benchmark_config_draws_no_more_mdps(monkeypatch):
@@ -370,15 +370,47 @@ def test_a_table_pass_at_the_benchmark_config_draws_no_more_mdps(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(inv, "_newest_columns", {})
     for name in ("sample_mdp", "sample_mdp_where"):
         monkeypatch.setattr(inv, name, counting(name))
     sizes = literals(PERFBENCH / "workloads.py", "TABLE_TRIALS", "TABLE_BUDGET")
     # The benchmark's settings are the defaults but for the seed and trial counts.
     cfg = CheckConfig(seed=4100540117377114495, trials=sizes["TABLE_TRIALS"], budget=sizes["TABLE_BUDGET"])
-    assert reproduce_directory_table(cfg).all_reproduced
+    with inv.shared_draws() as store:
+        assert reproduce_directory_table(cfg).all_reproduced
     assert drawn.total() <= 160, drawn
-    assert inv._newest_columns == {}
+    assert store == {}
+
+
+def test_draws_outside_a_scope_leave_no_module_state_behind():
+    # Outside any shared_draws() scope nothing is shared, so nothing is kept:
+    # a kind-outer run of table cells, as acceptance criterion 8 runs them,
+    # then a lone refinement comparison leave no dict, list or set of a ril
+    # module larger than before.
+    import contextvars
+
+    from ril.invariance import _open_store, refinement_compare
+    from ril.table import _run_cell, expected_marks
+
+    def sizes():
+        return {
+            (name, attr): len(value)
+            for name, module in list(sys.modules.items()) if name == "ril" or name.startswith("ril.")
+            for attr, value in vars(module).items() if isinstance(value, (dict, list, set))
+        }
+
+    def run():
+        assert _open_store.get() is None
+        cfg = CheckConfig(trials=4, budget=10, refine_trials=4)
+        marks = expected_marks()["marks"]
+        for kind in ("q_star", "return_fragments", "return_trajectories"):
+            for j, cls in enumerate(CLASS_TAGS):
+                _run_cell(kind, cls, marks[kind][j], cfg)
+        refinement_compare("q_star", "q_soft", cfg)
+
+    before = sizes()
+    contextvars.Context().run(run)
+    after = sizes()
+    assert {key: n for key, n in after.items() if n > before.get(key, 0)} == {}
 
 
 def test_transform_output_of_every_class_is_pinned(tmp_path, capsys):
