@@ -6,12 +6,14 @@ after.  One kernel, _run_trials, runs it: canned (MDP, member) pairs first,
 then seeded trials that each take a class and its PlanRow from the caller,
 stopping at the first fingerprint change, which it returns as a replayable
 witness.  Trial i of a caller's L plans tries plan i % L at occurrence
-i // L, and draws its member from seeds derived from (seed, stream,
-caller's key, class, occurrence) and its MDP from the same seeds with the
-row's draw name, if it names one, in place of the class; so a draw depends
-on its column, never on which caller asked for it first.  Columns live in
-the store a caller opens with shared_draws() and die with its scope;
-outside one no draw is shared.  Every trial draws its MDP by two rules:
+i // L.  A draw is named only by what it must meet, never by which
+experiment asked for it: its member comes from seeds derived from (seed,
+need groups, class, occurrence) and its MDP from (seed, need groups, orphan
+rule, occurrence), the need groups being those of the kinds the trial
+compares and the rule "orphan" or "plain" (below).  So a draw depends on
+its column, never on which caller asked for it first.  Columns live in the
+store a caller opens with shared_draws() and die with its scope; outside
+one no draw is shared.  Every trial draws its MDP by two rules:
 
 * orphans: a class in _ORPHAN_CLASSES, which acts on unreachable or
   unsupported states, draws with orphan_prob at least 0.6 unless its row
@@ -22,18 +24,19 @@ outside one no draw is shared.  Every trial draws its MDP by two rules:
 
 Three entry points pick the rows:
 
-* check_invariance uses the plain plan, with the class's orphan rule as its
-  draw name, and keys its draws by the kind's need group, not the kind, so
-  the kinds of a group share them, and the classes of one rule its MDPs.
+* check_invariance uses the plain plan, and its draws are keyed by the
+  kind's need group, not the kind, so the kinds of a group share them, and
+  the classes of one rule its MDPs.
 * search_counterexample uses the cell's row of ATTACK_PLANS where one
   exists, which steers samples away from the degenerate corners of a class
   (zero potentials, near-linear rescalings, masks over empty sets).  A cell
   has a row only where the plain plan would cost refinement or search extra
-  trials; the plain plan finds every other witness within a small budget.
+  trials; the plain plan finds every other witness within a small budget,
+  from the draws its column's check cells of the kind's group read.
 * refinement_compare decides, for two object kinds, whether one's ambiguity
   refines the other's: it hunts for a transformation preserving one
-  fingerprint while changing the other, in both directions.  A direction
-  keys its draws by the need groups of its two kinds, so every direction
+  fingerprint while changing the other, in both directions.  A direction's
+  draws are keyed by the need groups of its two kinds, so every direction
   that tries a class under one row, over kinds of the same groups, reads
   one column of that class's draws, whichever kind it keeps.  A trial compares
   the changed kind first, and the preserved kind only when the changed kind
@@ -49,8 +52,8 @@ kind (two lottery payloads describe the same preference order over return
 lotteries exactly when an increasing affine map aligns them).
 
 All verdicts are deterministic functions of (config, seed): MDP draws,
-transformation draws, and trial order use seeds derived per class and
-occurrence.
+transformation draws, and trial order use seeds derived per need groups,
+class or orphan rule, and occurrence.
 """
 
 from __future__ import annotations
@@ -406,8 +409,7 @@ def _canned_fan_pair() -> tuple[Mdp, TransformSpec]:
 class PlanRow:
     """One cell's attack plan: overrides of cfg.sampler, predicate(m, cfg),
     constraints(m, occurrence, cfg), built only on MDPs that meet the
-    predicate, canned (MDP, member) pairs, and draw, the name that keys the
-    trials' MDP seeds in place of the class.  PlanRow() is the plain plan.
+    predicate, and canned (MDP, member) pairs.  PlanRow() is the plain plan.
     A row keys its class's shared columns, so it hashes by every field but
     the sampler dict, which equality still compares."""
 
@@ -415,7 +417,6 @@ class PlanRow:
     predicate: Callable[[Mdp, CheckConfig], bool] | None = None
     constraints: Callable[[Mdp, int, CheckConfig], dict] | None = None
     canned: tuple[Callable[[], tuple[Mdp, TransformSpec]], ...] = ()
-    draw: str | None = None
 
 
 _ONE_INITIAL = {"max_initial_states": 1}
@@ -562,9 +563,9 @@ def replay_witness(obj: dict) -> dict:
 # The trial kernel
 
 
-# The open store: each column under (stream, key, name, row, tail, cfg),
-# its draws by occurrence (see _run_trials), the tail naming what it holds as
-# in its seeds: "mdp" a draw name's MDPs, "t" a class's trials.
+# The open store: each column under (groups, name, row, tail, cfg), its
+# draws by occurrence (see _run_trials), the tail naming what it holds as in
+# its seeds: "mdp" an orphan rule's MDPs, "t" a class's trials.
 _open_store: ContextVar[dict | None] = ContextVar("ril_shared_draws", default=None)
 
 
@@ -587,17 +588,16 @@ def _occurrence(column: list, k: int, draw: Callable[[int], object]):
 
 
 def release_columns(cls: str) -> None:
-    """Drop the open store's columns named by one class, once no caller reads them again."""
+    """Drop the open store's trial columns of one class, once no caller reads
+    them again; its MDP columns, named by orphan rule, stay with the scope."""
     store = _open_store.get() or {}
-    for column in [c for c in store if c[2] == cls]:
+    for column in [c for c in store if c[1] == cls]:
         del store[column]
 
 
 def _run_trials(
     kind: str,
     cfg: CheckConfig,
-    stream: str,
-    key: tuple[str, ...],
     plans: list[tuple[str, PlanRow]],
     needs: tuple[str, ...],
     n: int,
@@ -609,30 +609,33 @@ def _run_trials(
 
     Canned (MDP, member) pairs run first, then n trials.  Trial i of the L
     plans tries plans[i % L], a class and its row, at occurrence k = i // L.
-    It draws its member from seeds derived from (cfg.seed, stream, *key,
-    class, k), and its MDP from (cfg.seed, stream, *key, name, k, "mdp"),
-    the name being the row's draw, or the class when the row names none;
-    its row builds the member's constraints from k too.  The MDP, mdp when
-    given, else drawn by the orphan and draw rules, must meet the row's
-    predicate and the base predicate of each kind in needs.
-    A trial is skipped when no MDP meets them or the member degenerates to a
-    noted Identity; with preserve given, also when kind's fingerprint moves
-    and so does the preserved kind's.  The preserved kind is compared only
-    when kind moved, since only such a trial can become a witness, which
-    records the trial index i.
+    A draw is named only by what it must meet: groups, the sorted need
+    groups of needs, and the class's orphan rule, "orphan" for a class in
+    _ORPHAN_CLASSES and "plain" otherwise.  The trial draws its member from
+    seeds derived from (cfg.seed, *groups, class, k, "t"), and its MDP from
+    (cfg.seed, *groups, rule, k, "mdp") by the orphan and draw rules; its
+    row builds the member's constraints from k too.  The MDP, mdp when
+    given, must meet the row's predicate and the base predicate of each
+    kind in needs.  A trial is skipped when no MDP meets them or the member
+    degenerates to a noted Identity; with preserve given, also when kind's
+    fingerprint moves and so does the preserved kind's.  The preserved kind
+    is compared only when kind moved, since only such a trial can become a
+    witness, which records the trial index i and its origin, "canned" or
+    "sampled".
 
     A trial's draw is its MDP, its member and their stacked pair of R and
-    t(R), whose solver memo serves every kind compared on it.  Inside a
-    shared_draws() scope (and with no mdp), a plan's draws are read through
-    the store's column (stream, key, class, row, "t", cfg), by occurrence,
-    and drawn into it the first time a trial asks, and their MDPs likewise
-    through the column (stream, key, name, row, "mdp", cfg); key must
-    therefore fix the groups of needs, whose base predicates the draws meet.
-    Callers that try a class under one key and row then share its trials,
-    however many plans they cycle through; rows of several classes that name
-    one draw, and so one sampler and predicate, share one Mdp object per
-    occurrence, with its memos.  A kind's outcome is the same whether or not
-    a column was already drawn, or a scope is open at all.
+    t(R), whose solver memo serves every kind compared on it.  A plan's
+    draws are read through the store's column (groups, class, row, "t",
+    cfg), by occurrence, and drawn into it the first time a trial asks, and
+    their MDPs likewise through the column (groups, rule, row, "mdp", cfg).
+    The store is the open shared_draws() scope's, so that every caller in
+    the scope that tries a class under one row, over kinds of the same
+    groups, shares its trials, whichever experiment it runs and however
+    many plans it cycles through, and the classes of one rule share one Mdp
+    object per occurrence, with its memos.  A call with no open scope, or
+    with mdp given, draws through a store of its own.  A kind's outcome is
+    the same whether or not a column was already drawn, or a scope is open
+    at all.
 
     Returns (first witness or None, trials run, skipped trials by reason).
     """
@@ -643,11 +646,12 @@ def _run_trials(
         if cls not in CLASS_TAGS:
             raise ContractError(f"unknown transformation class {cls!r}")
     # In one order whatever the order of needs, so a draw never depends on it.
-    groups = sorted({_NEED_GROUPS[k] for k in needs})
+    groups = tuple(sorted({_NEED_GROUPS[k] for k in needs}))
 
     def bind(cls: str, row: PlanRow):
+        rule = "orphan" if cls in _ORPHAN_CLASSES else "plain"
         overrides = dict(row.sampler)
-        if cls in _ORPHAN_CLASSES:
+        if rule == "orphan":
             overrides.setdefault("orphan_prob", max(cfg.sampler.orphan_prob, 0.6))
         # A row's initial-state bound gives way where it crosses the config's
         # other bound: the minimum wins, so a valid config never fails here.
@@ -657,43 +661,43 @@ def _run_trials(
             overrides["max_initial_states"] = low
         preds = [p for p in (row.predicate, *map(_BASE_PREDICATES.get, groups)) if p is not None]
         meets = (lambda m: all(p(m, cfg) for p in preds)) if preds else None
-        return cls, replace(cfg.sampler, **overrides), meets, row.constraints
+        return cls, rule, replace(cfg.sampler, **overrides), meets, row.constraints
 
     bound = [bind(cls, row) for cls, row in plans]
     params = SolverParams(beta=cfg.beta)
 
-    def sample(j: int, k: int) -> Mdp | None:
-        """Occurrence k of plans[j]'s sampled MDP, or None if none met its requirements."""
-        cls, sampler, meets, _ = bound[j]
-        mdp_seed = derive_seed(cfg.seed, stream, *key, plans[j][1].draw or cls, k, "mdp")
-        return sample_mdp(sampler, mdp_seed) if meets is None else sample_mdp_where(sampler, mdp_seed, meets)
+    def sample(j: int, k: int) -> Mdp | str:
+        """Occurrence k of plans[j]'s MDP, or why none met its requirements."""
+        _, rule, sampler, meets, _ = bound[j]
+        if mdp is not None:
+            return mdp if meets is None or meets(mdp) else "the given MDP fails the trial's requirements"
+        mdp_seed = derive_seed(cfg.seed, *groups, rule, k, "mdp")
+        m = sample_mdp(sampler, mdp_seed) if meets is None else sample_mdp_where(sampler, mdp_seed, meets)
+        return "no sampled MDP met the trial's requirements" if m is None else m
 
     def draw(j: int, k: int) -> tuple[Mdp, TransformSpec, MdpStack] | str:
         """Occurrence k of plans[j]: its (MDP, member, pair), or why it is skipped."""
-        cls, _, meets, constraints = bound[j]
-        if mdp is not None:
-            if meets is not None and not meets(mdp):
-                return "the given MDP fails the trial's requirements"
-            m = mdp
-        else:
-            m = sample(j, k) if columns is None else _occurrence(columns[j][0], k, lambda r: sample(j, r))
-            if m is None:
-                return "no sampled MDP met the trial's requirements"
+        cls, _, _, _, constraints = bound[j]
+        m = _occurrence(columns[j][0], k, lambda r: sample(j, r))
+        if isinstance(m, str):
+            return m
         cons = constraints(m, k, cfg) if constraints is not None else {}
         t = sample_transform(
-            cls, m, derive_seed(cfg.seed, stream, *key, cls, k, "t"), magnitude=cfg.magnitude, constraints=cons
+            cls, m, derive_seed(cfg.seed, *groups, cls, k, "t"), magnitude=cfg.magnitude, constraints=cons
         )
         if isinstance(t, Identity) and t.note:
             return f"the member degenerated to the identity ({t.note})"
         return m, t, _pair(m, t)
 
-    # Each plan's columns of MDPs and of trials, in the open store.
+    # Each plan's columns of MDPs and of trials.  An empty open store is
+    # falsy, so test for None: "or {}" would share nothing.
     store = _open_store.get() if mdp is None else None
+    if store is None:
+        store = {}
     columns = [
-        (store.setdefault((stream, key, row.draw or cls, row, "mdp", cfg), []),
-         store.setdefault((stream, key, cls, row, "t", cfg), []))
-        for cls, row in plans
-    ] if store is not None else None
+        (store.setdefault((groups, rule, row, "mdp", cfg), []), store.setdefault((groups, cls, row, "t", cfg), []))
+        for (cls, row), (_, rule, *_) in zip(plans, bound)
+    ]
 
     def draws():
         # Every canned pair is a zero-preserving monotone rescaling.
@@ -702,8 +706,7 @@ def _run_trials(
             yield (m, t, _pair(m, t)), "zpmt", j, "canned"
         for i in range(n):
             j, k = i % len(plans), i // len(plans)
-            drawn = draw(j, k) if columns is None else _occurrence(columns[j][1], k, lambda q: draw(j, q))
-            yield drawn, plans[j][0], i, stream
+            yield _occurrence(columns[j][1], k, lambda q: draw(j, q)), plans[j][0], i, "sampled"
 
     run = 0
     skipped = Counter()
@@ -751,27 +754,22 @@ def _verdict(
 def check_invariance(kind: str, cls: str, cfg: CheckConfig, mdp: Mdp | None = None) -> InvarianceVerdict:
     """Sample class members on random MDPs; report the first fingerprint change.
 
-    Draws under the plain plan, held only to the kind's base predicate.
-    The trial's member comes from seeds derived from (cfg.seed, "check",
-    need group, class, trial), the trial being the class's occurrence, and
-    its MDP from (cfg.seed, "check", need group, rule, trial, "mdp"), where
-    the rule is "orphan" for a class in _ORPHAN_CLASSES and "plain"
-    otherwise: a class's MDPs depend on it only through the orphan rule.
-    So the kinds of one need group draw the same trials, which _run_trials
-    shares between them inside a shared_draws() scope through the column
-    (need group, class), and every class of one rule reads one column of
-    MDPs (need group, rule), with their memos; the verdict is a function of
-    (cfg, group, class) and the kind alone.  With mdp given, all trials run
-    on that MDP, whatever the base predicate says of it, with the same
-    member seeds.  Trials whose transformation degenerates to the identity
-    (or whose MDP requirements cannot be met) are counted as skipped.
+    Draws under the plain plan, held only to the kind's base predicate, by
+    _run_trials' one rule: the trial's member comes from (cfg.seed, need
+    group, class, trial), the trial being the class's occurrence, and its
+    MDP from (cfg.seed, need group, orphan rule, trial, "mdp").  So the
+    kinds of one need group draw the same trials, which a shared_draws()
+    scope shares between them, and with every search or refinement
+    direction of the class under the plain plan over that group; every
+    class of one rule reads one column of MDPs, with their memos.  The
+    verdict is a function of (cfg, group, class) and the kind alone.  With
+    mdp given, all trials run on that MDP, whatever the base predicate says
+    of it, with member seeds keyed by the class alone, so the kinds of every
+    group meet the same members there.  Trials whose transformation
+    degenerates to the identity (or whose MDP requirements cannot be met)
+    are counted as skipped.
     """
-    # An unknown kind has no group; _run_trials rejects it before any trial.
-    row = PlanRow(draw="orphan" if cls in _ORPHAN_CLASSES else "plain")
-    found = _run_trials(
-        kind, cfg, "check", (_NEED_GROUPS.get(kind),), [(cls, row)], (kind,) if mdp is None else (),
-        cfg.trials, mdp,
-    )
+    found = _run_trials(kind, cfg, [(cls, PlanRow())], (kind,) if mdp is None else (), cfg.trials, mdp)
     return _verdict(kind, cls, found)
 
 
@@ -783,15 +781,13 @@ def search_counterexample(
     Uses the cell's row of ATTACK_PLANS where one exists: MDP requirements
     plus transformation constraints that keep samples away from the
     subfamilies known to preserve the kind.  Canned witness pairs run first.
-    Trials draw from seeds derived from (cfg.seed, "search", kind, class,
-    trial), a column only the cell reads.  A fixed mdp that fails the
-    requirements or the kind's base predicate skips every trial.
+    Trials draw by _run_trials' one rule, keyed by the kind's need group,
+    so a cell with no row reads the column of draws its column's check
+    cells of that group read.  A fixed mdp that fails the requirements or
+    the kind's base predicate skips every trial.
     """
     row = ATTACK_PLANS.get((cls, kind), PlanRow())
-    found = _run_trials(
-        kind, cfg, "search", (kind,), [(cls, row)], (kind,), cfg.budget, mdp,
-        canned=row.canned if mdp is None else (),
-    )
+    found = _run_trials(kind, cfg, [(cls, row)], (kind,), cfg.budget, mdp, canned=row.canned if mdp is None else ())
     return _verdict(kind, cls, found, f"no counterexample found in {found[1]} directed trials")
 
 
@@ -822,7 +818,7 @@ class RefinementVerdict:
 
 
 # Hand-built (MDP, transformation) pairs that provably preserve the keyed
-# kind; attached to the generator stream because these kinds' invariance
+# kind; they run before the sampled trials because these kinds' invariance
 # class rosters are only lower bounds.
 CANNED_PRESERVING: dict[str, tuple[Callable[[], tuple[Mdp, TransformSpec]], ...]] = {
     "noiseless_cmp_fragments": (_canned_fan_pair,),
@@ -841,20 +837,18 @@ def _directional_witness(preserve: str, change: str, cfg: CheckConfig) -> tuple[
     """Find a transformation keeping `preserve`'s fingerprint while changing `change`'s.
 
     Trial i tries class i % L of preserve's roster of L classes, under its
-    row against change, at occurrence i // L.  Draws come from seeds derived
-    from (cfg.seed, "refine", the need groups of both kinds, sorted and
-    de-duplicated, class, occurrence), so every direction that tries a class
-    under one row, over kinds of the same groups, reads one column of its
-    draws, whichever kind it keeps and however long its roster.  Returns
+    row against change, at occurrence i // L.  Draws follow _run_trials' one
+    rule, keyed by the need groups of both kinds, so every direction that
+    tries a class under one row, over kinds of the same groups, reads one
+    column of its draws, whichever kind it keeps and however long its
+    roster, and the classes of one orphan rule one column of MDPs.  Returns
     (witness or None, trials run, skipped by reason).
     """
-    # An unknown kind has no roster or group and stands in for its own group
-    # here; _run_trials rejects it before any trial.
+    # An unknown kind has no roster; _run_trials rejects it before any trial.
     plans = [(cls, ATTACK_PLANS.get((cls, change), PlanRow())) for cls in KIND_ROSTERS.get(preserve, ())]
-    groups = tuple(sorted({_NEED_GROUPS.get(k, k) for k in (preserve, change)}))
     return _run_trials(
-        change, cfg, "refine", groups, plans, (preserve, change),
-        cfg.refine_trials, canned=CANNED_PRESERVING.get(preserve, ()), preserve=preserve,
+        change, cfg, plans, (preserve, change), cfg.refine_trials,
+        canned=CANNED_PRESERVING.get(preserve, ()), preserve=preserve,
     )
 
 

@@ -17,16 +17,17 @@ reproduce_directory_table runs the matching experiment per cell (invariance
 checking for inv marks, directed counterexample search for not marks) and
 compares outcomes to the expected marks.  Cells run serially in one thread,
 column by column (class outer, kind inner), and are reported in roster
-order.  A check cell draws its members from (seed, need group, class) and
-its MDPs from (seed, need group, orphan rule), so in the run's
-shared_draws() scope the check cells of one need group and column share
-their draws, and a trial's stacked pair solves Q* and soft Q once for all
-of them, while the group's columns of one rule share its MDPs; a search
-cell draws from (seed, kind, class).  Each cell's verdict is therefore the
+order.  Every cell draws its members from (seed, need group, class) and
+its MDPs from (seed, need group, orphan rule), whichever experiment it
+runs, so in the run's shared_draws() scope the check cells of one need
+group and column share their draws, and a trial's stacked pair solves Q*
+and soft Q once for all of them, while the group's columns of one rule
+share its MDPs; a search cell with no attack-plan row reads its column's
+check draws of the kind's group.  Each cell's verdict is therefore the
 same in any run order and equals what the cell's experiment gives when run
 alone with the same config; CheckConfig's defaults are the directory run's
 settings.  Wall-clock timings live in a separate report section: the first
-check cell of a group and rule in the run is charged for their MDP draws
+cell of a group and rule in the run is charged for their MDP draws
 and the MDPs' first enumerations, which the MDPs keep for the group's later
 kinds and classes, and the first of a group in a column for drawing its
 members, so per-cell times still add up to the wall time.
@@ -186,11 +187,11 @@ def reproduce_directory_table(cfg: CheckConfig) -> TableReport:
     """Run every directory cell against the expected marks.
 
     Cells run column by column in one shared_draws() scope, so that the
-    check cells of one need group and class read one column of draws,
-    released with the class's search draws once the column's cells are
-    done.  The check cells of a need group read one column of MDPs per
-    orphan rule across the classes, which the scope drops when the table
-    returns.  The report lists the cells in roster order.
+    cells of one need group, class and row read one column of draws,
+    released once the column's cells are done.  The cells of a need group
+    and row read one column of MDPs per orphan rule across the classes,
+    which the scope drops when the table returns.  The report lists the
+    cells in roster order.
     """
     marks = expected_marks()["marks"]
     by_cell = {}

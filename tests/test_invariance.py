@@ -380,9 +380,8 @@ def test_refinement_compares_the_preserved_kind_only_when_the_changed_kind_moved
 
 def test_a_trial_that_moves_the_preserved_kind_is_skipped():
     # Shaping moves both kinds on every trial, so no trial is a witness.
-    key = ("q_star", "return_fragments")
     found = _run_trials(
-        "return_fragments", FAST, "refine", key, [("shaping", PlanRow())], key, 6, preserve="q_star",
+        "return_fragments", FAST, [("shaping", PlanRow())], ("q_star", "return_fragments"), 6, preserve="q_star",
     )
     assert found == (None, 0, Counter({"the member moved the preserved kind too": 6}))
 
@@ -407,12 +406,12 @@ def test_complementary_ambiguity_rejects_ordered_pair():
 @pytest.mark.parametrize(
     "experiment, kind, other, origin",
     [
-        ("check", "q_star", "shaping", "check"),
-        ("search", "q_star", "shaping", "search"),
+        ("check", "q_star", "shaping", "sampled"),
+        ("search", "q_star", "shaping", "sampled"),
         ("search", "supportive_optimal_policy", "zpmt", "canned"),
         ("search", "optimal_policy_set", "zpmt", "canned"),
         ("search", "traj_dist_optimal", "zpmt", "canned"),
-        ("refine", "q_star", "boltzmann_policy", "refine"),
+        ("refine", "q_star", "boltzmann_policy", "sampled"),
         ("refine", "return_fragments", "noiseless_cmp_fragments", "canned"),
         ("refine", "boltzmann_cmp_trajectories", "noiseless_cmp_trajectories", "canned"),
         ("refine", "lottery_order", "noiseless_cmp_trajectories", "canned"),
@@ -433,7 +432,7 @@ def test_witness_records_its_trial(experiment, kind, other, origin):
     assert (w["kind"], w["origin"]) == (kind, origin)
     if origin == "canned":
         assert (w["transform_class"], w["trial"]) == ("zpmt", 0)
-    elif origin == "refine":
+    elif experiment == "refine":
         roster = KIND_ROSTERS[other]
         assert w["transform_class"] == roster[w["trial"] % len(roster)]
     else:
@@ -521,13 +520,21 @@ def draws(monkeypatch):
 def test_check_search_and_refine_draw_by_one_orphan_and_one_draw_rule(draws, experiment, args, path, orphans):
     # Orphan classes draw with orphan_prob >= 0.6 unless their row sets it;
     # every other class keeps the sampler's.  A trial draws with sample_mdp
-    # exactly when it has no predicate to meet.
+    # exactly when it has no predicate to meet.  The classes of one orphan
+    # rule under one row read one column of MDPs, which the first of them
+    # to ask draws, so each class's MDPs are drawn by a class of its rule.
+    import ril.invariance as inv
+
+    def rule(cls):
+        return "orphan" if cls in inv._ORPHAN_CLASSES else "plain"
+
     run = {"check": check_invariance, "search": search_counterexample, "refine": refinement_compare}
     cfg = replace(FAST, trials=4, budget=4, refine_trials=6)
     assert cfg.sampler.orphan_prob == 0.3
     run[experiment](*args, cfg)
     drawn = [(p, sampler, cls) for p, sampler, cls in draws if cls is not None]
-    assert {cls for _, _, cls in drawn} >= set(orphans)
+    for cls, orphan_prob in orphans.items():
+        assert orphan_prob in {sampler.orphan_prob for _, sampler, c in drawn if rule(c) == rule(cls)}, cls
     for p, sampler, cls in drawn:
         assert p == path, cls
         assert sampler.orphan_prob == orphans.get(cls, cfg.sampler.orphan_prob), cls
@@ -538,31 +545,45 @@ def test_check_search_and_refine_draw_by_one_orphan_and_one_draw_rule(draws, exp
 def test_refinement_directions_of_one_group_and_plan_draw_once(draws):
     # boltzmann_policy and mce_policy share the "none" need group, and no row
     # of q_star's roster classes names either, so the two directions that
-    # keep q_star read one column of draws.
+    # keep q_star read one column of draws.  Both roster classes are plain,
+    # so they read one MDP per occurrence.
+    roster = KIND_ROSTERS["q_star"]
     for kind in ("boltzmann_policy", "mce_policy"):
-        assert not any((cls, kind) in ATTACK_PLANS for cls in KIND_ROSTERS["q_star"])
+        assert not any((cls, kind) in ATTACK_PLANS for cls in roster)
     first = _directional_witness("q_star", "boltzmann_policy", FAST)
     assert first == (None, FAST.refine_trials, Counter())
     drawn = len(draws)
-    assert drawn >= FAST.refine_trials
+    assert drawn == FAST.refine_trials // len(roster)
     assert _directional_witness("q_star", "mce_policy", FAST) == first
     assert len(draws) == drawn
 
 
-def test_directions_that_keep_different_kinds_share_the_draws_of_a_class(draws):
+def test_directions_that_keep_different_kinds_share_the_draws_of_a_class(draws, monkeypatch):
     # q_star's roster is sprime_redistribution and mask_impossible, and
     # boltzmann_policy's adds shaping.  No row of these classes names
     # boltzmann_policy or mce_policy, and all three kinds are in the "none"
     # need group, so the direction that keeps boltzmann_policy reads those
     # two classes' occurrences from the columns the q_star direction drew.
+    # All three classes are plain, so shaping reads that direction's MDPs.
+    import ril.invariance as inv
+
+    members = []
+    draw_member = inv.sample_transform
+
+    def member(cls, *args, **kwargs):
+        members.append(cls)
+        return draw_member(cls, *args, **kwargs)
+
+    monkeypatch.setattr(inv, "sample_transform", member)
     for cls in KIND_ROSTERS["boltzmann_policy"]:
         assert not any((cls, kind) in ATTACK_PLANS for kind in ("boltzmann_policy", "mce_policy"))
     assert _directional_witness("q_star", "boltzmann_policy", FAST) == (None, FAST.refine_trials, Counter())
-    drawn = len(draws)
+    drawn, met = len(draws), len(members)
     # mce_policy holds under every class of boltzmann_policy's roster, so
     # the direction runs all its trials, a third of them under shaping.
     assert _directional_witness("boltzmann_policy", "mce_policy", FAST) == (None, FAST.refine_trials, Counter())
-    assert [cls for _, _, cls in draws[drawn:]] == ["shaping"] * (FAST.refine_trials // 3)
+    assert members[met:] == ["shaping"] * (FAST.refine_trials // 3)
+    assert len(draws) == drawn
 
 
 def test_a_signed_row_alternates_its_sign_by_the_occurrence_of_its_class(monkeypatch):
@@ -585,7 +606,7 @@ def test_a_signed_row_alternates_its_sign_by_the_occurrence_of_its_class(monkeyp
         ("mask_impossible", PlanRow()),
     ]
     assert [cls for cls, _ in plans] == list(KIND_ROSTERS["q_star"])
-    found = _run_trials("q_star", FAST, "refine", ("none",), plans, ("q_star",), 4)
+    found = _run_trials("q_star", FAST, plans, ("q_star",), 4)
     assert found == (None, 4, Counter())
     assert signs == [1.0, -1.0]
 
@@ -719,11 +740,11 @@ MEMO_CELLS = [
 ]
 MEMO_CFG = replace(CheckConfig(), trials=30)
 # A cell whose shared column holds a skipped draw at the default config
-# (trial 57 at the default seed), where the table checks it.
-SKIPPING_CELL = ("boltzmann_cmp_fragments", "mask_impossible")
+# (trial 82 at the default seed), where the table checks it.
+SKIPPING_CELL = ("lottery_order", "mask_impossible")
 
 
-@pytest.mark.parametrize("kind, cls", MEMO_CELLS)
+@pytest.mark.parametrize("kind, cls", MEMO_CELLS + [SKIPPING_CELL])
 def test_a_check_verdict_is_the_same_whatever_its_column_holds(kind, cls):
     import ril.invariance as inv
 
@@ -785,6 +806,40 @@ def test_checks_of_one_need_group_share_their_mdps_across_classes(draws, monkeyp
     for (kind, cls), verdict in zip(cells, verdicts):
         with shared_draws():
             assert check_invariance(kind, cls, FAST) == verdict, (kind, cls)
+
+
+def test_a_search_reads_the_draws_its_columns_check_cells_drew(monkeypatch):
+    # A draw is named by what it must meet, not by which experiment asked:
+    # boltzmann_policy and q_star share the "none" need group, and no row of
+    # shaping names q_star, so in one scope the search of q_star x shaping
+    # reads the trials the check of boltzmann_policy x shaping drew, and
+    # gives the verdict it gives alone.
+    import ril.invariance as inv
+
+    assert ("shaping", "q_star") not in ATTACK_PLANS
+    assert inv._NEED_GROUPS["q_star"] == inv._NEED_GROUPS["boltzmann_policy"]
+    with shared_draws():
+        alone = search_counterexample("q_star", "shaping", FAST)
+    assert alone.status == STATUS_COUNTEREXAMPLE
+    calls = Counter()
+
+    def counting(name):
+        draw = getattr(inv, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return draw(*args, **kwargs)
+
+        return counted
+
+    for name in ("sample_mdp", "sample_mdp_where", "sample_transform"):
+        monkeypatch.setattr(inv, name, counting(name))
+    with shared_draws():
+        assert check_invariance("boltzmann_policy", "shaping", FAST).status == STATUS_INVARIANT
+        assert calls["sample_transform"] == FAST.trials
+        drawn = calls.copy()
+        assert search_counterexample("q_star", "shaping", FAST) == alone
+        assert calls == drawn
 
 
 def test_a_scope_keeps_the_columns_of_every_config_it_meets(draws):

@@ -87,15 +87,17 @@ def test_small_table_run_reproduces_and_serializes():
 def test_a_table_releases_its_check_columns(monkeypatch):
     # The table draws into its own store.  While it runs, a check finds
     # there the trial columns of its class only, and the MDP columns of
-    # every (need group, orphan rule) it has met so far; the enclosing
-    # store, which holds a refinement's columns, is the same after it.
+    # every (need groups, orphan rule, row) the checks and searches have met
+    # so far, since those are named by rule, not class, and stay until the
+    # table ends; the enclosing store, which holds a refinement's columns,
+    # is the same after it.
     import ril.invariance as inv
     import ril.table
 
     cfg = CheckConfig(trials=2, budget=10)
     with inv.shared_draws() as outer:
         inv.refinement_compare("q_star", "q_soft", cfg)
-        assert outer and {column[0] for column in outer} == {"refine"}
+        assert outer and {column[0] for column in outer} == {("none",)}
         before = {column: len(drawn) for column, drawn in outer.items()}
         held = []
 
@@ -103,9 +105,8 @@ def test_a_table_releases_its_check_columns(monkeypatch):
             verdict = inv.check_invariance(kind, cls, *args, **kwargs)
             store = inv._open_store.get()
             assert store is not outer
-            checks = [column for column in store if column[0] == "check"]
             if "mdp" not in kwargs:  # a mixed cell's half, on a given MDP, shares nothing
-                held.append((cls, {c[2] for c in checks if c[4] == "t"}, {c[:3] for c in checks if c[4] == "mdp"}))
+                held.append((cls, {c[1] for c in store if c[3] == "t"}, {c for c in store if c[3] == "mdp"}))
             return verdict
 
         monkeypatch.setattr(ril.table, "check_invariance", check)
@@ -113,7 +114,11 @@ def test_a_table_releases_its_check_columns(monkeypatch):
         assert inv._open_store.get() is outer
         assert {column: len(drawn) for column, drawn in outer.items()} == before
     assert all(trials == {cls} for cls, trials, _ in held)
-    assert {(group, rule) for *_, mdps in held for _, (group,), rule in mdps} == {
-        (group, "plain") for group in ("none", "fragments", "lassos", "lottery")
-    } | {(group, "orphan") for group in ("none", "lassos", "lottery")}
-    assert len(held[-1][2]) == 7
+    # No MDP column is released while the table runs.
+    assert all(earlier <= later for (*_, earlier), (*_, later) in zip(held, held[1:]))
+    mdps = held[-1][2]
+    assert {(group, rule) for (group,), rule, row, *_ in mdps if row == inv.PlanRow()} == {
+        (group, rule) for group in ("none", "fragments", "lassos", "lottery") for rule in ("plain", "orphan")
+    }
+    # The searches' rows keep MDP columns of their own.
+    assert any(row != inv.PlanRow() for _, _, row, *_ in mdps)
