@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 import numpy as np
 
 from . import __version__
-from .errors import ContractError, ConvergenceError, EnumerationCapError, MdpFormatError
+from .errors import ContractError, ConvergenceError, EnumerationCapError
 from .hasse import build_refinement_order, check_roster, order_to_dot, render_order
 from .invariance import (
     STATUS_COUNTEREXAMPLE,
@@ -466,7 +466,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ContractError, MdpFormatError, EnumerationCapError) as exc:
+    except (ContractError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         violations = getattr(exc, "violations", None)
         if violations:

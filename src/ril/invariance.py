@@ -41,10 +41,11 @@ Three entry points pick the rows:
   one column of that class's draws, whichever kind it keeps.  A trial compares
   the changed kind first, and the preserved kind only when the changed kind
   moved; a trial that moves both is skipped, never a witness.  Trials cycle
-  through the preserved kind's known invariance classes, each under its row
-  against the changed kind; hand-built witness pairs (an order-preserving
-  but curvature-bending monotone rescaling) run first for the ordinal kinds
-  whose invariance classes are only known as bounds.
+  through the preserved kind's roster (KIND_ROSTERS, read from the bundled
+  directory marks), each class under its row against the changed kind;
+  hand-built witness pairs (an order-preserving but curvature-bending
+  monotone rescaling) run first for the ordinal kinds whose invariance
+  classes are only known as bounds.
 
 Fingerprint equality is exact for ordinal payloads, max-deviation within a
 relative tolerance for numeric ones, and positive-affine for the lottery
@@ -58,11 +59,13 @@ class or orphan rule, and occurrence.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields, replace
+from importlib import resources
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -118,34 +121,46 @@ RELATION_A_REFINES_B = "a_refines_b"
 RELATION_B_REFINES_A = "b_refines_a"
 RELATION_INCOMPARABLE = "incomparable"
 
-# Known invariance classes per kind, used as witness generators when the kind
-# must be preserved.  Every class listed provably leaves the kind unchanged.
-KIND_ROSTERS: dict[str, tuple[str, ...]] = {
-    "q_policy": ("sprime_redistribution", "mask_impossible"),
-    "q_star": ("sprime_redistribution", "mask_impossible"),
-    "q_soft": ("sprime_redistribution", "mask_impossible"),
-    "boltzmann_policy": ("shaping", "sprime_redistribution", "mask_impossible"),
-    "mce_policy": ("shaping", "sprime_redistribution", "mask_impossible"),
-    "supportive_optimal_policy": (
-        "opt_all_states", "shaping", "positive_scaling", "sprime_redistribution", "mask_impossible",
-    ),
-    "optimal_policy_set": (
-        "opt_all_states", "shaping", "positive_scaling", "sprime_redistribution", "mask_impossible",
-    ),
-    "traj_dist_boltzmann": ("shaping", "sprime_redistribution", "mask_unreachable"),
-    "traj_dist_mce": ("shaping", "sprime_redistribution", "mask_unreachable"),
-    "traj_dist_optimal": (
-        "opt_supported_states", "opt_all_states", "shaping", "positive_scaling",
-        "sprime_redistribution", "mask_unreachable",
-    ),
-    "return_fragments": ("mask_impossible",),
-    "boltzmann_cmp_fragments": ("mask_impossible",),
-    "return_trajectories": ("shaping_zero_initial", "mask_unreachable"),
-    "boltzmann_cmp_trajectories": ("shaping_k_initial", "mask_unreachable"),
-    "noiseless_cmp_fragments": ("positive_scaling", "mask_impossible"),
-    "noiseless_cmp_trajectories": ("shaping_k_initial", "positive_scaling", "mask_unreachable"),
-    "lottery_order": ("shaping_k_initial", "positive_scaling", "mask_unreachable"),
+MARK_SYMBOLS = {
+    "inv_special": "=*",
+    "inv": "=",
+    "not": "x",
+    "mixed": "mixed",
+    "blank": ".",
 }
+
+
+def expected_marks() -> dict:
+    """Expected directory marks bundled with the package."""
+    text = resources.files("ril.data").joinpath("expected_marks.json").read_text()
+    data = json.loads(text)
+    if tuple(data["kinds"]) != KIND_TAGS or tuple(data["classes"]) != CLASS_TAGS:
+        raise ContractError("bundled expected marks are out of step with kind/class rosters")
+    for kind, row in data["marks"].items():
+        bad = [mark for mark in row if mark not in MARK_SYMBOLS]
+        if len(row) != len(CLASS_TAGS) or bad:
+            raise ContractError(f"malformed expected marks row for {kind}: {bad or len(row)}")
+    return data
+
+
+# Each class that lies inside a wider one, by the next wider class.
+WIDER_FAMILY = {
+    "shaping_zero_initial": "shaping_k_initial",
+    "shaping_k_initial": "shaping",
+    "mask_impossible": "mask_unreachable",
+}
+
+
+def _roster(row: list[str]) -> tuple[str, ...]:
+    """A kind's roster from its marks row: the classes marked invariant, in
+    column order, but identity and each class whose wider family is marked too."""
+    kept = {cls for cls, mark in zip(CLASS_TAGS, row) if mark in ("inv", "inv_special")} - {"identity"}
+    return tuple(cls for cls in CLASS_TAGS if cls in kept and WIDER_FAMILY.get(cls) not in kept)
+
+
+# Classes the directory marks as preserving each kind, used as witness
+# generators when the kind must be preserved.
+KIND_ROSTERS = {kind: _roster(row) for kind, row in expected_marks()["marks"].items()}
 
 _VALUE_KINDS = frozenset(["q_policy", "q_star", "q_soft"])
 _SOFT_POLICY_KINDS = frozenset(["boltzmann_policy", "mce_policy"])
@@ -564,8 +579,8 @@ def replay_witness(obj: dict) -> dict:
 
 
 # The open store: each column under (groups, name, row, tail, cfg), its
-# draws by occurrence (see _run_trials), the tail naming what it holds as in
-# its seeds: "mdp" an orphan rule's MDPs, "t" a class's trials.
+# draws by occurrence (see _run_trials), the tail naming what it holds: "mdp"
+# MDPs of an orphan rule (plain row) or class (attack row), "t" a class's trials.
 _open_store: ContextVar[dict | None] = ContextVar("ril_shared_draws", default=None)
 
 
@@ -588,8 +603,9 @@ def _occurrence(column: list, k: int, draw: Callable[[int], object]):
 
 
 def release_columns(cls: str) -> None:
-    """Drop the open store's trial columns of one class, once no caller reads
-    them again; its MDP columns, named by orphan rule, stay with the scope."""
+    """Drop the open store's columns named by one class, once no caller reads
+    them again: its trials, and the MDPs of its attack rows.  The plain row's
+    MDP columns, named by orphan rule, stay with the scope."""
     store = _open_store.get() or {}
     for column in [c for c in store if c[1] == cls]:
         del store[column]
@@ -627,15 +643,16 @@ def _run_trials(
     t(R), whose solver memo serves every kind compared on it.  A plan's
     draws are read through the store's column (groups, class, row, "t",
     cfg), by occurrence, and drawn into it the first time a trial asks, and
-    their MDPs likewise through the column (groups, rule, row, "mdp", cfg).
-    The store is the open shared_draws() scope's, so that every caller in
-    the scope that tries a class under one row, over kinds of the same
-    groups, shares its trials, whichever experiment it runs and however
-    many plans it cycles through, and the classes of one rule share one Mdp
-    object per occurrence, with its memos.  A call with no open scope, or
-    with mdp given, draws through a store of its own.  A kind's outcome is
-    the same whether or not a column was already drawn, or a scope is open
-    at all.
+    their MDPs likewise through the column (groups, name, row, "mdp", cfg),
+    named by the rule under the plain row and by the class under an attack
+    row.  The store is the open shared_draws() scope's, so that every
+    caller in the scope that tries a class under one row, over kinds of the
+    same groups, shares its trials, whichever experiment it runs and
+    however many plans it cycles through, and the classes of one rule share
+    one plain-row Mdp object per occurrence, with its memos.  A call with
+    no open scope, or with mdp given, draws through a store of its own.  A
+    kind's outcome is the same whether or not a column was already drawn,
+    or a scope is open at all.
 
     Returns (first witness or None, trials run, skipped trials by reason).
     """
@@ -695,7 +712,8 @@ def _run_trials(
     if store is None:
         store = {}
     columns = [
-        (store.setdefault((groups, rule, row, "mdp", cfg), []), store.setdefault((groups, cls, row, "t", cfg), []))
+        (store.setdefault((groups, rule if row == PlanRow() else cls, row, "mdp", cfg), []),
+         store.setdefault((groups, cls, row, "t", cfg), []))
         for (cls, row), (_, rule, *_) in zip(plans, bound)
     ]
 
@@ -841,8 +859,8 @@ def _directional_witness(preserve: str, change: str, cfg: CheckConfig) -> tuple[
     rule, keyed by the need groups of both kinds, so every direction that
     tries a class under one row, over kinds of the same groups, reads one
     column of its draws, whichever kind it keeps and however long its
-    roster, and the classes of one orphan rule one column of MDPs.  Returns
-    (witness or None, trials run, skipped by reason).
+    roster, and the classes of one orphan rule one column of plain-row
+    MDPs.  Returns (witness or None, trials run, skipped by reason).
     """
     # An unknown kind has no roster; _run_trials rejects it before any trial.
     plans = [(cls, ATTACK_PLANS.get((cls, change), PlanRow())) for cls in KIND_ROSTERS.get(preserve, ())]

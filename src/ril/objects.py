@@ -11,7 +11,7 @@ affine rescaling of returns).
 
 Each kind is one entry of KINDS, keyed by its tag: a label, the basis its
 payload ranges over (None, "fragments" or "lassos") and a payload function.
-KIND_TAGS, KIND_LABELS, FRAGMENT_KINDS and LASSO_KINDS are read from it.
+KIND_TAGS, KIND_LABELS and LASSO_KINDS are read from it.
 
 Payload layouts by kind tag:
 
@@ -148,7 +148,6 @@ KINDS: dict[str, Kind] = {
 KIND_TAGS = tuple(KINDS)
 KIND_LABELS = {tag: kind.label for tag, kind in KINDS.items()}
 LASSO_KINDS = frozenset(tag for tag, kind in KINDS.items() if kind.basis == "lassos")
-FRAGMENT_KINDS = frozenset(tag for tag, kind in KINDS.items() if kind.basis == "fragments")
 
 
 @dataclass(frozen=True)

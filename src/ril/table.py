@@ -2,7 +2,9 @@
 
 Each cell of the directory records whether a transformation class leaves an
 object kind's fingerprint unchanged.  The expected marks ship with the
-package (data/expected_marks.json):
+package (data/expected_marks.json).  invariance.expected_marks loads them,
+checked against KIND_TAGS, CLASS_TAGS and MARK_SYMBOLS, and
+invariance.KIND_ROSTERS reads each kind's preserving classes from them:
 
 * inv_special: invariant, and the class exactly characterizes the kind's
   ambiguity (the witnesses sections of the source results).
@@ -35,17 +37,16 @@ members, so per-cell times still add up to the wall time.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
-from importlib import resources
 
-from .errors import ContractError
 from .invariance import (
+    MARK_SYMBOLS,
     STATUS_COUNTEREXAMPLE,
     STATUS_INVARIANT,
     CheckConfig,
     check_invariance,
+    expected_marks,
     release_columns,
     search_counterexample,
     shared_draws,
@@ -53,30 +54,6 @@ from .invariance import (
 from .micro import chain_mdp, two_action_loop_mdp
 from .objects import KIND_TAGS
 from .transforms import CLASS_TAGS
-
-MARK_SYMBOLS = {
-    "inv_special": "=*",
-    "inv": "=",
-    "not": "x",
-    "mixed": "mixed",
-    "blank": ".",
-}
-
-_VALID_MARKS = frozenset(MARK_SYMBOLS)
-
-
-def expected_marks() -> dict:
-    """Expected directory marks bundled with the package."""
-    text = resources.files("ril.data").joinpath("expected_marks.json").read_text()
-    data = json.loads(text)
-    if tuple(data["kinds"]) != KIND_TAGS or tuple(data["classes"]) != CLASS_TAGS:
-        raise ContractError("bundled expected marks are out of step with kind/class rosters")
-    for kind, row in data["marks"].items():
-        bad = [mark for mark in row if mark not in _VALID_MARKS]
-        if len(row) != len(CLASS_TAGS) or bad:
-            raise ContractError(f"malformed expected marks row for {kind}: {bad or len(row)}")
-    return data
-
 
 def default_thread_count() -> int:
     """The table's worker count: always 1, since its cells run in one thread."""
@@ -188,10 +165,11 @@ def reproduce_directory_table(cfg: CheckConfig) -> TableReport:
 
     Cells run column by column in one shared_draws() scope, so that the
     cells of one need group, class and row read one column of draws,
-    released once the column's cells are done.  The cells of a need group
-    and row read one column of MDPs per orphan rule across the classes,
-    which the scope drops when the table returns.  The report lists the
-    cells in roster order.
+    released once the column's cells are done, with the MDPs of the
+    class's attack rows.  The cells of a need group read one column of
+    plain-row MDPs per orphan rule across the classes, which the scope
+    drops when the table returns.  The report lists the cells in roster
+    order.
     """
     marks = expected_marks()["marks"]
     by_cell = {}

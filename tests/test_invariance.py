@@ -37,10 +37,12 @@ from ril.errors import EnumerationCapError
 from ril.invariance import (
     _BASE_PREDICATES,
     ATTACK_PLANS,
+    WIDER_FAMILY,
     LassoNeed,
     PlanRow,
     _directional_witness,
     _first_stochastic_step,
+    _roster,
     _run_trials,
     shared_draws,
 )
@@ -78,14 +80,6 @@ def test_rosters_cover_every_kind():
         assert "identity" not in roster  # identity is implicit everywhere
 
 
-# Classes that other classes lie inside.
-_WIDER = {
-    "shaping_zero_initial": {"shaping_k_initial", "shaping"},
-    "shaping_k_initial": {"shaping"},
-    "mask_impossible": {"mask_unreachable"},
-}
-
-
 def test_rosters_agree_with_expected_marks():
     # Each roster class is marked invariant for its kind, and every other
     # class so marked, but identity, lies inside a roster class.
@@ -94,7 +88,23 @@ def test_rosters_agree_with_expected_marks():
         invariant = {cls for cls, mark in zip(CLASS_TAGS, marks[kind]) if mark in ("inv", "inv_special")}
         assert set(roster) <= invariant, kind
         for cls in invariant - set(roster) - {"identity"}:
-            assert _WIDER.get(cls, set()) & set(roster), (kind, cls)
+            wider = cls
+            while wider in WIDER_FAMILY and wider not in roster:
+                wider = WIDER_FAMILY[wider]
+            assert wider in roster, (kind, cls)
+
+
+def test_a_roster_is_read_from_its_marks_row_in_column_order():
+    for roster in KIND_ROSTERS.values():
+        assert list(roster) == sorted(roster, key=CLASS_TAGS.index)
+    row = ["blank"] * len(CLASS_TAGS)
+    for cls, mark in {
+        "identity": "inv_special", "shaping_zero_initial": "inv_special", "shaping_k_initial": "inv",
+        "shaping": "inv", "positive_scaling": "inv_special", "mask_impossible": "inv", "mask_unreachable": "mixed",
+    }.items():
+        row[CLASS_TAGS.index(cls)] = mark
+    # Shaping keeps its widest family only; a mixed wider mask keeps the narrow one.
+    assert _roster(row) == ("shaping", "positive_scaling", "mask_impossible")
 
 
 def test_every_plan_rows_constraints_are_taken_by_its_class():

@@ -36,7 +36,7 @@ from ril import (
 )
 from ril import objects
 from ril.micro import chain_mdp, loop_mdp, return_fan_mdp, two_action_loop_mdp
-from ril.objects import FRAGMENT_KINDS, LASSO_KINDS, canonical_fragments, canonical_lassos
+from ril.objects import canonical_fragments, canonical_lassos
 from ril.sampling import SamplerConfig, derive_seed, sample_mdp
 from ril.trajectories import Fragments, Lassos, enumerate_fragments, enumerate_lassos, lasso_returns
 
@@ -355,7 +355,7 @@ def test_one_enumeration_serves_every_reward_on_the_same_dynamics(monkeypatch):
     m = return_fan_mdp()
     rescaled = with_reward(m, 2.0 * m.reward + 0.25)
     for mdp in (m, rescaled):
-        for tag in sorted(FRAGMENT_KINDS | LASSO_KINDS):
+        for tag in sorted(tag for tag, kind in objects.KINDS.items() if kind.basis):
             fingerprint(mdp, tag)
     assert calls == {"fragments": 1, "lassos": 1}
     res = Resolution()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ril import (
     ConvergenceError,
     Policy,
+    PositiveLinearScaling,
     PotentialShaping,
     SolverParams,
     apply_transform,
@@ -305,3 +306,18 @@ def test_the_tie_band_does_not_move_under_shaping():
     )
     shaped = with_reward(m, apply_transform(m, PotentialShaping(phi=np.array([-2.0, 0.0]))))
     assert optimal_action_sets(m)[0] == optimal_action_sets(shaped)[0] == (0,)
+
+
+@pytest.mark.xfail(strict=True, reason="the tie band's absolute floor does not scale with the reward")
+def test_the_tie_band_moves_under_positive_scaling():
+    # In s0, a1 trails a0 by 2.1e-7.  The band 1e-7 * (1 + max |A*|) leaves
+    # a1 out at max |A*| = 1 and, after scaling by 1/3, takes it in at
+    # 1e-7 * (1 + 1/3): the floor of 1e-7 does not scale with the reward.
+    m = make_mdp(
+        states=["s0", "s1"], actions=["a0", "a1", "a2"],
+        tau=[[[0.0, 1.0]] * 3, [[0.0, 1.0]] * 3], mu0=[1.0, 0.0],
+        reward=[[[0.0, 1.0], [0.0, 1.0 - 2.1e-7], [0.0, 0.0]], [[0.0, 0.0]] * 3], gamma=0.9,
+    )
+    scaled = with_reward(m, apply_transform(m, PositiveLinearScaling(c=1 / 3)))
+    assert optimal_action_sets(m)[0] == (0,)
+    assert optimal_action_sets(scaled)[0] == (0,)

@@ -85,12 +85,13 @@ def test_small_table_run_reproduces_and_serializes():
 
 
 def test_a_table_releases_its_check_columns(monkeypatch):
-    # The table draws into its own store.  While it runs, a check finds
-    # there the trial columns of its class only, and the MDP columns of
-    # every (need groups, orphan rule, row) the checks and searches have met
-    # so far, since those are named by rule, not class, and stay until the
-    # table ends; the enclosing store, which holds a refinement's columns,
-    # is the same after it.
+    # The table draws into its own store.  While it runs, a check or search
+    # finds there the plain-row MDP columns of every (need groups, orphan
+    # rule) the cells have met so far, which are named by rule and stay
+    # until the table ends, and otherwise only columns named by its own
+    # class: its trials and its attack rows' MDPs.  So once a class's cells
+    # are done, no column names it.  The enclosing store, which holds a
+    # refinement's columns, is the same after the table.
     import ril.invariance as inv
     import ril.table
 
@@ -101,24 +102,29 @@ def test_a_table_releases_its_check_columns(monkeypatch):
         before = {column: len(drawn) for column, drawn in outer.items()}
         held = []
 
-        def check(kind, cls, *args, **kwargs):
-            verdict = inv.check_invariance(kind, cls, *args, **kwargs)
-            store = inv._open_store.get()
-            assert store is not outer
-            if "mdp" not in kwargs:  # a mixed cell's half, on a given MDP, shares nothing
-                held.append((cls, {c[1] for c in store if c[3] == "t"}, {c for c in store if c[3] == "mdp"}))
-            return verdict
+        def hooked(experiment):
+            def run(kind, cls, *args, **kwargs):
+                verdict = experiment(kind, cls, *args, **kwargs)
+                store = inv._open_store.get()
+                assert store is not outer
+                if "mdp" not in kwargs:  # a mixed cell's half, on a given MDP, shares nothing
+                    plain = {c for c in store if c[3] == "mdp" and c[2] == inv.PlanRow()}
+                    held.append((cls, plain, store.keys() - plain))
+                return verdict
 
-        monkeypatch.setattr(ril.table, "check_invariance", check)
+            return run
+
+        monkeypatch.setattr(ril.table, "check_invariance", hooked(inv.check_invariance))
+        monkeypatch.setattr(ril.table, "search_counterexample", hooked(inv.search_counterexample))
         reproduce_directory_table(cfg)
         assert inv._open_store.get() is outer
         assert {column: len(drawn) for column, drawn in outer.items()} == before
-    assert all(trials == {cls} for cls, trials, _ in held)
-    # No MDP column is released while the table runs.
-    assert all(earlier <= later for (*_, earlier), (*_, later) in zip(held, held[1:]))
-    mdps = held[-1][2]
-    assert {(group, rule) for (group,), rule, row, *_ in mdps if row == inv.PlanRow()} == {
+    # No plain-row MDP column is released while the table runs.
+    assert all(earlier <= later for (_, earlier, _), (_, later, _) in zip(held, held[1:]))
+    plain = held[-1][1]
+    assert {(group, rule) for (group,), rule, *_ in plain} == {
         (group, rule) for group in ("none", "fragments", "lassos", "lottery") for rule in ("plain", "orphan")
     }
+    assert all({c[1] for c in named} == {cls} for cls, _, named in held)
     # The searches' rows keep MDP columns of their own.
-    assert any(row != inv.PlanRow() for _, _, row, *_ in mdps)
+    assert any(c[3] == "mdp" for *_, named in held for c in named)
