@@ -85,13 +85,11 @@ from .solvers import (
     mce_policy,
     optimal_action_sets,
     optimal_q,
-    optimal_q_iterative,
     policy_q,
     policy_q_iterative,
     policy_value,
     reward_scale,
     soft_q,
-    soft_q_iterative,
     softmax_rows,
     uniform_policy,
 )

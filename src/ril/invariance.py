@@ -11,9 +11,12 @@ experiment asked for it: its member comes from seeds derived from (seed,
 need groups, class, occurrence) and its MDP from (seed, need groups, orphan
 rule, occurrence), the need groups being those of the kinds the trial
 compares and the rule "orphan" or "plain" (below).  So a draw depends on
-its column, never on which caller asked for it first.  Columns live in the
-store a caller opens with shared_draws() and die with its scope; outside
-one no draw is shared.  Every trial draws its MDP by two rules:
+its column, never on which caller asked for it first.  A trial column
+keeps each drawn pair's comparison outcomes by kind, never its
+fingerprints, so every caller that reads the trial compares a kind on it
+once.  Columns live in the store a caller opens with shared_draws() and
+die with its scope; outside one no draw is shared.  Every trial draws its
+MDP by two rules:
 
 * orphans: a class in _ORPHAN_CLASSES, which acts on unreachable or
   unsupported states, draws with orphan_prob at least 0.6 unless its row
@@ -65,6 +68,7 @@ from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cache
 from importlib import resources
 from typing import Callable, Iterable, Iterator
 
@@ -536,8 +540,11 @@ def _comparison(
     pair: MdpStack, res: Resolution, params: SolverParams, tol_rel: float
 ) -> Callable[[str], tuple[bool, tuple[int, float] | None]]:
     """compare(kind): fingerprints_equal on kind's one stacked fingerprint of
-    the pair.  Trials and witness replays use it."""
-    return lambda kind: fingerprints_equal(*fingerprint(pair, kind, res, params), tol_rel)
+    the pair, computed once per kind.  It keeps each kind's outcome, never
+    its fingerprints, so a trial column that holds it compares a kind on its
+    pair once, however many callers read the trial.  Trials and witness
+    replays use it."""
+    return cache(lambda kind: fingerprints_equal(*fingerprint(pair, kind, res, params), tol_rel))
 
 
 def replay_witness(obj: dict) -> dict:
@@ -580,7 +587,8 @@ def replay_witness(obj: dict) -> dict:
 
 # The open store: each column under (groups, name, row, tail, cfg), its
 # draws by occurrence (see _run_trials), the tail naming what it holds: "mdp"
-# MDPs of an orphan rule (plain row) or class (attack row), "t" a class's trials.
+# MDPs of an orphan rule (plain row) or class (attack row), "t" a class's
+# trials, each with its pair's comparison outcomes by kind.
 _open_store: ContextVar[dict | None] = ContextVar("ril_shared_draws", default=None)
 
 
@@ -639,8 +647,10 @@ def _run_trials(
     witness, which records the trial index i and its origin, "canned" or
     "sampled".
 
-    A trial's draw is its MDP, its member and their stacked pair of R and
-    t(R), whose solver memo serves every kind compared on it.  A plan's
+    A trial's draw is its MDP, its member and the comparisons of their
+    stacked pair of R and t(R) (_comparison), whose solver memo serves
+    every kind compared on it, and which keep each kind's outcome, so a
+    kind is compared on the pair once, whichever caller asks.  A plan's
     draws are read through the store's column (groups, class, row, "t",
     cfg), by occurrence, and drawn into it the first time a trial asks, and
     their MDPs likewise through the column (groups, name, row, "mdp", cfg),
@@ -692,8 +702,11 @@ def _run_trials(
         m = sample_mdp(sampler, mdp_seed) if meets is None else sample_mdp_where(sampler, mdp_seed, meets)
         return "no sampled MDP met the trial's requirements" if m is None else m
 
-    def draw(j: int, k: int) -> tuple[Mdp, TransformSpec, MdpStack] | str:
-        """Occurrence k of plans[j]: its (MDP, member, pair), or why it is skipped."""
+    def compared(m: Mdp, t: TransformSpec) -> tuple[Mdp, TransformSpec, Callable]:
+        return m, t, _comparison(_pair(m, t), cfg.resolution, params, cfg.tol_rel)
+
+    def draw(j: int, k: int) -> tuple[Mdp, TransformSpec, Callable] | str:
+        """Occurrence k of plans[j]: its (MDP, member, compare), or why it is skipped."""
         cls, _, _, _, constraints = bound[j]
         m = _occurrence(columns[j][0], k, lambda r: sample(j, r))
         if isinstance(m, str):
@@ -704,7 +717,7 @@ def _run_trials(
         )
         if isinstance(t, Identity) and t.note:
             return f"the member degenerated to the identity ({t.note})"
-        return m, t, _pair(m, t)
+        return compared(m, t)
 
     # Each plan's columns of MDPs and of trials.  An empty open store is
     # falsy, so test for None: "or {}" would share nothing.
@@ -720,8 +733,7 @@ def _run_trials(
     def draws():
         # Every canned pair is a zero-preserving monotone rescaling.
         for j, build in enumerate(canned):
-            m, t = build()
-            yield (m, t, _pair(m, t)), "zpmt", j, "canned"
+            yield compared(*build()), "zpmt", j, "canned"
         for i in range(n):
             j, k = i % len(plans), i // len(plans)
             yield _occurrence(columns[j][1], k, lambda q: draw(j, q)), plans[j][0], i, "sampled"
@@ -732,8 +744,7 @@ def _run_trials(
         if isinstance(drawn, str):
             skipped[drawn] += 1
             continue
-        m, t, pair = drawn
-        compare = _comparison(pair, cfg.resolution, params, cfg.tol_rel)
+        m, t, compare = drawn
         equal, diff = compare(kind)
         if not equal and preserve is not None and not compare(preserve)[0]:
             # Numerically possible only at tolerance boundaries; not a valid witness.

@@ -11,8 +11,9 @@ system over |S||A| unknowns and asserts its own Bellman residual:
   1979; Ziebart 2010 for the soft equation).
 
 Their cost does not grow with 1 / (1 - gamma).  Value iteration survives
-only as independent cross-checks (policy_q_iterative, optimal_q_iterative,
-soft_q_iterative), which stop when the sup-norm update drops below
+only as independent cross-checks (policy_q_iterative here, and the tests'
+references for optimal_q and soft_q, each a backup over _value_iteration),
+which stop when the sup-norm update drops below
 epsilon * (1 - gamma) / (2 * gamma), bounding the value error by epsilon.
 Soft backups use a max-subtracted log-sum-exp so large beta stays finite;
 beta up to 1e3 and gamma up to 0.999 are supported.
@@ -315,17 +316,6 @@ def _value_iteration(m: Mdp | MdpStack, params: SolverParams, backup) -> ValueTa
     raise ConvergenceError(
         f"value iteration did not converge in {params.max_iters} sweeps", delta, params.max_iters
     )
-
-
-def optimal_q_iterative(m: Mdp | MdpStack, params: SolverParams = SolverParams()) -> ValueTables:
-    """Value iteration with the max backup; independent cross-check for optimal_q."""
-    return _value_iteration(m, params, lambda q: q.max(axis=-1))
-
-
-def soft_q_iterative(m: Mdp | MdpStack, params: SolverParams = SolverParams()) -> ValueTables:
-    """Value iteration with the (1/beta) LSE backup; cross-check for soft_q."""
-    beta = params.beta
-    return _value_iteration(m, params, lambda q: log_sum_exp_rows(beta * q) / beta)
 
 
 def boltzmann_rational_policy(m: Mdp | MdpStack, params: SolverParams = SolverParams()) -> Policy:

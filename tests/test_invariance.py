@@ -1,5 +1,6 @@
 """Invariance checking, counterexample search, and pairwise refinement."""
 
+import gc
 import json
 from collections import Counter
 from dataclasses import replace
@@ -47,7 +48,7 @@ from ril.invariance import (
     shared_draws,
 )
 from ril.micro import chain_mdp, loop_mdp, return_fan_mdp, two_action_loop_mdp
-from ril.objects import canonical_lassos, noiseless_ranks
+from ril.objects import ObjectFingerprint, canonical_lassos, noiseless_ranks
 from ril.sampling import derive_seed, sample_mdp, sample_mdp_where
 from ril.table import expected_marks
 from ril.trajectories import count_lassos, lasso_returns
@@ -377,7 +378,8 @@ def fingerprinted(monkeypatch):
 
 def test_refinement_compares_the_preserved_kind_only_when_the_changed_kind_moved(fingerprinted):
     # q_soft never moves under q_star's classes, so q_star is never compared.
-    # A compare is one call, on the stack of R and t(R).
+    # Comparing a kind on a trial is one fingerprint call, on the stack of R
+    # and t(R), and the trial keeps its outcome.
     assert _directional_witness("q_star", "q_soft", FAST) == (None, FAST.refine_trials, Counter())
     assert fingerprinted["q_star"] == 0
     assert fingerprinted["q_soft"] == FAST.refine_trials
@@ -386,6 +388,24 @@ def test_refinement_compares_the_preserved_kind_only_when_the_changed_kind_moved
     w, run, skipped = _directional_witness("q_star", "return_trajectories", FAST)
     assert (w["trial"], run, skipped) == (0, 1, Counter())
     assert fingerprinted == {"q_star": 1, "return_trajectories": 1}
+
+
+def test_a_trial_column_compares_a_kind_on_each_drawn_pair_once(fingerprinted):
+    # boltzmann_policy's roster is q_star's with shaping in front, and all
+    # three kinds lie in one need group, so both directions read the same
+    # trial columns of the two shared classes.  The first direction compares
+    # mce_policy on its 12 trials; the second only on its 4 shaping trials,
+    # as the first already compared its other 8.
+    first = _directional_witness("q_star", "mce_policy", FAST)
+    second = _directional_witness("boltzmann_policy", "mce_policy", FAST)
+    assert fingerprinted["mce_policy"] == FAST.refine_trials + 4
+    # The columns keep outcomes, never the fingerprints themselves.
+    gc.collect()
+    assert not any(isinstance(o, ObjectFingerprint) for o in gc.get_objects())
+    # The kept outcomes are those a fresh scope computes.
+    for found, preserve in ((first, "q_star"), (second, "boltzmann_policy")):
+        with shared_draws():
+            assert found == _directional_witness(preserve, "mce_policy", FAST)
 
 
 def test_a_trial_that_moves_the_preserved_kind_is_skipped():

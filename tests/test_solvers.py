@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_solvers import optimal_q_iterative, soft_q_iterative
 from ril import (
     ConvergenceError,
     Policy,
@@ -20,13 +21,11 @@ from ril import (
     mce_policy,
     optimal_action_sets,
     optimal_q,
-    optimal_q_iterative,
     policy_q,
     policy_q_iterative,
     policy_value,
     reward_scale,
     soft_q,
-    soft_q_iterative,
     softmax_rows,
     stack_mdps,
     uniform_policy,
